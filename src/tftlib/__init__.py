@@ -13,19 +13,19 @@ from .ctft import (ENGINES, add_contribution, break_in_place, ctft_forward,
 from .plan import (EvalPointSet, Plan, eval_points_bitreversed,
                    eval_points_cyclotomic, plan_new)
 from .ring import (DEFAULT_MODULUS, CountSession, FieldCtx, OpCount,
-                   UnsupportedOrderError, find_root_of_unity, is_principal_root)
-from .transform import DWTSpec, dwt, fft_in_place, idwt, ifft_in_place
+                   UnsupportedOrderError, find_root_of_unity)
+from .transform import dwt, fft_in_place, idwt, ifft_in_place
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_MODULUS", "ENGINES", "CountSession", "DWTSpec", "EvalPointSet",
+    "DEFAULT_MODULUS", "ENGINES", "CountSession", "EvalPointSet",
     "FieldCtx", "OpCount", "Plan", "UnsupportedOrderError",
     "add_contribution", "bit", "bit_reverse", "break_in_place",
     "brtft_forward", "brtft_inverse", "ctft_forward", "ctft_inverse",
     "dwt", "eval_points_bitreversed", "eval_points_cyclotomic",
     "fft_in_place", "find_root_of_unity", "idwt", "ifft_in_place",
-    "is_principal_root", "mateer_break", "multiply_full_fft", "multiply_tft",
+    "mateer_break", "multiply_full_fft", "multiply_tft",
     "next_satisfying_exponent", "nonzero_criterion", "plan_new",
     "reduce_to_remainders", "sergeev_break", "unbreak_in_place",
 ]

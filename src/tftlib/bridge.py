@@ -7,15 +7,18 @@ families differ by the change of variable z -> Omega_s z, under which
 Psi_i(Omega_s z) = -Omega_(i-1)^(n_i) * Phi_i(z).  So:
 
     1. scale coefficient k by Omega_s**k        (f(z) -> f(Omega_s z))
-    2. break into images modulo the Phi_i
-    3. scale coefficient k of each block by Omega_s**-k   (images mod Psi_i)
-    4. per block, a weighted transform with weight Omega_(i-1) and the
-       principal n_i-th root: evaluates at the roots of Psi_i, landing
-       exactly in bit-reversed-grid order.
+    2. break into images g_i modulo the Phi_i
+    3. per block, a weighted transform of g_i with weight
+       Omega_(i-1)/Omega_s and the principal n_i-th root: it evaluates g_i
+       at Omega_(i-1)/Omega_s times the n_i-th roots of unity, which are
+       roots of Phi_i, so f lands at the roots of Psi_i, exactly in
+       bit-reversed-grid order.
 
-Every step is invertible, which gives the inverse transform, and with it
-polynomial products of any target length n at a cost that grows smoothly in n
-instead of jumping at powers of two.
+When n = 2^k there is one block and Omega_s = 1, so the plain FFT with the
+principal N-th root is the whole transform.  Every step is invertible, which
+gives the inverse transform, and with it polynomial products of any target
+length n at a cost that grows smoothly in n instead of jumping at powers of
+two.
 """
 
 from __future__ import annotations
@@ -23,39 +26,38 @@ from __future__ import annotations
 from .ctft import break_in_place, ctft_forward, ctft_inverse, unbreak_in_place
 from .plan import Plan, plan_new
 from .ring import FieldCtx, find_root_of_unity
-from .transform import DWTSpec, dwt, fft_in_place, idwt, ifft_in_place, scale_by_powers
+from .transform import dwt, fft_in_place, idwt, ifft_in_place, scale_by_powers
 
 
-def _grid_spec(plan: Plan, i: int) -> DWTSpec:
-    # roots of Psi_i are Omega_(i-1) times the n_i-th roots of unity
-    return DWTSpec(plan.size(i), plan.unit_root(i), plan.partial(i - 1))
+def _grid_weight(ctx: FieldCtx, plan: Plan, i: int) -> int:
+    # Omega_(i-1)/Omega_s times the n_i-th roots of unity are roots of Phi_i
+    return plan.partial(i - 1) * ctx.inv(plan.partial(plan.s)) % ctx.p
 
 
 def brtft_forward(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     """In place, slot l <- f(omega**rev(l)) for l < n (rev over log2(N) bits)."""
     if len(a) != plan.n:
         raise ValueError(f"buffer length {len(a)} != plan length {plan.n}")
-    big = plan.partial(plan.s)
-    scale_by_powers(ctx, a, plan.n, big)
+    if plan.s == 1:
+        fft_in_place(ctx, a, plan.n, plan.omega)
+        return
+    scale_by_powers(ctx, a, plan.n, plan.partial(plan.s))
     break_in_place(ctx, a, plan)
-    big_inv = ctx.inv(big)
     for i in range(1, plan.s + 1):
-        scale_by_powers(ctx, a, plan.size(i), big_inv, plan.offset(i))
-    for i in range(1, plan.s + 1):
-        dwt(ctx, a, _grid_spec(plan, i), plan.offset(i))
+        dwt(ctx, a, plan.size(i), plan.unit_root(i), _grid_weight(ctx, plan, i), plan.offset(i))
 
 
 def brtft_inverse(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     """Recover coefficients from the first n bit-reversed grid values, in place."""
     if len(a) != plan.n:
         raise ValueError(f"buffer length {len(a)} != plan length {plan.n}")
-    big = plan.partial(plan.s)
+    if plan.s == 1:
+        ifft_in_place(ctx, a, plan.n, plan.omega)
+        return
     for i in range(1, plan.s + 1):
-        idwt(ctx, a, _grid_spec(plan, i), plan.offset(i))
-    for i in range(1, plan.s + 1):
-        scale_by_powers(ctx, a, plan.size(i), big, plan.offset(i))
+        idwt(ctx, a, plan.size(i), plan.unit_root(i), _grid_weight(ctx, plan, i), plan.offset(i))
     unbreak_in_place(ctx, a, plan)
-    scale_by_powers(ctx, a, plan.n, ctx.inv(big))
+    scale_by_powers(ctx, a, plan.n, ctx.inv(plan.partial(plan.s)))
 
 
 def poly_degree(f: list[int], p: int) -> int:

@@ -31,8 +31,6 @@ from .plan import eval_points_cyclotomic, plan_new
 from .ring import DEFAULT_MODULUS, FieldCtx
 from .transform import fft_in_place
 
-BENCH_ALGOS = ("mul-fft", "mul-ctft", "mul-brtft", "ctft-fwd", "brtft-fwd")
-
 
 @dataclass
 class BenchRow:

@@ -12,8 +12,9 @@ Three engines produce the image state:
             weighted images straight into the block: pre-doubling the block
             makes every contribution an unscaled add or subtract, and a final
             halving restores the weight.  Phase 3 rescales f_i^* to f_i by
-            repeated doubling.  At most 3n additions and 2n doublings or
-            halvings, no general multiplications.
+            one multiplication by 2^(i-1) per slot.  At most 3n additions
+            and 2n multiplications by powers of two or their inverses, no
+            general multiplications.
 
 ``sergeev`` single buffer, O(1) scratch.  Walks the modulus chain z^K - 1
             downward, keeping the images found so far plus the leading
@@ -36,14 +37,9 @@ from __future__ import annotations
 from .bitops import next_satisfying_exponent, survival_mask
 from .plan import Plan
 from .ring import FieldCtx
-from .transform import DWTSpec, dwt, idwt
+from .transform import dwt, idwt
 
 ENGINES = ("new", "sergeev", "mateer")
-
-
-def _negacyclic_spec(plan: Plan, i: int) -> DWTSpec:
-    # weight omega_i of order 2*n_i, root omega_i**2: evaluates at roots of Phi_i
-    return DWTSpec(plan.size(i), plan.unit_root(i), plan.block_root(i))
 
 
 def reduce_to_remainders(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
@@ -117,29 +113,31 @@ def _scale_block(ctx: FieldCtx, a: list[int], plan: Plan, i: int, c: int) -> Non
 def break_in_place(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     """Rewrite coefficients into the images f_i = f mod Phi_i, in place.
 
-    At most 3n additions and 2n multiplications by 2 or 1/2, zero general
+    Block i >= 2 is doubled, receives its contributions and is halved back to
+    the weighted image f_i^* = 2^(1-i) f_i; once every contribution is in, one
+    pass multiplies it by 2^(i-1).  At most 3n additions and 2n
+    multiplications by a power of two or its inverse, zero general
     multiplications, O(1) scratch.
     """
+    p = ctx.p
     reduce_to_remainders(ctx, a, plan)
     for i in range(2, plan.s + 1):
         _scale_block(ctx, a, plan, i, 2)
         add_contribution(ctx, a, plan, i)
-        _scale_block(ctx, a, plan, i, plan.half)
+        _scale_block(ctx, a, plan, i, ctx.half)
     for i in range(2, plan.s + 1):
-        for _ in range(i - 1):
-            _scale_block(ctx, a, plan, i, 2)
+        _scale_block(ctx, a, plan, i, pow(2, i - 1, p))
 
 
 def unbreak_in_place(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     """Exact inverse of :func:`break_in_place`, step by step in reverse."""
     p = ctx.p
     for i in range(plan.s, 1, -1):
-        for _ in range(i - 1):
-            _scale_block(ctx, a, plan, i, plan.half)
+        _scale_block(ctx, a, plan, i, pow(ctx.half, i - 1, p))
     for i in range(plan.s, 1, -1):
         _scale_block(ctx, a, plan, i, 2)
         _contribution_pass(ctx, a, plan, i, undo=True)
-        _scale_block(ctx, a, plan, i, plan.half)
+        _scale_block(ctx, a, plan, i, ctx.half)
     adds = 0
     for i in range(plan.s - 1, 0, -1):
         o = plan.offset(i)
@@ -276,8 +274,9 @@ def ctft_forward(ctx: FieldCtx, a: list[int], plan: Plan, engine: str = "new") -
                     a[o + t] = buf[ni + t]
     else:
         raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
+    # weight omega_i of order 2*n_i, root omega_i**2: evaluates at roots of Phi_i
     for i in range(1, plan.s + 1):
-        dwt(ctx, a, _negacyclic_spec(plan, i), plan.offset(i))
+        dwt(ctx, a, plan.size(i), plan.unit_root(i), plan.block_root(i), plan.offset(i))
 
 
 def ctft_inverse(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
@@ -290,5 +289,5 @@ def ctft_inverse(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     if len(a) != plan.n:
         raise ValueError(f"buffer length {len(a)} != plan length {plan.n}")
     for i in range(1, plan.s + 1):
-        idwt(ctx, a, _negacyclic_spec(plan, i), plan.offset(i))
+        idwt(ctx, a, plan.size(i), plan.unit_root(i), plan.block_root(i), plan.offset(i))
     unbreak_in_place(ctx, a, plan)

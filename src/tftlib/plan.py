@@ -34,8 +34,6 @@ class Plan:
     block_roots: tuple[int, ...]       # omega_i, order 2*n_i, omega_i**n_i == -1
     block_unit_roots: tuple[int, ...]  # omega_i**2, principal n_i-th root
     partials: tuple[int, ...]          # Omega_0..Omega_s cumulative products
-    half: int                   # 2**-1
-    inv_sizes: tuple[int, ...]  # n_i**-1
 
     # 1-based block accessors, matching the mathematical indexing ----------
 
@@ -61,18 +59,6 @@ class Plan:
     def partial(self, i: int) -> int:
         """Omega_i for 0 <= i <= s (Omega_0 == 1)."""
         return self.partials[i]
-
-    def inv_size(self, i: int) -> int:
-        return self.inv_sizes[i - 1]
-
-    def block_of(self, slot: int) -> int:
-        """1-based owning block of a buffer slot."""
-        if not 0 <= slot < self.n:
-            raise ValueError(f"slot {slot} outside [0, {self.n})")
-        for i in range(1, self.s + 1):
-            if slot < self.offset(i) + self.size(i):
-                return i
-        raise AssertionError("unreachable")
 
 
 @dataclass(frozen=True)
@@ -125,8 +111,6 @@ def plan_new(n: int, ctx: FieldCtx) -> Plan:
         block_roots=block_roots,
         block_unit_roots=tuple(w * w % p for w in block_roots),
         partials=tuple(partials),
-        half=ctx.half,
-        inv_sizes=tuple(pow(ni, p - 2, p) for ni in sizes),
     )
 
 

@@ -2,7 +2,7 @@
 
 Every algorithmic ring operation performed by the transform code is tallied on
 the owning :class:`FieldCtx`: general multiplications (``mul``), multiplications
-by 2, 1/2 or 1/N (``pow2``, the "shifted" operations), and additions,
+by 2^k, 2^-k or 1/N (``pow2``, the "shifted" operations), and additions,
 subtractions and negations (``add``).  Scalings by the constants +1 and -1 are
 free: code applies them as identity or as a counted subtraction, never as a
 multiplication.
@@ -29,7 +29,7 @@ class OpCount:
     """Tallies of counted ring operations.
 
     mul   -- general ring multiplications
-    pow2  -- multiplications by 2, 1/2 or 1/N
+    pow2  -- multiplications by 2^k, 2^-k or 1/N
     add   -- additions, subtractions and negations
     """
 
@@ -249,23 +249,3 @@ def find_root_of_unity(ctx: FieldCtx, order: int) -> int:
         raise UnsupportedOrderError(
             f"no root of order {order}: 2-adicity of {ctx.p} - 1 is {ctx.two_adicity}")
     return pow(ctx.generator, (ctx.p - 1) // order, ctx.p)
-
-
-def is_principal_root(ctx: FieldCtx, w: int, order: int) -> bool:
-    """True iff w**order == 1 and sum_i w**(i*j) vanishes for all 0 < j < order.
-
-    Power-of-two orders use the equivalent w**(order//2) == -1 test; other
-    orders check the geometric sums directly (quadratic, small orders only).
-    """
-    p = ctx.p
-    w %= p
-    if order == 1:
-        return w == 1
-    if pow(w, order, p) != 1:
-        return False
-    if order & (order - 1) == 0:
-        return pow(w, order // 2, p) == p - 1
-    for j in range(1, order):
-        if sum(pow(w, i * j, p) for i in range(order)) % p:
-            return False
-    return True

@@ -1,32 +1,27 @@
 """In-place radix-2 transforms over a prime field.
 
-The forward transform leaves evaluations in bit-reversed order: f(w**j) lands
-in slot rev(j).  The inverse consumes that order, runs the inverted butterflies
-with the stages reversed, and defers the accumulated factor of 1/N to a single
-final scaling pass (counted as pow2 operations).
+One kernel, :func:`dwt`, evaluates a window at v * omega**j and leaves f(v *
+omega**j) in slot rev(j).  It walks the factorisation tree of z^n - v^n: a
+block reduced modulo z^(2m) - c^2 splits into its images modulo z^m - c and
+z^m + c by m butterflies with twiddle c.  The weight v therefore only changes
+the first twiddle of each stage, from 1 to v**u, and no weighting pass runs.
+With v = 1 this is the plain FFT.  The inverse, :func:`idwt`, consumes that
+order, runs the inverted butterflies with the stages reversed, and defers the
+accumulated factor of 1/n to a single final scaling pass (counted as pow2
+operations).
 
 Twiddle factors are generated sequentially inside the loops - first the stage
-root w**u by square-and-multiply, then its powers one multiplication at a time
-- so no table of roots is ever built and scratch usage stays at O(1) field
-elements.  The price is a non-sequential traversal of the buffer: butterflies
-sharing a twiddle are visited together.
+root w**u and weight power v**u by square-and-multiply, then the run
+v**u * w**(u*j) one multiplication at a time - so no table of roots is ever
+built and scratch usage stays at O(1) field elements.  The price is a
+non-sequential traversal of the buffer: butterflies sharing a twiddle are
+visited together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bitops import bit_reverse
 from .ring import FieldCtx
-
-
-@dataclass(frozen=True)
-class DWTSpec:
-    """Parameters of a weighted transform: length, principal root, weight."""
-
-    n: int
-    omega: int
-    weight: int
 
 
 def _check_window(ctx: FieldCtx, a: list[int], n: int, omega: int, offset: int) -> None:
@@ -41,22 +36,28 @@ def _check_window(ctx: FieldCtx, a: list[int], n: int, omega: int, offset: int) 
         raise ValueError(f"root has wrong order for a length-{n} transform")
 
 
-def fft_in_place(ctx: FieldCtx, a: list[int], n: int, omega: int, offset: int = 0) -> None:
-    """In place, a[offset + rev(j)] <- f(omega**j) for the window of length n.
+def dwt(ctx: FieldCtx, a: list[int], n: int, omega: int, weight: int, offset: int = 0) -> None:
+    """Weighted transform: a[offset + rev(j)] <- f(weight * omega**j), in place.
 
-    Exactly n*log2(n) additions and (n/2)*log2(n) butterfly multiplications,
-    plus fewer than n + log2(n)**2 twiddle-generation multiplications.
+    With omega a principal n-th root this evaluates the window at weight times
+    each n-th root of unity; taking a weight of order 2n whose square is omega
+    evaluates a negacyclic image at all roots of z**n + 1.  Exactly
+    n*log2(n) additions and (n/2)*log2(n) butterfly multiplications, plus
+    fewer than n + log2(n)**2 twiddle-generation multiplications and, for a
+    weight other than 1, fewer than log2(n)**2 more for its stage powers.
     """
     _check_window(ctx, a, n, omega, offset)
-    if n == 1:
-        return
     p = ctx.p
+    if n == 1:
+        a[offset] %= p
+        return
+    weighted = weight % p != 1
     stages = n.bit_length() - 1
     mul = 0
     for i in range(1, stages + 1):
         u = n >> i
         wu = ctx.pow_counted(omega, u)
-        tw = 1
+        tw = ctx.pow_counted(weight, u) if weighted else 1
         for j in range(1 << (i - 1)):
             if j:
                 tw = tw * wu % p
@@ -72,23 +73,27 @@ def fft_in_place(ctx: FieldCtx, a: list[int], n: int, omega: int, offset: int = 
     ctx.ops.add += n * stages
 
 
-def ifft_in_place(ctx: FieldCtx, a: list[int], n: int, omega: int, offset: int = 0) -> None:
-    """Inverse of :func:`fft_in_place`: bit-reversed evaluations back to coefficients.
+def idwt(ctx: FieldCtx, a: list[int], n: int, omega: int, weight: int, offset: int = 0) -> None:
+    """Inverse of :func:`dwt`: bit-reversed evaluations back to coefficients.
 
-    Runs the inverted butterflies in reversed stage order, then multiplies every
-    slot by 1/n in one final pass (n pow2 operations).
+    Runs the inverted butterflies, whose twiddles start at weight**-u, in
+    reversed stage order, then multiplies every slot by 1/n in one final pass
+    (n pow2 operations).
     """
+    vinv = ctx.inv(weight)
     _check_window(ctx, a, n, omega, offset)
-    if n == 1:
-        return
     p = ctx.p
+    if n == 1:
+        a[offset] %= p
+        return
+    weighted = vinv != 1
     winv = ctx.pow_counted(omega, n - 1)  # omega**-1
     stages = n.bit_length() - 1
     mul = 0
     for i in range(stages, 0, -1):
         u = n >> i
         wu = ctx.pow_counted(winv, u)
-        tw = 1
+        tw = ctx.pow_counted(vinv, u) if weighted else 1
         for j in range(1 << (i - 1)):
             if j:
                 tw = tw * wu % p
@@ -108,6 +113,16 @@ def ifft_in_place(ctx: FieldCtx, a: list[int], n: int, omega: int, offset: int =
     ctx.ops.pow2 += n
 
 
+def fft_in_place(ctx: FieldCtx, a: list[int], n: int, omega: int, offset: int = 0) -> None:
+    """In place, a[offset + rev(j)] <- f(omega**j) for the window of length n."""
+    dwt(ctx, a, n, omega, 1, offset)
+
+
+def ifft_in_place(ctx: FieldCtx, a: list[int], n: int, omega: int, offset: int = 0) -> None:
+    """Inverse of :func:`fft_in_place`, with one final 1/n pass (n pow2 operations)."""
+    idwt(ctx, a, n, omega, 1, offset)
+
+
 def scale_by_powers(ctx: FieldCtx, a: list[int], n: int, base: int, offset: int = 0) -> None:
     """a[offset + k] *= base**k for k < n, powers generated sequentially.
 
@@ -120,26 +135,3 @@ def scale_by_powers(ctx: FieldCtx, a: list[int], n: int, base: int, offset: int 
         a[k] = a[k] * pw % p
     if n > 1:
         ctx.ops.mul += 2 * (n - 1)
-
-
-def dwt(ctx: FieldCtx, a: list[int], spec: DWTSpec, offset: int = 0) -> None:
-    """Weighted transform: a[offset + rev(j)] <- f(weight * omega**j).
-
-    One weighting pass (fewer than 2n multiplications; skipped entirely for
-    weight 1) followed by the in-place transform.  With weight v and omega a
-    principal n-th root this evaluates the window at v times each n-th root of
-    unity; taking v of order 2n with v**2 == omega evaluates a negacyclic image
-    at all roots of z**n + 1.
-    """
-    if spec.weight % ctx.p != 1:
-        scale_by_powers(ctx, a, spec.n, spec.weight, offset)
-    fft_in_place(ctx, a, spec.n, spec.omega, offset)
-
-
-def idwt(ctx: FieldCtx, a: list[int], spec: DWTSpec, offset: int = 0) -> None:
-    """Inverse of :func:`dwt`: inverse transform, then divide out the weights."""
-    if spec.weight % ctx.p == 0:
-        raise ZeroDivisionError("weight 0 is not invertible")
-    ifft_in_place(ctx, a, spec.n, spec.omega, offset)
-    if spec.weight % ctx.p != 1:
-        scale_by_powers(ctx, a, spec.n, ctx.inv(spec.weight), offset)

@@ -150,7 +150,7 @@ def test_criterion_4_counted_bounds(ctx):
                 add_contribution(ctx, b, plan, i)
             contrib_add += sess.add
             contrib_mul += sess.mul
-            _scale_block(ctx, b, plan, i, plan.half)
+            _scale_block(ctx, b, plan, i, ctx.half)
         if not (contrib_add <= 2 * n and contrib_mul == 0):
             problems.append((n, "contribution", (contrib_add, contrib_mul)))
 

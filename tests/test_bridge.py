@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tftlib import (FieldCtx, brtft_forward, brtft_inverse, eval_points_bitreversed,
-                    fft_in_place, multiply_full_fft, multiply_tft, plan_new)
+from tftlib import (FieldCtx, brtft_forward, brtft_inverse, ctft_forward,
+                    ctft_inverse, dwt, eval_points_bitreversed, fft_in_place,
+                    idwt, ifft_in_place, multiply_full_fft, multiply_tft, plan_new)
 from tftlib import oracle
 from tftlib.bridge import poly_degree
 
@@ -22,15 +23,20 @@ def test_brtft_example_f5(ctx5):
 
 
 def test_brtft_full_length_equals_fft(ctx):
+    # at n = 2^k the truncated transform is the padded FFT, at the same cost
     p = ctx.p
-    n = 64
-    plan = plan_new(n, ctx)
     rng = random.Random(0)
-    f = [rng.randrange(p) for _ in range(n)]
-    a, b = list(f), list(f)
-    brtft_forward(ctx, a, plan)
-    fft_in_place(ctx, b, n, plan.omega)
-    assert a == b
+    for k in range(13):
+        n = 1 << k
+        plan = plan_new(n, ctx)
+        f = [rng.randrange(p) for _ in range(n)]
+        a, b = list(f), list(f)
+        with ctx.count_session() as s_br:
+            brtft_forward(ctx, a, plan)
+        with ctx.count_session() as s_fft:
+            fft_in_place(ctx, b, n, plan.omega)
+        assert a == b
+        assert (s_br.mul, s_br.pow2, s_br.add) == (s_fft.mul, s_fft.pow2, s_fft.add)
 
 
 @pytest.mark.parametrize("n", SWEEP_SIZES)
@@ -68,6 +74,23 @@ def test_brtft_n1_identity(ctx):
     assert a == [11]  # f(1) for a constant
     brtft_inverse(ctx, a, plan)
     assert a == [11]
+
+
+def test_length_one_transforms_reduce_into_the_field(ctx):
+    p = ctx.p
+    plan = plan_new(1, ctx)
+    calls = {
+        "fft": (lambda a: fft_in_place(ctx, a, 1, 1), lambda a: ifft_in_place(ctx, a, 1, 1)),
+        "dwt": (lambda a: dwt(ctx, a, 1, 1, p - 1), lambda a: idwt(ctx, a, 1, 1, p - 1)),
+        "ctft": (lambda a: ctft_forward(ctx, a, plan), lambda a: ctft_inverse(ctx, a, plan)),
+        "brtft": (lambda a: brtft_forward(ctx, a, plan), lambda a: brtft_inverse(ctx, a, plan)),
+    }
+    for name, fns in calls.items():
+        for fn in fns:
+            for x, want in ((-1, p - 1), (p + 5, 5)):
+                a = [x]
+                fn(a)
+                assert a == [want], (name, fn, x)
 
 
 def test_brtft_values_match_grid_points(ctx):

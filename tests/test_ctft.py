@@ -56,7 +56,7 @@ def test_add_contribution_n3_trace(ctx5):
     assert a == [3, 2, 1]
     add_contribution(ctx5, a, plan, 2)    # survivors of r_1: +3 (e=0), -2 (e=1)
     assert a == [3, 2, 2]                 # 2*f_2^* = 2, i.e. f_2^* = 1
-    _scale_block(ctx5, a, plan, 2, plan.half)
+    _scale_block(ctx5, a, plan, 2, ctx5.half)
     assert a[2] == 1                      # f_2^* = (1/2) f(-1), f(-1) = 2
 
 
@@ -263,7 +263,7 @@ def test_cumulative_contribution_bounds(ctx, n):
             add_contribution(ctx, a, plan, i)
         total_add += sess.add
         total_mul += sess.mul
-        _scale_block(ctx, a, plan, i, plan.half)
+        _scale_block(ctx, a, plan, i, ctx.half)
     assert total_mul == 0
     assert total_add <= 2 * n
 
@@ -277,6 +277,19 @@ def test_forward_multiplication_bound(ctx, n):
     with ctx.count_session() as sess:
         ctft_forward(ctx, a, plan, "new")
     assert sess.mul <= 0.5 * n * math.log2(n) + 4 * n
+
+
+@pytest.mark.parametrize("n", [86, 255, 256, 257, 1000, 4096])
+def test_forward_multiplications_are_butterflies_and_twiddles(ctx, n):
+    # block butterflies total at most (n/2)*log2(n); each block's twiddle
+    # runs add fewer than n_i and its stage powers O(log2(n_i)**2)
+    p = ctx.p
+    plan = plan_new(n, ctx)
+    rng = random.Random(n)
+    a = [rng.randrange(p) for _ in range(n)]
+    with ctx.count_session() as sess:
+        ctft_forward(ctx, a, plan, "new")
+    assert sess.mul <= 0.5 * n * math.log2(n) + n + 2 * math.log2(n) ** 2
 
 
 @pytest.mark.parametrize("engine", ENGINES)

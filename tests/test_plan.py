@@ -46,8 +46,7 @@ def test_block_roots_are_phi_roots(ctx, n):
         wi = plan.block_root(i)
         assert pow(wi, plan.size(i), p) == p - 1  # root of z^(n_i) + 1
         assert plan.unit_root(i) == wi * wi % p
-        assert plan.inv_size(i) * plan.size(i) % p == 1
-    assert plan.half * 2 % p == 1
+    assert ctx.half * 2 % p == 1
     assert pow(plan.omega, plan.N, p) == 1
     if plan.N > 1:
         assert pow(plan.omega, plan.N // 2, p) == p - 1
@@ -131,12 +130,3 @@ def test_plan_errors():
     with pytest.raises(UnsupportedOrderError):
         plan_new(16, ctx17)
 
-
-def test_block_of_slots(ctx):
-    plan = plan_new(86, ctx)
-    assert plan.block_of(0) == 1
-    assert plan.block_of(63) == 1
-    assert plan.block_of(64) == 2
-    assert plan.block_of(85) == 4
-    with pytest.raises(ValueError):
-        plan.block_of(86)

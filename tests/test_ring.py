@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tftlib import (DEFAULT_MODULUS, FieldCtx, UnsupportedOrderError,
-                    find_root_of_unity, is_principal_root)
+                    find_root_of_unity)
 
 
 def test_default_field_constants(ctx):
@@ -66,19 +66,6 @@ def test_find_root_unsupported_order(ctx5):
         find_root_of_unity(ctx5, 8)
     with pytest.raises(ValueError):
         find_root_of_unity(ctx5, 3)
-
-
-def test_is_principal_root_examples(ctx5):
-    assert is_principal_root(ctx5, 2, 4)
-    assert not is_principal_root(ctx5, 1, 4)  # sums to 4, not 0
-    assert is_principal_root(ctx5, 4, 2)  # 1 + (-1) == 0
-
-
-def test_is_principal_root_non_power_of_two():
-    ctx7 = FieldCtx(7)
-    assert is_principal_root(ctx7, 2, 3)  # 2 has order 3 mod 7
-    assert not is_principal_root(ctx7, 3, 3)  # 3 has order 6
-    assert is_principal_root(ctx7, 1, 1)
 
 
 @given(st.integers(min_value=0, max_value=60))

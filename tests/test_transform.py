@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tftlib import (DWTSpec, FieldCtx, bit_reverse, dwt, fft_in_place,
+from tftlib import (FieldCtx, bit_reverse, dwt, fft_in_place,
                     find_root_of_unity, idwt, ifft_in_place)
 from tftlib import oracle
 
@@ -126,7 +126,7 @@ def test_dwt_weight_one_equals_fft(ctx):
     f = [rng.randrange(p) for _ in range(8)]
     a, b = list(f), list(f)
     with ctx.count_session() as s1:
-        dwt(ctx, a, DWTSpec(8, w, 1), 0)
+        dwt(ctx, a, 8, w, 1, 0)
     with ctx.count_session() as s2:
         fft_in_place(ctx, b, 8, w)
     assert a == b
@@ -136,7 +136,7 @@ def test_dwt_weight_one_equals_fft(ctx):
 def test_dwt_example_f5():
     ctx = FieldCtx(5)
     a = [1, 1]
-    dwt(ctx, a, DWTSpec(2, 4, 2))
+    dwt(ctx, a, 2, 4, 2)
     assert a == [3, 4]  # (f(2), f(-2))
 
 
@@ -149,23 +149,26 @@ def test_dwt_negacyclic_evaluates_phi_roots(ctx):
     rng = random.Random(7)
     f = [rng.randrange(p) for _ in range(n)]
     a = list(f)
-    dwt(ctx, a, DWTSpec(n, w2n * w2n % p, w2n))
+    dwt(ctx, a, n, w2n * w2n % p, w2n)
     width = n.bit_length() - 1
     want = [oracle.naive_eval(f, pow(w2n, 2 * bit_reverse(j, width) + 1, p), p)
             for j in range(n)]
     assert a == want
 
 
-def test_dwt_weighting_cost(ctx):
-    n = 64
-    w = find_root_of_unity(ctx, n)
-    v = find_root_of_unity(ctx, 2 * n)
-    a = [1] * n
-    with ctx.count_session() as s_plain:
-        fft_in_place(ctx, list(a), n, w)
-    with ctx.count_session() as s_weighted:
-        dwt(ctx, a, DWTSpec(n, w, v))
-    assert s_weighted.mul - s_plain.mul == 2 * (n - 1)  # fewer than 2n
+def test_dwt_weight_costs_only_stage_powers(ctx):
+    # the weight sits in each stage's first twiddle: no weighting pass runs
+    for logn in (1, 6, 10):
+        n = 1 << logn
+        w = find_root_of_unity(ctx, n)
+        v = find_root_of_unity(ctx, 2 * n)
+        a = [1] * n
+        with ctx.count_session() as s_plain:
+            fft_in_place(ctx, list(a), n, w)
+        with ctx.count_session() as s_weighted:
+            dwt(ctx, a, n, w, v)
+        assert s_weighted.mul - s_plain.mul <= 2 * logn ** 2
+        assert (s_weighted.pow2, s_weighted.add) == (s_plain.pow2, s_plain.add)
 
 
 @pytest.mark.parametrize("logn", [0, 1, 3, 6, 9, 12])
@@ -177,9 +180,8 @@ def test_idwt_round_trip(ctx, logn):
     rng = random.Random(8 + logn)
     f = [rng.randrange(p) for _ in range(n)]
     a = list(f)
-    spec = DWTSpec(n, w, v)
-    dwt(ctx, a, spec)
-    idwt(ctx, a, spec)
+    dwt(ctx, a, n, w, v)
+    idwt(ctx, a, n, w, v)
     assert a == f
 
 
@@ -189,14 +191,14 @@ def test_idwt_weight_one_equals_ifft(ctx):
     rng = random.Random(9)
     f = [rng.randrange(p) for _ in range(8)]
     a, b = list(f), list(f)
-    idwt(ctx, a, DWTSpec(8, w, 1))
+    idwt(ctx, a, 8, w, 1)
     ifft_in_place(ctx, b, 8, w)
     assert a == b
 
 
 def test_idwt_zero_weight_rejected(ctx):
     with pytest.raises(ZeroDivisionError):
-        idwt(ctx, [1, 2], DWTSpec(2, ctx.p - 1, 0))
+        idwt(ctx, [1, 2], 2, ctx.p - 1, 0)
 
 
 def test_length_one_transforms_are_identity(ctx):
@@ -205,9 +207,8 @@ def test_length_one_transforms_are_identity(ctx):
         fn(ctx, a, 1, 1)
         assert a == [42]
     a = [42]
-    spec = DWTSpec(1, 1, ctx.p - 1)
-    dwt(ctx, a, spec)
-    idwt(ctx, a, spec)
+    dwt(ctx, a, 1, 1, ctx.p - 1)
+    idwt(ctx, a, 1, 1, ctx.p - 1)
     assert a == [42]
 
 
