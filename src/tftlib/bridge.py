@@ -23,7 +23,7 @@ two.
 
 from __future__ import annotations
 
-from .ctft import break_in_place, ctft_forward, ctft_inverse, unbreak_in_place
+from .ctft import ENGINES, break_in_place, ctft_forward, ctft_inverse, unbreak_in_place
 from .plan import Plan, plan_new
 from .ring import FieldCtx, find_root_of_unity
 from .transform import dwt, fft_in_place, idwt, ifft_in_place, scale_by_powers
@@ -101,16 +101,23 @@ def multiply_tft(ctx: FieldCtx, f: list[int], g: list[int],
     determined modulo the product of the Phi_i, whose degree is n > deg(fg));
     ``bitreversed`` multiplies the truncated grid values and inverts the grid
     transform.  Both operands share one plan, so the pointwise product is
-    taken over identical evaluation points.
+    taken over identical evaluation points.  ``engine`` selects the block
+    split of the cyclotomic path; the bit-reversed path always uses
+    :func:`break_in_place`.  When n = 2^k the truncated transform is the
+    padded one, so the product is :func:`multiply_full_fft`'s.
     """
     if path not in ("cyclotomic", "bitreversed"):
         raise ValueError(f"unknown path {path!r}")
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
     p = ctx.p
     df = poly_degree(f, p)
     dg = poly_degree(g, p)
     if df < 0 or dg < 0:
         return [0]
     n = df + dg + 1
+    if n & (n - 1) == 0:
+        return multiply_full_fft(ctx, f, g)
     plan = plan_new(n, ctx)
     fa = [c % p for c in f[:df + 1]] + [0] * (n - df - 1)
     ga = [c % p for c in g[:dg + 1]] + [0] * (n - dg - 1)

@@ -7,14 +7,11 @@ Three engines produce the image state:
 
 ``new``     single buffer, O(1) scratch.  Phase 1 folds the buffer into the
             chain of remainders r_i = q_(i-1) mod Phi_i using subtractions
-            only.  Phase 2 turns each r_i into the weighted image
-            f_i^* = 2^(1-i) f_i by adding the surviving terms of the earlier
-            weighted images straight into the block: pre-doubling the block
-            makes every contribution an unscaled add or subtract, and a final
-            halving restores the weight.  Phase 3 rescales f_i^* to f_i by
-            one multiplication by 2^(i-1) per slot.  At most 3n additions
-            and 2n multiplications by powers of two or their inverses, no
-            general multiplications.
+            only.  Phase 2 turns each r_i into f_i by Horner's rule over the
+            earlier images: for j = 1..i-1 it doubles the block and adds the
+            surviving terms of f_j, so the term of f_j lands with weight
+            2^(i-1-j) and r_i with 2^(i-1).  At most 3n additions, fewer than
+            n multiplications by 2 or 1/2, no general multiplications.
 
 ``sergeev`` single buffer, O(1) scratch.  Walks the modulus chain z^K - 1
             downward, keeping the images found so far plus the leading
@@ -62,20 +59,25 @@ def reduce_to_remainders(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
 
 
 def _contribution_pass(ctx: FieldCtx, a: list[int], plan: Plan, i: int, undo: bool) -> None:
-    """Add (or, for undo, subtract) the surviving terms of blocks j < i into block i.
+    """Horner's rule over the images j < i, applied to block i.
 
-    A term z^e of weighted image j lands in slot e mod n_i with sign
-    (-1)**bit(e, log2(n_i)).  Survivors come in runs of n_(i-1) consecutive
-    exponents, so the criterion is tested once per run and dead runs are
-    skipped with bit arithmetic; ring work is one addition per survivor.
+    Forward, for j = 1..i-1: double block i, then add the survivors of image
+    j; undo subtracts them for j = i-1..1, then halves.  A term z^e of image j
+    lands in slot e mod n_i with sign (-1)**bit(e, log2(n_i)).  Survivors come
+    in runs of n_(i-1) consecutive exponents, so the criterion is tested once
+    per run and dead runs are skipped with bit arithmetic.
     """
     p = ctx.p
     oi = plan.offset(i)
     ni = plan.size(i)
     sign_bit = plan.exp(i)
     run = plan.size(i - 1)
+    half = ctx.half
     adds = 0
-    for j in range(1, i):
+    for j in (range(i - 1, 0, -1) if undo else range(1, i)):
+        if not undo:
+            for t in range(oi, oi + ni):
+                a[t] = 2 * a[t] % p
         oj = plan.offset(j)
         nj = plan.size(j)
         mask = survival_mask(plan, j, i)
@@ -92,52 +94,37 @@ def _contribution_pass(ctx: FieldCtx, a: list[int], plan: Plan, i: int, undo: bo
                         a[oi + t] = (a[oi + t] + a[src + t]) % p
             adds += run
             e0 = next_satisfying_exponent(e0 + run - 1, j, i, plan)
+        if undo:
+            for t in range(oi, oi + ni):
+                a[t] = a[t] * half % p
     ctx.ops.add += adds
+    ctx.ops.pow2 += (i - 1) * ni
 
 
 def add_contribution(ctx: FieldCtx, a: list[int], plan: Plan, i: int) -> None:
-    """With blocks 1..i-1 holding weighted images and block i holding the
-    doubled remainder 2*r_i, rewrite block i to the doubled weighted image
-    2*f_i^*.  Additions and subtractions only."""
+    """With blocks 1..i-1 holding the images f_1..f_(i-1) and block i holding
+    the remainder r_i, rewrite block i to the image f_i.  Additions and
+    doublings only."""
     _contribution_pass(ctx, a, plan, i, undo=False)
-
-
-def _scale_block(ctx: FieldCtx, a: list[int], plan: Plan, i: int, c: int) -> None:
-    p = ctx.p
-    o = plan.offset(i)
-    for t in range(o, o + plan.size(i)):
-        a[t] = a[t] * c % p
-    ctx.ops.pow2 += plan.size(i)
 
 
 def break_in_place(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     """Rewrite coefficients into the images f_i = f mod Phi_i, in place.
 
-    Block i >= 2 is doubled, receives its contributions and is halved back to
-    the weighted image f_i^* = 2^(1-i) f_i; once every contribution is in, one
-    pass multiplies it by 2^(i-1).  At most 3n additions and 2n
-    multiplications by a power of two or its inverse, zero general
-    multiplications, O(1) scratch.
+    Folds the remainders, then builds f_2..f_s in order, each from the images
+    before it.  At most 3n additions, sum (i-1)*n_i < n doublings, zero
+    general multiplications, O(1) scratch.
     """
-    p = ctx.p
     reduce_to_remainders(ctx, a, plan)
     for i in range(2, plan.s + 1):
-        _scale_block(ctx, a, plan, i, 2)
         add_contribution(ctx, a, plan, i)
-        _scale_block(ctx, a, plan, i, ctx.half)
-    for i in range(2, plan.s + 1):
-        _scale_block(ctx, a, plan, i, pow(2, i - 1, p))
 
 
 def unbreak_in_place(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     """Exact inverse of :func:`break_in_place`, step by step in reverse."""
     p = ctx.p
     for i in range(plan.s, 1, -1):
-        _scale_block(ctx, a, plan, i, pow(ctx.half, i - 1, p))
-    for i in range(plan.s, 1, -1):
-        _scale_block(ctx, a, plan, i, 2)
         _contribution_pass(ctx, a, plan, i, undo=True)
-        _scale_block(ctx, a, plan, i, ctx.half)
     adds = 0
     for i in range(plan.s - 1, 0, -1):
         o = plan.offset(i)

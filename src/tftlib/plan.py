@@ -73,7 +73,8 @@ def plan_new(n: int, ctx: FieldCtx) -> Plan:
     """Build the plan for length n over ctx; deterministic.
 
     Requires a root of order 2*n_1 in the field, i.e. the leading power of two
-    of n at most 2**(two_adicity - 1).
+    of n at most 2**(two_adicity - 1): at n = 2^a the block transforms need a
+    root of order 2^(a+1), where ``multiply_tft`` takes the padded FFT instead.
     """
     if n < 1:
         raise ValueError(f"transform length must be positive, got {n}")

@@ -22,7 +22,6 @@ from tftlib import (ENGINES, FieldCtx, brtft_forward, brtft_inverse,
 from tftlib import oracle
 from tftlib.bitops import bit, nonzero_criterion
 from tftlib.cli import run_command
-from tftlib.ctft import _scale_block
 
 MAX_N = int(os.environ.get("TFTLIB_ACCEPT_MAX_N", "512"))
 POLYS_PER_N = int(os.environ.get("TFTLIB_ACCEPT_POLYS", "20"))
@@ -145,12 +144,10 @@ def test_criterion_4_counted_bounds(ctx):
         reduce_to_remainders(ctx, b, plan)
         contrib_add = contrib_mul = 0
         for i in range(2, plan.s + 1):
-            _scale_block(ctx, b, plan, i, 2)
             with ctx.count_session() as sess:
                 add_contribution(ctx, b, plan, i)
             contrib_add += sess.add
             contrib_mul += sess.mul
-            _scale_block(ctx, b, plan, i, ctx.half)
         if not (contrib_add <= 2 * n and contrib_mul == 0):
             problems.append((n, "contribution", (contrib_add, contrib_mul)))
 

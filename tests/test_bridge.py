@@ -216,6 +216,47 @@ def test_multiply_path_validation(ctx):
         multiply_tft(ctx, [1], [1], "weird")
 
 
+@pytest.mark.parametrize("path", ["cyclotomic", "bitreversed"])
+def test_multiply_engine_validation(ctx, path):
+    with ctx.count_session() as sess:
+        with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+            multiply_tft(ctx, [1, 2, 3], [4, 5, 6, 7], path, "bogus")
+    assert (sess.mul, sess.pow2, sess.add) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("p, n", [(5, 4), (17, 16), (257, 256), (7681, 512),
+                                  (12289, 4096)])
+def test_multiply_at_two_adicity_limit(p, n):
+    # product length n = 2^a with no root of order 2n in the field
+    ctx_p = FieldCtx(p)
+    rng = random.Random(p)
+    df = n // 2
+    f = [rng.randrange(p) for _ in range(df)] + [rng.randrange(1, p)]
+    g = [rng.randrange(p) for _ in range(n - 1 - df)] + [rng.randrange(1, p)]
+    want = oracle.schoolbook_mul(f, g, p)
+    assert len(want) == n
+    assert multiply_full_fft(ctx_p, f, g) == want
+    for path in ("cyclotomic", "bitreversed"):
+        assert multiply_tft(ctx_p, f, g, path) == want
+
+
+@pytest.mark.parametrize("path", ["cyclotomic", "bitreversed"])
+def test_multiply_at_power_of_two_costs_padded(ctx, path):
+    p = ctx.p
+    rng = random.Random(11)
+    for k in range(13):
+        n = 1 << k
+        df = n // 2
+        f = [rng.randrange(p) for _ in range(df)] + [1]
+        g = [rng.randrange(p) for _ in range(n - 1 - df)] + [1]
+        with ctx.count_session() as s_fft:
+            want = multiply_full_fft(ctx, f, g)
+        with ctx.count_session() as s_tft:
+            got = multiply_tft(ctx, f, g, path)
+        assert len(got) == n and got == want
+        assert s_tft.ops == s_fft.ops, k
+
+
 def test_multiply_beyond_two_adicity_rejected():
     from tftlib import UnsupportedOrderError
 

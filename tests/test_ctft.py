@@ -10,7 +10,6 @@ from tftlib import (ENGINES, FieldCtx, add_contribution, break_in_place,
                     mateer_break, plan_new, reduce_to_remainders,
                     sergeev_break, unbreak_in_place)
 from tftlib import oracle
-from tftlib.ctft import _scale_block
 
 SWEEP_SIZES = [1, 2, 3, 4, 5, 6, 7, 8, 11, 15, 16, 21, 31, 32, 33, 48, 86,
                100, 127, 128, 129, 171, 255, 256, 257, 300, 341, 500, 512]
@@ -52,12 +51,9 @@ def test_add_contribution_n3_trace(ctx5):
     plan = plan_new(3, ctx5)
     a = [1, 2, 3]
     reduce_to_remainders(ctx5, a, plan)
-    _scale_block(ctx5, a, plan, 2, 2)     # block 2 now holds 2*r_2 = 6 = 1
-    assert a == [3, 2, 1]
-    add_contribution(ctx5, a, plan, 2)    # survivors of r_1: +3 (e=0), -2 (e=1)
-    assert a == [3, 2, 2]                 # 2*f_2^* = 2, i.e. f_2^* = 1
-    _scale_block(ctx5, a, plan, 2, ctx5.half)
-    assert a[2] == 1                      # f_2^* = (1/2) f(-1), f(-1) = 2
+    assert a == [3, 2, 3]                 # r_2 = 3
+    add_contribution(ctx5, a, plan, 2)    # 2*r_2 = 1, survivors of f_1: +3 (e=0), -2 (e=1)
+    assert a == [3, 2, 2]                 # f_2 = f(-1) = 2
 
 
 def test_add_contribution_zero_sources(ctx):
@@ -66,19 +62,18 @@ def test_add_contribution_zero_sources(ctx):
     a[84] = 5
     a[85] = 7
     add_contribution(ctx, a, plan, 4)
-    assert a[84] == 5 and a[85] == 7  # zero images contribute nothing
+    assert a[84] == 40 and a[85] == 56  # zero images contribute nothing: 2^3 * r_4
 
 
 def test_add_contribution_n86_basis_term(ctx):
-    # f_1^* = z^20, f_2^* = f_3^* = 0, block 4 zeroed: the only survivor adds
-    # +1 into slot 0 of block 4 (weighted convention; the unweighted combined
-    # image row is 4*z^0, covered by the oracle tests)
+    # f_1 = z^20, f_2 = f_3 = 0, block 4 zeroed: the only survivor lands in
+    # slot 0 of block 4 with weight 2^(4-1-1), the oracle's row 4*z^0
     plan = plan_new(86, ctx)
     a = [0] * 86
     a[20] = 1
     with ctx.count_session() as sess:
         add_contribution(ctx, a, plan, 4)
-    assert a[plan.offset(4):] == [1, 0]
+    assert a[plan.offset(4):] == [4, 0]
     assert sess.mul == 0
 
 
@@ -258,14 +253,54 @@ def test_cumulative_contribution_bounds(ctx, n):
     reduce_to_remainders(ctx, a, plan)
     total_add = total_mul = 0
     for i in range(2, plan.s + 1):
-        _scale_block(ctx, a, plan, i, 2)
         with ctx.count_session() as sess:
             add_contribution(ctx, a, plan, i)
         total_add += sess.add
         total_mul += sess.mul
-        _scale_block(ctx, a, plan, i, ctx.half)
     assert total_mul == 0
     assert total_add <= 2 * n
+
+
+@pytest.mark.parametrize("sizes", [range(1, 601), (1000, 4096)])
+def test_break_doublings_are_nested(ctx, sizes):
+    # block i is doubled once per earlier image, in both directions
+    p = ctx.p
+    for n in sizes:
+        plan = plan_new(n, ctx)
+        want = sum((i - 1) * plan.size(i) for i in range(2, plan.s + 1))
+        assert want <= n - 1
+        rng = random.Random(n)
+        f = [rng.randrange(p) for _ in range(n)]
+        a = list(f)
+        with ctx.count_session() as fwd:
+            break_in_place(ctx, a, plan)
+        with ctx.count_session() as inv:
+            unbreak_in_place(ctx, a, plan)
+        assert (fwd.pow2, inv.pow2) == (want, want), n
+        assert a == f
+
+
+@pytest.mark.parametrize("n", [65535, 21845, 65537])
+def test_engines_match_naive_reduction_at_scale(ctx, n):
+    p = ctx.p
+    plan = plan_new(n, ctx)
+    rng = random.Random(n)
+    f = [rng.randrange(p) for _ in range(n)]
+    want = naive_images(f, plan, p)
+
+    a = list(f)
+    break_in_place(ctx, a, plan)
+    assert blocks_of(a, plan) == want
+    unbreak_in_place(ctx, a, plan)
+    assert a == f
+
+    a = list(f)
+    sergeev_break(ctx, a, plan)
+    assert blocks_of(a, plan) == want
+
+    buf = f + [0] * (plan.N - n)
+    mateer_break(ctx, buf, plan)
+    assert [buf[plan.size(i):2 * plan.size(i)] for i in range(1, plan.s + 1)] == want
 
 
 @pytest.mark.parametrize("n", [86, 255, 256, 257, 1000])
