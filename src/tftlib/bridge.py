@@ -82,8 +82,8 @@ def multiply_full_fft(ctx: FieldCtx, f: list[int], g: list[int]) -> list[int]:
     d = df + dg
     size = 1 << d.bit_length() if d else 1  # least power of two > d
     w = find_root_of_unity(ctx, size)
-    fa = [c % p for c in f[:df + 1]] + [0] * (size - df - 1)
-    ga = [c % p for c in g[:dg + 1]] + [0] * (size - dg - 1)
+    fa = [int(c) % p for c in f[:df + 1]] + [0] * (size - df - 1)
+    ga = [int(c) % p for c in g[:dg + 1]] + [0] * (size - dg - 1)
     fft_in_place(ctx, fa, size, w)
     fft_in_place(ctx, ga, size, w)
     for k in range(size):
@@ -119,8 +119,8 @@ def multiply_tft(ctx: FieldCtx, f: list[int], g: list[int],
     if n & (n - 1) == 0:
         return multiply_full_fft(ctx, f, g)
     plan = plan_new(n, ctx)
-    fa = [c % p for c in f[:df + 1]] + [0] * (n - df - 1)
-    ga = [c % p for c in g[:dg + 1]] + [0] * (n - dg - 1)
+    fa = [int(c) % p for c in f[:df + 1]] + [0] * (n - df - 1)
+    ga = [int(c) % p for c in g[:dg + 1]] + [0] * (n - dg - 1)
     if path == "cyclotomic":
         ctft_forward(ctx, fa, plan, engine)
         ctft_forward(ctx, ga, plan, engine)

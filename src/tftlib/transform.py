@@ -15,12 +15,21 @@ root w**u and weight power v**u by square-and-multiply, then the run
 v**u * w**(u*j) one multiplication at a time - so no table of roots is ever
 built and scratch usage stays at O(1) field elements.  The price is a
 non-sequential traversal of the buffer: butterflies sharing a twiddle are
-visited together.
+visited together.  Block j of a stage starts at rev(j) * u, kept in a
+bit-reversed counter: stepping j flips its trailing ones and the next zero
+bit, which in reversed order are the counter's top bits, one XOR per block.
+
+Reduction is lazy (Harvey, "Faster arithmetic for number-theoretic
+transforms", 2014): a butterfly reduces only the operand it multiplies, and
+the forward sums and differences are reduced in the last stage (u = 1, run
+without an inner loop), the inverse sums by the final 1/n pass.  Python ints
+do not overflow, so this costs no range checks.  The first stage loads the
+caller's integers through ``int()``, so any integers are accepted and every
+output is a Python int in [0, p).
 """
 
 from __future__ import annotations
 
-from .bitops import bit_reverse
 from .ring import FieldCtx
 
 
@@ -43,33 +52,62 @@ def dwt(ctx: FieldCtx, a: list[int], n: int, omega: int, weight: int, offset: in
     each n-th root of unity; taking a weight of order 2n whose square is omega
     evaluates a negacyclic image at all roots of z**n + 1.  Exactly
     n*log2(n) additions and (n/2)*log2(n) butterfly multiplications, plus
-    fewer than n + log2(n)**2 twiddle-generation multiplications and, for a
-    weight other than 1, fewer than log2(n)**2 more for its stage powers.
+    n - 1 - log2(n) twiddle-generation multiplications and the stage powers of
+    omega and, for a weight other than 1, of the weight.
+
+    Any integers are accepted: the first stage loads them through ``int()``,
+    and every output is a Python int in [0, p).  Sums and differences are
+    left unreduced until the last stage; only the multiplied operand is
+    reduced, so from inputs in [0, p) every value stays below
+    (log2(n) + 1) * p in magnitude.
     """
     _check_window(ctx, a, n, omega, offset)
     p = ctx.p
-    if n == 1:
-        a[offset] %= p
-        return
+    if n <= 2:  # a lone stage is both first and last: coerce before it
+        for k in range(offset, offset + n):
+            a[k] = int(a[k]) % p
+        if n == 1:
+            return
     weighted = weight % p != 1
     stages = n.bit_length() - 1
-    mul = 0
-    for i in range(1, stages + 1):
+    half = n >> 1
+    for i in range(1, stages):
         u = n >> i
         wu = ctx.pow_counted(omega, u)
         tw = ctx.pow_counted(weight, u) if weighted else 1
+        if i == 1:  # one block: load the caller's integers as int
+            for k in range(offset, offset + u):
+                x = int(a[k])
+                y = int(a[k + u]) * tw % p
+                a[k] = x + y
+                a[k + u] = x - y
+            continue
+        r = 0
         for j in range(1 << (i - 1)):
             if j:
                 tw = tw * wu % p
-                mul += 1
-            t = offset + bit_reverse(j, i) * u
+                # r = rev(j) * u: mirror the bits that stepping j flips
+                r ^= n - (n >> (j ^ (j - 1)).bit_length())
+            t = offset + r
             for k in range(t, t + u):
                 x = a[k]
                 y = a[k + u] * tw % p
-                a[k] = (x + y) % p
-                a[k + u] = (x - y) % p
-        mul += n >> 1
-    ctx.ops.mul += mul
+                a[k] = x + y
+                a[k + u] = x - y
+    # u = 1: one butterfly per block, outputs reduced into [0, p)
+    wu = ctx.pow_counted(omega, 1)
+    tw = ctx.pow_counted(weight, 1) if weighted else 1
+    r = 0
+    for j in range(half):
+        if j:
+            tw = tw * wu % p
+            r ^= n - (n >> (j ^ (j - 1)).bit_length())
+        k = offset + r
+        x = a[k]
+        y = a[k + 1] * tw % p
+        a[k] = (x + y) % p
+        a[k + 1] = (x - y) % p
+    ctx.ops.mul += half * stages + n - 1 - stages
     ctx.ops.add += n * stages
 
 
@@ -78,37 +116,54 @@ def idwt(ctx: FieldCtx, a: list[int], n: int, omega: int, weight: int, offset: i
 
     Runs the inverted butterflies, whose twiddles start at weight**-u, in
     reversed stage order, then multiplies every slot by 1/n in one final pass
-    (n pow2 operations).
+    (n pow2 operations).  Counts match :func:`dwt`'s, plus the square-and-
+    multiply for omega**-1.  The first stage (u = 1) loads the caller's
+    integers through ``int()``; sums are left unreduced (below n * p in
+    magnitude from inputs in [0, p)), multiplied differences are reduced, and
+    the 1/n pass reduces every slot, so every output is a Python int in [0, p).
     """
     vinv = ctx.inv(weight)
     _check_window(ctx, a, n, omega, offset)
     p = ctx.p
     if n == 1:
-        a[offset] %= p
+        a[offset] = int(a[offset]) % p
         return
     weighted = vinv != 1
     winv = ctx.pow_counted(omega, n - 1)  # omega**-1
     stages = n.bit_length() - 1
-    mul = 0
-    for i in range(stages, 0, -1):
+    half = n >> 1
+    # u = 1: one butterfly per block, loads coerced to int
+    wu = ctx.pow_counted(winv, 1)
+    tw = ctx.pow_counted(vinv, 1) if weighted else 1
+    r = 0
+    for j in range(half):
+        if j:
+            tw = tw * wu % p
+            r ^= n - (n >> (j ^ (j - 1)).bit_length())
+        k = offset + r
+        x = int(a[k])
+        y = int(a[k + 1])
+        a[k] = x + y
+        a[k + 1] = (x - y) * tw % p
+    for i in range(stages - 1, 0, -1):
         u = n >> i
         wu = ctx.pow_counted(winv, u)
         tw = ctx.pow_counted(vinv, u) if weighted else 1
+        r = 0
         for j in range(1 << (i - 1)):
             if j:
                 tw = tw * wu % p
-                mul += 1
-            t = offset + bit_reverse(j, i) * u
+                r ^= n - (n >> (j ^ (j - 1)).bit_length())
+            t = offset + r
             for k in range(t, t + u):
                 x = a[k]
                 y = a[k + u]
-                a[k] = (x + y) % p
+                a[k] = x + y
                 a[k + u] = (x - y) * tw % p
-        mul += n >> 1
     inv_n = pow(n, p - 2, p)
     for k in range(offset, offset + n):
         a[k] = a[k] * inv_n % p
-    ctx.ops.mul += mul
+    ctx.ops.mul += half * stages + n - 1 - stages
     ctx.ops.add += n * stages
     ctx.ops.pow2 += n
 

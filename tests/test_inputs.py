@@ -1,0 +1,109 @@
+"""The buffer contract at the public boundary.
+
+Every forward and inverse entry point and every product accepts lists of
+any integers - numpy int64 elements, negative or unreduced Python ints - and
+returns Python ints in [0, p) equal to the result for the reduced input.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from tftlib import (ENGINES, brtft_forward, brtft_inverse, ctft_forward,
+                    ctft_inverse, dwt, fft_in_place, find_root_of_unity, idwt,
+                    ifft_in_place, multiply_full_fft, multiply_tft, plan_new)
+
+
+def _transforms(ctx, n: int):
+    """(name, in-place call, buffer length) for every transform entry point."""
+    plan = plan_new(n, ctx)
+    size = plan.N
+    w = plan.omega
+    calls = [
+        ("fft_in_place", lambda a: fft_in_place(ctx, a, size, w), size),
+        ("ifft_in_place", lambda a: ifft_in_place(ctx, a, size, w), size),
+        ("ctft_inverse", lambda a: ctft_inverse(ctx, a, plan), n),
+        ("brtft_forward", lambda a: brtft_forward(ctx, a, plan), n),
+        ("brtft_inverse", lambda a: brtft_inverse(ctx, a, plan), n),
+    ]
+    for engine in ENGINES:
+        calls.append((f"ctft_forward[{engine}]",
+                      lambda a, e=engine: ctft_forward(ctx, a, plan, e), n))
+    weights = {"1": 1, "negacyclic": find_root_of_unity(ctx, 2 * size),
+               "arbitrary": 987654321}
+    for label, v in weights.items():
+        calls.append((f"dwt[{label}]", lambda a, v=v: dwt(ctx, a, size, w, v), size))
+        calls.append((f"idwt[{label}]", lambda a, v=v: idwt(ctx, a, size, w, v), size))
+    return calls
+
+
+def _products(ctx):
+    return [
+        ("multiply_full_fft", lambda f, g: multiply_full_fft(ctx, f, g)),
+        ("multiply_tft[cyclotomic]", lambda f, g: multiply_tft(ctx, f, g, "cyclotomic")),
+        ("multiply_tft[bitreversed]", lambda f, g: multiply_tft(ctx, f, g, "bitreversed")),
+    ]
+
+
+def _assert_field_ints(out, p, label):
+    bad = [x for x in out if type(x) is not int or not 0 <= x < p]
+    assert not bad, f"{label}: {bad[:3]} are not Python ints in [0, p)"
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 1000])
+def test_numpy_int64_buffers_match_plain_ints(ctx, n):
+    p = ctx.p
+    rng = random.Random(n)
+    for name, call, length in _transforms(ctx, n):
+        plain = [rng.randrange(p) for _ in range(length)]
+        from_numpy = list(np.array(plain, dtype=np.int64))
+        call(plain)
+        call(from_numpy)
+        assert from_numpy == plain, name
+        _assert_field_ints(from_numpy, p, name)
+    # operands whose product has length n
+    f = [rng.randrange(1, p) for _ in range((n + 1) // 2)]
+    g = [rng.randrange(1, p) for _ in range(n + 1 - len(f))]
+    fn = list(np.array(f, dtype=np.int64))
+    gn = list(np.array(g, dtype=np.int64))
+    for name, mul in _products(ctx):
+        got = mul(fn, gn)
+        assert got == mul(f, g), name
+        _assert_field_ints(got, p, name)
+
+
+def _residues(length: int, p: int, rng: random.Random) -> tuple[list[int], list[int]]:
+    """Reduced values and unreduced representatives of the same residues.
+
+    Every third representative is one of -1, p, p + 5, -3p and 2^40; the rest
+    are offset by a random multiple of p, negative or positive.
+    """
+    specials = [-1, p, p + 5, -3 * p, 1 << 40]
+    raw = []
+    for k in range(length):
+        if k % 3 == 0:
+            raw.append(specials[(k // 3) % len(specials)])
+        else:
+            raw.append(rng.randrange(p) + rng.randrange(-4, 5) * p)
+    return [x % p for x in raw], raw
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 4097])
+def test_unreduced_inputs_give_reduced_ints(ctx, n):
+    p = ctx.p
+    rng = random.Random(1000 + n)
+    for name, call, length in _transforms(ctx, n):
+        reduced, raw = _residues(length, p, rng)
+        call(reduced)
+        call(raw)
+        assert raw == reduced, name
+        _assert_field_ints(raw, p, name)
+    f, fr = _residues((n + 1) // 2, p, rng)
+    g, gr = _residues(n + 1 - len(f), p, rng)
+    f[-1] = g[-1] = 1  # keep the product length n
+    fr[-1] = gr[-1] = 1 - 2 * p
+    for name, mul in _products(ctx):
+        got = mul(fr, gr)
+        assert got == mul(f, g), name
+        _assert_field_ints(got, p, name)

@@ -224,3 +224,36 @@ def test_fft_round_trip_property(logn, data):
     fft_in_place(ctx, a, n, w)
     ifft_in_place(ctx, a, n, w)
     assert a == f
+
+
+def _kernel_pow_muls(p, n, omega, weight, inverse):
+    """Multiplications of the kernel's own stage powers, recounted on a fresh context."""
+    fresh = FieldCtx(p)
+    stages = n.bit_length() - 1
+    if inverse:
+        weight = pow(weight, p - 2, p)
+        omega = fresh.pow_counted(omega, n - 1)
+    for i in range(1, stages + 1):
+        fresh.pow_counted(omega, n >> i)
+        if weight % p != 1:
+            fresh.pow_counted(weight, n >> i)
+    return fresh.ops.mul
+
+
+@pytest.mark.parametrize("logn", range(1, 13))
+def test_kernel_counts_exactly(ctx, logn):
+    # butterflies, sequential twiddle steps and stage powers; nothing else
+    n = 1 << logn
+    p = ctx.p
+    w = find_root_of_unity(ctx, n)
+    weights = (1, find_root_of_unity(ctx, 2 * n), 987654321)
+    for v in weights:
+        for kernel, inverse in ((dwt, False), (idwt, True)):
+            a = [5] * n
+            with ctx.count_session() as sess:
+                kernel(ctx, a, n, w, v)
+            want_mul = (n // 2) * logn + (n - 1 - logn)
+            want_mul += _kernel_pow_muls(p, n, w, v, inverse)
+            assert sess.mul == want_mul, (kernel.__name__, v)
+            assert sess.add == n * logn
+            assert sess.pow2 == (n if inverse else 0)
