@@ -5,7 +5,7 @@ and bit-reversed variants), exact polynomial multiplication built on them, and
 pervasive operation counting for verifying the advertised cost bounds.
 """
 
-from .bitops import bit, bit_reverse, next_satisfying_exponent, nonzero_criterion
+from .bitops import bit, bit_reverse, nonzero_criterion
 from .bridge import brtft_forward, brtft_inverse, multiply_full_fft, multiply_tft
 from .ctft import (ENGINES, add_contribution, break_in_place, ctft_forward,
                    ctft_inverse, mateer_break, reduce_to_remainders,
@@ -26,6 +26,6 @@ __all__ = [
     "dwt", "eval_points_bitreversed", "eval_points_cyclotomic",
     "fft_in_place", "find_root_of_unity", "idwt", "ifft_in_place",
     "mateer_break", "multiply_full_fft", "multiply_tft",
-    "next_satisfying_exponent", "nonzero_criterion", "plan_new",
+    "nonzero_criterion", "plan_new",
     "reduce_to_remainders", "sergeev_break", "unbreak_in_place",
 ]

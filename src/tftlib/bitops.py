@@ -5,7 +5,10 @@ is split into negacyclic images modulo Phi_i = z^(n_i) + 1, a term z^e of image
 j reaches image k only if e has a 1 bit at position log2(n_l) for every l
 strictly between j and k.  The sign it carries into image k is
 (-1)**bit(e, log2(n_k)), and the surviving magnitude is scaled by 2^(k-1-j).
-Both facts reduce to bitwise tests on e, which is what this module provides.
+The required bits sum to the survival mask n_(j+1) + ... + n_(k-1), so the
+survivors are exactly the supersets of the mask below n_j: the contribution
+pass of :mod:`tftlib.ctft` steps through them directly, and this module holds
+the mask and the predicate it stands for.
 """
 
 from __future__ import annotations
@@ -29,11 +32,12 @@ def bit(e: int, i: int) -> int:
 
 
 def survival_mask(plan, j: int, k: int) -> int:
-    """Bits that must all be set in an exponent of block j for it to reach block k."""
-    m = 0
-    for l in range(j + 1, k):
-        m |= 1 << plan.exp(l)
-    return m
+    """Bits that must all be set in an exponent of block j for it to reach block k.
+
+    The bits are n_(j+1), ..., n_(k-1): distinct powers of two, so their OR is
+    their sum, tail(j) - tail(k-1).
+    """
+    return plan.tail(j) - plan.tail(k - 1)
 
 
 def nonzero_criterion(e: int, j: int, k: int, plan) -> bool:
@@ -51,21 +55,3 @@ def nonzero_criterion(e: int, j: int, k: int, plan) -> bool:
     m = survival_mask(plan, j, k)
     return e & m == m
 
-
-def next_satisfying_exponent(e: int, j: int, k: int, plan) -> int | None:
-    """Smallest e' > e below n_j that satisfies the survival criterion, else None.
-
-    Pure bit manipulation: the satisfying exponents are exactly the supersets of
-    the survival mask, so the successor is found by clearing the free bits below
-    the highest missing mask bit and forcing the mask on.
-    """
-    if not 1 <= j < k <= plan.s:
-        raise ValueError(f"need 1 <= j < k <= {plan.s}, got j={j}, k={k}")
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
-    m = survival_mask(plan, j, k)
-    w = e + 1
-    if w & m != m:
-        h = (m & ~w).bit_length() - 1
-        w = (w >> h << h) | m
-    return w if w < plan.size(j) else None

@@ -277,7 +277,7 @@ def run_command(argv: list[str]) -> int:
         return int(exc.code or 0)
 
     transforms = {
-        "ctft-fwd": ctft_forward,
+        "ctft-fwd": lambda ctx, a, plan: ctft_forward(ctx, a, plan, args.engine),
         "ctft-inv": ctft_inverse,
         "brtft-fwd": brtft_forward,
         "brtft-inv": brtft_inverse,
@@ -287,10 +287,7 @@ def run_command(argv: list[str]) -> int:
             p, coeffs = read_poly_file(args.input)
             ctx = _file_ctx(args, p)
             plan = plan_new(len(coeffs), ctx)
-            if args.command == "ctft-fwd":
-                ctft_forward(ctx, coeffs, plan, args.engine)
-            else:
-                transforms[args.command](ctx, coeffs, plan)
+            transforms[args.command](ctx, coeffs, plan)
             write_poly_file(args.output, p, coeffs)
             return 0
 
@@ -320,10 +317,7 @@ def run_command(argv: list[str]) -> int:
         if args.command == "selftest":
             ctx = FieldCtx(args.modulus if args.modulus is not None else DEFAULT_MODULUS)
             return selftest(ctx, args.seed)
-    except PolyFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # PolyFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable command")

@@ -10,8 +10,11 @@ Three engines produce the image state:
             only.  Phase 2 turns each r_i into f_i by Horner's rule over the
             earlier images: for j = 1..i-1 it doubles the block and adds the
             surviving terms of f_j, so the term of f_j lands with weight
-            2^(i-1-j) and r_i with 2^(i-1).  At most 3n additions, fewer than
-            n multiplications by 2 or 1/2, no general multiplications.
+            2^(i-1-j) and r_i with 2^(i-1).  The survivors are built, not
+            searched for: runs of n_(i-1) exponents at the supersets of the
+            survival mask, each folded as n_i-chunk pairs of sign +, -.  At
+            most 3n additions, fewer than n multiplications by 2 or 1/2, no
+            general multiplications.
 
 ``sergeev`` single buffer, O(1) scratch.  Walks the modulus chain z^K - 1
             downward, keeping the images found so far plus the leading
@@ -31,7 +34,7 @@ inverse.
 
 from __future__ import annotations
 
-from .bitops import next_satisfying_exponent, survival_mask
+from .bitops import survival_mask
 from .plan import Plan
 from .ring import FieldCtx
 from .transform import dwt, idwt
@@ -63,37 +66,41 @@ def _contribution_pass(ctx: FieldCtx, a: list[int], plan: Plan, i: int, undo: bo
 
     Forward, for j = 1..i-1: double block i, then add the survivors of image
     j; undo subtracts them for j = i-1..1, then halves.  A term z^e of image j
-    lands in slot e mod n_i with sign (-1)**bit(e, log2(n_i)).  Survivors come
-    in runs of n_(i-1) consecutive exponents, so the criterion is tested once
-    per run and dead runs are skipped with bit arithmetic.
+    lands in slot e mod n_i with sign (-1)**bit(e, log2(n_i)).  The survivors
+    are the exponents holding every bit of the survival mask, so they come in
+    runs of n_(i-1) starting at mask | y, for y over the subsets of the free
+    high bits, stepped by y <- (y - free) & free.  A run start has no bits
+    below log2(n_(i-1)) >= log2(n_i) + 1, so the n_i-chunks of a run alternate
+    in sign +, -, +, ...; each chunk pair is folded in one statement, with
+    the signs swapped by undo.
     """
     p = ctx.p
     oi = plan.offset(i)
     ni = plan.size(i)
-    sign_bit = plan.exp(i)
     run = plan.size(i - 1)
     half = ctx.half
+    # source offsets, relative to the target slot, of the added and the
+    # subtracted chunk of a pair
+    plus, minus = (ni, 0) if undo else (0, ni)
     adds = 0
     for j in (range(i - 1, 0, -1) if undo else range(1, i)):
         if not undo:
             for t in range(oi, oi + ni):
                 a[t] = 2 * a[t] % p
-        oj = plan.offset(j)
-        nj = plan.size(j)
         mask = survival_mask(plan, j, i)
-        e0 = mask  # smallest satisfying exponent
-        while e0 is not None and e0 < nj:
-            for e in range(e0, e0 + run, ni):
-                negate = (e >> sign_bit & 1) ^ undo
-                src = oj + e
-                if negate:
-                    for t in range(ni):
-                        a[oi + t] = (a[oi + t] - a[src + t]) % p
-                else:
-                    for t in range(ni):
-                        a[oi + t] = (a[oi + t] + a[src + t]) % p
+        free = (plan.size(j) - run) & ~mask
+        y = 0
+        while True:
+            start = plan.offset(j) + (mask | y) - oi
+            for c in range(start, start + run, 2 * ni):
+                cp = c + plus
+                cm = c + minus
+                for t in range(oi, oi + ni):
+                    a[t] = (a[t] + a[t + cp] - a[t + cm]) % p
             adds += run
-            e0 = next_satisfying_exponent(e0 + run - 1, j, i, plan)
+            y = (y - free) & free
+            if not y:
+                break
         if undo:
             for t in range(oi, oi + ni):
                 a[t] = a[t] * half % p

@@ -11,7 +11,8 @@ accumulated factor of 1/n to a single final scaling pass (counted as pow2
 operations).
 
 Twiddle factors are generated sequentially inside the loops - first the stage
-root w**u and weight power v**u by square-and-multiply, then the run
+root w**u (only where a stage has more than one block to step through) and
+the weight power v**u by square-and-multiply, then the run
 v**u * w**(u*j) one multiplication at a time - so no table of roots is ever
 built and scratch usage stays at O(1) field elements.  The price is a
 non-sequential traversal of the buffer: butterflies sharing a twiddle are
@@ -53,7 +54,8 @@ def dwt(ctx: FieldCtx, a: list[int], n: int, omega: int, weight: int, offset: in
     evaluates a negacyclic image at all roots of z**n + 1.  Exactly
     n*log2(n) additions and (n/2)*log2(n) butterfly multiplications, plus
     n - 1 - log2(n) twiddle-generation multiplications and the stage powers of
-    omega and, for a weight other than 1, of the weight.
+    omega (none at u = n/2, whose single block never steps its twiddle) and,
+    for a weight other than 1, of the weight.
 
     Any integers are accepted: the first stage loads them through ``int()``,
     and every output is a Python int in [0, p).  Sums and differences are
@@ -73,15 +75,15 @@ def dwt(ctx: FieldCtx, a: list[int], n: int, omega: int, weight: int, offset: in
     half = n >> 1
     for i in range(1, stages):
         u = n >> i
-        wu = ctx.pow_counted(omega, u)
         tw = ctx.pow_counted(weight, u) if weighted else 1
-        if i == 1:  # one block: load the caller's integers as int
+        if i == 1:  # one block, so no stage root: load the caller's integers as int
             for k in range(offset, offset + u):
                 x = int(a[k])
                 y = int(a[k + u]) * tw % p
                 a[k] = x + y
                 a[k + u] = x - y
             continue
+        wu = ctx.pow_counted(omega, u)
         r = 0
         for j in range(1 << (i - 1)):
             if j:
@@ -147,7 +149,7 @@ def idwt(ctx: FieldCtx, a: list[int], n: int, omega: int, weight: int, offset: i
         a[k + 1] = (x - y) * tw % p
     for i in range(stages - 1, 0, -1):
         u = n >> i
-        wu = ctx.pow_counted(winv, u)
+        wu = ctx.pow_counted(winv, u) if i > 1 else 0  # i == 1: one block, no step
         tw = ctx.pow_counted(vinv, u) if weighted else 1
         r = 0
         for j in range(1 << (i - 1)):
@@ -187,6 +189,6 @@ def scale_by_powers(ctx: FieldCtx, a: list[int], n: int, base: int, offset: int 
     pw = 1
     for k in range(offset + 1, offset + n):
         pw = pw * base % p
-        a[k] = a[k] * pw % p
+        a[k] = int(a[k]) * pw % p
     if n > 1:
         ctx.ops.mul += 2 * (n - 1)

@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from tftlib import (FieldCtx, bit, bit_reverse, next_satisfying_exponent,
-                    nonzero_criterion, plan_new)
+from tftlib import bit, bit_reverse, nonzero_criterion, plan_new
+from tftlib.bitops import survival_mask
 
 
 def test_bit_reverse_example():
@@ -63,28 +63,6 @@ def test_criterion_usage_errors(plan86):
         nonzero_criterion(64, 1, 4, plan86)  # exponent outside block 1
 
 
-def test_next_satisfying_examples(plan86):
-    assert next_satisfying_exponent(23, 1, 4, plan86) == 28
-    # brute force settles the run after 59: the zero run [56,60) ends at 60
-    assert next_satisfying_exponent(59, 1, 4, plan86) == 60
-    assert next_satisfying_exponent(63, 1, 4, plan86) is None
-    assert next_satisfying_exponent(4, 1, 2, plan86) == 5  # vacuous criterion
-
-
-@pytest.mark.parametrize("n", [6, 21, 86, 171, 255, 342, 683, 1023])
-def test_next_satisfying_matches_linear_scan(ctx, n):
-    plan = plan_new(n, ctx)
-    for j in range(1, plan.s):
-        for k in range(j + 1, plan.s + 1):
-            scan = [e for e in range(plan.size(j)) if nonzero_criterion(e, j, k, plan)]
-            walked = []
-            e = 0 if nonzero_criterion(0, j, k, plan) else next_satisfying_exponent(0, j, k, plan)
-            while e is not None:
-                walked.append(e)
-                e = next_satisfying_exponent(e, j, k, plan)
-            assert walked == scan
-
-
 @pytest.mark.parametrize("n", [6, 13, 86, 255, 342, 1023])
 def test_survivor_density(ctx, n):
     # exactly n_j * 2**(j - k + 1) exponents of block j survive into block k
@@ -95,18 +73,13 @@ def test_survivor_density(ctx, n):
             assert count == plan.size(j) >> (k - 1 - j)
 
 
-@given(st.integers(min_value=2, max_value=1023), st.data())
-@settings(max_examples=40, deadline=None)
-def test_next_satisfying_is_strict_successor(n, data):
-    plan = plan_new(n, FieldCtx())
-    if plan.s < 2:
-        return
-    j = data.draw(st.integers(min_value=1, max_value=plan.s - 1))
-    k = data.draw(st.integers(min_value=j + 1, max_value=plan.s))
-    e = data.draw(st.integers(min_value=0, max_value=plan.size(j) - 1))
-    nxt = next_satisfying_exponent(e, j, k, plan)
-    if nxt is not None:
-        assert nxt > e
-        assert nonzero_criterion(nxt, j, k, plan)
-        # nothing satisfying in between
-        assert not any(nonzero_criterion(t, j, k, plan) for t in range(e + 1, nxt))
+def test_survival_mask_is_the_or_of_the_sizes_between(ctx):
+    # the closed form tail(j) - tail(k-1) against the bit-by-bit definition
+    for n in list(range(1, 601)) + [4095, 21845, 65535]:
+        plan = plan_new(n, ctx)
+        for j in range(1, plan.s):
+            for k in range(j + 1, plan.s + 1):
+                want = 0
+                for l in range(j + 1, k):
+                    want |= 1 << plan.exp(l)
+                assert survival_mask(plan, j, k) == want, (n, j, k)

@@ -280,6 +280,24 @@ def test_break_doublings_are_nested(ctx, sizes):
         assert a == f
 
 
+@pytest.mark.parametrize("sizes", [range(1, 601), (4095, 21845, 65535)])
+def test_break_additions_closed_form(ctx, sizes):
+    # the fold's tails plus n_j >> (i-1-j) survivors of each image j < i
+    p = ctx.p
+    for n in sizes:
+        plan = plan_new(n, ctx)
+        want = sum(plan.tail(i) for i in range(1, plan.s))
+        want += sum(plan.size(j) >> (i - 1 - j)
+                    for i in range(2, plan.s + 1) for j in range(1, i))
+        rng = random.Random(n)
+        a = [rng.randrange(p) for _ in range(n)]
+        with ctx.count_session() as fwd:
+            break_in_place(ctx, a, plan)
+        with ctx.count_session() as inv:
+            unbreak_in_place(ctx, a, plan)
+        assert (fwd.add, inv.add) == (want, want), n
+
+
 @pytest.mark.parametrize("n", [65535, 21845, 65537])
 def test_engines_match_naive_reduction_at_scale(ctx, n):
     p = ctx.p

@@ -3,6 +3,7 @@
 Every forward and inverse entry point and every product accepts lists of
 any integers - numpy int64 elements, negative or unreduced Python ints - and
 returns Python ints in [0, p) equal to the result for the reduced input.
+numpy int64 elements are checked at the default prime and at a 62-bit prime.
 """
 
 import random
@@ -10,9 +11,10 @@ import random
 import numpy as np
 import pytest
 
-from tftlib import (ENGINES, brtft_forward, brtft_inverse, ctft_forward,
-                    ctft_inverse, dwt, fft_in_place, find_root_of_unity, idwt,
-                    ifft_in_place, multiply_full_fft, multiply_tft, plan_new)
+from tftlib import (ENGINES, FieldCtx, brtft_forward, brtft_inverse,
+                    ctft_forward, ctft_inverse, dwt, fft_in_place,
+                    find_root_of_unity, idwt, ifft_in_place, multiply_full_fft,
+                    multiply_tft, plan_new)
 
 
 def _transforms(ctx, n: int):
@@ -51,8 +53,12 @@ def _assert_field_ints(out, p, label):
     assert not bad, f"{label}: {bad[:3]} are not Python ints in [0, p)"
 
 
-@pytest.mark.parametrize("n", [255, 256, 257, 1000])
-def test_numpy_int64_buffers_match_plain_ints(ctx, n):
+# the largest prime the numpy int64 path is tested at: 2^61 < P62 < 2^62, so
+# a sum or double of two residues still fits in an int64
+P62 = 2305919975027638273
+
+
+def _check_numpy_buffers(ctx, n):
     p = ctx.p
     rng = random.Random(n)
     for name, call, length in _transforms(ctx, n):
@@ -71,6 +77,16 @@ def test_numpy_int64_buffers_match_plain_ints(ctx, n):
         got = mul(fn, gn)
         assert got == mul(f, g), name
         _assert_field_ints(got, p, name)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 1000])
+def test_numpy_int64_buffers_match_plain_ints(ctx, n):
+    _check_numpy_buffers(ctx, n)
+
+
+@pytest.mark.parametrize("n", [255, 257])
+def test_numpy_int64_buffers_at_62_bit_prime(n):
+    _check_numpy_buffers(FieldCtx(P62), n)
 
 
 def _residues(length: int, p: int, rng: random.Random) -> tuple[list[int], list[int]]:

@@ -2,15 +2,16 @@
 
 Each check is O(k * n): the point of a slot is computed directly from the
 plan's roots (with a string bit reversal) and the input is evaluated there by
-``oracle.naive_eval``.  Nothing here shares code with the fast paths.
+``oracle.naive_eval``.  Nothing here shares code with the fast paths.  The
+inverses are pinned by exact round trips through those spot-checked forwards.
 """
 
 import random
 
 import pytest
 
-from tftlib import (ENGINES, brtft_forward, ctft_forward, multiply_full_fft,
-                    multiply_tft, plan_new)
+from tftlib import (ENGINES, brtft_forward, brtft_inverse, ctft_forward,
+                    ctft_inverse, multiply_full_fft, multiply_tft, plan_new)
 from tftlib import oracle
 
 SIZES = [4095, 4097, 16383, 16385]
@@ -48,6 +49,23 @@ def test_forward_transforms_at_random_slots(ctx, n):
     for slot in slots:
         want = oracle.naive_eval(f, pow(plan.omega, _rev(slot, plan.p_bits), p), p)
         assert a[slot] == want, ("brtft", slot)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_inverses_recover_the_input(ctx, n):
+    p = ctx.p
+    rng = random.Random(20 * n)
+    plan = plan_new(n, ctx)
+    f = [rng.randrange(p) for _ in range(n)]
+    for engine in ENGINES:
+        a = list(f)
+        ctft_forward(ctx, a, plan, engine)
+        ctft_inverse(ctx, a, plan)
+        assert a == f, engine
+    a = list(f)
+    brtft_forward(ctx, a, plan)
+    brtft_inverse(ctx, a, plan)
+    assert a == f, "brtft"
 
 
 @pytest.mark.parametrize("n", SIZES)

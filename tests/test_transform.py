@@ -234,7 +234,8 @@ def _kernel_pow_muls(p, n, omega, weight, inverse):
         weight = pow(weight, p - 2, p)
         omega = fresh.pow_counted(omega, n - 1)
     for i in range(1, stages + 1):
-        fresh.pow_counted(omega, n >> i)
+        if i >= 2:  # the u = n/2 stage is a single block and needs no stage root
+            fresh.pow_counted(omega, n >> i)
         if weight % p != 1:
             fresh.pow_counted(weight, n >> i)
     return fresh.ops.mul
