@@ -10,8 +10,7 @@ from .bridge import brtft_forward, brtft_inverse, multiply_full_fft, multiply_tf
 from .ctft import (ENGINES, add_contribution, break_in_place, ctft_forward,
                    ctft_inverse, mateer_break, reduce_to_remainders,
                    sergeev_break, unbreak_in_place)
-from .plan import (EvalPointSet, Plan, eval_points_bitreversed,
-                   eval_points_cyclotomic, plan_new)
+from .plan import Plan, eval_points_bitreversed, eval_points_cyclotomic, plan_new
 from .ring import (DEFAULT_MODULUS, CountSession, FieldCtx, OpCount,
                    UnsupportedOrderError, find_root_of_unity)
 from .transform import dwt, fft_in_place, idwt, ifft_in_place
@@ -19,7 +18,7 @@ from .transform import dwt, fft_in_place, idwt, ifft_in_place
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_MODULUS", "ENGINES", "CountSession", "EvalPointSet",
+    "DEFAULT_MODULUS", "ENGINES", "CountSession",
     "FieldCtx", "OpCount", "Plan", "UnsupportedOrderError",
     "add_contribution", "bit", "bit_reverse", "break_in_place",
     "brtft_forward", "brtft_inverse", "ctft_forward", "ctft_inverse",

@@ -8,30 +8,31 @@ Psi_i(Omega_s z) = -Omega_(i-1)^(n_i) * Phi_i(z).  So:
 
     1. scale coefficient k by Omega_s**k        (f(z) -> f(Omega_s z))
     2. break into images g_i modulo the Phi_i
-    3. per block, a weighted transform of g_i with weight
-       Omega_(i-1)/Omega_s and the principal n_i-th root: it evaluates g_i
-       at Omega_(i-1)/Omega_s times the n_i-th roots of unity, which are
-       roots of Phi_i, so f lands at the roots of Psi_i, exactly in
-       bit-reversed-grid order.
+    3. per block, a twisted transform of g_i: it evaluates g_i at
+       Omega_(i-1)/Omega_s times the n_i-th roots of unity, which are roots
+       of Phi_i, so f lands at the roots of Psi_i, exactly in
+       bit-reversed-grid order.  Since omega_l = omega_i**(n_i/n_l) for
+       l >= i, that factor is omega_i**(-e_i) with e_i = sum_(l>=i) n_i/n_l,
+       so the twist is -e_i and the kernel takes its stage twiddles from
+       the context's root ladder.
 
-When n = 2^k there is one block and Omega_s = 1, so the plain FFT with the
-principal N-th root is the whole transform.  Every step is invertible, which
-gives the inverse transform, and with it polynomial products of any target
-length n at a cost that grows smoothly in n instead of jumping at powers of
-two.
+When n = 2^k there is one block and Omega_s = 1, so the plain FFT is the
+whole transform.  Every step is invertible, which gives the inverse
+transform, and with it polynomial products of any target length n at a cost
+that grows smoothly in n instead of jumping at powers of two.
 """
 
 from __future__ import annotations
 
 from .ctft import ENGINES, break_in_place, ctft_forward, ctft_inverse, unbreak_in_place
 from .plan import Plan, plan_new
-from .ring import FieldCtx, find_root_of_unity
+from .ring import FieldCtx
 from .transform import dwt, fft_in_place, idwt, ifft_in_place, scale_by_powers
 
 
-def _grid_weight(ctx: FieldCtx, plan: Plan, i: int) -> int:
-    # Omega_(i-1)/Omega_s times the n_i-th roots of unity are roots of Phi_i
-    return plan.partial(i - 1) * ctx.inv(plan.partial(plan.s)) % ctx.p
+def _grid_twist(plan: Plan, i: int) -> int:
+    # Omega_(i-1)/Omega_s = omega_i**(-e_i), e_i = sum over l >= i of n_i/n_l
+    return -sum(plan.size(i) // nl for nl in plan.sizes[i - 1:])
 
 
 def brtft_forward(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
@@ -39,12 +40,12 @@ def brtft_forward(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     if len(a) != plan.n:
         raise ValueError(f"buffer length {len(a)} != plan length {plan.n}")
     if plan.s == 1:
-        fft_in_place(ctx, a, plan.n, plan.omega)
+        fft_in_place(ctx, a, plan.n)
         return
     scale_by_powers(ctx, a, plan.n, plan.partial(plan.s))
     break_in_place(ctx, a, plan)
     for i in range(1, plan.s + 1):
-        dwt(ctx, a, plan.size(i), plan.unit_root(i), _grid_weight(ctx, plan, i), plan.offset(i))
+        dwt(ctx, a, plan.size(i), _grid_twist(plan, i), plan.offset(i))
 
 
 def brtft_inverse(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
@@ -52,10 +53,10 @@ def brtft_inverse(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     if len(a) != plan.n:
         raise ValueError(f"buffer length {len(a)} != plan length {plan.n}")
     if plan.s == 1:
-        ifft_in_place(ctx, a, plan.n, plan.omega)
+        ifft_in_place(ctx, a, plan.n)
         return
     for i in range(1, plan.s + 1):
-        idwt(ctx, a, plan.size(i), plan.unit_root(i), _grid_weight(ctx, plan, i), plan.offset(i))
+        idwt(ctx, a, plan.size(i), _grid_twist(plan, i), plan.offset(i))
     unbreak_in_place(ctx, a, plan)
     scale_by_powers(ctx, a, plan.n, ctx.inv(plan.partial(plan.s)))
 
@@ -81,15 +82,14 @@ def multiply_full_fft(ctx: FieldCtx, f: list[int], g: list[int]) -> list[int]:
         return [0]
     d = df + dg
     size = 1 << d.bit_length() if d else 1  # least power of two > d
-    w = find_root_of_unity(ctx, size)
     fa = [int(c) % p for c in f[:df + 1]] + [0] * (size - df - 1)
     ga = [int(c) % p for c in g[:dg + 1]] + [0] * (size - dg - 1)
-    fft_in_place(ctx, fa, size, w)
-    fft_in_place(ctx, ga, size, w)
+    fft_in_place(ctx, fa, size)
+    fft_in_place(ctx, ga, size)
     for k in range(size):
         fa[k] = fa[k] * ga[k] % p
     ctx.ops.mul += size
-    ifft_in_place(ctx, fa, size, w)
+    ifft_in_place(ctx, fa, size)
     return fa[:d + 1]
 
 

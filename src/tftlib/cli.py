@@ -176,7 +176,7 @@ def selftest(ctx: FieldCtx, seed: int, out=None) -> int:
         pts = eval_points_cyclotomic(plan)
         for trial in range(3):
             f = seeded_poly(seed, n, f"selftest{trial}", n, p)
-            want = oracle.eval_batch([f], list(pts.points), p)[0]
+            want = oracle.eval_batch([f], list(pts), p)[0]
             for engine in ENGINES:
                 buf = list(f)
                 ctft_forward(ctx, buf, plan, engine)
@@ -184,7 +184,7 @@ def selftest(ctx: FieldCtx, seed: int, out=None) -> int:
                 ctft_inverse(ctx, buf, plan)
                 round_ok &= buf == f
             padded = f + [0] * (plan.N - n)
-            fft_in_place(ctx, padded, plan.N, plan.omega)
+            fft_in_place(ctx, padded, plan.N)
             buf = list(f)
             brtft_forward(ctx, buf, plan)
             bridge_ok &= buf == padded[:n]

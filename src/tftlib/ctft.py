@@ -2,7 +2,7 @@
 
 A length-n coefficient buffer is rewritten, in place, into the images
 f_i = f mod Phi_i (Phi_i = z^(n_i) + 1 from the binary split of n), and each
-image is then evaluated at the roots of its Phi_i by a weighted transform.
+image is then evaluated at the roots of its Phi_i by the kernel with twist 1.
 Three engines produce the image state:
 
 ``new``     single buffer, O(1) scratch.  Phase 1 folds the buffer into the
@@ -30,6 +30,10 @@ Three engines produce the image state:
 All three leave block i equal to f mod Phi_i in slots
 [offset(i), offset(i) + n_i); the engines are interchangeable and share one
 inverse.
+
+The engines and the unbreak add buffer values before they reduce them.  For
+p > 2^62 a sum of two residues overflows an int64, so there they take Python
+ints only and raise ValueError on any other element (numpy integers, say).
 """
 
 from __future__ import annotations
@@ -40,6 +44,12 @@ from .ring import FieldCtx
 from .transform import dwt, idwt
 
 ENGINES = ("new", "sergeev", "mateer")
+
+
+def _require_ints(ctx: FieldCtx, a: list[int]) -> None:
+    if ctx.p > 1 << 62 and any(type(x) is not int for x in a):
+        raise ValueError(f"modulus {ctx.p} > 2^62: sums of residues overflow an int64, "
+                         "so the buffer must hold Python ints")
 
 
 def reduce_to_remainders(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
@@ -122,6 +132,7 @@ def break_in_place(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     before it.  At most 3n additions, sum (i-1)*n_i < n doublings, zero
     general multiplications, O(1) scratch.
     """
+    _require_ints(ctx, a)
     reduce_to_remainders(ctx, a, plan)
     for i in range(2, plan.s + 1):
         add_contribution(ctx, a, plan, i)
@@ -129,6 +140,7 @@ def break_in_place(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
 
 def unbreak_in_place(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     """Exact inverse of :func:`break_in_place`, step by step in reverse."""
+    _require_ints(ctx, a)
     p = ctx.p
     for i in range(plan.s, 1, -1):
         _contribution_pass(ctx, a, plan, i, undo=True)
@@ -151,6 +163,7 @@ def mateer_break(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     """
     if len(a) < plan.N:
         raise ValueError(f"need {plan.N} slots, buffer has {len(a)}")
+    _require_ints(ctx, a)
     if plan.s == 1:
         return
     p = ctx.p
@@ -207,6 +220,7 @@ def sergeev_break(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     were never stored are reconstructed from the extracted images.  Ends in
     exactly the image state of :func:`break_in_place`.
     """
+    _require_ints(ctx, a)
     if plan.s == 1:
         return
     p = ctx.p
@@ -243,8 +257,8 @@ def ctft_forward(ctx: FieldCtx, a: list[int], plan: Plan, engine: str = "new") -
 
     Block i ends up holding f(omega_i^(2*rev(j) + 1)) for j = 0..n_i-1 (the
     layout of :func:`tftlib.plan.eval_points_cyclotomic`).  The mateer engine
-    allocates an N-slot working buffer through the context; the other two touch
-    only the caller's n slots.
+    allocates an N-slot working buffer through the context and loads it
+    through ``int()``; the other two touch only the caller's n slots.
     """
     if len(a) != plan.n:
         raise ValueError(f"buffer length {len(a)} != plan length {plan.n}")
@@ -255,7 +269,7 @@ def ctft_forward(ctx: FieldCtx, a: list[int], plan: Plan, engine: str = "new") -
     elif engine == "mateer":
         buf = ctx.alloc(plan.N)
         for t in range(plan.n):
-            buf[t] = a[t]
+            buf[t] = int(a[t])
         mateer_break(ctx, buf, plan)
         if plan.s == 1:
             for t in range(plan.n):
@@ -268,20 +282,20 @@ def ctft_forward(ctx: FieldCtx, a: list[int], plan: Plan, engine: str = "new") -
                     a[o + t] = buf[ni + t]
     else:
         raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
-    # weight omega_i of order 2*n_i, root omega_i**2: evaluates at roots of Phi_i
+    # twist 1: evaluates at omega_i times the n_i-th roots, the roots of Phi_i
     for i in range(1, plan.s + 1):
-        dwt(ctx, a, plan.size(i), plan.unit_root(i), plan.block_root(i), plan.offset(i))
+        dwt(ctx, a, plan.size(i), 1, plan.offset(i))
 
 
 def ctft_inverse(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     """Recover the coefficients from the block evaluations, in place.
 
     Engine-agnostic: every engine produces the same image state, so one
-    inverse (per-block inverse weighted transform, then the unbreak) serves
+    inverse (per-block inverse twisted transform, then the unbreak) serves
     them all.
     """
     if len(a) != plan.n:
         raise ValueError(f"buffer length {len(a)} != plan length {plan.n}")
     for i in range(1, plan.s + 1):
-        idwt(ctx, a, plan.size(i), plan.unit_root(i), plan.block_root(i), plan.offset(i))
+        idwt(ctx, a, plan.size(i), 1, plan.offset(i))
     unbreak_in_place(ctx, a, plan)

@@ -31,9 +31,8 @@ class Plan:
     offsets: tuple[int, ...]    # block start slots
     tails: tuple[int, ...]      # tails[i] = n_(i+1) + ... + n_s for i = 0..s
     omega: int                  # principal N-th root of unity
-    block_roots: tuple[int, ...]       # omega_i, order 2*n_i, omega_i**n_i == -1
-    block_unit_roots: tuple[int, ...]  # omega_i**2, principal n_i-th root
-    partials: tuple[int, ...]          # Omega_0..Omega_s cumulative products
+    block_roots: tuple[int, ...]  # omega_i, order 2*n_i, omega_i**n_i == -1
+    partials: tuple[int, ...]     # Omega_0..Omega_s cumulative products
 
     # 1-based block accessors, matching the mathematical indexing ----------
 
@@ -53,20 +52,9 @@ class Plan:
     def block_root(self, i: int) -> int:
         return self.block_roots[i - 1]
 
-    def unit_root(self, i: int) -> int:
-        return self.block_unit_roots[i - 1]
-
     def partial(self, i: int) -> int:
         """Omega_i for 0 <= i <= s (Omega_0 == 1)."""
         return self.partials[i]
-
-
-@dataclass(frozen=True)
-class EvalPointSet:
-    """Evaluation points in buffer order, with the owning block of each slot."""
-
-    points: tuple[int, ...]
-    block_of: tuple[int, ...]
 
 
 def plan_new(n: int, ctx: FieldCtx) -> Plan:
@@ -110,41 +98,26 @@ def plan_new(n: int, ctx: FieldCtx) -> Plan:
         tails=(n,) + tails,
         omega=omega,
         block_roots=block_roots,
-        block_unit_roots=tuple(w * w % p for w in block_roots),
         partials=tuple(partials),
     )
 
 
-def eval_points_cyclotomic(plan: Plan) -> EvalPointSet:
+def eval_points_cyclotomic(plan: Plan) -> tuple[int, ...]:
     """Points of the block-structured transform, in output order.
 
     Block i contributes omega_i**(2*rev(j) + 1) for j = 0..n_i-1 (rev over
-    log2(n_i) bits): the roots of Phi_i in the order a weighted in-place
-    transform of the block produces them.  As a set this equals
+    log2(n_i) bits): the roots of Phi_i in the order the in-place transform of
+    the block with twist 1 produces them.  As a set this equals
     {omega**rev(k) : n_i <= k < 2*n_i, 1 <= i <= s} with rev over log2(N) bits.
     """
-    p = plan.p
-    points = []
-    owners = []
-    for i in range(1, plan.s + 1):
-        wi = plan.block_root(i)
-        nb = plan.exp(i)
-        for j in range(plan.size(i)):
-            points.append(pow(wi, 2 * bit_reverse(j, nb) + 1, p))
-            owners.append(i)
-    return EvalPointSet(tuple(points), tuple(owners))
+    return tuple(pow(plan.block_root(i), 2 * bit_reverse(j, plan.exp(i)) + 1, plan.p)
+                 for i in range(1, plan.s + 1) for j in range(plan.size(i)))
 
 
-def eval_points_bitreversed(plan: Plan) -> EvalPointSet:
+def eval_points_bitreversed(plan: Plan) -> tuple[int, ...]:
     """The first n points of the bit-reversed DFT grid: omega**rev(l), l < n.
 
     Slot l of block j is a root of Psi_j(z) = z^(n_j) - Omega_(j-1)^(n_j).
     """
-    p = plan.p
-    points = []
-    owners = []
-    for i in range(1, plan.s + 1):
-        for l in range(plan.offset(i), plan.offset(i) + plan.size(i)):
-            points.append(pow(plan.omega, bit_reverse(l, plan.p_bits), p))
-            owners.append(i)
-    return EvalPointSet(tuple(points), tuple(owners))
+    return tuple(pow(plan.omega, bit_reverse(l, plan.p_bits), plan.p)
+                 for l in range(plan.n))

@@ -7,10 +7,12 @@ subtractions and negations (``add``).  Scalings by the constants +1 and -1 are
 free: code applies them as identity or as a counted subtraction, never as a
 multiplication.
 
-Setup work is deliberately uncounted: validating a root's order, deriving the
-constants of a transform plan, or inverting a fixed constant uses plain modular
-arithmetic.  Twiddle factors generated *inside* a transform's loops are part of
-the algorithm and are counted.
+Setup work is deliberately uncounted: building the context's ladder of
+canonical roots ``roots[k] = generator^((p-1)/2^k)`` and its inverses (one
+root per power of two the field supports, log-sized), deriving the constants
+of a transform plan, or inverting a fixed constant uses plain modular
+arithmetic.  Twiddle factors generated *inside* a transform's loops are part
+of the algorithm and are counted.
 """
 
 from __future__ import annotations
@@ -49,11 +51,12 @@ class OpCount:
 class CountSession:
     """Delta view over a context's counters, usable during and after the block.
 
+    >>> from tftlib import fft_in_place
     >>> ctx = FieldCtx(5)
     >>> with ctx.count_session() as sess:
-    ...     _ = ctx.mul(3, 4)
-    >>> sess.mul
-    1
+    ...     fft_in_place(ctx, [3, 4], 2)
+    >>> (sess.mul, sess.add)
+    (1, 2)
     """
 
     def __init__(self, ctx: "FieldCtx"):
@@ -150,6 +153,14 @@ def _smallest_generator(p: int) -> int:
     raise ArithmeticError(f"no generator found modulo {p}")  # unreachable for prime p
 
 
+def _ladder(top: int, k: int, p: int) -> tuple[int, ...]:
+    """(top^(2^k), ..., top^2, top): the successive squares of top, reversed."""
+    ladder = [top]
+    for _ in range(k):
+        ladder.append(ladder[-1] * ladder[-1] % p)
+    return tuple(reversed(ladder))
+
+
 class FieldCtx:
     """The field Z/pZ for an odd prime p, with its counters.
 
@@ -165,58 +176,15 @@ class FieldCtx:
         self.two_adicity = ((p - 1) & -(p - 1)).bit_length() - 1
         self.generator = _smallest_generator(p)
         self.half = (p + 1) // 2  # 2**-1 mod p
+        # roots[k] has order 2^k; each is the square of the next
+        top = pow(self.generator, (p - 1) >> self.two_adicity, p)
+        self.roots = _ladder(top, self.two_adicity, p)
+        self.inv_roots = _ladder(pow(top, p - 2, p), self.two_adicity, p)
         self.ops = OpCount()
         self.scratch_allocated = 0
 
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p})"
-
-    # counted element operations ------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        self.ops.add += 1
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        self.ops.add += 1
-        return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        self.ops.add += 1
-        return -a % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        self.ops.mul += 1
-        return a * b % self.p
-
-    def mul_pow2(self, a: int, c: int) -> int:
-        """Multiply by c, a power of two or an inverse power of two."""
-        self.ops.pow2 += 1
-        return a * c % self.p
-
-    def pow_counted(self, base: int, exp: int) -> int:
-        """base**exp by square-and-multiply, counting every multiplication."""
-        if exp < 0:
-            raise ValueError("exponent must be non-negative")
-        if exp == 0:
-            return 1
-        p = self.p
-        b = base % p
-        e = exp
-        while e & 1 == 0:
-            b = b * b % p
-            self.ops.mul += 1
-            e >>= 1
-        result = b
-        e >>= 1
-        while e:
-            b = b * b % p
-            self.ops.mul += 1
-            if e & 1:
-                result = result * b % p
-                self.ops.mul += 1
-            e >>= 1
-        return result
 
     # uncounted helpers -----------------------------------------------------
 
@@ -236,16 +204,16 @@ class FieldCtx:
 
 
 def find_root_of_unity(ctx: FieldCtx, order: int) -> int:
-    """Principal root of unity of the exact power-of-two order, deterministic per ctx.
+    """Principal root of unity of the exact power-of-two order: ``ctx.roots[log2(order)]``.
 
-    The returned w satisfies w**order == 1 and w**(order//2) == -1, which over a
-    prime field makes it both primitive and principal.
+    The returned w = generator**((p-1)/order) satisfies w**order == 1 and
+    w**(order//2) == -1, which over a prime field makes it both primitive and
+    principal.
     """
     if order < 1 or order & (order - 1):
         raise ValueError(f"order {order} is not a power of two")
-    if order == 1:
-        return 1
-    if order.bit_length() - 1 > ctx.two_adicity:
+    k = order.bit_length() - 1
+    if k > ctx.two_adicity:
         raise UnsupportedOrderError(
             f"no root of order {order}: 2-adicity of {ctx.p} - 1 is {ctx.two_adicity}")
-    return pow(ctx.generator, (ctx.p - 1) // order, ctx.p)
+    return ctx.roots[k]

@@ -1,24 +1,28 @@
 """In-place radix-2 transforms over a prime field.
 
-One kernel, :func:`dwt`, evaluates a window at v * omega**j and leaves f(v *
-omega**j) in slot rev(j).  It walks the factorisation tree of z^n - v^n: a
-block reduced modulo z^(2m) - c^2 splits into its images modulo z^m - c and
-z^m + c by m butterflies with twiddle c.  The weight v therefore only changes
-the first twiddle of each stage, from 1 to v**u, and no weighting pass runs.
-With v = 1 this is the plain FFT.  The inverse, :func:`idwt`, consumes that
-order, runs the inverted butterflies with the stages reversed, and defers the
-accumulated factor of 1/n to a single final scaling pass (counted as pow2
-operations).
+One kernel, :func:`dwt`, evaluates a window at omega_2n**twist * omega_n**j
+and leaves the value in slot rev(j), where omega_m is the context's canonical
+root of order m (``ctx.roots``).  It walks the factorisation tree of
+z^n - c^n: a block reduced modulo z^(2m) - c^2 splits into its images modulo
+z^m - c and z^m + c by m butterflies with twiddle c.  The twist therefore
+only changes the first twiddle of each stage, from 1 to omega_(2n/u)**twist,
+and no weighting pass runs.  With twist 0 this is the plain FFT; twist 1
+evaluates a negacyclic image at the roots of z^n + 1.  The inverse,
+:func:`idwt`, consumes that order, runs the inverted butterflies with the
+stages reversed, and defers the accumulated factor of 1/n to a single final
+scaling pass (counted as pow2 operations).
 
-Twiddle factors are generated sequentially inside the loops - first the stage
-root w**u (only where a stage has more than one block to step through) and
-the weight power v**u by square-and-multiply, then the run
-v**u * w**(u*j) one multiplication at a time - so no table of roots is ever
-built and scratch usage stays at O(1) field elements.  The price is a
-non-sequential traversal of the buffer: butterflies sharing a twiddle are
-visited together.  Block j of a stage starts at rev(j) * u, kept in a
-bit-reversed counter: stepping j flips its trailing ones and the next zero
-bit, which in reversed order are the counter's top bits, one XOR per block.
+Every root the kernel needs comes from the context's ladder, built once as
+set-up: the stage root omega_(n/u) is ``roots[i]`` at stage i, and a stage's
+first twiddle omega_(2n/u)**twist is a product of ladder roots, one per set
+bit of the twist (one counted multiplication per factor after the first).
+The run of twiddles c * omega_(n/u)**j inside a stage is generated one
+multiplication at a time, so no table of twiddles is built and scratch usage
+stays at O(1) field elements.  The price is a non-sequential traversal of
+the buffer: butterflies sharing a twiddle are visited together.  Block j of a
+stage starts at rev(j) * u, kept in a bit-reversed counter: stepping j flips
+its trailing ones and the next zero bit, which in reversed order are the
+counter's top bits, one XOR per block.
 
 Reduction is lazy (Harvey, "Faster arithmetic for number-theoretic
 transforms", 2014): a butterfly reduces only the operand it multiplies, and
@@ -31,31 +35,52 @@ output is a Python int in [0, p).
 
 from __future__ import annotations
 
-from .ring import FieldCtx
+from .ring import FieldCtx, UnsupportedOrderError
 
 
-def _check_window(ctx: FieldCtx, a: list[int], n: int, omega: int, offset: int) -> None:
+def _check_window(ctx: FieldCtx, a: list[int], n: int, twist: int, offset: int) -> None:
     if n < 1 or n & (n - 1):
         raise ValueError(f"transform length {n} is not a power of two")
     if offset < 0 or offset + n > len(a):
         raise ValueError(f"window [{offset}, {offset + n}) exceeds buffer of {len(a)}")
-    if n == 1:
-        if omega % ctx.p != 1:
-            raise ValueError("length-1 transform requires root 1")
-    elif pow(omega, n // 2, ctx.p) != ctx.p - 1:
-        raise ValueError(f"root has wrong order for a length-{n} transform")
+    order = n << (twist & 1)  # an odd twist needs omega_2n
+    if order.bit_length() - 1 > ctx.two_adicity:
+        raise UnsupportedOrderError(
+            f"no root of order {order}: 2-adicity of {ctx.p} - 1 is {ctx.two_adicity}")
 
 
-def dwt(ctx: FieldCtx, a: list[int], n: int, omega: int, weight: int, offset: int = 0) -> None:
-    """Weighted transform: a[offset + rev(j)] <- f(weight * omega**j), in place.
+def _stage_start(ctx: FieldCtx, twist: int, k: int) -> int:
+    """omega_(2^k)**twist as a product of ladder roots, counted.
 
-    With omega a principal n-th root this evaluates the window at weight times
-    each n-th root of unity; taking a weight of order 2n whose square is omega
-    evaluates a negacyclic image at all roots of z**n + 1.  Exactly
-    n*log2(n) additions and (n/2)*log2(n) butterfly multiplications, plus
-    n - 1 - log2(n) twiddle-generation multiplications and the stage powers of
-    omega (none at u = n/2, whose single block never steps its twiddle) and,
-    for a weight other than 1, of the weight.
+    Bit b of e = twist mod 2^k contributes roots[k - b] = omega_(2^k)**(2^b).
+    When -e mod 2^k has fewer set bits, its bits are taken on ``inv_roots``
+    instead.  One multiplication per factor after the first.
+    """
+    mask = (1 << k) - 1
+    e = twist & mask
+    ladder = ctx.roots
+    if (-e & mask).bit_count() < e.bit_count():
+        e, ladder = -e & mask, ctx.inv_roots
+    if e & (e - 1):
+        ctx.ops.mul += e.bit_count() - 1
+    p = ctx.p
+    x = 1
+    while e:
+        low = e & -e
+        x = x * ladder[k + 1 - low.bit_length()] % p
+        e ^= low
+    return x
+
+
+def dwt(ctx: FieldCtx, a: list[int], n: int, twist: int, offset: int = 0) -> None:
+    """Twisted transform: a[offset + rev(j)] <- f(omega_2n**twist * omega_n**j), in place.
+
+    omega_m is the canonical root of order m, ``ctx.roots[log2(m)]``.  Twist 0
+    is the plain FFT; twist 1 evaluates a negacyclic image at all roots of
+    z**n + 1.  Exactly n*log2(n) additions and (n/2)*log2(n) butterfly
+    multiplications plus n - 1 - log2(n) twiddle-generation multiplications;
+    a twist other than 0 or 1 adds one per extra ladder factor of each
+    stage's first twiddle.
 
     Any integers are accepted: the first stage loads them through ``int()``,
     and every output is a Python int in [0, p).  Sums and differences are
@@ -63,19 +88,19 @@ def dwt(ctx: FieldCtx, a: list[int], n: int, omega: int, weight: int, offset: in
     reduced, so from inputs in [0, p) every value stays below
     (log2(n) + 1) * p in magnitude.
     """
-    _check_window(ctx, a, n, omega, offset)
+    _check_window(ctx, a, n, twist, offset)
     p = ctx.p
     if n <= 2:  # a lone stage is both first and last: coerce before it
         for k in range(offset, offset + n):
             a[k] = int(a[k]) % p
         if n == 1:
             return
-    weighted = weight % p != 1
+    roots = ctx.roots
     stages = n.bit_length() - 1
     half = n >> 1
     for i in range(1, stages):
         u = n >> i
-        tw = ctx.pow_counted(weight, u) if weighted else 1
+        tw = _stage_start(ctx, twist, i + 1)
         if i == 1:  # one block, so no stage root: load the caller's integers as int
             for k in range(offset, offset + u):
                 x = int(a[k])
@@ -83,7 +108,7 @@ def dwt(ctx: FieldCtx, a: list[int], n: int, omega: int, weight: int, offset: in
                 a[k] = x + y
                 a[k + u] = x - y
             continue
-        wu = ctx.pow_counted(omega, u)
+        wu = roots[i]
         r = 0
         for j in range(1 << (i - 1)):
             if j:
@@ -97,8 +122,8 @@ def dwt(ctx: FieldCtx, a: list[int], n: int, omega: int, weight: int, offset: in
                 a[k] = x + y
                 a[k + u] = x - y
     # u = 1: one butterfly per block, outputs reduced into [0, p)
-    wu = ctx.pow_counted(omega, 1)
-    tw = ctx.pow_counted(weight, 1) if weighted else 1
+    wu = roots[stages]
+    tw = _stage_start(ctx, twist, stages + 1)
     r = 0
     for j in range(half):
         if j:
@@ -113,30 +138,29 @@ def dwt(ctx: FieldCtx, a: list[int], n: int, omega: int, weight: int, offset: in
     ctx.ops.add += n * stages
 
 
-def idwt(ctx: FieldCtx, a: list[int], n: int, omega: int, weight: int, offset: int = 0) -> None:
+def idwt(ctx: FieldCtx, a: list[int], n: int, twist: int, offset: int = 0) -> None:
     """Inverse of :func:`dwt`: bit-reversed evaluations back to coefficients.
 
-    Runs the inverted butterflies, whose twiddles start at weight**-u, in
+    Runs the inverted butterflies, whose stage roots come from
+    ``ctx.inv_roots`` and whose first twiddles are omega_(2n/u)**-twist, in
     reversed stage order, then multiplies every slot by 1/n in one final pass
-    (n pow2 operations).  Counts match :func:`dwt`'s, plus the square-and-
-    multiply for omega**-1.  The first stage (u = 1) loads the caller's
-    integers through ``int()``; sums are left unreduced (below n * p in
-    magnitude from inputs in [0, p)), multiplied differences are reduced, and
-    the 1/n pass reduces every slot, so every output is a Python int in [0, p).
+    (n pow2 operations).  Counts match :func:`dwt`'s.  The first stage
+    (u = 1) loads the caller's integers through ``int()``; sums are left
+    unreduced (below n * p in magnitude from inputs in [0, p)), multiplied
+    differences are reduced, and the 1/n pass reduces every slot, so every
+    output is a Python int in [0, p).
     """
-    vinv = ctx.inv(weight)
-    _check_window(ctx, a, n, omega, offset)
+    _check_window(ctx, a, n, twist, offset)
     p = ctx.p
     if n == 1:
         a[offset] = int(a[offset]) % p
         return
-    weighted = vinv != 1
-    winv = ctx.pow_counted(omega, n - 1)  # omega**-1
+    inv_roots = ctx.inv_roots
     stages = n.bit_length() - 1
     half = n >> 1
     # u = 1: one butterfly per block, loads coerced to int
-    wu = ctx.pow_counted(winv, 1)
-    tw = ctx.pow_counted(vinv, 1) if weighted else 1
+    wu = inv_roots[stages]
+    tw = _stage_start(ctx, -twist, stages + 1)
     r = 0
     for j in range(half):
         if j:
@@ -149,8 +173,8 @@ def idwt(ctx: FieldCtx, a: list[int], n: int, omega: int, weight: int, offset: i
         a[k + 1] = (x - y) * tw % p
     for i in range(stages - 1, 0, -1):
         u = n >> i
-        wu = ctx.pow_counted(winv, u) if i > 1 else 0  # i == 1: one block, no step
-        tw = ctx.pow_counted(vinv, u) if weighted else 1
+        wu = inv_roots[i]
+        tw = _stage_start(ctx, -twist, i + 1)
         r = 0
         for j in range(1 << (i - 1)):
             if j:
@@ -162,7 +186,7 @@ def idwt(ctx: FieldCtx, a: list[int], n: int, omega: int, weight: int, offset: i
                 y = a[k + u]
                 a[k] = x + y
                 a[k + u] = (x - y) * tw % p
-    inv_n = pow(n, p - 2, p)
+    inv_n = p - (p - 1) // n  # n divides p - 1
     for k in range(offset, offset + n):
         a[k] = a[k] * inv_n % p
     ctx.ops.mul += half * stages + n - 1 - stages
@@ -170,22 +194,24 @@ def idwt(ctx: FieldCtx, a: list[int], n: int, omega: int, weight: int, offset: i
     ctx.ops.pow2 += n
 
 
-def fft_in_place(ctx: FieldCtx, a: list[int], n: int, omega: int, offset: int = 0) -> None:
-    """In place, a[offset + rev(j)] <- f(omega**j) for the window of length n."""
-    dwt(ctx, a, n, omega, 1, offset)
+def fft_in_place(ctx: FieldCtx, a: list[int], n: int, offset: int = 0) -> None:
+    """In place, a[offset + rev(j)] <- f(omega_n**j) for the window of length n."""
+    dwt(ctx, a, n, 0, offset)
 
 
-def ifft_in_place(ctx: FieldCtx, a: list[int], n: int, omega: int, offset: int = 0) -> None:
+def ifft_in_place(ctx: FieldCtx, a: list[int], n: int, offset: int = 0) -> None:
     """Inverse of :func:`fft_in_place`, with one final 1/n pass (n pow2 operations)."""
-    idwt(ctx, a, n, omega, 1, offset)
+    idwt(ctx, a, n, 0, offset)
 
 
 def scale_by_powers(ctx: FieldCtx, a: list[int], n: int, base: int, offset: int = 0) -> None:
     """a[offset + k] *= base**k for k < n, powers generated sequentially.
 
     2*(n - 1) counted multiplications; base**0 is applied as the identity.
+    Every slot is loaded through ``int()``.
     """
     p = ctx.p
+    a[offset] = int(a[offset]) % p
     pw = 1
     for k in range(offset + 1, offset + n):
         pw = pw * base % p

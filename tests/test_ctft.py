@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tftlib import (ENGINES, FieldCtx, add_contribution, break_in_place,
                     ctft_forward, ctft_inverse, eval_points_cyclotomic,
-                    mateer_break, plan_new, reduce_to_remainders,
+                    fft_in_place, mateer_break, plan_new, reduce_to_remainders,
                     sergeev_break, unbreak_in_place)
 from tftlib import oracle
 
@@ -186,7 +186,7 @@ def test_sergeev_uses_no_general_multiplications(ctx):
 def test_forward_matches_naive_evaluation(ctx, n, engine):
     p = ctx.p
     plan = plan_new(n, ctx)
-    pts = list(eval_points_cyclotomic(plan).points)
+    pts = list(eval_points_cyclotomic(plan))
     rng = random.Random(2000 + n)
     polys = [[rng.randrange(p) for _ in range(n)] for _ in range(3)]
     wants = oracle.eval_batch(polys, pts, p)
@@ -334,15 +334,29 @@ def test_forward_multiplication_bound(ctx, n):
 
 @pytest.mark.parametrize("n", [86, 255, 256, 257, 1000, 4096])
 def test_forward_multiplications_are_butterflies_and_twiddles(ctx, n):
-    # block butterflies total at most (n/2)*log2(n); each block's twiddle
-    # runs add fewer than n_i and its stage powers O(log2(n_i)**2)
+    # block butterflies total at most (n/2)*log2(n), and each block's twiddle
+    # runs add n_i - 1 - log2(n_i); the twist-1 stage starts are ladder roots
     p = ctx.p
     plan = plan_new(n, ctx)
     rng = random.Random(n)
     a = [rng.randrange(p) for _ in range(n)]
     with ctx.count_session() as sess:
         ctft_forward(ctx, a, plan, "new")
-    assert sess.mul <= 0.5 * n * math.log2(n) + n + 2 * math.log2(n) ** 2
+    assert sess.mul == sum(ni // 2 * e + ni - 1 - e for ni, e in zip(plan.sizes, plan.exps))
+    assert sess.mul <= 0.5 * n * math.log2(n) + n
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_forward_at_power_of_two_costs_fft(ctx, engine):
+    # one block, evaluated with twist 1: the same (mul, pow2, add) as the FFT
+    for k in range(13):
+        n = 1 << k
+        plan = plan_new(n, ctx)
+        with ctx.count_session() as s_ctft:
+            ctft_forward(ctx, [1] * n, plan, engine)
+        with ctx.count_session() as s_fft:
+            fft_in_place(ctx, [1] * n, n)
+        assert s_ctft.ops == s_fft.ops, n
 
 
 @pytest.mark.parametrize("engine", ENGINES)

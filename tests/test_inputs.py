@@ -4,27 +4,33 @@ Every forward and inverse entry point and every product accepts lists of
 any integers - numpy int64 elements, negative or unreduced Python ints - and
 returns Python ints in [0, p) equal to the result for the reduced input.
 numpy int64 elements are checked at the default prime and at a 62-bit prime.
+Above 2^62 a sum of two residues overflows an int64: there the entry points
+that add buffer values before reducing them (the break engines, the unbreak
+and ``ctft_forward`` with the ``new`` or ``sergeev`` engine) raise
+ValueError on any element that is not a Python int, and every other entry
+point still loads through ``int()``.
 """
 
 import random
+import warnings
 
 import numpy as np
 import pytest
 
-from tftlib import (ENGINES, FieldCtx, brtft_forward, brtft_inverse,
-                    ctft_forward, ctft_inverse, dwt, fft_in_place,
-                    find_root_of_unity, idwt, ifft_in_place, multiply_full_fft,
-                    multiply_tft, plan_new)
+from tftlib import (ENGINES, FieldCtx, break_in_place, brtft_forward,
+                    brtft_inverse, ctft_forward, ctft_inverse, dwt,
+                    fft_in_place, idwt, ifft_in_place, mateer_break,
+                    multiply_full_fft, multiply_tft, plan_new, sergeev_break,
+                    unbreak_in_place)
 
 
 def _transforms(ctx, n: int):
     """(name, in-place call, buffer length) for every transform entry point."""
     plan = plan_new(n, ctx)
     size = plan.N
-    w = plan.omega
     calls = [
-        ("fft_in_place", lambda a: fft_in_place(ctx, a, size, w), size),
-        ("ifft_in_place", lambda a: ifft_in_place(ctx, a, size, w), size),
+        ("fft_in_place", lambda a: fft_in_place(ctx, a, size), size),
+        ("ifft_in_place", lambda a: ifft_in_place(ctx, a, size), size),
         ("ctft_inverse", lambda a: ctft_inverse(ctx, a, plan), n),
         ("brtft_forward", lambda a: brtft_forward(ctx, a, plan), n),
         ("brtft_inverse", lambda a: brtft_inverse(ctx, a, plan), n),
@@ -32,12 +38,21 @@ def _transforms(ctx, n: int):
     for engine in ENGINES:
         calls.append((f"ctft_forward[{engine}]",
                       lambda a, e=engine: ctft_forward(ctx, a, plan, e), n))
-    weights = {"1": 1, "negacyclic": find_root_of_unity(ctx, 2 * size),
-               "arbitrary": 987654321}
-    for label, v in weights.items():
-        calls.append((f"dwt[{label}]", lambda a, v=v: dwt(ctx, a, size, w, v), size))
-        calls.append((f"idwt[{label}]", lambda a, v=v: idwt(ctx, a, size, w, v), size))
+    for twist in (0, 1, -987654321):
+        calls.append((f"dwt[{twist}]", lambda a, t=twist: dwt(ctx, a, size, t), size))
+        calls.append((f"idwt[{twist}]", lambda a, t=twist: idwt(ctx, a, size, t), size))
     return calls
+
+
+def _breaks(ctx, n: int):
+    """(name, in-place call, buffer length) for the break engines and the unbreak."""
+    plan = plan_new(n, ctx)
+    return [
+        ("break_in_place", lambda a: break_in_place(ctx, a, plan), n),
+        ("sergeev_break", lambda a: sergeev_break(ctx, a, plan), n),
+        ("mateer_break", lambda a: mateer_break(ctx, a, plan), plan.N),
+        ("unbreak_in_place", lambda a: unbreak_in_place(ctx, a, plan), n),
+    ]
 
 
 def _products(ctx):
@@ -87,6 +102,44 @@ def test_numpy_int64_buffers_match_plain_ints(ctx, n):
 @pytest.mark.parametrize("n", [255, 257])
 def test_numpy_int64_buffers_at_62_bit_prime(n):
     _check_numpy_buffers(FieldCtx(P62), n)
+
+
+# 2^62 < P63 < 2^63 (2-adicity 20): a residue fits in an int64, a sum of two
+# may not
+P63 = 9223372036836950017
+# the entry points that add buffer values before they reduce them
+ADD_FIRST = {"ctft_forward[new]", "ctft_forward[sergeev]", "break_in_place",
+             "sergeev_break", "mateer_break", "unbreak_in_place"}
+
+
+@pytest.mark.parametrize("n", [255, 257])
+def test_numpy_int64_buffers_above_2_62(n):
+    ctx = FieldCtx(P63)
+    p = ctx.p
+    rng = random.Random(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an int64 overflow warning fails the test
+        for name, call, length in _transforms(ctx, n) + _breaks(ctx, n):
+            plain = [rng.randrange(p) for _ in range(length)]
+            from_numpy = list(np.array(plain, dtype=np.int64))
+            call(plain)
+            if name in ADD_FIRST:
+                before = list(from_numpy)
+                with pytest.raises(ValueError):
+                    call(from_numpy)
+                assert all(x == y for x, y in zip(from_numpy, before)), name  # untouched
+            else:
+                call(from_numpy)
+                assert from_numpy == plain, name
+                _assert_field_ints(from_numpy, p, name)
+        f = [rng.randrange(1, p) for _ in range((n + 1) // 2)]
+        g = [rng.randrange(1, p) for _ in range(n + 1 - len(f))]
+        fn = list(np.array(f, dtype=np.int64))
+        gn = list(np.array(g, dtype=np.int64))
+        for name, mul in _products(ctx):
+            got = mul(fn, gn)
+            assert got == mul(f, g), name
+            _assert_field_ints(got, p, name)
 
 
 def _residues(length: int, p: int, rng: random.Random) -> tuple[list[int], list[int]]:

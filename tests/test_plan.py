@@ -45,7 +45,7 @@ def test_block_roots_are_phi_roots(ctx, n):
     for i in range(1, plan.s + 1):
         wi = plan.block_root(i)
         assert pow(wi, plan.size(i), p) == p - 1  # root of z^(n_i) + 1
-        assert plan.unit_root(i) == wi * wi % p
+        assert wi == ctx.roots[plan.exp(i) + 1]  # the canonical root of order 2*n_i
     assert ctx.half * 2 % p == 1
     assert pow(plan.omega, plan.N, p) == 1
     if plan.N > 1:
@@ -74,13 +74,11 @@ def test_affine_identity(ctx, n):
 def test_eval_points_examples_f5(ctx5):
     plan = plan_new(3, ctx5)
     cyc = eval_points_cyclotomic(plan)
-    assert set(cyc.points[0:2]) == {2, 3}  # roots of z^2 + 1 over F_5
-    assert cyc.points[2] == 4              # root of z + 1
-    assert cyc.block_of == (1, 1, 2)
+    assert set(cyc[0:2]) == {2, 3}  # roots of z^2 + 1 over F_5
+    assert cyc[2] == 4              # root of z + 1
 
     rev = eval_points_bitreversed(plan)
-    assert rev.points == (1, 4, 2)
-    assert rev.block_of == (1, 1, 2)
+    assert rev == (1, 4, 2)
 
 
 @pytest.mark.parametrize("n", range(1, 257))
@@ -89,7 +87,7 @@ def test_cyclotomic_points_equal_pruned_grid_set(ctx, n):
     # (psi of order 2N; for n < N the indices stay below N and the identity
     # collapses to the omega grid)
     plan = plan_new(n, ctx)
-    pts = eval_points_cyclotomic(plan).points
+    pts = eval_points_cyclotomic(plan)
     assert len(set(pts)) == n  # distinct
     psi = plan.block_root(1) if plan.n == plan.N else None
     grid = set()
@@ -107,19 +105,18 @@ def test_bitreversed_points_are_psi_roots(ctx, n):
     plan = plan_new(n, ctx)
     p = ctx.p
     rev = eval_points_bitreversed(plan)
-    assert len(set(rev.points)) == n
-    assert rev.points[0] == 1
+    assert len(set(rev)) == n
+    assert rev[0] == 1
     for i in range(1, plan.s + 1):
         const = pow(plan.partial(i - 1), plan.size(i), p)
         for l in range(plan.offset(i), plan.offset(i) + plan.size(i)):
-            assert pow(rev.points[l], plan.size(i), p) == const  # Psi_i vanishes
-            assert rev.block_of[l] == i
+            assert pow(rev[l], plan.size(i), p) == const  # Psi_i vanishes
 
 
 def test_point_families_differ_when_split(ctx):
     plan = plan_new(3, ctx)
-    assert set(eval_points_cyclotomic(plan).points) != \
-        set(eval_points_bitreversed(plan).points)
+    assert set(eval_points_cyclotomic(plan)) != \
+        set(eval_points_bitreversed(plan))
 
 
 def test_plan_errors():

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tftlib import (DEFAULT_MODULUS, FieldCtx, UnsupportedOrderError,
-                    find_root_of_unity)
+from tftlib import (DEFAULT_MODULUS, FieldCtx, OpCount, UnsupportedOrderError,
+                    fft_in_place, find_root_of_unity, ifft_in_place)
 
 
 def test_default_field_constants(ctx):
@@ -20,13 +20,6 @@ def test_non_prime_and_even_moduli_rejected():
         FieldCtx(15)
     with pytest.raises(ValueError):
         FieldCtx(2)
-
-
-def test_field_arith_examples(ctx5):
-    assert ctx5.add(3, 4) == 2
-    assert ctx5.mul(3, 4) == 2
-    assert ctx5.neg(0) == 0
-    assert ctx5.sub(1, 3) == 3
 
 
 def test_inverse_examples(ctx5, ctx):
@@ -68,35 +61,46 @@ def test_find_root_unsupported_order(ctx5):
         find_root_of_unity(ctx5, 3)
 
 
+def test_root_ladder(ctx5, ctx):
+    # roots[k] = generator**((p-1)/2^k), each the square of the next, and
+    # inv_roots holds their inverses; both are built once, uncounted
+    assert ctx5.roots == (1, 4, 2) and ctx5.inv_roots == (1, 4, 3)
+    p = ctx.p
+    assert len(ctx.roots) == len(ctx.inv_roots) == ctx.two_adicity + 1
+    for k, (w, wi) in enumerate(zip(ctx.roots, ctx.inv_roots)):
+        assert w == pow(ctx.generator, (p - 1) >> k, p)
+        assert w * wi % p == 1
+    assert FieldCtx(17).ops == OpCount()
+    assert find_root_of_unity(ctx, 1 << 20) == ctx.roots[20]
+
+
+# A length-2 transform is one butterfly: 1 mul and 2 add forward, plus the
+# 2 pow2 of the 1/2 pass inverse.  The counter tests drive ctx.ops with it.
+
 @given(st.integers(min_value=0, max_value=60))
 @settings(max_examples=30)
 def test_opcount_is_exact(k):
     ctx = FieldCtx()
     with ctx.count_session() as sess:
-        x = 3
         for _ in range(k):
-            x = ctx.mul(x, 7)
+            fft_in_place(ctx, [3, 7], 2)
     assert sess.mul == k
-    assert sess.add == 0 and sess.pow2 == 0
+    assert sess.add == 2 * k and sess.pow2 == 0
 
 
 def test_opcount_kinds(ctx):
     with ctx.count_session() as sess:
-        ctx.add(1, 2)
-        ctx.sub(1, 2)
-        ctx.neg(1)  # negation counts as an addition
-        ctx.mul_pow2(3, 2)
-        ctx.mul_pow2(3, ctx.half)
-    assert sess.add == 3
+        ifft_in_place(ctx, [3, 7], 2)
+    assert sess.add == 2
     assert sess.pow2 == 2
-    assert sess.mul == 0
+    assert sess.mul == 1
 
 
 def test_counts_monotone(ctx):
     with ctx.count_session() as sess:
         seen = []
         for _ in range(5):
-            ctx.mul(2, 2)
+            ifft_in_place(ctx, [2, 2], 2)
             ops = sess.ops
             seen.append((ops.mul, ops.pow2, ops.add))
     assert seen == sorted(seen)
@@ -105,14 +109,9 @@ def test_counts_monotone(ctx):
 
 def test_session_freezes_on_exit(ctx):
     with ctx.count_session() as sess:
-        ctx.mul(2, 3)
-    ctx.mul(2, 3)
+        fft_in_place(ctx, [2, 3], 2)
+    fft_in_place(ctx, [2, 3], 2)
     assert sess.mul == 1
-
-
-def test_pow_counted_matches_builtin(ctx):
-    for base, exp in [(3, 0), (3, 1), (7, 64), (7, 1000), (123456, 2**20)]:
-        assert ctx.pow_counted(base, exp) == pow(base, exp, ctx.p)
 
 
 def test_alloc_hook(ctx):
