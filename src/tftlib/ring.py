@@ -101,26 +101,39 @@ class CountSession:
         return self._ctx.scratch_allocated - self._start_alloc
 
 
-_prime_cache: dict[int, bool] = {}
+# The first 13 primes are a deterministic Miller-Rabin witness set for every
+# n below this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin to every base of _MR_BASES, for odd n > 41."""
+    r = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> r
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _is_prime(n: int) -> bool:
-    if n in _prime_cache:
-        return _prime_cache[n]
     if n < 2:
-        result = False
-    elif n < 4:
-        result = True
-    elif n % 2 == 0:
-        result = False
-    elif n < 10**12:
-        result = all(n % d for d in range(3, int(n**0.5) + 1, 2))
-    else:
-        from sympy import isprime  # only reached for very large moduli
+        return False
+    if any(n % q == 0 for q in _MR_BASES):
+        return n in _MR_BASES
+    if n < _MR_LIMIT:
+        return _strong_probable_prime(n)
+    from sympy import isprime  # only reached for very large moduli
 
-        result = bool(isprime(n))
-    _prime_cache[n] = result
-    return result
+    return bool(isprime(n))
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,18 @@ def naive_images(f, plan, p):
 def blocks_of(a, plan):
     return [a[plan.offset(i):plan.offset(i) + plan.size(i)]
             for i in range(1, plan.s + 1)]
+
+
+def break_doublings(plan):
+    """Block i is doubled once per earlier image, in both directions."""
+    return sum((i - 1) * plan.size(i) for i in range(2, plan.s + 1))
+
+
+def break_additions(plan):
+    """The fold's tails plus n_j >> (i-1-j) survivors of each image j < i."""
+    return (sum(plan.tail(i) for i in range(1, plan.s))
+            + sum(plan.size(j) >> (i - 1 - j)
+                  for i in range(2, plan.s + 1) for j in range(1, i)))
 
 
 def test_reduce_to_remainders_example(ctx5):
@@ -263,11 +276,10 @@ def test_cumulative_contribution_bounds(ctx, n):
 
 @pytest.mark.parametrize("sizes", [range(1, 601), (1000, 4096)])
 def test_break_doublings_are_nested(ctx, sizes):
-    # block i is doubled once per earlier image, in both directions
     p = ctx.p
     for n in sizes:
         plan = plan_new(n, ctx)
-        want = sum((i - 1) * plan.size(i) for i in range(2, plan.s + 1))
+        want = break_doublings(plan)
         assert want <= n - 1
         rng = random.Random(n)
         f = [rng.randrange(p) for _ in range(n)]
@@ -282,13 +294,10 @@ def test_break_doublings_are_nested(ctx, sizes):
 
 @pytest.mark.parametrize("sizes", [range(1, 601), (4095, 21845, 65535)])
 def test_break_additions_closed_form(ctx, sizes):
-    # the fold's tails plus n_j >> (i-1-j) survivors of each image j < i
     p = ctx.p
     for n in sizes:
         plan = plan_new(n, ctx)
-        want = sum(plan.tail(i) for i in range(1, plan.s))
-        want += sum(plan.size(j) >> (i - 1 - j)
-                    for i in range(2, plan.s + 1) for j in range(1, i))
+        want = break_additions(plan)
         rng = random.Random(n)
         a = [rng.randrange(p) for _ in range(n)]
         with ctx.count_session() as fwd:
@@ -296,6 +305,62 @@ def test_break_additions_closed_form(ctx, sizes):
         with ctx.count_session() as inv:
             unbreak_in_place(ctx, a, plan)
         assert (fwd.add, inv.add) == (want, want), n
+
+
+# runs of many short chunks, folded by strided sums: n_i > 1 (4098..4104,
+# 65538), several blocks with many runs per source image (4161 = 4096 + 64 + 1)
+# and a plan mixing both loop orders (4353 = 4096 + 256 + 1: 8 chunk pairs per
+# run into block 2, 128 into block 3)
+@pytest.mark.parametrize("n", [4097, 4098, 4100, 4104, 4161, 4353, 65538])
+def test_break_of_short_chunk_runs(ctx, n):
+    p = ctx.p
+    plan = plan_new(n, ctx)
+    rng = random.Random(n)
+    f = [rng.randrange(p) for _ in range(n)]
+    a = list(f)
+    with ctx.count_session() as fwd:
+        break_in_place(ctx, a, plan)
+    assert blocks_of(a, plan) == naive_images(f, plan, p)
+    with ctx.count_session() as inv:
+        unbreak_in_place(ctx, a, plan)
+    assert a == f
+    want = (0, break_doublings(plan), break_additions(plan))
+    assert (fwd.mul, fwd.pow2, fwd.add) == want
+    assert (inv.mul, inv.pow2, inv.add) == want
+
+
+@pytest.mark.parametrize("n", [4161, 65537])
+def test_break_and_unbreak_scratch_is_constant(ctx, n):
+    # the passes read sources through iterators: a slice or list temporary of
+    # the buffer would show in the peak (half of it is 262 kB at 65537)
+    p = ctx.p
+    plan = plan_new(n, ctx)
+    rng = random.Random(n)
+    tracemalloc.start()
+    try:
+        a = [rng.randrange(p) for _ in range(n)]
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        break_in_place(ctx, a, plan)
+        unbreak_in_place(ctx, a, plan)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - max(before, after) < 4096
+
+
+def test_sergeev_additions_at_power_of_two_plus_one(ctx):
+    # one butterfly, then one reconstructed term per halving: nothing is
+    # reconstructed before the first image exists
+    p = ctx.p
+    for k in range(1, 15):
+        n = (1 << k) + 1
+        plan = plan_new(n, ctx)
+        rng = random.Random(n)
+        a = [rng.randrange(p) for _ in range(n)]
+        with ctx.count_session() as sess:
+            sergeev_break(ctx, a, plan)
+        assert (sess.mul, sess.pow2, sess.add) == (0, 0, n + k), n
 
 
 @pytest.mark.parametrize("n", [65535, 21845, 65537])

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from tftlib import (DEFAULT_MODULUS, FieldCtx, OpCount, UnsupportedOrderError,
                     fft_in_place, find_root_of_unity, ifft_in_place)
+from tftlib.ring import _is_prime
 
 
 def test_default_field_constants(ctx):
@@ -119,3 +120,22 @@ def test_alloc_hook(ctx):
         buf = ctx.alloc(37)
     assert len(buf) == 37
     assert sess.alloc == 37
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 10**5
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for q in range(2, int(limit**0.5) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, limit, q)))
+    assert [n for n in range(limit) if _is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+# a Carmichael number, then strong pseudoprimes to base 2, to bases 2..7 and
+# to bases 2..37 (only base 41 exposes the last)
+@pytest.mark.parametrize("n", [561, 2047, 3215031751, 318665857834031151167461])
+def test_strong_pseudoprimes_rejected(n):
+    assert not _is_prime(n)
+    with pytest.raises(ValueError):
+        FieldCtx(n)
