@@ -16,10 +16,12 @@ Psi_i(Omega_s z) = -Omega_(i-1)^(n_i) * Phi_i(z).  So:
        so the twist is -e_i and the kernel takes its stage twiddles from
        the context's root ladder.
 
-When n = 2^k there is one block and Omega_s = 1, so the plain FFT is the
-whole transform.  Every step is invertible, which gives the inverse
-transform, and with it polynomial products of any target length n at a cost
-that grows smoothly in n instead of jumping at powers of two.
+At i = 1 the factor is 1/Omega_s, so Omega_s = omega_1**e_1 comes from the
+same twist, evaluated once per call as uncounted set-up.  When n = 2^k there
+is one block and Omega_s = 1, so the plain FFT is the whole transform.
+Every step is invertible, which gives the inverse transform, and with it
+polynomial products of any target length n at a cost that grows smoothly in
+n instead of jumping at powers of two.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ def _grid_twist(plan: Plan, i: int) -> int:
     return -sum(plan.size(i) // nl for nl in plan.sizes[i - 1:])
 
 
+def _grid_scale(plan: Plan, sign: int) -> int:
+    # Omega_s**sign = omega_1**(sign * e_1), since Omega_0/Omega_s = omega_1**(-e_1)
+    return pow(plan.roots[plan.exp(1) + 1], -sign * _grid_twist(plan, 1), plan.p)
+
+
 def brtft_forward(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     """In place, slot l <- f(omega**rev(l)) for l < n (rev over log2(N) bits)."""
     if len(a) != plan.n:
@@ -42,7 +49,7 @@ def brtft_forward(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     if plan.s == 1:
         fft_in_place(ctx, a, plan.n)
         return
-    scale_by_powers(ctx, a, plan.n, plan.partial(plan.s))
+    scale_by_powers(ctx, a, plan.n, _grid_scale(plan, 1))
     break_in_place(ctx, a, plan)
     for i in range(1, plan.s + 1):
         dwt(ctx, a, plan.size(i), _grid_twist(plan, i), plan.offset(i))
@@ -58,7 +65,7 @@ def brtft_inverse(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     for i in range(1, plan.s + 1):
         idwt(ctx, a, plan.size(i), _grid_twist(plan, i), plan.offset(i))
     unbreak_in_place(ctx, a, plan)
-    scale_by_powers(ctx, a, plan.n, ctx.inv(plan.partial(plan.s)))
+    scale_by_powers(ctx, a, plan.n, _grid_scale(plan, -1))
 
 
 def poly_degree(f: list[int], p: int) -> int:

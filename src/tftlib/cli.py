@@ -213,7 +213,7 @@ def selftest(ctx: FieldCtx, seed: int, out=None) -> int:
         crt_ok &= oracle.naive_mod_reduce(c3, 2, p - 1, p) == want
     report("combined-image example rows", crt_ok)
 
-    w8 = pow(ctx.generator, (p - 1) // 8, p)
+    w8 = ctx.roots[3]
     w2 = w8 * w8 % p
     kernel = [p - 1, 0, 0, (1 - w2) % p, p - 1, (1 + w2) % p]
     report("pruned grid kernel vector",

@@ -31,7 +31,9 @@ Three engines produce the image state:
 
 All three leave block i equal to f mod Phi_i in slots
 [offset(i), offset(i) + n_i); the engines are interchangeable and share one
-inverse.
+inverse.  They and the unbreak return residues congruent mod p, in [0, p)
+when the inputs are: ``new`` and ``sergeev`` leave slots [tail(1), n_1) of
+block 1 as passed, since reducing them would cost a full pass at 2^k + 1.
 
 The engines and the unbreak add buffer values before they reduce them.  For
 p > 2^62 a sum of two residues overflows an int64, so there they take Python

@@ -1,17 +1,17 @@
-"""Size decomposition and derived constants shared by every transform variant.
+"""Size decomposition shared by every transform variant.
 
 A length n is split along its binary expansion, n = n_1 + ... + n_s with
 n_1 > ... > n_s powers of two.  Block i covers slots
 [offset(i), offset(i) + n_i) of the working buffer and is associated with the
 modulus Phi_i = z^(n_i) + 1, whose canonical root omega_i has order 2*n_i.
-The cumulative products Omega_i = omega_1 * ... * omega_i drive the affine
-change of variable that turns the negacyclic block structure into the leading
-entries of a bit-reversed DFT.
+The plan holds no roots of its own: omega_i is ``roots[exp(i) + 1]`` on the
+field's ladder (``FieldCtx.roots``), which the plan references.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .bitops import bit_reverse
 from .ring import FieldCtx, find_root_of_unity
@@ -19,20 +19,16 @@ from .ring import FieldCtx, find_root_of_unity
 
 @dataclass(frozen=True)
 class Plan:
-    """Immutable description of one transform length over one field."""
+    """Immutable binary split of one transform length over one field."""
 
     p: int
     n: int
     N: int              # least power of two >= n
-    p_bits: int         # log2(N)
     s: int              # number of blocks
     sizes: tuple[int, ...]      # n_i, strictly decreasing powers of two
-    exps: tuple[int, ...]       # log2(n_i)
     offsets: tuple[int, ...]    # block start slots
     tails: tuple[int, ...]      # tails[i] = n_(i+1) + ... + n_s for i = 0..s
-    omega: int                  # principal N-th root of unity
-    block_roots: tuple[int, ...]  # omega_i, order 2*n_i, omega_i**n_i == -1
-    partials: tuple[int, ...]     # Omega_0..Omega_s cumulative products
+    roots: tuple[int, ...]      # the field's ladder: roots[k] has order 2^k
 
     # 1-based block accessors, matching the mathematical indexing ----------
 
@@ -40,7 +36,7 @@ class Plan:
         return self.sizes[i - 1]
 
     def exp(self, i: int) -> int:
-        return self.exps[i - 1]
+        return self.sizes[i - 1].bit_length() - 1
 
     def offset(self, i: int) -> int:
         return self.offsets[i - 1]
@@ -48,13 +44,6 @@ class Plan:
     def tail(self, i: int) -> int:
         """n_i^* = n_(i+1) + ... + n_s; tail(0) == n, tail(s) == 0."""
         return self.tails[i]
-
-    def block_root(self, i: int) -> int:
-        return self.block_roots[i - 1]
-
-    def partial(self, i: int) -> int:
-        """Omega_i for 0 <= i <= s (Omega_0 == 1)."""
-        return self.partials[i]
 
 
 def plan_new(n: int, ctx: FieldCtx) -> Plan:
@@ -66,39 +55,19 @@ def plan_new(n: int, ctx: FieldCtx) -> Plan:
     """
     if n < 1:
         raise ValueError(f"transform length must be positive, got {n}")
-    p = ctx.p
     sizes = tuple(1 << b for b in range(n.bit_length() - 1, -1, -1) if n >> b & 1)
-    s = len(sizes)
-    N = 1 << (n - 1).bit_length() if n > 1 else 1
     # raises UnsupportedOrderError when 2*n_1 exceeds the available 2-power
-    block_roots = tuple(find_root_of_unity(ctx, 2 * ni) for ni in sizes)
-    omega = find_root_of_unity(ctx, N)
-
-    exps = tuple(ni.bit_length() - 1 for ni in sizes)
-    offsets = []
-    acc = 0
-    for ni in sizes:
-        offsets.append(acc)
-        acc += ni
-    tails = tuple(n - off - ni for off, ni in zip(offsets, sizes))
-
-    partials = [1]
-    for w in block_roots:
-        partials.append(partials[-1] * w % p)
-
+    find_root_of_unity(ctx, 2 * sizes[0])
+    tails = tuple(n - c for c in accumulate(sizes, initial=0))
     return Plan(
-        p=p,
+        p=ctx.p,
         n=n,
-        N=N,
-        p_bits=N.bit_length() - 1,
-        s=s,
+        N=1 << (n - 1).bit_length() if n > 1 else 1,
+        s=len(sizes),
         sizes=sizes,
-        exps=exps,
-        offsets=tuple(offsets),
-        tails=(n,) + tails,
-        omega=omega,
-        block_roots=block_roots,
-        partials=tuple(partials),
+        offsets=tuple(n - t for t in tails[:-1]),
+        tails=tails,
+        roots=ctx.roots,
     )
 
 
@@ -110,14 +79,15 @@ def eval_points_cyclotomic(plan: Plan) -> tuple[int, ...]:
     the block with twist 1 produces them.  As a set this equals
     {omega**rev(k) : n_i <= k < 2*n_i, 1 <= i <= s} with rev over log2(N) bits.
     """
-    return tuple(pow(plan.block_root(i), 2 * bit_reverse(j, plan.exp(i)) + 1, plan.p)
+    return tuple(pow(plan.roots[plan.exp(i) + 1], 2 * bit_reverse(j, plan.exp(i)) + 1, plan.p)
                  for i in range(1, plan.s + 1) for j in range(plan.size(i)))
 
 
 def eval_points_bitreversed(plan: Plan) -> tuple[int, ...]:
     """The first n points of the bit-reversed DFT grid: omega**rev(l), l < n.
 
-    Slot l of block j is a root of Psi_j(z) = z^(n_j) - Omega_(j-1)^(n_j).
+    omega = ``roots[log2(N)]``.  Slot l of block j is a root of
+    Psi_j(z) = z^(n_j) - Omega_(j-1)^(n_j), Omega_j = omega_1 * ... * omega_j.
     """
-    return tuple(pow(plan.omega, bit_reverse(l, plan.p_bits), plan.p)
-                 for l in range(plan.n))
+    bits = plan.N.bit_length() - 1
+    return tuple(pow(plan.roots[bits], bit_reverse(l, bits), plan.p) for l in range(plan.n))

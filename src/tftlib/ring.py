@@ -9,8 +9,8 @@ multiplication.
 
 Setup work is deliberately uncounted: building the context's ladder of
 canonical roots ``roots[k] = generator^((p-1)/2^k)`` and its inverses (one
-root per power of two the field supports, log-sized), deriving the constants
-of a transform plan, or inverting a fixed constant uses plain modular
+root per power of two the field supports, log-sized), deriving the bridge's
+constant Omega_s from it, or inverting a fixed constant uses plain modular
 arithmetic.  Twiddle factors generated *inside* a transform's loops are part
 of the algorithm and are counted.
 """

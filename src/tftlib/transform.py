@@ -204,16 +204,16 @@ def ifft_in_place(ctx: FieldCtx, a: list[int], n: int, offset: int = 0) -> None:
     idwt(ctx, a, n, 0, offset)
 
 
-def scale_by_powers(ctx: FieldCtx, a: list[int], n: int, base: int, offset: int = 0) -> None:
-    """a[offset + k] *= base**k for k < n, powers generated sequentially.
+def scale_by_powers(ctx: FieldCtx, a: list[int], n: int, base: int) -> None:
+    """a[k] *= base**k for k < n, powers generated sequentially.
 
     2*(n - 1) counted multiplications; base**0 is applied as the identity.
     Every slot is loaded through ``int()``.
     """
     p = ctx.p
-    a[offset] = int(a[offset]) % p
+    a[0] = int(a[0]) % p
     pw = 1
-    for k in range(offset + 1, offset + n):
+    for k in range(1, n):
         pw = pw * base % p
         a[k] = int(a[k]) * pw % p
     if n > 1:

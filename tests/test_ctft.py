@@ -407,7 +407,8 @@ def test_forward_multiplications_are_butterflies_and_twiddles(ctx, n):
     a = [rng.randrange(p) for _ in range(n)]
     with ctx.count_session() as sess:
         ctft_forward(ctx, a, plan, "new")
-    assert sess.mul == sum(ni // 2 * e + ni - 1 - e for ni, e in zip(plan.sizes, plan.exps))
+    assert sess.mul == sum(plan.size(i) // 2 * plan.exp(i) + plan.size(i) - 1 - plan.exp(i)
+                           for i in range(1, plan.s + 1))
     assert sess.mul <= 0.5 * n * math.log2(n) + n
 
 

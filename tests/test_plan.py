@@ -1,12 +1,21 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tftlib import (FieldCtx, UnsupportedOrderError, eval_points_bitreversed,
+from tftlib import (FieldCtx, Plan, UnsupportedOrderError, eval_points_bitreversed,
                     eval_points_cyclotomic, plan_new)
 from tftlib.bitops import bit_reverse
+
+
+def _partials(ctx, plan):
+    """Omega_0..Omega_s, the cumulative products of the block roots, from the ladder."""
+    out = [1]
+    for i in range(1, plan.s + 1):
+        out.append(out[-1] * ctx.roots[plan.exp(i) + 1] % ctx.p)
+    return out
 
 
 def test_decomposition_examples(ctx):
@@ -36,20 +45,30 @@ def test_blocks_partition_the_buffer(n):
     assert covered == list(range(n))
     assert all(a > b for a, b in zip(plan.sizes, plan.sizes[1:]))
     assert plan.tail(0) == n and plan.tail(plan.s) == 0
+    assert all(1 << plan.exp(i) == plan.size(i) for i in range(1, plan.s + 1))
+
+
+def test_plan_holds_only_the_split(ctx):
+    assert tuple(f.name for f in dataclasses.fields(Plan)) == \
+        ("p", "n", "N", "s", "sizes", "offsets", "tails", "roots")
+    assert plan_new(86, ctx).roots is ctx.roots
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 86, 128, 255, 1000])
 def test_block_roots_are_phi_roots(ctx, n):
     plan = plan_new(n, ctx)
     p = ctx.p
+    pts = eval_points_cyclotomic(plan)
     for i in range(1, plan.s + 1):
-        wi = plan.block_root(i)
+        wi = ctx.roots[plan.exp(i) + 1]  # the canonical root of order 2*n_i
         assert pow(wi, plan.size(i), p) == p - 1  # root of z^(n_i) + 1
-        assert wi == ctx.roots[plan.exp(i) + 1]  # the canonical root of order 2*n_i
+        assert pts[plan.offset(i)] == wi  # slot 0 of block i is omega_i**1
     assert ctx.half * 2 % p == 1
-    assert pow(plan.omega, plan.N, p) == 1
+    omega = ctx.roots[plan.N.bit_length() - 1]
+    assert pow(omega, plan.N, p) == 1
     if plan.N > 1:
-        assert pow(plan.omega, plan.N // 2, p) == p - 1
+        assert pow(omega, plan.N // 2, p) == p - 1
+        assert eval_points_bitreversed(plan)[1] == p - 1  # omega**(N/2)
 
 
 @pytest.mark.parametrize("n", [3, 5, 86, 255, 257, 1000])
@@ -58,17 +77,21 @@ def test_affine_identity(ctx, n):
     p = ctx.p
     plan = plan_new(n, ctx)
     rng = random.Random(n)
-    big = plan.partial(plan.s)
+    partials = _partials(ctx, plan)
+    big = partials[plan.s]
+    # Omega_s = omega_1**e_1, e_1 = sum over l of n_1/n_l (the bridge's twist at i = 1)
+    e1 = sum(plan.size(1) // nl for nl in plan.sizes)
+    assert big == pow(ctx.roots[plan.exp(1) + 1], e1, p)
     for i in range(1, plan.s + 1):
         ni = plan.size(i)
-        om_prev = pow(plan.partial(i - 1), ni, p)
+        om_prev = pow(partials[i - 1], ni, p)
         for _ in range(5):
             z = rng.randrange(1, p)
             lhs = (pow(big * z % p, ni, p) - om_prev) % p
             rhs = -om_prev * (pow(z, ni, p) + 1) % p
             assert lhs == rhs
         # equivalent constant-term restatement
-        assert pow(big, ni, p) * pow(ctx.inv(plan.partial(i - 1)), ni, p) % p == p - 1
+        assert pow(big, ni, p) * pow(ctx.inv(partials[i - 1]), ni, p) % p == p - 1
 
 
 def test_eval_points_examples_f5(ctx5):
@@ -89,14 +112,15 @@ def test_cyclotomic_points_equal_pruned_grid_set(ctx, n):
     plan = plan_new(n, ctx)
     pts = eval_points_cyclotomic(plan)
     assert len(set(pts)) == n  # distinct
-    psi = plan.block_root(1) if plan.n == plan.N else None
+    bits = plan.N.bit_length() - 1
+    psi = ctx.roots[bits + 1] if plan.n == plan.N else None
     grid = set()
     for i in range(1, plan.s + 1):
         for k in range(plan.size(i), 2 * plan.size(i)):
             if psi is None:
-                grid.add(pow(plan.omega, bit_reverse(k, plan.p_bits), ctx.p))
+                grid.add(pow(ctx.roots[bits], bit_reverse(k, bits), ctx.p))
             else:
-                grid.add(pow(psi, bit_reverse(k, plan.p_bits + 1), ctx.p))
+                grid.add(pow(psi, bit_reverse(k, bits + 1), ctx.p))
     assert set(pts) == grid
 
 
@@ -107,8 +131,9 @@ def test_bitreversed_points_are_psi_roots(ctx, n):
     rev = eval_points_bitreversed(plan)
     assert len(set(rev)) == n
     assert rev[0] == 1
+    partials = _partials(ctx, plan)
     for i in range(1, plan.s + 1):
-        const = pow(plan.partial(i - 1), plan.size(i), p)
+        const = pow(partials[i - 1], plan.size(i), p)
         for l in range(plan.offset(i), plan.offset(i) + plan.size(i)):
             assert pow(rev[l], plan.size(i), p) == const  # Psi_i vanishes
 

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tftlib
 from tftlib import (DEFAULT_MODULUS, FieldCtx, OpCount, UnsupportedOrderError,
                     fft_in_place, find_root_of_unity, ifft_in_place)
 from tftlib.ring import _is_prime
@@ -139,3 +144,18 @@ def test_strong_pseudoprimes_rejected(n):
     assert not _is_prime(n)
     with pytest.raises(ValueError):
         FieldCtx(n)
+
+
+def test_fields_below_the_miller_rabin_bound_skip_sympy():
+    # a fresh interpreter: importing the library and building these fields
+    # must not load sympy, whose import would dominate the set-up time
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tftlib.__file__)))
+    code = ("import sys, tftlib\n"
+            "for p in (2013265921, 2305919975027638273, 9223372036836950017):\n"
+            "    tftlib.FieldCtx(p)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -27,7 +27,7 @@ def _cyclotomic_point(plan, slot: int) -> int:
     for i in range(1, plan.s + 1):
         j = slot - plan.offset(i)
         if 0 <= j < plan.size(i):
-            return pow(plan.block_root(i), 2 * _rev(j, plan.exp(i)) + 1, plan.p)
+            return pow(plan.roots[plan.exp(i) + 1], 2 * _rev(j, plan.exp(i)) + 1, plan.p)
     raise AssertionError(f"slot {slot} outside the plan")
 
 
@@ -46,8 +46,9 @@ def test_forward_transforms_at_random_slots(ctx, n):
             assert a[slot] == want, (engine, slot)
     a = list(f)
     brtft_forward(ctx, a, plan)
+    bits = plan.N.bit_length() - 1
     for slot in slots:
-        want = oracle.naive_eval(f, pow(plan.omega, _rev(slot, plan.p_bits), p), p)
+        want = oracle.naive_eval(f, pow(plan.roots[bits], _rev(slot, bits), p), p)
         assert a[slot] == want, ("brtft", slot)
 
 
