@@ -22,6 +22,18 @@ is one block and Omega_s = 1, so the plain FFT is the whole transform.
 Every step is invertible, which gives the inverse transform, and with it
 polynomial products of any target length n at a cost that grows smoothly in
 n instead of jumping at powers of two.
+
+Over p < 2^31, where a product of two residues fits an int64, products of
+length n >= _ROWS_MIN compute in int64 numpy rows (:mod:`tftlib._rows`):
+``multiply_full_fft``, and ``multiply_tft`` on both paths, the cyclotomic
+one with the ``new`` engine.  They return the same Python ints and add the
+same counted (mul, pow2, add) as the list code here, which stays the
+reference and the only path for p >= 2^31, for shorter products and for
+the ``sergeev`` and ``mateer`` engines.  The row form reports its numpy
+scratch through ``ctx.scratch_allocated``, at most 5N elements (N the padded
+length) on the padded path and 20N on the truncated ones; the list path
+reports none.  numpy and the row module load with the first product that
+takes them, not with ``import tftlib``.
 """
 
 from __future__ import annotations
@@ -30,6 +42,24 @@ from .ctft import ENGINES, break_in_place, ctft_forward, ctft_inverse, unbreak_i
 from .plan import Plan, plan_new
 from .ring import FieldCtx
 from .transform import dwt, fft_in_place, idwt, ifft_in_place, scale_by_powers
+
+# From this product length on, over p < 2^31, products compute in int64 rows
+# (tftlib._rows).  Measured: the least n from which, at every 2^k - 1, 2^k and
+# 2^k + 1, every path's row form was no slower than its list form (at 31..33
+# the cyclotomic rows took 1.07-1.12x the list time, from 63 on at most 0.82x).
+_ROWS_MIN = 63
+_rows = None  # tftlib._rows, bound once, by the first product that takes it
+
+
+def _row_form(ctx: FieldCtx, n: int):
+    """The row module if a product of length n over ctx computes in rows, else None."""
+    global _rows
+    if n < _ROWS_MIN or ctx.p >> 31:
+        return None
+    if _rows is None:
+        from . import _rows as rows
+        _rows = rows
+    return _rows
 
 
 def _grid_twist(plan: Plan, i: int) -> int:
@@ -89,6 +119,9 @@ def multiply_full_fft(ctx: FieldCtx, f: list[int], g: list[int]) -> list[int]:
         return [0]
     d = df + dg
     size = 1 << d.bit_length() if d else 1  # least power of two > d
+    rows = _row_form(ctx, d + 1)
+    if rows is not None:
+        return rows.multiply_full_fft(ctx, f[:df + 1], g[:dg + 1], size)
     fa = [int(c) % p for c in f[:df + 1]] + [0] * (size - df - 1)
     ga = [int(c) % p for c in g[:dg + 1]] + [0] * (size - dg - 1)
     fft_in_place(ctx, fa, size)
@@ -126,6 +159,9 @@ def multiply_tft(ctx: FieldCtx, f: list[int], g: list[int],
     if n & (n - 1) == 0:
         return multiply_full_fft(ctx, f, g)
     plan = plan_new(n, ctx)
+    rows = _row_form(ctx, n) if path == "bitreversed" or engine == "new" else None
+    if rows is not None:
+        return rows.multiply_tft(ctx, f[:df + 1], g[:dg + 1], plan, path)
     fa = [int(c) % p for c in f[:df + 1]] + [0] * (n - df - 1)
     ga = [int(c) % p for c in g[:dg + 1]] + [0] * (n - dg - 1)
     if path == "cyclotomic":

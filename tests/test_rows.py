@@ -1,0 +1,140 @@
+"""Products in int64 rows, checked against the list transforms.
+
+Over p < 2^31, every product of length n >= ``bridge._ROWS_MIN`` computes in
+int64 rows.  Each product here is compared with a reference composed from
+the public list functions: the forward transforms of both operands, a
+pointwise product and the inverse transform.  The outputs must be equal, and
+so must the (mul, pow2, add) each adds, the reference's pointwise product
+counting one multiplication per slot as the list path does.
+"""
+
+import os
+import random
+import subprocess
+import sys
+
+import pytest
+
+import tftlib
+from tftlib import (FieldCtx, brtft_forward, brtft_inverse, ctft_forward,
+                    ctft_inverse, fft_in_place, ifft_in_place,
+                    multiply_full_fft, multiply_tft, oracle, plan_new)
+from tftlib.bridge import _ROWS_MIN
+
+PRIMES = (2013265921, 998244353)
+PATHS = ("padded", "cyclotomic", "bitreversed")
+LENGTHS = sorted({_ROWS_MIN - 1, _ROWS_MIN, _ROWS_MIN + 1, 1365, 5461}
+                 | {2**k + d for k in range(6, 13) for d in (-1, 0, 1)})
+# bound stated in the tftlib._rows docstring, in elements per padded slot
+ALLOC_PER_SLOT = {"padded": 5, "cyclotomic": 20, "bitreversed": 20}
+
+
+@pytest.fixture(scope="module", params=PRIMES)
+def field(request):
+    return FieldCtx(request.param)
+
+
+def _operands(p: int, n: int, seed: int) -> tuple[list[int], list[int]]:
+    """Two polynomials, nonzero leading coefficients, whose product has length n."""
+    rng = random.Random(seed)
+    la = rng.randint(1, n)
+    f = [rng.randrange(p) for _ in range(la - 1)] + [rng.randrange(1, p)]
+    g = [rng.randrange(p) for _ in range(n - la)] + [rng.randrange(1, p)]
+    return f, g
+
+
+def _product(ctx, f, g, path):
+    if path == "padded":
+        return multiply_full_fft(ctx, f, g)
+    return multiply_tft(ctx, f, g, path)
+
+
+def _reference(ctx, f, g, path):
+    """The product by the list transforms, and the counts it adds."""
+    p = ctx.p
+    n = len(f) + len(g) - 1
+    if path == "padded" or n & (n - 1) == 0:
+        size = 1 << (n - 1).bit_length()
+        forward = lambda a: fft_in_place(ctx, a, size)
+        inverse = lambda a: ifft_in_place(ctx, a, size)
+    else:
+        size = n
+        plan = plan_new(n, ctx)
+        if path == "cyclotomic":
+            forward = lambda a: ctft_forward(ctx, a, plan)
+            inverse = lambda a: ctft_inverse(ctx, a, plan)
+        else:
+            forward = lambda a: brtft_forward(ctx, a, plan)
+            inverse = lambda a: brtft_inverse(ctx, a, plan)
+    fa = f + [0] * (size - len(f))
+    ga = g + [0] * (size - len(g))
+    with ctx.count_session() as sess:
+        forward(fa)
+        forward(ga)
+        h = [x * y % p for x, y in zip(fa, ga)]
+        inverse(h)
+    return h[:n], (sess.mul + size, sess.pow2, sess.add)
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("n", LENGTHS)
+def test_rows_equal_the_list_composition(field, n, path):
+    f, g = _operands(field.p, n, n)
+    want, counts = _reference(field, f, g, path)
+    with field.count_session() as sess:
+        h = _product(field, f, g, path)
+    assert h == want
+    assert all(type(x) is int for x in h)
+    assert (sess.mul, sess.pow2, sess.add) == counts
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_fields_above_2_31_stay_correct(path):
+    ctx = FieldCtx(2305919975027638273)
+    f, g = _operands(ctx.p, 2 * _ROWS_MIN + 1, 5)
+    assert _product(ctx, f, g, path) == oracle.schoolbook_mul(f, g, ctx.p)
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("n", [_ROWS_MIN, 255, 1023, 1025, 4095, 5461])
+def test_row_scratch_is_reported_and_bounded(ctx, n, path):
+    f, g = _operands(ctx.p, n, 2 * n)
+    with ctx.count_session() as sess:
+        _product(ctx, f, g, path)
+    padded = 1 << (n - 1).bit_length()
+    assert 0 < sess.alloc <= ALLOC_PER_SLOT[path] * padded
+
+
+def _run(code: str) -> str:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tftlib.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_short_products_load_neither_numpy_nor_the_rows():
+    # a fresh interpreter: the import, the field and a product below the
+    # crossover take the list path and leave numpy unloaded
+    code = ("import sys, tftlib\n"
+            "ctx = tftlib.FieldCtx()\n"
+            "n = tftlib.bridge._ROWS_MIN - 1\n"
+            "tftlib.multiply_tft(ctx, [1] * (n // 2), [2] * (n - n // 2 + 1))\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'numpy' or m == 'tftlib._rows'))")
+    assert _run(code) == "[]"
+
+
+def test_the_rows_load_once():
+    # the bridge keeps the row module it loaded: after the package leaves
+    # sys.modules (as when it is imported afresh), its products import nothing
+    code = ("import sys, tftlib\n"
+            "ctx = tftlib.FieldCtx()\n"
+            "f, g = [1] * 100, [2] * 100\n"
+            "multiply = tftlib.multiply_tft\n"
+            "want = multiply(ctx, f, g)\n"
+            "for m in [m for m in sys.modules if m.split('.')[0] == 'tftlib']:\n"
+            "    del sys.modules[m]\n"
+            "print(multiply(ctx, f, g) == want,\n"
+            "      sorted(m for m in sys.modules if m.split('.')[0] == 'tftlib'))")
+    assert _run(code) == "True []"

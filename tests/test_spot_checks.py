@@ -14,6 +14,8 @@ from tftlib import (ENGINES, brtft_forward, brtft_inverse, ctft_forward,
                     ctft_inverse, multiply_full_fft, multiply_tft, plan_new)
 from tftlib import oracle
 
+from test_rows import _product, _reference
+
 SIZES = [4095, 4097, 16383, 16385]
 SLOTS = 8
 
@@ -87,3 +89,25 @@ def test_products_at_random_points(ctx, n):
         for x in points:
             want = oracle.naive_eval(f, x, p) * oracle.naive_eval(g, x, p) % p
             assert oracle.naive_eval(h, x, p) == want, (name, x)
+
+
+@pytest.mark.parametrize("n", [2**16 + 1, 2**19 + 2**9 + 1])
+def test_products_at_scale_at_random_points(ctx, n):
+    # the row products at sizes the list path makes slow
+    test_products_at_random_points(ctx, n)
+
+
+@pytest.mark.parametrize("n", [2**16 - 1, 2**16 + 1])
+def test_row_products_equal_the_list_composition(ctx, n):
+    # products of this length compute in int64 rows; the reference composes
+    # the list transforms (tests/test_rows.py)
+    p = ctx.p
+    rng = random.Random(30 * n)
+    f = [rng.randrange(1, p) for _ in range(n // 2)]
+    g = [rng.randrange(1, p) for _ in range(n + 1 - len(f))]
+    for path in ("padded", "cyclotomic", "bitreversed"):
+        want, counts = _reference(ctx, f, g, path)
+        with ctx.count_session() as sess:
+            h = _product(ctx, f, g, path)
+        assert h == want, path
+        assert (sess.mul, sess.pow2, sess.add) == counts, path
