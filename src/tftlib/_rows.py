@@ -13,41 +13,51 @@ The two operands are the columns of an (n, 2) buffer, so a product's
 forward transforms are one set of operations.  The block transform takes
 one set per butterfly stage over every block at once: blocks are contiguous
 and aligned, so at half-length u the blocks with n_i >= 2u are a prefix of
-the buffer that reshapes to (rows, 2, u, 2).  Each row's twiddle is its
-block's first stage twiddle times an entry of one bit-reversed base row,
-gathered from the powers of omega_N.  The ``new`` break and its inverse
-fold each block from all its survivor runs in one gather, reshaped into n_i
-chunks and summed by one matrix product with the weights +-2^(i-1-j): the
-Horner doublings and the chunk signs are one operation.  Block 2's run is
-[0, n_1), so at n = 2^k + 1, where that run holds n_1 / 2 chunk pairs of one
-slot, the sum runs over a slice of the buffer with no gather.  The
-bit-reversed path's Omega_s scaling is a row of powers of omega_N.
+the buffer that reshapes to (rows, 2, u, 2).  Each row's twiddle is a power
+of omega_N, N the padded length.  The powers, the bit-reversed base rows
+and their twist-1 octaves are tables of the field and N, built by the first
+product of padded length N over a context and kept on it
+(``ctx.row_tables``, one entry per power of two); a product slices them, or
+gathers the rows of stages whose blocks do not halve one into the next.
+
+The ``new`` break and its inverse run as a Horner carry.  After phase 1
+block i holds the remainder r_i, and since Phi_l = 2 mod Phi_i for l < i,
+the image is f_i = S_i mod Phi_i with S_i = sum over j <= i of 2^(j-1) r_j.
+The carry C = S_(i-1) mod (z^(2 n_i) - 1), halves C_lo and C_hi, gives
+f_i = C_lo - C_hi + 2^(i-1) r_i, and S_i mod (z^(n_i) - 1) =
+C_lo + C_hi + 2^(i-1) r_i, whose n_i / 2 n_(i+1) chunks sum to the next
+carry.  The unbreak walks the same way, r_i = 2^(1-i) (f_i - C_lo + C_hi)
+with the same carries, so each block costs a few operations on contiguous
+slices, and none of them depends on where the survivors of the list path's
+contribution pass lie.  The bit-reversed path's Omega_s scaling is a row of
+powers of omega_N.
 
 The element work differs from the tallies.  The rows reduce lazily between
 stages (Harvey 2014) and fully at the ends, take every twiddle from the
-base row instead of generating it, and fold survivor chunks by a weighted
-sum instead of doubling whole blocks.  None of this is counted: each
-product adds to ``ctx.ops`` exactly the (mul, pow2, add) that the list path
-adds for the same call, in closed form, so the two paths cannot disagree on
-them.
+tables instead of generating it, and carry the break instead of folding
+survivor runs.  None of this is counted: each product adds to ``ctx.ops``
+exactly the (mul, pow2, add) that the list path adds for the same call, in
+closed form from the plan, so the two paths cannot disagree on them.
 
 Scratch is reported.  Every array this module takes besides the int64
 copies of the operands and of the product, which stand in for the list
-path's own lists, is added to ``ctx.scratch_allocated``: the powers of
-omega_N, the base and twiddle rows, one work buffer of 3n elements for the
-stages' products and quotients, the power rows, the gather index, the
-chunk weights, the gathered runs and their sums.  A product of padded
-length N reports at most 5N elements on the padded path and at most 20N on
-the truncated ones (``tests/test_rows.py``).
+path's own lists, is added to ``ctx.scratch_allocated``: each table once,
+when it is built, and per product one work buffer of 2n elements for the
+stages' products and quotients, the gathered twiddle rows, the power rows
+and the carries.  A product of padded length N reports at most 5N elements
+on the padded path, 11N on the cyclotomic one and 15N on the bit-reversed
+one, tables included; a product whose tables exist reports less
+(``tests/test_rows.py``).
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
 from .plan import Plan
 from .ring import FieldCtx, UnsupportedOrderError
-from .transform import _stage_start
 
 # from this many elements, x - (x // p) * p beats np.remainder (measured)
 _DIVIDE_MIN = 1024
@@ -124,6 +134,27 @@ def _bit_reversal(bits: int) -> np.ndarray:
     return np.add.outer(rows(bits - a), rows(a) << (bits - a)).ravel()
 
 
+def _tables(ctx: FieldCtx, N: int, work: np.ndarray) -> tuple:
+    """The tables of padded length N over ctx, built and reported once.
+
+    ``powers`` holds omega_N**j for j < N; ``base`` holds the forward and
+    inverse base rows omega_N**(+-rev(r)) for r < N/2, rev over log2(N/2)
+    bits; ``octaves`` holds base[:, m:2m] for m from N/4 down to 1, the
+    octave of m at N/2 - 2m.  rev itself is not kept: with it the tables
+    and the 2N work buffer would pass the padded product's 5N bound.
+    """
+    tables = ctx.row_tables.get(N)
+    if tables is None:
+        powers = _unit_powers(ctx, N, work)
+        rev = _bit_reversal(N.bit_length() - 2)
+        base = _counted(ctx, powers.take(np.stack((rev, -rev & (N - 1)))))
+        half = N // 2
+        octaves = _counted(ctx, np.concatenate(
+            [base[:, m:2 * m] for m in (half >> e for e in range(1, half.bit_length()))], axis=1))
+        tables = ctx.row_tables[N] = (powers, base, octaves)
+    return tables
+
+
 def _start_muls(twist: int, stages: int) -> int:
     """The multiplications :func:`tftlib.transform._stage_start` counts for
     the first twiddles omega_(2^k)**twist, k = 2..stages + 1, of one block:
@@ -140,81 +171,61 @@ def _start_muls(twist: int, stages: int) -> int:
     return muls
 
 
-def _twiddles(ctx: FieldCtx, sizes, powers: np.ndarray, work: np.ndarray, twist: int,
-              grid: list | None = None) -> tuple:
-    """Every stage's row twiddles, forward and inverse, from bit-reversed base rows.
+def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int, grid: list | None = None
+              ) -> tuple:
+    """Every stage's row twiddles, forward and inverse, from the tables of N.
 
     Blocks of ``sizes`` take ``twist`` (0 or 1), or the bit-reversed path's
-    twists ``grid`` (:func:`tftlib.bridge._grid_twist`); ``powers`` holds
-    omega_N**j for j < N, the padded length.  At half-length u, row q of
-    block i (m = n_i / 2u rows, n_i = 2^(k-1) u) takes
+    twists ``grid`` (:func:`tftlib.bridge._grid_twist`).  At half-length u,
+    row q of block i (m = n_i / 2u rows, n_i = 2^(k-1) u) takes
     c * omega_(2^(k-1))**rev(q), where c = omega_(2^k)**twist is its first
-    twiddle (:func:`tftlib.transform._stage_start`).  The base row, gathered
-    from ``powers``, holds omega_N**rev(r) for r < N/2, rev over log2(N/2)
-    bits.  Its entry q is omega_(2m)**rev(q) for q < m, so twist 0 reads
-    base[q]; its entry m + q is omega_(4m)**(2 rev(q) + 1), which twist 1
-    reads: the octave [m, 2m) of the base row.  The blocks of a stage have
-    distinct m, so with the octaves stored largest first, a stage whose m
-    halve from block to block (every stage, when n is 2^k - 1 or 2^k + 1)
-    reads one slice; the other stages share one gather.  On the bit-reversed
-    path the twiddle of every block's row is that of the padded transform of
-    f at the row's place r in the stage, scaled by Omega_s^-u, since the
-    blocks hold f(Omega_s z): base[r] * Omega_s^-u.  Returns the (forward,
-    inverse) rows by log2(u), the stage starts' counted multiplications for
-    one transform, and the 1/n_i of every slot.
+    twiddle (:func:`tftlib.transform._stage_start`).  Entry q of the base
+    row is omega_(2m)**rev(q) for q < m, so twist 0 reads base[q]; its entry
+    m + q is omega_(4m)**(2 rev(q) + 1), which twist 1 reads: the octave
+    [m, 2m) of the base row.  The blocks of a stage have distinct m, so a
+    stage whose m halve from block to block (every stage, when n is 2^k - 1
+    or 2^k + 1) reads one slice of the octaves; the others concatenate their
+    blocks' octaves.  On the bit-reversed path the twiddle of every block's
+    row is that of the padded transform of f at the row's place r in the
+    stage, scaled by Omega_s^-u = omega_N**(-e u), since the blocks hold
+    f(Omega_s z): the powers of omega_N at +-(rev(r) - e u), one gather for
+    all stages.  Returns the (forward, inverse) rows by log2(u), the stage
+    starts' counted multiplications for one transform, and the 1/n_i of
+    every slot.
     """
     p = ctx.p
+    powers, base, octaves = tables
     active = [ni for ni in sizes if ni > 1]
-    n1 = active[0]
-    N = len(powers)
-    rev = _bit_reversal(N.bit_length() - 2)
-    base = _counted(ctx, powers.take(np.stack((rev, -rev & (N - 1)))))
-    half = N // 2
-    octaves = None  # base[:, m:2m] at half - 2m, m from half / 2 down to 1
-    rows_at = {}
-    starts, lengths = [], []
-    at = 0
-    for st in range(n1.bit_length() - 2, -1, -1):
-        ms = [ni >> (st + 1) for ni in active if ni >> st > 1]
-        width = sum(ms)
-        if grid is not None or not twist:
-            rows_at[st] = base[:, :width]
-        elif len(ms) == 1:
-            rows_at[st] = base[:, width:2 * width]
-        elif width == 2 * ms[0] - ms[-1]:  # m halves from block to block
-            if octaves is None:
-                octaves = _counted(ctx, np.concatenate(
-                    [base[:, m:2 * m] for m in (half >> e for e in range(1, half.bit_length()))],
-                    axis=1))
-            rows_at[st] = octaves[:, half - 2 * ms[0]:half - 2 * ms[0] + width]
-        else:
-            starts += ms
-            lengths += ms
-            rows_at[st] = (at, width)
-            at += width
+    half = base.shape[1]
+    stage_ms = [[ni >> (st + 1) for ni in active if ni >> st > 1]
+                for st in range(active[0].bit_length() - 1)]
     starts_mul = 0
     if grid is not None:
-        e = -grid[0]  # Omega_s = omega_N**e
-        scales = [[int(powers[-e & (N - 1)]), int(powers[e & (N - 1)])]]  # Omega_s^-u, u = 1 first
-        for _ in range(len(rows_at) - 1):
-            scales.append([x * x % p for x in scales[-1]])
-        spans = [rows_at[st].shape[1] for st in range(len(rows_at))]
-        rows = _counted(ctx, np.concatenate([rows_at[st] for st in range(len(rows_at))], axis=1))
-        rows *= np.repeat(np.array(scales, np.int64).T, spans, axis=1)
-        _mod(ctx, rows, work)
-        at = 0
-        for st, span in enumerate(spans):
-            rows_at[st] = rows[:, at:at + span]
-            at += span
+        N = 2 * half
+        e = -grid[0] % N  # Omega_s = omega_N**e
+        widths = [sum(ms) for ms in stage_ms]
+        rev = _counted(ctx, _bit_reversal(half.bit_length() - 1))
+        exps = _counted(ctx, np.concatenate([rev[:w] - (e << st) for st, w in enumerate(widths)]))
+        rows = _scratch(ctx, (2, len(exps)))
+        for sign in range(2):
+            if sign:
+                np.negative(exps, out=exps)
+            exps &= N - 1
+            powers.take(exps, out=rows[sign])
+        rows_at = [rows[:, at - w:at] for w, at in zip(widths, accumulate(widths))]
         for ni, tw in zip(sizes, grid):
             starts_mul += _start_muls(tw, ni.bit_length() - 1)
-    elif at:
-        offsets = np.cumsum(lengths) - lengths
-        idx = _counted(ctx, np.repeat(np.array(starts) - offsets, lengths) + np.arange(at))
-        rows = _counted(ctx, base.take(idx, axis=1))
-        for st, span in rows_at.items():
-            if type(span) is tuple:
-                rows_at[st] = rows[:, span[0]:span[0] + span[1]]
+    elif not twist:
+        rows_at = [base[:, :sum(ms)] for ms in stage_ms]
+    else:
+        rows_at = []
+        for ms in stage_ms:
+            width = sum(ms)
+            if width == 2 * ms[0] - ms[-1]:  # m halves from block to block
+                rows_at.append(octaves[:, half - 2 * ms[0]:half - 2 * ms[0] + width])
+            else:
+                rows_at.append(_counted(ctx, np.concatenate([base[:, m:2 * m] for m in ms],
+                                                            axis=1)))
     inv_n = [p - (p - 1) // ni for ni in active]
     scale = inv_n[0] if len(active) == 1 else _counted(
         ctx, np.repeat(np.array(inv_n, np.int64), active))
@@ -269,11 +280,11 @@ def _transform(ctx: FieldCtx, a: np.ndarray, sizes, twiddles, work: np.ndarray,
             np.subtract(x, t, out=y)
             np.add(x, t, out=x)
             if done % 2 == 0 or done == stages:
-                _mod(ctx, a[:width], quot)
+                _mod(ctx, a[:width], work)
     if inverse:
         head = a[:span]
         np.multiply(head, scale if type(scale) is int else scale[:, None], out=head)
-        _mod(ctx, head, quot)
+        _mod(ctx, head, work)
     ctx.ops.mul += k * starts_mul
     for ni in active:
         st = ni.bit_length() - 1
@@ -283,143 +294,125 @@ def _transform(ctx: FieldCtx, a: np.ndarray, sizes, twiddles, work: np.ndarray,
             ctx.ops.pow2 += k * ni
 
 
-def _folds(ctx: FieldCtx, plan: Plan) -> tuple:
-    """The survivor runs of every block i >= 2, and the block itself, as one
-    gather, with each chunk's forward and inverse weight.
+def _break_counts(plan: Plan) -> tuple[int, int]:
+    """The (add, pow2) that :func:`tftlib.ctft.break_in_place` counts over
+    plan, and :func:`tftlib.ctft.unbreak_in_place` too: phase 1's tail(i)
+    subtractions, then for each block i >= 2 n_(i-1) additions per survivor
+    run of every image j < i, and (i - 1) n_i doublings.
 
-    A run of n_(i-1) exponents of image j < i starts at mask | y (see
-    :func:`tftlib.ctft._contribution_pass`) and splits into n_i chunks of
-    sign +, -, +, ...; its chunks weigh +-2^(i-1-j).  The block comes last,
-    weighing 2^(i-1) forward.  The inverse weights negate the runs' and give
-    the block weight 1.  When n has no 0 bit from log2(n_(i-1)) up to
-    log2(n_j), which holds for the j nearest i, image j has one run, at
-    offset(i) - n_j; the other images have one run per subset of those 0
-    bits.  Block 2 gathers a slice of the buffer, its one run [0, n_1) and
-    itself; the later blocks share one index.  Returns per block its source
-    (the slice or its part of the index) and its forward and inverse chunk
-    weights, then the index length and the break's counted additions and
-    doublings.
+    Image j has one run per subset of the free bits (see
+    :func:`tftlib.ctft._contribution_pass`): the 0 bits of n between
+    log2(n_(i-1)) and log2(n_j), of which there are
+    log2(n_j) - log2(n_(i-1)) - (i - 1 - j).  So its runs add
+    n_(i-1) 2^(that) = n_j 2^j / 2^(i-1), and block i adds
+    (sum over j < i of n_j 2^j) / 2^(i-1).
     """
-    sizes, offsets, tails = plan.sizes, plan.offsets, plan.tails
-    s = plan.s
-    weights, chunks, starts, lengths, shape = [], [], [], [], []
-    adds = sum(tails[1:s])
-    for i in range(2, s + 1):
-        ni = sizes[i - 1]
-        run = sizes[i - 2]
-        # images dense..i-1 have one run each: the blocks within the run of 1
-        # bits of n that starts at log2(n_(i-1))
-        high = plan.n >> (run.bit_length() - 1)
-        dense = max(1, i + 1 - (high ^ (high + 1)).bit_length())
-        at = [offsets[i - 1] - nj for nj in sizes[dense - 1:i - 1]]
-        w = [1 << (i - 1 - j) for j in range(dense, i)]
-        for j in range(1, dense):  # one run per subset y of the free bits
-            mask = tails[j] - tails[i - 1]
-            free = (sizes[j - 1] - run) & ~mask
-            y = 0
-            while True:
-                at.append(offsets[j - 1] + (mask | y))
-                w.append(1 << (i - 1 - j))
-                y = (y - free) & free
-                if not y:
-                    break
-        runs = len(at)
-        # block i's chunks start at an even place iff i is even; signs alternate
-        sign = 1 if i % 2 == 0 else -1
-        weights += [sign * x for x in w] + [sign << (i - 1)]
-        chunks += [run // ni] * runs + [1]
-        if i > 2:
-            starts += at + [offsets[i - 1]]
-            lengths += [run] * runs + [ni]
-        shape.append((runs * run + ni, runs * (run // ni) + 1))
-        adds += runs * run
-    forward = _counted(ctx, np.repeat(np.array(weights, np.int64), chunks))
-    forward[1::2] *= -1
-    inverse = _counted(ctx, -forward)
-    total = 0
-    if starts:
-        lengths = np.array(lengths, np.int64)
-        total = int(lengths.sum())
-        idx = _counted(ctx, np.repeat(np.array(starts, np.int64) - (np.cumsum(lengths) - lengths),
-                                      lengths) + np.arange(total))
-    blocks = []
-    at = chunk_at = 0
-    for i, (size, c) in enumerate(shape, 2):
-        if i == 2:
-            source = slice(0, size)
-        else:
-            source = idx[at:at + size]
-            at += size
-        chunk_at += c
-        inverse[chunk_at - 1] = 1
-        blocks.append((source, forward[chunk_at - c:chunk_at], inverse[chunk_at - c:chunk_at]))
-    doublings = sum((i - 1) * sizes[i - 1] for i in range(2, s + 1))
-    return blocks, total, adds, doublings
+    sizes = plan.sizes
+    adds = sum(plan.tails[1:plan.s])
+    pow2 = weighted = 0
+    for i in range(2, plan.s + 1):
+        weighted += sizes[i - 2] << (i - 2)
+        adds += weighted >> (i - 2)
+        pow2 += (i - 1) * sizes[i - 1]
+    return adds, pow2
 
 
-def _gather(a: np.ndarray, source, ni: int) -> np.ndarray:
-    """The chunks of a fold, (chunks, n_i * columns): a view of a slice or a take."""
-    src = a[source] if type(source) is slice else a.take(source, axis=0)
-    return src.reshape(-1, ni * a.shape[1])
+def _block_powers(ctx: FieldCtx, plan: Plan, base: int):
+    """base**(i-1) mod p for the slots of blocks 2..s: a scalar for two blocks."""
+    if plan.s == 2:
+        return base
+    powers = [pow(base, i, ctx.p) for i in range(1, plan.s)]
+    return _counted(ctx, np.repeat(np.array(powers, np.int64), plan.sizes[1:]))[:, None]
 
 
-def _break(ctx: FieldCtx, a: np.ndarray, plan: Plan, folds, work: np.ndarray) -> None:
-    """:func:`tftlib.ctft.break_in_place` on every column of a.
+def _fold(d: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
+    """d mod (z^width - 1): d itself, or its chunks of ``width`` rows summed into out."""
+    if len(d) == width:
+        return d
+    return np.sum(d.reshape(-1, width, d.shape[1]), axis=0, out=out[:width])
+
+
+def _break(ctx: FieldCtx, a: np.ndarray, plan: Plan, counts: tuple, work: np.ndarray) -> None:
+    """:func:`tftlib.ctft.break_in_place` on every column of a, by the carry.
 
     The remainders' subtractions read the original later blocks, so they
-    run first, unreduced; then, block after block, each image is its
-    weighted gather.
+    run first, unreduced, and every remainder then takes its 2^(i-1) at
+    once.  Block 1 is r_1 = f_1 and the first S mod (z^(n_1) - 1); from it
+    each block takes the carry down, the image left in place unreduced and
+    the next S in a buffer, reduced so that its chunks sum within int64.
+    The images are reduced together at the end.
     """
-    p = ctx.p
     n, k = a.shape
     sizes, offsets, tails = plan.sizes, plan.offsets, plan.tails
-    for i in range(1, plan.s):
+    s = plan.s
+    for i in range(1, s):
         o = offsets[i - 1]
         blk = a[o:o + tails[i]]
         np.subtract(blk, a[o + sizes[i - 1]:n], out=blk)
     _mod(ctx, a[:tails[1]], work)
-    blocks, gathered, adds, doublings = folds
-    sums = _scratch(ctx, sizes[1] * k)
-    for i, (source, forward, _) in enumerate(blocks, 2):
+    rest = a[sizes[0]:]  # r_i in (-p, p), times 2^(i-1) within (-p^2, p^2)
+    np.multiply(rest, _block_powers(ctx, plan, 2), out=rest)
+    n2 = sizes[1]
+    carry = _scratch(ctx, (2 * n2, k))
+    nxt = _scratch(ctx, (n2, k))
+    c = _fold(a[:sizes[0]], 2 * n2, carry)
+    for i in range(2, s + 1):
         o = offsets[i - 1]
         ni = sizes[i - 1]
-        np.matmul(forward, _gather(a, source, ni), out=sums[:ni * k])
-        np.remainder(sums[:ni * k].reshape(ni, k), p, out=a[o:o + ni])
-    ctx.scratch_allocated += k * gathered
-    ctx.ops.add += k * adds
-    ctx.ops.pow2 += k * doublings
+        blk = a[o:o + ni]
+        lo = c[:ni]
+        hi = c[ni:]
+        d = np.add(blk, lo, out=nxt[:ni])  # lo may share nxt: read by now
+        np.subtract(d, hi, out=blk)
+        if i < s:
+            d += hi
+            c = _fold(_mod(ctx, d, work), 2 * sizes[i], carry)
+    _mod(ctx, rest, work)
+    ctx.ops.add += k * counts[0]
+    ctx.ops.pow2 += k * counts[1]
 
 
-def _unbreak(ctx: FieldCtx, a: np.ndarray, plan: Plan, folds, work: np.ndarray) -> None:
-    """:func:`tftlib.ctft.unbreak_in_place` on every column of a.
+def _unbreak(ctx: FieldCtx, a: np.ndarray, plan: Plan, counts: tuple, work: np.ndarray
+             ) -> None:
+    """:func:`tftlib.ctft.unbreak_in_place` on every column of a, by the carry.
 
-    Every block's remainder comes from the images before it, so all of them
-    are gathered first, then halved i - 1 times in one pass.
+    The carries come from the images alone (the next S is f_i + 2 C_hi), so
+    each block leaves as 2^(i-1) r_i, and all of them are halved i - 1 times
+    in one pass; then phase 1 is undone from the last block up.  A carry is
+    reduced before it is used, which keeps every 2^(i-1) r_i in (-p, 2p).
     """
-    p = ctx.p
     n, k = a.shape
     sizes, offsets, tails = plan.sizes, plan.offsets, plan.tails
-    blocks, gathered, adds, doublings = folds
-    n1 = sizes[0]
-    sums = _scratch(ctx, (n - n1) * k)
-    for i, (source, _, inverse) in enumerate(blocks, 2):
-        o = (offsets[i - 1] - n1) * k
-        np.matmul(inverse, _gather(a, source, sizes[i - 1]), out=sums[o:o + sizes[i - 1] * k])
-    ctx.scratch_allocated += k * gathered
-    halves = [pow(ctx.half, i - 1, p) for i in range(2, plan.s + 1)]
-    if len(halves) > 1:
-        halves = _counted(ctx, np.repeat(np.array(halves, np.int64), sizes[1:]))[:, None]
-    rest = a[n1:]
-    _mod(ctx, sums.reshape(n - n1, k), work, out=rest)
-    np.multiply(rest, halves, out=rest)
+    s = plan.s
+    n2 = sizes[1]
+    carry = _scratch(ctx, (2 * n2, k))
+    nxt = _scratch(ctx, (n2, k))
+    first = a[:sizes[0]]  # f_1 in [0, p)
+    c = _fold(first, 2 * n2, carry)
+    for i in range(2, s + 1):
+        if c is not first:
+            _mod(ctx, c, work)
+        o = offsets[i - 1]
+        ni = sizes[i - 1]
+        blk = a[o:o + ni]
+        lo = c[:ni]
+        hi = c[ni:]
+        blk -= lo
+        blk += hi
+        if i < s:
+            d = np.add(blk, lo, out=nxt[:ni])  # lo may share nxt: read by now
+            d += hi
+            c = _fold(d, 2 * sizes[i], carry)
+    rest = a[sizes[0]:]
+    np.multiply(rest, _block_powers(ctx, plan, ctx.half), out=rest)
     _mod(ctx, rest, work)
-    for i in range(plan.s - 1, 0, -1):
+    for i in range(s - 1, 0, -1):
         o = offsets[i - 1]
         blk = a[o:o + tails[i]]
         blk += a[o + sizes[i - 1]:n]
     _mod(ctx, a[:offsets[-2] + tails[-2]], work)  # the slots the loop added to
-    ctx.ops.add += k * adds
-    ctx.ops.pow2 += k * doublings
+    ctx.ops.add += k * counts[0]
+    ctx.ops.pow2 += k * counts[1]
 
 
 def _pointwise(ctx: FieldCtx, a: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -444,9 +437,9 @@ def multiply_full_fft(ctx: FieldCtx, f, g, size: int) -> list[int]:
     if size.bit_length() - 1 > ctx.two_adicity:
         raise UnsupportedOrderError(
             f"no root of order {size}: 2-adicity of {ctx.p} - 1 is {ctx.two_adicity}")
-    work = _scratch(ctx, 3 * size)
+    work = _scratch(ctx, 2 * size)
     a = _load(ctx, f, g, size, work)
-    twiddles = _twiddles(ctx, [size], _unit_powers(ctx, size, work), work, 0)
+    twiddles = _twiddles(ctx, [size], _tables(ctx, size, work), 0)
     _transform(ctx, a, [size], twiddles, work, False)
     h = _pointwise(ctx, a, work)
     _transform(ctx, h, [size], twiddles, work, True)
@@ -456,26 +449,26 @@ def multiply_full_fft(ctx: FieldCtx, f, g, size: int) -> list[int]:
 def multiply_tft(ctx: FieldCtx, f, g, plan: Plan, path: str) -> list[int]:
     """:func:`tftlib.bridge.multiply_tft` of f and g, trimmed to their degrees,
     over ``plan`` (two blocks or more), with the ``new`` break."""
-    work = _scratch(ctx, 3 * plan.n)
+    work = _scratch(ctx, 2 * plan.n)
     a = _load(ctx, f, g, plan.n, work)
-    powers = _unit_powers(ctx, plan.N, work)
+    tables = _tables(ctx, plan.N, work)
     if path == "cyclotomic":
-        twiddles = _twiddles(ctx, plan.sizes, powers, work, 1)
+        twiddles = _twiddles(ctx, plan.sizes, tables, 1)
     else:  # Omega_s**k = omega_N**(e_1 k), e_1 = -_grid_twist(plan, 1)
         grid = [-1]  # _grid_twist(plan, i) = -e_i, e_i = 1 + e_(i+1) * n_i / n_(i+1)
         for i in range(plan.s - 1, 0, -1):
             grid.append(-1 + grid[-1] * (plan.size(i) // plan.size(i + 1)))
         grid.reverse()
         e = np.arange(plan.n) * -grid[0]
-        scales = _counted(ctx, powers.take(np.stack((e, -e)) & (plan.N - 1)))
+        scales = _counted(ctx, tables[0].take(np.stack((e, -e)) & (plan.N - 1)))
         _scale(ctx, a, scales[0], work)
-        twiddles = _twiddles(ctx, plan.sizes, powers, work, 0, grid)
-    folds = _folds(ctx, plan)
-    _break(ctx, a, plan, folds, work)
+        twiddles = _twiddles(ctx, plan.sizes, tables, 0, grid)
+    counts = _break_counts(plan)
+    _break(ctx, a, plan, counts, work)
     _transform(ctx, a, plan.sizes, twiddles, work, False)
     h = _pointwise(ctx, a, work)
     _transform(ctx, h, plan.sizes, twiddles, work, True)
-    _unbreak(ctx, h, plan, folds, work)
+    _unbreak(ctx, h, plan, counts, work)
     if path == "bitreversed":
         _scale(ctx, h, scales[1], work)
     return h[:, 0].tolist()

@@ -31,9 +31,11 @@ same counted (mul, pow2, add) as the list code here, which stays the
 reference and the only path for p >= 2^31, for shorter products and for
 the ``sergeev`` and ``mateer`` engines.  The row form reports its numpy
 scratch through ``ctx.scratch_allocated``, at most 5N elements (N the padded
-length) on the padded path and 20N on the truncated ones; the list path
-reports none.  numpy and the row module load with the first product that
-takes them, not with ``import tftlib``.
+length) on the padded path, 11N on the cyclotomic one and 15N on the
+bit-reversed one, counting the tables of N that the first product of that
+padded length builds and the context keeps; the list path reports none.
+numpy and the row module load with the first product that takes them, not
+with ``import tftlib``.
 """
 
 from __future__ import annotations
@@ -44,10 +46,11 @@ from .ring import FieldCtx
 from .transform import dwt, fft_in_place, idwt, ifft_in_place, scale_by_powers
 
 # From this product length on, over p < 2^31, products compute in int64 rows
-# (tftlib._rows).  Measured: the least n from which, at every 2^k - 1, 2^k and
-# 2^k + 1, every path's row form was no slower than its list form (at 31..33
-# the cyclotomic rows took 1.07-1.12x the list time, from 63 on at most 0.82x).
-_ROWS_MIN = 63
+# (tftlib._rows).  Measured: the least 2^k - 1 at which, and at 2^k and
+# 2^k + 1, every path's row form was no slower than its list form (median
+# t_rows / t_list over 41 interleaved rounds, two runs: at most 0.97 at
+# 31..33, up to 1.58 at 15..17, 1.08 at 24).
+_ROWS_MIN = 31
 _rows = None  # tftlib._rows, bound once, by the first product that takes it
 
 

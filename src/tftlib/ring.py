@@ -177,7 +177,8 @@ def _ladder(top: int, k: int, p: int) -> tuple[int, ...]:
 class FieldCtx:
     """The field Z/pZ for an odd prime p, with its counters.
 
-    Immutable after construction except for the counters.  A context may be
+    Immutable after construction except for the counters and the tables
+    that row products build once per padded length.  A context may be
     shared across threads only if each thread runs its own count session and
     transforms its own buffers; the library itself is single-threaded.
     """
@@ -195,6 +196,7 @@ class FieldCtx:
         self.inv_roots = _ladder(pow(top, p - 2, p), self.two_adicity, p)
         self.ops = OpCount()
         self.scratch_allocated = 0
+        self.row_tables = {}  # by padded length, built by tftlib._rows
 
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p})"

@@ -23,10 +23,14 @@ from tftlib.bridge import _ROWS_MIN
 
 PRIMES = (2013265921, 998244353)
 PATHS = ("padded", "cyclotomic", "bitreversed")
-LENGTHS = sorted({_ROWS_MIN - 1, _ROWS_MIN, _ROWS_MIN + 1, 1365, 5461}
-                 | {2**k + d for k in range(6, 13) for d in (-1, 0, 1)})
+# long runs of 0 bits (folds of many chunks) next to adjacent 1 bits (folds of one)
+SHAPES = {2**12 + 2**5 + 1, 2**11 + 2**10 + 2**3 + 1, 0b1001001001, 0b110000000011,
+          0b101010101011}
+LENGTHS = sorted({_ROWS_MIN - 1, _ROWS_MIN, _ROWS_MIN + 1, 62, 1365, 5461}
+                 | {2**k + d for k in range(6, 13) for d in (-1, 0, 1)}
+                 | SHAPES | set(random.Random(10).sample(range(63, 6001), 10)))
 # bound stated in the tftlib._rows docstring, in elements per padded slot
-ALLOC_PER_SLOT = {"padded": 5, "cyclotomic": 20, "bitreversed": 20}
+ALLOC_PER_SLOT = {"padded": 5, "cyclotomic": 11, "bitreversed": 15}
 
 
 @pytest.fixture(scope="module", params=PRIMES)
@@ -96,13 +100,28 @@ def test_fields_above_2_31_stay_correct(path):
 
 
 @pytest.mark.parametrize("path", PATHS)
-@pytest.mark.parametrize("n", [_ROWS_MIN, 255, 1023, 1025, 4095, 5461])
-def test_row_scratch_is_reported_and_bounded(ctx, n, path):
+@pytest.mark.parametrize("n", [_ROWS_MIN, 63, 255, 495, 1023, 1025, 4095, 5461])
+def test_row_scratch_is_reported_and_bounded(n, path):
+    # a new field, so the bound covers the tables the first product builds
+    ctx = FieldCtx()
     f, g = _operands(ctx.p, n, 2 * n)
     with ctx.count_session() as sess:
         _product(ctx, f, g, path)
     padded = 1 << (n - 1).bit_length()
     assert 0 < sess.alloc <= ALLOC_PER_SLOT[path] * padded
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("n", [_ROWS_MIN, 1025])
+def test_a_field_builds_the_tables_of_a_padded_length_once(n, path):
+    ctx = FieldCtx()
+    allocs = []
+    for seed in (1, 2):  # two products of length n
+        f, g = _operands(ctx.p, n, seed)
+        with ctx.count_session() as sess:
+            _product(ctx, f, g, path)
+        allocs.append(sess.alloc)
+    assert 0 < allocs[1] < allocs[0]
 
 
 def _run(code: str) -> str:
