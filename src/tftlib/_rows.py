@@ -20,34 +20,28 @@ product of padded length N over a context and kept on it
 (``ctx.row_tables``, one entry per power of two); a product slices them, or
 gathers the rows of stages whose blocks do not halve one into the next.
 
-The ``new`` break and its inverse run as a Horner carry.  After phase 1
-block i holds the remainder r_i, and since Phi_l = 2 mod Phi_i for l < i,
-the image is f_i = S_i mod Phi_i with S_i = sum over j <= i of 2^(j-1) r_j.
-The carry C = S_(i-1) mod (z^(2 n_i) - 1), halves C_lo and C_hi, gives
-f_i = C_lo - C_hi + 2^(i-1) r_i, and S_i mod (z^(n_i) - 1) =
-C_lo + C_hi + 2^(i-1) r_i, whose n_i / 2 n_(i+1) chunks sum to the next
-carry.  The unbreak walks the same way, r_i = 2^(1-i) (f_i - C_lo + C_hi)
-with the same carries, so each block costs a few operations on contiguous
-slices, and none of them depends on where the survivors of the list path's
-contribution pass lie.  The bit-reversed path's Omega_s scaling is a row of
-powers of omega_N.
+The ``new`` break and its inverse reach the list path's images without
+its survivor runs.  The break halves z^N - 1, as the ``mateer`` engine
+does, and the unbreak undoes it by a Horner carry; each takes a few numpy
+calls per bit of N or per block on contiguous slices, and reduces only at
+its end, which the int64 headroom allows (``_break``, ``_unbreak``).  The
+bit-reversed path's Omega_s scaling is a row of powers of omega_N.
 
 The element work differs from the tallies.  The rows reduce lazily between
 stages (Harvey 2014) and fully at the ends, take every twiddle from the
-tables instead of generating it, and carry the break instead of folding
-survivor runs.  None of this is counted: each product adds to ``ctx.ops``
-exactly the (mul, pow2, add) that the list path adds for the same call, in
-closed form from the plan, so the two paths cannot disagree on them.
+tables instead of generating it, and halve the break and carry its inverse
+instead of folding survivor runs.  None of this is counted: each product
+adds to ``ctx.ops`` exactly the (mul, pow2, add) that the list path adds
+for the same call, in closed form from the plan, so the two paths cannot
+disagree on them.
 
-Scratch is reported.  Every array this module takes besides the int64
-copies of the operands and of the product, which stand in for the list
-path's own lists, is added to ``ctx.scratch_allocated``: each table once,
-when it is built, and per product one work buffer of 2n elements for the
-stages' products and quotients, the gathered twiddle rows, the power rows
-and the carries.  A product of padded length N reports at most 5N elements
-on the padded path, 11N on the cyclotomic one and 15N on the bit-reversed
-one, tables included; a product whose tables exist reports less
-(``tests/test_rows.py``).
+Every array this module takes besides the int64 copies of the operands
+and of the product is reported in ``ctx.scratch_allocated``: each table
+once, and per product a work buffer of 2n elements (the stages' products
+and quotients, the carries), the gathered twiddle rows and the power rows.
+A product of padded length N reports at most 5N elements on the padded
+path, 9N on the cyclotomic one and 12N on the bit-reversed one, tables
+included (``tests/test_rows.py``).
 """
 
 from __future__ import annotations
@@ -61,12 +55,10 @@ from .ring import FieldCtx, UnsupportedOrderError
 
 # from this many elements, x - (x // p) * p beats np.remainder (measured)
 _DIVIDE_MIN = 1024
-
-
-def _scratch(ctx: FieldCtx, shape) -> np.ndarray:
-    a = np.empty(shape, np.int64)
-    ctx.scratch_allocated += a.size
-    return a
+# chunks at most this many elements wide fold by one matmul, which costs
+# about three additions an element; wider ones halve (measured)
+_SUM_WIDTH = 64
+_ONE = np.ones(1, np.int64)  # a row of ones of any length, as a view of stride 0
 
 
 def _counted(ctx: FieldCtx, a: np.ndarray) -> np.ndarray:
@@ -155,43 +147,53 @@ def _tables(ctx: FieldCtx, N: int, work: np.ndarray) -> tuple:
     return tables
 
 
-def _start_muls(twist: int, stages: int) -> int:
+def _start_muls(sizes) -> int:
     """The multiplications :func:`tftlib.transform._stage_start` counts for
-    the first twiddles omega_(2^k)**twist, k = 2..stages + 1, of one block:
-    at each k one per ladder factor after the first, on the ladder whose
-    exponent, twist or -twist mod 2^k, has fewer set bits."""
-    up, down = twist, -twist
-    ones_up = up & 1
-    ones_down = down & 1
+    the first twiddles omega_(2^m)**(-e_i), m = 2..log2(n_i) + 1, of the
+    blocks on the bit-reversed path: one per ladder factor after the first,
+    on the ladder of e_i or -e_i mod 2^m, whichever has fewer set bits.
+
+    e_i (:func:`tftlib.bridge._grid_twist`) has set bits at b_i - b_l for
+    l >= i, n_l = 2^(b_l), so it is odd and -e_i mod 2^m has m + 1 - c, c
+    those of e_i mod 2^m: with j + 1 ones and x zeros below m, a stage costs
+    min(j, x).  Between two set bits j stays while x climbs a gap of zeros
+    (b_l - b_(l+1) - 1, then b_s), which sums in closed form.
+    """
+    bits = [ni.bit_length() - 1 for ni in sizes]
+    gaps = [b - c - 1 for b, c in zip(bits, bits[1:])] + [bits[-1]]
     muls = 0
-    for b in range(1, stages + 1):
-        ones_up += up >> b & 1
-        ones_down += down >> b & 1
-        muls += max(min(ones_up, ones_down) - 1, 0)
+    first = len(gaps)
+    for i in range(len(gaps) - 1, -1, -1):
+        first = i if gaps[i] else first  # the gaps before it add nothing
+        x = 0
+        for j, gap in enumerate(gaps[first:], first - i):  # min(j, x..x + gap)
+            top, h = x + gap, min(x + gap, j)
+            muls += (gap + 1) * j if x >= j else ((x + h) * (h - x + 1) >> 1) + (top - h) * j
+            x = top
     return muls
 
 
-def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int, grid: list | None = None
+def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int, e: int | None = None
               ) -> tuple:
     """Every stage's row twiddles, forward and inverse, from the tables of N.
 
-    Blocks of ``sizes`` take ``twist`` (0 or 1), or the bit-reversed path's
-    twists ``grid`` (:func:`tftlib.bridge._grid_twist`).  At half-length u,
-    row q of block i (m = n_i / 2u rows, n_i = 2^(k-1) u) takes
-    c * omega_(2^(k-1))**rev(q), where c = omega_(2^k)**twist is its first
-    twiddle (:func:`tftlib.transform._stage_start`).  Entry q of the base
-    row is omega_(2m)**rev(q) for q < m, so twist 0 reads base[q]; its entry
-    m + q is omega_(4m)**(2 rev(q) + 1), which twist 1 reads: the octave
-    [m, 2m) of the base row.  The blocks of a stage have distinct m, so a
-    stage whose m halve from block to block (every stage, when n is 2^k - 1
-    or 2^k + 1) reads one slice of the octaves; the others concatenate their
-    blocks' octaves.  On the bit-reversed path the twiddle of every block's
-    row is that of the padded transform of f at the row's place r in the
-    stage, scaled by Omega_s^-u = omega_N**(-e u), since the blocks hold
-    f(Omega_s z): the powers of omega_N at +-(rev(r) - e u), one gather for
-    all stages.  Returns the (forward, inverse) rows by log2(u), the stage
-    starts' counted multiplications for one transform, and the 1/n_i of
-    every slot.
+    Blocks of ``sizes`` take ``twist`` (0 or 1), or given Omega_s =
+    omega_N**e the bit-reversed path's (:func:`tftlib.bridge._grid_twist`).
+    At half-length u, row q of block i (m = n_i / 2u rows, n_i = 2^(k-1) u)
+    takes c * omega_(2^(k-1))**rev(q), where c = omega_(2^k)**twist is its
+    first twiddle (:func:`tftlib.transform._stage_start`).  Entry q of the
+    base row is omega_(2m)**rev(q) for q < m, so twist 0 reads base[q]; its
+    entry m + q is omega_(4m)**(2 rev(q) + 1), which twist 1 reads: the
+    octave [m, 2m) of the base row.  The blocks of a stage have distinct m,
+    so a stage whose m halve from block to block (every stage, when n is
+    2^k - 1 or 2^k + 1) reads one slice of the octaves; the others
+    concatenate their blocks' octaves.  On the bit-reversed path the twiddle
+    of every block's row is that of the padded transform of f at the row's
+    place r in the stage, scaled by Omega_s^-u = omega_N**(-e u), since the
+    blocks hold f(Omega_s z): the powers of omega_N at +-(rev(r) - e u), one
+    gather for all stages.  Returns the (forward, inverse) rows by log2(u),
+    the stage starts' counted multiplications for one transform, and the
+    1/n_i of every slot.
     """
     p = ctx.p
     powers, base, octaves = tables
@@ -200,21 +202,19 @@ def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int, grid: list | None
     stage_ms = [[ni >> (st + 1) for ni in active if ni >> st > 1]
                 for st in range(active[0].bit_length() - 1)]
     starts_mul = 0
-    if grid is not None:
+    if e is not None:
         N = 2 * half
-        e = -grid[0] % N  # Omega_s = omega_N**e
         widths = [sum(ms) for ms in stage_ms]
         rev = _counted(ctx, _bit_reversal(half.bit_length() - 1))
         exps = _counted(ctx, np.concatenate([rev[:w] - (e << st) for st, w in enumerate(widths)]))
-        rows = _scratch(ctx, (2, len(exps)))
+        rows = _counted(ctx, np.empty((2, len(exps)), np.int64))
         for sign in range(2):
             if sign:
                 np.negative(exps, out=exps)
             exps &= N - 1
             powers.take(exps, out=rows[sign])
         rows_at = [rows[:, at - w:at] for w, at in zip(widths, accumulate(widths))]
-        for ni, tw in zip(sizes, grid):
-            starts_mul += _start_muls(tw, ni.bit_length() - 1)
+        starts_mul = _start_muls(sizes)
     elif not twist:
         rows_at = [base[:, :sum(ms)] for ms in stage_ms]
     else:
@@ -317,99 +317,102 @@ def _break_counts(plan: Plan) -> tuple[int, int]:
     return adds, pow2
 
 
-def _block_powers(ctx: FieldCtx, plan: Plan, base: int):
-    """base**(i-1) mod p for the slots of blocks 2..s: a scalar for two blocks."""
-    if plan.s == 2:
-        return base
-    powers = [pow(base, i, ctx.p) for i in range(1, plan.s)]
-    return _counted(ctx, np.repeat(np.array(powers, np.int64), plan.sizes[1:]))[:, None]
-
-
 def _fold(d: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
-    """d mod (z^width - 1): d itself, or its chunks of ``width`` rows summed into out."""
-    if len(d) == width:
+    """d mod (z^width - 1) in out, which may be d.  d_lo + d_hi goes into
+    out, and halves again while two chunks are left or a chunk is wider
+    than _SUM_WIDTH elements; the chunks then left sum at once into the
+    rows after them, by a matmul with a row of ones of stride 0.  A halving
+    takes a numpy call, and np.sum over a reshape a pass of numpy's loop
+    per chunk: on two columns 4096 rows fold to 2 in 8-11 us, against
+    18-26 us by halving and 44-53 us by np.sum (best of 15, two runs,
+    shared 2-core VM).
+    """
+    h = len(d) // 2
+    if h < width:
+        if d is not out:
+            np.copyto(out[:width], d)
+            d = out[:width]
         return d
-    return np.sum(d.reshape(-1, width, d.shape[1]), axis=0, out=out[:width])
+    d = np.add(d[:h], d[h:], out=out[:h])
+    while h > width and (h == 2 * width or width * d.shape[1] > _SUM_WIDTH):
+        h //= 2
+        d = np.add(d[:h], d[h:], out=d[:h])
+    if h == width:
+        return d
+    ones = np.ndarray((h // width,), np.int64, _ONE, 0, (0,))
+    return np.matmul(ones, d.reshape(h // width, -1), out=out[h:h + width].reshape(-1)
+                     ).reshape(width, -1)
 
 
 def _break(ctx: FieldCtx, a: np.ndarray, plan: Plan, counts: tuple, work: np.ndarray) -> None:
-    """:func:`tftlib.ctft.break_in_place` on every column of a, by the carry.
+    """:func:`tftlib.ctft.break_in_place` on every column of a, by halving.
 
-    The remainders' subtractions read the original later blocks, so they
-    run first, unreduced, and every remainder then takes its 2^(i-1) at
-    once.  Block 1 is r_1 = f_1 and the first S mod (z^(n_1) - 1); from it
-    each block takes the carry down, the image left in place unreduced and
-    the next S in a buffer, reduced so that its chunks sum within int64.
-    The images are reduced together at the end.
+    The images f_i = f mod (z^(n_i) + 1) are those of the ``mateer``
+    chain: from C = f mod (z^N - 1), halving at m = n_1, ..., n_s, block i
+    takes C_lo - C_hi where m = n_i, and C becomes C_lo + C_hi.  The first
+    C is f, its upper half the rows y past block 1: block 1 is f_1 - y, and
+    the next C, folded to 2 n_2 rows at once, is f_1 folded plus y.  C
+    lives in the work buffer and only the images are reduced: after j
+    halvings every value lies in (-2^j p, 2^j p), 2^j < N <= 2^(two-adicity)
+    < p < 2^31, so within p^2 < 2^62.
     """
     n, k = a.shape
-    sizes, offsets, tails = plan.sizes, plan.offsets, plan.tails
-    s = plan.s
-    for i in range(1, s):
-        o = offsets[i - 1]
-        blk = a[o:o + tails[i]]
-        np.subtract(blk, a[o + sizes[i - 1]:n], out=blk)
-    _mod(ctx, a[:tails[1]], work)
-    rest = a[sizes[0]:]  # r_i in (-p, p), times 2^(i-1) within (-p^2, p^2)
-    np.multiply(rest, _block_powers(ctx, plan, 2), out=rest)
-    n2 = sizes[1]
-    carry = _scratch(ctx, (2 * n2, k))
-    nxt = _scratch(ctx, (n2, k))
-    c = _fold(a[:sizes[0]], 2 * n2, carry)
-    for i in range(2, s + 1):
-        o = offsets[i - 1]
+    sizes, offsets = plan.sizes, plan.offsets
+    t = n - sizes[0]
+    first, y = a[:sizes[0]], a[sizes[0]:]
+    c = _fold(first, 2 * sizes[1], work[:first.size].reshape(first.shape))
+    c[:t] += y
+    first[:t] -= y
+    for i in range(2, plan.s + 1):
         ni = sizes[i - 1]
-        blk = a[o:o + ni]
-        lo = c[:ni]
-        hi = c[ni:]
-        d = np.add(blk, lo, out=nxt[:ni])  # lo may share nxt: read by now
-        np.subtract(d, hi, out=blk)
-        if i < s:
-            d += hi
-            c = _fold(_mod(ctx, d, work), 2 * sizes[i], carry)
-    _mod(ctx, rest, work)
+        c = _fold(c, 2 * ni, c)
+        np.subtract(c[:ni], c[ni:], out=a[offsets[i - 1]:offsets[i - 1] + ni])
+    _mod(ctx, a[:t], work)
+    _mod(ctx, y, work)
     ctx.ops.add += k * counts[0]
     ctx.ops.pow2 += k * counts[1]
 
 
 def _unbreak(ctx: FieldCtx, a: np.ndarray, plan: Plan, counts: tuple, work: np.ndarray
              ) -> None:
-    """:func:`tftlib.ctft.unbreak_in_place` on every column of a, by the carry.
+    """:func:`tftlib.ctft.unbreak_in_place` on every column of a, by a carry.
 
-    The carries come from the images alone (the next S is f_i + 2 C_hi), so
-    each block leaves as 2^(i-1) r_i, and all of them are halved i - 1 times
-    in one pass; then phase 1 is undone from the last block up.  A carry is
-    reduced before it is used, which keeps every 2^(i-1) r_i in (-p, 2p).
+    The list path's phase 1 leaves the remainder r_i in block i; as
+    z^(n_l) + 1 = 2 mod z^(n_i) + 1 for l < i, f_i = S_i mod z^(n_i) + 1,
+    S_i the sum over j <= i of 2^(j-1) r_j.  With the carry C = S_(i-1) mod
+    (z^(2 n_i) - 1), 2^(i-1) r_i = f_i - C_lo + C_hi, and S_i mod (z^(n_i)
+    - 1) = f_i + 2 C_hi folds to the next carry: three numpy calls a block
+    and the fold.  Then every 2^(i-1) r_i is halved i - 1 times at once,
+    and phase 1 is undone from the last block up.
+
+    No carry is reduced: with every f_i in [0, p), by induction the carry
+    into block i lies in [0, M_i p), 2 n_i M_i = n_1 + ... + n_(i-1) (f_1
+    folds n_1 / 2 n_2 chunks, f_i + 2 C_hi then n_i / 2 n_(i+1)), so
+    2^(i-1) r_i lies in (-M_i p, (M_i + 1) p), within n p < p^2 < 2^62.
+    It is reduced once, before the halvings multiply it.
     """
     n, k = a.shape
     sizes, offsets, tails = plan.sizes, plan.offsets, plan.tails
     s = plan.s
-    n2 = sizes[1]
-    carry = _scratch(ctx, (2 * n2, k))
-    nxt = _scratch(ctx, (n2, k))
-    first = a[:sizes[0]]  # f_1 in [0, p)
-    c = _fold(first, 2 * n2, carry)
+    c = _fold(a[:sizes[0]], 2 * sizes[1], work[:sizes[0] * k].reshape(-1, k))
     for i in range(2, s + 1):
-        if c is not first:
-            _mod(ctx, c, work)
-        o = offsets[i - 1]
         ni = sizes[i - 1]
-        blk = a[o:o + ni]
-        lo = c[:ni]
-        hi = c[ni:]
-        blk -= lo
+        c = _fold(c, 2 * ni, c)
+        blk = a[offsets[i - 1]:offsets[i - 1] + ni]
+        lo, hi = c[:ni], c[ni:]
         blk += hi
         if i < s:
-            d = np.add(blk, lo, out=nxt[:ni])  # lo may share nxt: read by now
-            d += hi
-            c = _fold(d, 2 * sizes[i], carry)
+            np.add(blk, hi, out=hi)  # f_i + 2 C_hi
+        blk -= lo
+        c = hi
     rest = a[sizes[0]:]
-    np.multiply(rest, _block_powers(ctx, plan, ctx.half), out=rest)
+    _mod(ctx, rest, work)
+    halvings = [pow(ctx.half, i, ctx.p) for i in range(1, s)]
+    rest *= halvings[0] if s == 2 else _counted(ctx, np.repeat(halvings, sizes[1:]))[:, None]
     _mod(ctx, rest, work)
     for i in range(s - 1, 0, -1):
-        o = offsets[i - 1]
-        blk = a[o:o + tails[i]]
-        blk += a[o + sizes[i - 1]:n]
+        blk = a[offsets[i - 1]:offsets[i - 1] + tails[i]]
+        blk += a[offsets[i]:]
     _mod(ctx, a[:offsets[-2] + tails[-2]], work)  # the slots the loop added to
     ctx.ops.add += k * counts[0]
     ctx.ops.pow2 += k * counts[1]
@@ -437,7 +440,7 @@ def multiply_full_fft(ctx: FieldCtx, f, g, size: int) -> list[int]:
     if size.bit_length() - 1 > ctx.two_adicity:
         raise UnsupportedOrderError(
             f"no root of order {size}: 2-adicity of {ctx.p} - 1 is {ctx.two_adicity}")
-    work = _scratch(ctx, 2 * size)
+    work = _counted(ctx, np.empty(2 * size, np.int64))
     a = _load(ctx, f, g, size, work)
     twiddles = _twiddles(ctx, [size], _tables(ctx, size, work), 0)
     _transform(ctx, a, [size], twiddles, work, False)
@@ -449,20 +452,17 @@ def multiply_full_fft(ctx: FieldCtx, f, g, size: int) -> list[int]:
 def multiply_tft(ctx: FieldCtx, f, g, plan: Plan, path: str) -> list[int]:
     """:func:`tftlib.bridge.multiply_tft` of f and g, trimmed to their degrees,
     over ``plan`` (two blocks or more), with the ``new`` break."""
-    work = _scratch(ctx, 2 * plan.n)
+    work = _counted(ctx, np.empty(2 * plan.n, np.int64))
     a = _load(ctx, f, g, plan.n, work)
     tables = _tables(ctx, plan.N, work)
     if path == "cyclotomic":
         twiddles = _twiddles(ctx, plan.sizes, tables, 1)
-    else:  # Omega_s**k = omega_N**(e_1 k), e_1 = -_grid_twist(plan, 1)
-        grid = [-1]  # _grid_twist(plan, i) = -e_i, e_i = 1 + e_(i+1) * n_i / n_(i+1)
-        for i in range(plan.s - 1, 0, -1):
-            grid.append(-1 + grid[-1] * (plan.size(i) // plan.size(i + 1)))
-        grid.reverse()
-        e = np.arange(plan.n) * -grid[0]
-        scales = _counted(ctx, tables[0].take(np.stack((e, -e)) & (plan.N - 1)))
+    else:  # Omega_s = omega_N**e, e = e_1 = -_grid_twist(plan, 1)
+        e = sum(plan.sizes[0] // nl for nl in plan.sizes)
+        exps = np.arange(plan.n) * e
+        scales = _counted(ctx, tables[0].take(np.stack((exps, -exps)) & (plan.N - 1)))
         _scale(ctx, a, scales[0], work)
-        twiddles = _twiddles(ctx, plan.sizes, tables, 0, grid)
+        twiddles = _twiddles(ctx, plan.sizes, tables, 0, e)
     counts = _break_counts(plan)
     _break(ctx, a, plan, counts, work)
     _transform(ctx, a, plan.sizes, twiddles, work, False)

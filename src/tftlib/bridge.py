@@ -30,12 +30,11 @@ one with the ``new`` engine.  They return the same Python ints and add the
 same counted (mul, pow2, add) as the list code here, which stays the
 reference and the only path for p >= 2^31, for shorter products and for
 the ``sergeev`` and ``mateer`` engines.  The row form reports its numpy
-scratch through ``ctx.scratch_allocated``, at most 5N elements (N the padded
-length) on the padded path, 11N on the cyclotomic one and 15N on the
-bit-reversed one, counting the tables of N that the first product of that
-padded length builds and the context keeps; the list path reports none.
-numpy and the row module load with the first product that takes them, not
-with ``import tftlib``.
+scratch, the tables of the padded length N included, in
+``ctx.scratch_allocated``: at most 5N, 9N and 12N elements on the padded,
+cyclotomic and bit-reversed paths; the list path reports none.  numpy and
+the row module load with the first product that takes them, not with
+``import tftlib``.
 """
 
 from __future__ import annotations
@@ -46,11 +45,11 @@ from .ring import FieldCtx
 from .transform import dwt, fft_in_place, idwt, ifft_in_place, scale_by_powers
 
 # From this product length on, over p < 2^31, products compute in int64 rows
-# (tftlib._rows).  Measured: the least 2^k - 1 at which, and at 2^k and
-# 2^k + 1, every path's row form was no slower than its list form (median
-# t_rows / t_list over 41 interleaved rounds, two runs: at most 0.97 at
-# 31..33, up to 1.58 at 15..17, 1.08 at 24).
-_ROWS_MIN = 31
+# (tftlib._rows).  Measured at every n in 16..64: the least n from which each
+# length's t_rows / t_list (median over 41 or 81 interleaved rounds, then over
+# two or three runs) is at most 1.00 on every path: 0.99 from 29, 0.82 from
+# 40.  28 read 1.01 (padded), 24 1.02, 20 1.15 and 16 1.50.
+_ROWS_MIN = 29
 _rows = None  # tftlib._rows, bound once, by the first product that takes it
 
 

@@ -16,10 +16,11 @@ import sys
 import pytest
 
 import tftlib
-from tftlib import (FieldCtx, brtft_forward, brtft_inverse, ctft_forward,
+from tftlib import (FieldCtx, _rows, brtft_forward, brtft_inverse, ctft_forward,
                     ctft_inverse, fft_in_place, ifft_in_place,
-                    multiply_full_fft, multiply_tft, oracle, plan_new)
-from tftlib.bridge import _ROWS_MIN
+                    multiply_full_fft, multiply_tft, oracle, plan_new,
+                    unbreak_in_place)
+from tftlib.bridge import _ROWS_MIN, _grid_twist
 
 PRIMES = (2013265921, 998244353)
 PATHS = ("padded", "cyclotomic", "bitreversed")
@@ -29,8 +30,12 @@ SHAPES = {2**12 + 2**5 + 1, 2**11 + 2**10 + 2**3 + 1, 0b1001001001, 0b1100000000
 LENGTHS = sorted({_ROWS_MIN - 1, _ROWS_MIN, _ROWS_MIN + 1, 62, 1365, 5461}
                  | {2**k + d for k in range(6, 13) for d in (-1, 0, 1)}
                  | SHAPES | set(random.Random(10).sample(range(63, 6001), 10)))
+# 2^k - 1 (k blocks, no fold), 2^k + 1 (block 1 folds to two rows) and a
+# second block whose carry folds to two rows, up to the lengths above
+HEADROOM = sorted({2**k + d for k in range(5, 13) for d in (-1, 1)}
+                  | {2**k + 2**(k - 4) + 1 for k in range(5, 13)})
 # bound stated in the tftlib._rows docstring, in elements per padded slot
-ALLOC_PER_SLOT = {"padded": 5, "cyclotomic": 11, "bitreversed": 15}
+ALLOC_PER_SLOT = {"padded": 5, "cyclotomic": 9, "bitreversed": 12}
 
 
 @pytest.fixture(scope="module", params=PRIMES)
@@ -90,6 +95,48 @@ def test_rows_equal_the_list_composition(field, n, path):
     assert h == want
     assert all(type(x) is int for x in h)
     assert (sess.mul, sess.pow2, sess.add) == counts
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("n", HEADROOM)
+def test_largest_residues_stay_within_int64(field, n, path):
+    # The rows reduce the break's and the unbreak's sums only at the end.
+    # Operands of p - 1 make every sum the break takes its largest; the
+    # product of [1] and the polynomial whose images are all p - 1 does
+    # the same for every carry of the unbreak.
+    p = field.p
+    top = [p - 1] * n
+    unbreak_in_place(field, top, plan_new(n, field))
+    assert top[-1] != 0  # the product has length n
+    for f, g in (([p - 1] * (n // 2 + 1), [p - 1] * (n - n // 2)), ([1], top)):
+        want, counts = _reference(field, f, g, path)
+        with field.count_session() as sess:
+            h = _product(field, f, g, path)
+        assert h == want
+        assert (sess.mul, sess.pow2, sess.add) == counts
+
+
+def _stage_start_walk(twist: int, stages: int) -> int:
+    """The stage-start multiplications of one block, stage by stage: at 2^m,
+    m = 2..stages + 1, one per ladder factor after the first, on the shorter
+    of the ladders of twist and -twist mod 2^m."""
+    up, down = twist, -twist
+    ones_up, ones_down = up & 1, down & 1
+    muls = 0
+    for b in range(1, stages + 1):
+        ones_up += up >> b & 1
+        ones_down += down >> b & 1
+        muls += max(min(ones_up, ones_down) - 1, 0)
+    return muls
+
+
+def test_stage_start_multiplications_in_closed_form():
+    ctx = FieldCtx()
+    for n in range(3, 5000):
+        plan = plan_new(n, ctx)
+        walk = sum(_stage_start_walk(_grid_twist(plan, i), plan.exp(i))
+                   for i in range(1, plan.s + 1))
+        assert _rows._start_muls(plan.sizes) == walk, n
 
 
 @pytest.mark.parametrize("path", PATHS)
