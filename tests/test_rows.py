@@ -27,7 +27,8 @@ PATHS = ("padded", "cyclotomic", "bitreversed")
 # long runs of 0 bits (folds of many chunks) next to adjacent 1 bits (folds of one)
 SHAPES = {2**12 + 2**5 + 1, 2**11 + 2**10 + 2**3 + 1, 0b1001001001, 0b110000000011,
           0b101010101011}
-LENGTHS = sorted({_ROWS_MIN - 1, _ROWS_MIN, _ROWS_MIN + 1, 62, 1365, 5461}
+# 31 and 32: the first length of the rows under the earlier threshold, and 2^5
+LENGTHS = sorted({_ROWS_MIN - 1, _ROWS_MIN, _ROWS_MIN + 1, 31, 32, 62, 1365, 5461}
                  | {2**k + d for k in range(6, 13) for d in (-1, 0, 1)}
                  | SHAPES | set(random.Random(10).sample(range(63, 6001), 10)))
 # 2^k - 1 (k blocks, no fold), 2^k + 1 (block 1 folds to two rows) and a
@@ -147,7 +148,8 @@ def test_fields_above_2_31_stay_correct(path):
 
 
 @pytest.mark.parametrize("path", PATHS)
-@pytest.mark.parametrize("n", [_ROWS_MIN, 63, 255, 495, 1023, 1025, 4095, 5461])
+@pytest.mark.parametrize("n", sorted({_ROWS_MIN, 31, 63, 255, 495, 1023, 1025,
+                                      4095, 5461}))
 def test_row_scratch_is_reported_and_bounded(n, path):
     # a new field, so the bound covers the tables the first product builds
     ctx = FieldCtx()
@@ -159,7 +161,7 @@ def test_row_scratch_is_reported_and_bounded(n, path):
 
 
 @pytest.mark.parametrize("path", PATHS)
-@pytest.mark.parametrize("n", [_ROWS_MIN, 1025])
+@pytest.mark.parametrize("n", sorted({_ROWS_MIN, 31, 1025}))
 def test_a_field_builds_the_tables_of_a_padded_length_once(n, path):
     ctx = FieldCtx()
     allocs = []
