@@ -25,7 +25,8 @@ its survivor runs.  The break halves z^N - 1, as the ``mateer`` engine
 does, and the unbreak undoes it by a Horner carry; each takes a few numpy
 calls per bit of N or per block on contiguous slices, and reduces only at
 its end, which the int64 headroom allows (``_break``, ``_unbreak``).  The
-bit-reversed path's Omega_s scaling is a row of powers of omega_N.
+bit-reversed product is the cyclotomic one between two Omega_s scalings,
+each a row of powers of omega_N; ``_twiddles`` says why.
 
 The element work differs from the tallies.  The rows reduce lazily between
 stages (Harvey 2014) and fully at the ends, take every twiddle from the
@@ -38,15 +39,13 @@ disagree on them.
 Every array this module takes besides the int64 copies of the operands
 and of the product is reported in ``ctx.scratch_allocated``: each table
 once, and per product a work buffer of 2n elements (the stages' products
-and quotients, the carries), the gathered twiddle rows and the power rows.
-A product of padded length N reports at most 5N elements on the padded
-path, 9N on the cyclotomic one and 12N on the bit-reversed one, tables
-included (``tests/test_rows.py``).
+and quotients, the carries), the concatenated twiddle rows and on the
+bit-reversed path the two power rows.  A product of padded length N
+reports at most 5N elements on the padded path, 9N on the cyclotomic one
+and 10N on the bit-reversed one, tables included (``tests/test_rows.py``).
 """
 
 from __future__ import annotations
-
-from itertools import accumulate
 
 import numpy as np
 
@@ -150,8 +149,8 @@ def _tables(ctx: FieldCtx, N: int, work: np.ndarray) -> tuple:
 def _start_muls(sizes) -> int:
     """The multiplications :func:`tftlib.transform._stage_start` counts for
     the first twiddles omega_(2^m)**(-e_i), m = 2..log2(n_i) + 1, of the
-    blocks on the bit-reversed path: one per ladder factor after the first,
-    on the ladder of e_i or -e_i mod 2^m, whichever has fewer set bits.
+    blocks in one bit-reversed transform: one per ladder factor after the
+    first, on the ladder of e_i or -e_i mod 2^m, whichever has fewer set bits.
 
     e_i (:func:`tftlib.bridge._grid_twist`) has set bits at b_i - b_l for
     l >= i, n_l = 2^(b_l), so it is odd and -e_i mod 2^m has m + 1 - c, c
@@ -173,49 +172,36 @@ def _start_muls(sizes) -> int:
     return muls
 
 
-def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int, e: int | None = None
-              ) -> tuple:
+def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int) -> tuple:
     """Every stage's row twiddles, forward and inverse, from the tables of N.
 
-    Blocks of ``sizes`` take ``twist`` (0 or 1), or given Omega_s =
-    omega_N**e the bit-reversed path's (:func:`tftlib.bridge._grid_twist`).
-    At half-length u, row q of block i (m = n_i / 2u rows, n_i = 2^(k-1) u)
-    takes c * omega_(2^(k-1))**rev(q), where c = omega_(2^k)**twist is its
-    first twiddle (:func:`tftlib.transform._stage_start`).  Entry q of the
-    base row is omega_(2m)**rev(q) for q < m, so twist 0 reads base[q]; its
+    Blocks of ``sizes`` take ``twist``, 0 or 1.  At half-length u, row q
+    of block i (m = n_i / 2u rows, n_i = 2^(k-1) u) takes
+    c * omega_(2^(k-1))**rev(q), where c = omega_(2^k)**twist is its first
+    twiddle (:func:`tftlib.transform._stage_start`).  Entry q of the base
+    row is omega_(2m)**rev(q) for q < m, so twist 0 reads base[q]; its
     entry m + q is omega_(4m)**(2 rev(q) + 1), which twist 1 reads: the
     octave [m, 2m) of the base row.  The blocks of a stage have distinct m,
     so a stage whose m halve from block to block (every stage, when n is
     2^k - 1 or 2^k + 1) reads one slice of the octaves; the others
-    concatenate their blocks' octaves.  On the bit-reversed path the twiddle
-    of every block's row is that of the padded transform of f at the row's
-    place r in the stage, scaled by Omega_s^-u = omega_N**(-e u), since the
-    blocks hold f(Omega_s z): the powers of omega_N at +-(rev(r) - e u), one
-    gather for all stages.  Returns the (forward, inverse) rows by log2(u),
-    the stage starts' counted multiplications for one transform, and the
-    1/n_i of every slot.
+    concatenate their blocks' octaves.
+
+    The bit-reversed path takes twist 1 too.  Its list form gives block i
+    the twist -e_i (:func:`tftlib.bridge._grid_twist`), the points
+    omega_i**(-e_i) times the n_i-th roots of unity.  e_i is odd, so these
+    are the roots of Phi_i that twist 1 reaches, in another order, which a
+    product never sees: its inverse uses the points of its forward ones.
+
+    Returns the (forward, inverse) rows by log2(u) and the 1/n_i of every
+    slot.
     """
     p = ctx.p
-    powers, base, octaves = tables
+    _, base, octaves = tables
     active = [ni for ni in sizes if ni > 1]
     half = base.shape[1]
     stage_ms = [[ni >> (st + 1) for ni in active if ni >> st > 1]
                 for st in range(active[0].bit_length() - 1)]
-    starts_mul = 0
-    if e is not None:
-        N = 2 * half
-        widths = [sum(ms) for ms in stage_ms]
-        rev = _counted(ctx, _bit_reversal(half.bit_length() - 1))
-        exps = _counted(ctx, np.concatenate([rev[:w] - (e << st) for st, w in enumerate(widths)]))
-        rows = _counted(ctx, np.empty((2, len(exps)), np.int64))
-        for sign in range(2):
-            if sign:
-                np.negative(exps, out=exps)
-            exps &= N - 1
-            powers.take(exps, out=rows[sign])
-        rows_at = [rows[:, at - w:at] for w, at in zip(widths, accumulate(widths))]
-        starts_mul = _start_muls(sizes)
-    elif not twist:
+    if not twist:
         rows_at = [base[:, :sum(ms)] for ms in stage_ms]
     else:
         rows_at = []
@@ -229,7 +215,7 @@ def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int, e: int | None = N
     inv_n = [p - (p - 1) // ni for ni in active]
     scale = inv_n[0] if len(active) == 1 else _counted(
         ctx, np.repeat(np.array(inv_n, np.int64), active))
-    return rows_at, starts_mul, scale
+    return rows_at, scale
 
 
 def _transform(ctx: FieldCtx, a: np.ndarray, sizes, twiddles, work: np.ndarray,
@@ -247,7 +233,7 @@ def _transform(ctx: FieldCtx, a: np.ndarray, sizes, twiddles, work: np.ndarray,
     """
     k = a.shape[1]
     active = [ni for ni in sizes if ni > 1]
-    stage_rows, starts_mul, scale = twiddles
+    stage_rows, scale = twiddles
     span = sum(active)
     prod = work[:span // 2 * k]
     quot = work[span // 2 * k:]
@@ -285,7 +271,6 @@ def _transform(ctx: FieldCtx, a: np.ndarray, sizes, twiddles, work: np.ndarray,
         head = a[:span]
         np.multiply(head, scale if type(scale) is int else scale[:, None], out=head)
         _mod(ctx, head, work)
-    ctx.ops.mul += k * starts_mul
     for ni in active:
         st = ni.bit_length() - 1
         ctx.ops.mul += k * ((ni // 2) * st + ni - 1 - st)
@@ -455,14 +440,14 @@ def multiply_tft(ctx: FieldCtx, f, g, plan: Plan, path: str) -> list[int]:
     work = _counted(ctx, np.empty(2 * plan.n, np.int64))
     a = _load(ctx, f, g, plan.n, work)
     tables = _tables(ctx, plan.N, work)
-    if path == "cyclotomic":
-        twiddles = _twiddles(ctx, plan.sizes, tables, 1)
-    else:  # Omega_s = omega_N**e, e = e_1 = -_grid_twist(plan, 1)
+    if path == "bitreversed":  # Omega_s = omega_N**e, e = e_1 = -_grid_twist(plan, 1)
         e = sum(plan.sizes[0] // nl for nl in plan.sizes)
         exps = np.arange(plan.n) * e
         scales = _counted(ctx, tables[0].take(np.stack((exps, -exps)) & (plan.N - 1)))
         _scale(ctx, a, scales[0], work)
-        twiddles = _twiddles(ctx, plan.sizes, tables, 0, e)
+        # the list path's twists -e_i: two forward transforms and one inverse
+        ctx.ops.mul += 3 * _start_muls(plan.sizes)
+    twiddles = _twiddles(ctx, plan.sizes, tables, 1)
     counts = _break_counts(plan)
     _break(ctx, a, plan, counts, work)
     _transform(ctx, a, plan.sizes, twiddles, work, False)

@@ -31,7 +31,7 @@ same counted (mul, pow2, add) as the list code here, which stays the
 reference and the only path for p >= 2^31, for shorter products and for
 the ``sergeev`` and ``mateer`` engines.  The row form reports its numpy
 scratch, the tables of the padded length N included, in
-``ctx.scratch_allocated``: at most 5N, 9N and 12N elements on the padded,
+``ctx.scratch_allocated``: at most 5N, 9N and 10N elements on the padded,
 cyclotomic and bit-reversed paths; the list path reports none.  numpy and
 the row module load with the first product that takes them, not with
 ``import tftlib``.
@@ -76,6 +76,8 @@ def _grid_scale(plan: Plan, sign: int) -> int:
 
 def brtft_forward(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     """In place, slot l <- f(omega**rev(l)) for l < n (rev over log2(N) bits)."""
+    if plan.p != ctx.p:  # Omega_s and the twists come from the plan's ladder
+        raise ValueError(f"plan over {plan.p} used with a field over {ctx.p}")
     if len(a) != plan.n:
         raise ValueError(f"buffer length {len(a)} != plan length {plan.n}")
     if plan.s == 1:
@@ -89,6 +91,8 @@ def brtft_forward(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
 
 def brtft_inverse(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     """Recover coefficients from the first n bit-reversed grid values, in place."""
+    if plan.p != ctx.p:  # Omega_s and the twists come from the plan's ladder
+        raise ValueError(f"plan over {plan.p} used with a field over {ctx.p}")
     if len(a) != plan.n:
         raise ValueError(f"buffer length {len(a)} != plan length {plan.n}")
     if plan.s == 1:

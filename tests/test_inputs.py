@@ -145,6 +145,19 @@ def test_numpy_int64_buffers_above_2_62(n):
             _assert_field_ints(got, p, name)
 
 
+@pytest.mark.parametrize("n", [5, 37, 100])
+def test_bit_reversed_transforms_reject_a_plan_over_another_field(n):
+    # Omega_s and the block twists come from the plan's root ladder, so a
+    # plan over another field would give wrong values
+    plan = plan_new(n, FieldCtx(2013265921))
+    ctx = FieldCtx(998244353)
+    for call in (brtft_forward, brtft_inverse):
+        a = list(range(n))
+        with pytest.raises(ValueError):
+            call(ctx, a, plan)
+        assert a == list(range(n))
+
+
 def _residues(length: int, p: int, rng: random.Random) -> tuple[list[int], list[int]]:
     """Reduced values and unreduced representatives of the same residues.
 

@@ -79,6 +79,7 @@ def test_affine_identity(ctx, n):
     rng = random.Random(n)
     partials = _partials(ctx, plan)
     big = partials[plan.s]
+    cyc, grid = eval_points_cyclotomic(plan), eval_points_bitreversed(plan)
     # Omega_s = omega_1**e_1, e_1 = sum over l of n_1/n_l (the bridge's twist at i = 1)
     e1 = sum(plan.size(1) // nl for nl in plan.sizes)
     assert big == pow(ctx.roots[plan.exp(1) + 1], e1, p)
@@ -92,6 +93,9 @@ def test_affine_identity(ctx, n):
             assert lhs == rhs
         # equivalent constant-term restatement
         assert pow(big, ni, p) * pow(ctx.inv(partials[i - 1]), ni, p) % p == p - 1
+        # so z -> Omega_s z maps the roots of Phi_i onto block i of the grid
+        block = slice(plan.offset(i), plan.offset(i) + ni)
+        assert {big * x % p for x in cyc[block]} == set(grid[block])
 
 
 def test_eval_points_examples_f5(ctx5):

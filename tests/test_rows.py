@@ -36,7 +36,7 @@ LENGTHS = sorted({_ROWS_MIN - 1, _ROWS_MIN, _ROWS_MIN + 1, 31, 32, 62, 1365, 546
 HEADROOM = sorted({2**k + d for k in range(5, 13) for d in (-1, 1)}
                   | {2**k + 2**(k - 4) + 1 for k in range(5, 13)})
 # bound stated in the tftlib._rows docstring, in elements per padded slot
-ALLOC_PER_SLOT = {"padded": 5, "cyclotomic": 9, "bitreversed": 12}
+ALLOC_PER_SLOT = {"padded": 5, "cyclotomic": 9, "bitreversed": 10}
 
 
 @pytest.fixture(scope="module", params=PRIMES)
@@ -158,6 +158,21 @@ def test_row_scratch_is_reported_and_bounded(n, path):
         _product(ctx, f, g, path)
     padded = 1 << (n - 1).bit_length()
     assert 0 < sess.alloc <= ALLOC_PER_SLOT[path] * padded
+
+
+@pytest.mark.parametrize("n", [29, 31, 40, 63, 255, 257, 495, 1023, 1025, 4095, 5461])
+def test_bitreversed_rows_add_only_the_two_power_rows(n):
+    # the bit-reversed product is the cyclotomic one between two Omega_s
+    # scalings, so beside its scratch it takes the two power rows alone
+    ctx = FieldCtx()
+    f, g = _operands(ctx.p, n, n)
+    _product(ctx, f, g, "cyclotomic")  # builds the tables of the padded length
+    allocs = {}
+    for path in ("cyclotomic", "bitreversed"):
+        with ctx.count_session() as sess:
+            _product(ctx, f, g, path)
+        allocs[path] = sess.alloc
+    assert allocs["bitreversed"] == allocs["cyclotomic"] + 2 * n
 
 
 @pytest.mark.parametrize("path", PATHS)
