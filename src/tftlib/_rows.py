@@ -2,7 +2,7 @@
 
 :mod:`tftlib.bridge` hands a product here when p < 2^31 and its length n is
 at least ``bridge._ROWS_MIN``: ``multiply_full_fft``, and ``multiply_tft``
-on the bit-reversed path and on the cyclotomic one with the ``new`` engine.
+on both paths with the ``new`` engine.
 Below 2^31 a product of two residues fits an int64, so every butterfly,
 fold and scaling is a numpy operation, and the outputs are the Python ints
 in [0, p) of the list path.  Everything else (the public transforms, p >=
@@ -26,7 +26,7 @@ does, and the unbreak undoes it by a Horner carry; each takes a few numpy
 calls per bit of N or per block on contiguous slices, and reduces only at
 its end, which the int64 headroom allows (``_break``, ``_unbreak``).  The
 bit-reversed product is the cyclotomic one between two Omega_s scalings,
-each a row of powers of omega_N; ``_twiddles`` says why.
+each a row of powers of omega_N, as on the list path.
 
 The element work differs from the tallies.  The rows reduce lazily between
 stages (Harvey 2014) and fully at the ends, take every twiddle from the
@@ -146,51 +146,19 @@ def _tables(ctx: FieldCtx, N: int, work: np.ndarray) -> tuple:
     return tables
 
 
-def _start_muls(sizes) -> int:
-    """The multiplications :func:`tftlib.transform._stage_start` counts for
-    the first twiddles omega_(2^m)**(-e_i), m = 2..log2(n_i) + 1, of the
-    blocks in one bit-reversed transform: one per ladder factor after the
-    first, on the ladder of e_i or -e_i mod 2^m, whichever has fewer set bits.
-
-    e_i (:func:`tftlib.bridge._grid_twist`) has set bits at b_i - b_l for
-    l >= i, n_l = 2^(b_l), so it is odd and -e_i mod 2^m has m + 1 - c, c
-    those of e_i mod 2^m: with j + 1 ones and x zeros below m, a stage costs
-    min(j, x).  Between two set bits j stays while x climbs a gap of zeros
-    (b_l - b_(l+1) - 1, then b_s), which sums in closed form.
-    """
-    bits = [ni.bit_length() - 1 for ni in sizes]
-    gaps = [b - c - 1 for b, c in zip(bits, bits[1:])] + [bits[-1]]
-    muls = 0
-    first = len(gaps)
-    for i in range(len(gaps) - 1, -1, -1):
-        first = i if gaps[i] else first  # the gaps before it add nothing
-        x = 0
-        for j, gap in enumerate(gaps[first:], first - i):  # min(j, x..x + gap)
-            top, h = x + gap, min(x + gap, j)
-            muls += (gap + 1) * j if x >= j else ((x + h) * (h - x + 1) >> 1) + (top - h) * j
-            x = top
-    return muls
-
-
 def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int) -> tuple:
     """Every stage's row twiddles, forward and inverse, from the tables of N.
 
     Blocks of ``sizes`` take ``twist``, 0 or 1.  At half-length u, row q
     of block i (m = n_i / 2u rows, n_i = 2^(k-1) u) takes
     c * omega_(2^(k-1))**rev(q), where c = omega_(2^k)**twist is its first
-    twiddle (:func:`tftlib.transform._stage_start`).  Entry q of the base
+    twiddle (as in :func:`tftlib.transform.dwt`).  Entry q of the base
     row is omega_(2m)**rev(q) for q < m, so twist 0 reads base[q]; its
     entry m + q is omega_(4m)**(2 rev(q) + 1), which twist 1 reads: the
     octave [m, 2m) of the base row.  The blocks of a stage have distinct m,
     so a stage whose m halve from block to block (every stage, when n is
     2^k - 1 or 2^k + 1) reads one slice of the octaves; the others
     concatenate their blocks' octaves.
-
-    The bit-reversed path takes twist 1 too.  Its list form gives block i
-    the twist -e_i (:func:`tftlib.bridge._grid_twist`), the points
-    omega_i**(-e_i) times the n_i-th roots of unity.  e_i is odd, so these
-    are the roots of Phi_i that twist 1 reaches, in another order, which a
-    product never sees: its inverse uses the points of its forward ones.
 
     Returns the (forward, inverse) rows by log2(u) and the 1/n_i of every
     slot.
@@ -437,16 +405,19 @@ def multiply_full_fft(ctx: FieldCtx, f, g, size: int) -> list[int]:
 def multiply_tft(ctx: FieldCtx, f, g, plan: Plan, path: str) -> list[int]:
     """:func:`tftlib.bridge.multiply_tft` of f and g, trimmed to their degrees,
     over ``plan`` (two blocks or more), with the ``new`` break."""
-    work = _counted(ctx, np.empty(2 * plan.n, np.int64))
-    a = _load(ctx, f, g, plan.n, work)
-    tables = _tables(ctx, plan.N, work)
-    if path == "bitreversed":  # Omega_s = omega_N**e, e = e_1 = -_grid_twist(plan, 1)
-        e = sum(plan.sizes[0] // nl for nl in plan.sizes)
-        exps = np.arange(plan.n) * e
-        scales = _counted(ctx, tables[0].take(np.stack((exps, -exps)) & (plan.N - 1)))
+    n, N = plan.n, plan.N
+    work = _counted(ctx, np.empty(2 * n, np.int64))
+    a = _load(ctx, f, g, n, work)
+    tables = _tables(ctx, N, work)
+    if path == "bitreversed":  # Omega_s = omega_N**e, e = sum of n_1/n_l
+        exps = work[:n]  # k e, then -k e, in the free work buffer
+        exps[0], exps[1:] = 0, sum(plan.sizes[0] // nl for nl in plan.sizes)
+        np.cumsum(exps, out=exps)
+        scales = _counted(ctx, np.empty((2, n), np.int64))
+        for row in scales:  # Omega_s**k, then Omega_s**(-k)
+            tables[0].take(np.bitwise_and(exps, N - 1, out=exps), out=row, mode="clip")
+            np.negative(exps, out=exps)
         _scale(ctx, a, scales[0], work)
-        # the list path's twists -e_i: two forward transforms and one inverse
-        ctx.ops.mul += 3 * _start_muls(plan.sizes)
     twiddles = _twiddles(ctx, plan.sizes, tables, 1)
     counts = _break_counts(plan)
     _break(ctx, a, plan, counts, work)

@@ -23,18 +23,23 @@ Every step is invertible, which gives the inverse transform, and with it
 polynomial products of any target length n at a cost that grows smoothly in
 n instead of jumping at powers of two.
 
+A product never sees the order of its evaluation points: its inverse uses
+the points of its forward transforms.  e_i is odd, so the twist -e_i reaches
+the roots of Phi_i that twist 1 reaches, in another order, and the
+bit-reversed product is the cyclotomic one between a scaling of both
+operands by Omega_s**k and one of the result by Omega_s**(-k).
+
 Over p < 2^31, where a product of two residues fits an int64, products of
 length n >= _ROWS_MIN compute in int64 numpy rows (:mod:`tftlib._rows`):
-``multiply_full_fft``, and ``multiply_tft`` on both paths, the cyclotomic
-one with the ``new`` engine.  They return the same Python ints and add the
-same counted (mul, pow2, add) as the list code here, which stays the
-reference and the only path for p >= 2^31, for shorter products and for
-the ``sergeev`` and ``mateer`` engines.  The row form reports its numpy
-scratch, the tables of the padded length N included, in
-``ctx.scratch_allocated``: at most 5N, 9N and 10N elements on the padded,
-cyclotomic and bit-reversed paths; the list path reports none.  numpy and
-the row module load with the first product that takes them, not with
-``import tftlib``.
+``multiply_full_fft``, and ``multiply_tft`` on both paths with the ``new``
+engine.  They return the same Python ints and add the same counted (mul,
+pow2, add) as the list code here, which stays the reference and the only
+path for p >= 2^31, for shorter products and for the ``sergeev`` and
+``mateer`` engines.  The row form reports its numpy scratch, the tables of
+the padded length N included, in ``ctx.scratch_allocated``: at most 5N, 9N
+and 10N elements on the padded, cyclotomic and bit-reversed paths; the list
+path reports none.  numpy and the row module load with the first product
+that takes them, not with ``import tftlib``.
 """
 
 from __future__ import annotations
@@ -145,12 +150,13 @@ def multiply_tft(ctx: FieldCtx, f: list[int], g: list[int],
 
     ``cyclotomic`` multiplies the per-block evaluations (the product is
     determined modulo the product of the Phi_i, whose degree is n > deg(fg));
-    ``bitreversed`` multiplies the truncated grid values and inverts the grid
-    transform.  Both operands share one plan, so the pointwise product is
-    taken over identical evaluation points.  ``engine`` selects the block
-    split of the cyclotomic path; the bit-reversed path always uses
-    :func:`break_in_place`.  When n = 2^k the truncated transform is the
-    padded one, so the product is :func:`multiply_full_fft`'s.
+    ``bitreversed`` multiplies the truncated grid values, which is the same
+    product between a scaling by Omega_s**k of both operands and one by
+    Omega_s**(-k) of the result (see the module docstring).  Both operands
+    share one plan, so the pointwise product is taken over identical
+    evaluation points.  ``engine`` selects the block split on both paths.
+    When n = 2^k the truncated transform is the padded one, so the product
+    is :func:`multiply_full_fft`'s.
     """
     if path not in ("cyclotomic", "bitreversed"):
         raise ValueError(f"unknown path {path!r}")
@@ -165,22 +171,19 @@ def multiply_tft(ctx: FieldCtx, f: list[int], g: list[int],
     if n & (n - 1) == 0:
         return multiply_full_fft(ctx, f, g)
     plan = plan_new(n, ctx)
-    rows = _row_form(ctx, n) if path == "bitreversed" or engine == "new" else None
+    rows = _row_form(ctx, n) if engine == "new" else None
     if rows is not None:
         return rows.multiply_tft(ctx, f[:df + 1], g[:dg + 1], plan, path)
     fa = [int(c) % p for c in f[:df + 1]] + [0] * (n - df - 1)
     ga = [int(c) % p for c in g[:dg + 1]] + [0] * (n - dg - 1)
-    if path == "cyclotomic":
-        ctft_forward(ctx, fa, plan, engine)
-        ctft_forward(ctx, ga, plan, engine)
-    else:
-        brtft_forward(ctx, fa, plan)
-        brtft_forward(ctx, ga, plan)
+    for a in (fa, ga):
+        if path == "bitreversed":
+            scale_by_powers(ctx, a, n, _grid_scale(plan, 1))
+        ctft_forward(ctx, a, plan, engine)
     for k in range(n):
         fa[k] = fa[k] * ga[k] % p
     ctx.ops.mul += n
-    if path == "cyclotomic":
-        ctft_inverse(ctx, fa, plan)
-    else:
-        brtft_inverse(ctx, fa, plan)
+    ctft_inverse(ctx, fa, plan)
+    if path == "bitreversed":
+        scale_by_powers(ctx, fa, n, _grid_scale(plan, -1))
     return fa

@@ -231,8 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"prime modulus (default {DEFAULT_MODULUS}; "
                              "file-based commands take the file's modulus)")
     parser.add_argument("--engine", choices=ENGINES, default="new",
-                        help="block decomposition engine of ctft-fwd and of the "
-                             "cyclotomic mul (default new)")
+                        help="block decomposition engine of ctft-fwd and both "
+                             "TFT mul paths (default new)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for generated polynomials (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -151,6 +151,28 @@ def test_truncated_transforms_within_margin_of_padded(ctx):
             assert total(sess) <= (1 + MARGIN[fn.__name__]) * padded[plan.N], (fn.__name__, n)
 
 
+# Worst total-op ratio, minus 1, of each truncated product against the
+# padded product of the same operands over n = 3..1100 and 2^k +- 1 up to
+# 16385 (n = 511 and n = 63).  Tighten these as the counts fall; never
+# loosen them.
+PRODUCT_MARGIN = {"cyclotomic": 0.057, "bitreversed": 0.218}
+
+
+def test_truncated_products_within_margin_of_padded(ctx):
+    def total(sess):
+        return sess.mul + sess.pow2 + sess.add
+
+    for n in [*range(3, 1101), *(2**k + d for k in range(11, 15) for d in (-1, 1))]:
+        f, g = [1] * (n // 2), [2] * (n + 1 - n // 2)
+        with ctx.count_session() as sess:
+            multiply_full_fft(ctx, f, g)
+        padded = total(sess)
+        for path, margin in PRODUCT_MARGIN.items():
+            with ctx.count_session() as sess:
+                multiply_tft(ctx, f, g, path)
+            assert total(sess) <= (1 + margin) * padded, (path, n)
+
+
 def test_multiply_full_fft_examples(ctx):
     assert multiply_full_fft(ctx, [1, 1], [1, 1]) == [1, 2, 1]
     f = [3, 0, 7, 9]
@@ -177,8 +199,9 @@ def test_multiply_against_schoolbook(ctx):
         assert multiply_full_fft(ctx, f, g) == want
         assert multiply_tft(ctx, f, g, "cyclotomic") == want
         assert multiply_tft(ctx, f, g, "bitreversed") == want
-        for engine in ("sergeev", "mateer"):
-            assert multiply_tft(ctx, f, g, "cyclotomic", engine) == want
+        for path in ("cyclotomic", "bitreversed"):
+            for engine in ("sergeev", "mateer"):
+                assert multiply_tft(ctx, f, g, path, engine) == want, (path, engine)
 
 
 def test_multiply_commutative_bilinear(ctx):

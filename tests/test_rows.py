@@ -2,25 +2,28 @@
 
 Over p < 2^31, every product of length n >= ``bridge._ROWS_MIN`` computes in
 int64 rows.  Each product here is compared with a reference composed from
-the public list functions: the forward transforms of both operands, a
-pointwise product and the inverse transform.  The outputs must be equal, and
-so must the (mul, pow2, add) each adds, the reference's pointwise product
-counting one multiplication per slot as the list path does.
+the list functions: the forward transforms of both operands, a pointwise
+product and the inverse transform, on the bit-reversed path between two
+Omega_s scalings.  The outputs must be equal, and so must the (mul, pow2,
+add) each adds, the reference's pointwise product counting one
+multiplication per slot as the list path does.
 """
 
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import tftlib
-from tftlib import (FieldCtx, _rows, brtft_forward, brtft_inverse, ctft_forward,
+from tftlib import (FieldCtx, brtft_forward, brtft_inverse, ctft_forward,
                     ctft_inverse, fft_in_place, ifft_in_place,
                     multiply_full_fft, multiply_tft, oracle, plan_new,
                     unbreak_in_place)
-from tftlib.bridge import _ROWS_MIN, _grid_twist
+from tftlib.bridge import _ROWS_MIN, _grid_scale
+from tftlib.transform import scale_by_powers
 
 PRIMES = (2013265921, 998244353)
 PATHS = ("padded", "cyclotomic", "bitreversed")
@@ -60,9 +63,16 @@ def _product(ctx, f, g, path):
 
 
 def _reference(ctx, f, g, path):
-    """The product by the list transforms, and the counts it adds."""
+    """The product by the list transforms, and the counts it adds.
+
+    A bit-reversed product is the cyclotomic one between two Omega_s
+    scalings, and its counts are that composition's.  Its output is also
+    checked against the one of the bit-reversed transforms, which evaluate
+    on the grid itself.
+    """
     p = ctx.p
     n = len(f) + len(g) - 1
+    scaled = path == "bitreversed" and n & (n - 1) != 0
     if path == "padded" or n & (n - 1) == 0:
         size = 1 << (n - 1).bit_length()
         forward = lambda a: fft_in_place(ctx, a, size)
@@ -70,12 +80,16 @@ def _reference(ctx, f, g, path):
     else:
         size = n
         plan = plan_new(n, ctx)
-        if path == "cyclotomic":
-            forward = lambda a: ctft_forward(ctx, a, plan)
-            inverse = lambda a: ctft_inverse(ctx, a, plan)
-        else:
-            forward = lambda a: brtft_forward(ctx, a, plan)
-            inverse = lambda a: brtft_inverse(ctx, a, plan)
+
+        def forward(a):
+            if scaled:
+                scale_by_powers(ctx, a, n, _grid_scale(plan, 1))
+            ctft_forward(ctx, a, plan)
+
+        def inverse(a):
+            ctft_inverse(ctx, a, plan)
+            if scaled:
+                scale_by_powers(ctx, a, n, _grid_scale(plan, -1))
     fa = f + [0] * (size - len(f))
     ga = g + [0] * (size - len(g))
     with ctx.count_session() as sess:
@@ -83,6 +97,13 @@ def _reference(ctx, f, g, path):
         forward(ga)
         h = [x * y % p for x, y in zip(fa, ga)]
         inverse(h)
+    if scaled:  # the grid transforms anchor the product
+        fa, ga = f + [0] * (n - len(f)), g + [0] * (n - len(g))
+        brtft_forward(ctx, fa, plan)
+        brtft_forward(ctx, ga, plan)
+        grid = [x * y % p for x, y in zip(fa, ga)]
+        brtft_inverse(ctx, grid, plan)
+        assert grid == h
     return h[:n], (sess.mul + size, sess.pow2, sess.add)
 
 
@@ -115,29 +136,6 @@ def test_largest_residues_stay_within_int64(field, n, path):
             h = _product(field, f, g, path)
         assert h == want
         assert (sess.mul, sess.pow2, sess.add) == counts
-
-
-def _stage_start_walk(twist: int, stages: int) -> int:
-    """The stage-start multiplications of one block, stage by stage: at 2^m,
-    m = 2..stages + 1, one per ladder factor after the first, on the shorter
-    of the ladders of twist and -twist mod 2^m."""
-    up, down = twist, -twist
-    ones_up, ones_down = up & 1, down & 1
-    muls = 0
-    for b in range(1, stages + 1):
-        ones_up += up >> b & 1
-        ones_down += down >> b & 1
-        muls += max(min(ones_up, ones_down) - 1, 0)
-    return muls
-
-
-def test_stage_start_multiplications_in_closed_form():
-    ctx = FieldCtx()
-    for n in range(3, 5000):
-        plan = plan_new(n, ctx)
-        walk = sum(_stage_start_walk(_grid_twist(plan, i), plan.exp(i))
-                   for i in range(1, plan.s + 1))
-        assert _rows._start_muls(plan.sizes) == walk, n
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -173,6 +171,31 @@ def test_bitreversed_rows_add_only_the_two_power_rows(n):
             _product(ctx, f, g, path)
         allocs[path] = sess.alloc
     assert allocs["bitreversed"] == allocs["cyclotomic"] + 2 * n
+
+
+# bytes of numpy array headers and views, not of elements
+HEADER_SLACK = 2048
+
+
+@pytest.mark.parametrize("n", [1023, 4095])
+def test_bitreversed_rows_take_no_unreported_memory(n):
+    # what the bit-reversed product takes beyond the cyclotomic one, the two
+    # power rows, is all reported: its peak grows by the reported elements
+    ctx = FieldCtx()
+    f, g = _operands(ctx.p, n, n)
+    _product(ctx, f, g, "cyclotomic")  # builds the tables of the padded length
+    peaks, allocs = {}, {}
+    for path in ("cyclotomic", "bitreversed"):
+        with ctx.count_session() as sess:
+            tracemalloc.start()
+            try:
+                _product(ctx, f, g, path)
+                peaks[path] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        allocs[path] = sess.alloc
+    excess = 8 * (allocs["bitreversed"] - allocs["cyclotomic"])
+    assert peaks["bitreversed"] - peaks["cyclotomic"] <= excess + HEADER_SLACK
 
 
 @pytest.mark.parametrize("path", PATHS)
