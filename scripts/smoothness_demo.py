@@ -7,7 +7,7 @@ path roughly doubles at n = 2^k + 1 (x2.19 at k = 8, 4069 -> 8930 mul) and
 the cyclotomic truncated path does not move (x1.000 at k = 8, 4069 -> 4070).
 At n = 2^k both truncated paths are the padded product itself; at 2^k + 1
 the bit-reversed path pays for the change of variable and the block split, a
-step of x1.378 at k = 8 (4069 -> 5609) to 0.63x the padded cost.
+step of x1.378 at k = 8 (4069 -> 5606) to 0.63x the padded cost.
 
 Usage: python3 scripts/smoothness_demo.py [--k 8] [--window 8] [--seed 0]
 """

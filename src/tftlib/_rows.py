@@ -13,12 +13,13 @@ The two operands are the columns of an (n, 2) buffer, so a product's
 forward transforms are one set of operations.  The block transform takes
 one set per butterfly stage over every block at once: blocks are contiguous
 and aligned, so at half-length u the blocks with n_i >= 2u are a prefix of
-the buffer that reshapes to (rows, 2, u, 2).  Each row's twiddle is a power
-of omega_N, N the padded length.  The powers, the bit-reversed base rows
-and their twist-1 octaves are tables of the field and N, built by the first
-product of padded length N over a context and kept on it
-(``ctx.row_tables``, one entry per power of two); a product slices them, or
-gathers the rows of stages whose blocks do not halve one into the next.
+the buffer that reshapes to (rows, 2, u k), k its columns, and each row
+takes one twiddle, a power of omega_N, N the padded length.  The powers,
+the bit-reversed base rows and their twist-1 octaves are tables of the
+field and N, built by the first product of padded length N over a context
+and kept on it (``ctx.row_tables``, one entry per power of two); a product
+slices them, or gathers the rows of stages whose blocks do not halve one
+into the next.
 
 The ``new`` break and its inverse reach the list path's images without
 its survivor runs.  The break halves z^N - 1, as the ``mateer`` engine
@@ -28,8 +29,15 @@ its end, which the int64 headroom allows (``_break``, ``_unbreak``).  The
 bit-reversed product is the cyclotomic one between two Omega_s scalings,
 each a row of powers of omega_N, as on the list path.
 
+The rows' twiddles are balanced, in (-p/2, p/2], so a product of a twiddle
+and a value below 4p in magnitude stays below 2p^2 < 2^63 for every p <
+2^31.  That lets the butterflies reduce lazily (Harvey 2014): each product
+is reduced at once, but the forward transform reduces its sums and
+differences only after every fourth stage and its last, and the inverse its
+sums after every third stage (proofs at :func:`_transform`).
+
 The element work differs from the tallies.  The rows reduce lazily between
-stages (Harvey 2014) and fully at the ends, take every twiddle from the
+stages and fully at the ends, take every twiddle from the
 tables instead of generating it, and halve the break and carry its inverse
 instead of folding survivor runs.  None of this is counted: each product
 adds to ``ctx.ops`` exactly the (mul, pow2, add) that the list path adds
@@ -128,21 +136,25 @@ def _bit_reversal(bits: int) -> np.ndarray:
 def _tables(ctx: FieldCtx, N: int, work: np.ndarray) -> tuple:
     """The tables of padded length N over ctx, built and reported once.
 
-    ``powers`` holds omega_N**j for j < N; ``base`` holds the forward and
-    inverse base rows omega_N**(+-rev(r)) for r < N/2, rev over log2(N/2)
-    bits; ``octaves`` holds base[:, m:2m] for m from N/4 down to 1, the
-    octave of m at N/2 - 2m.  rev itself is not kept: with it the tables
-    and the 2N work buffer would pass the padded product's 5N bound.
+    ``powers`` holds omega_N**j for j < N, in [0, p); ``base`` holds the
+    forward and inverse base rows omega_N**(+-rev(r)) for r < N/2, rev over
+    log2(N/2) bits, balanced into (-p/2, p/2] (see :func:`_transform`);
+    ``octaves`` holds base[:, m:2m] for m from N/4 down to 1, the octave of
+    m at N/2 - 2m.  Both keep a last axis of length 1, so that a slice
+    multiplies the rows of a stage.  rev itself is not kept: with it the
+    tables and the 2N work buffer would pass the padded product's 5N bound.
     """
     tables = ctx.row_tables.get(N)
     if tables is None:
+        p = ctx.p
         powers = _unit_powers(ctx, N, work)
         rev = _bit_reversal(N.bit_length() - 2)
         base = _counted(ctx, powers.take(np.stack((rev, -rev & (N - 1)))))
+        np.subtract(base, p, out=base, where=base > p // 2)
         half = N // 2
         octaves = _counted(ctx, np.concatenate(
             [base[:, m:2 * m] for m in (half >> e for e in range(1, half.bit_length()))], axis=1))
-        tables = ctx.row_tables[N] = (powers, base, octaves)
+        tables = ctx.row_tables[N] = (powers, base[:, :, None], octaves[:, :, None])
     return tables
 
 
@@ -156,33 +168,35 @@ def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int) -> tuple:
     row is omega_(2m)**rev(q) for q < m, so twist 0 reads base[q]; its
     entry m + q is omega_(4m)**(2 rev(q) + 1), which twist 1 reads: the
     octave [m, 2m) of the base row.  The blocks of a stage have distinct m,
-    so a stage whose m halve from block to block (every stage, when n is
-    2^k - 1 or 2^k + 1) reads one slice of the octaves; the others
-    concatenate their blocks' octaves.
+    one set bit each of n >> (st + 1), which is the stage's row count, so a
+    stage whose m halve from block to block (its bits are contiguous: every
+    stage, when n is 2^k - 1 or 2^k + 1) reads one slice of the octaves;
+    the others concatenate their blocks' octaves.
 
-    Returns the (forward, inverse) rows by log2(u) and the 1/n_i of every
-    slot.
+    Returns the (forward, inverse) rows by log2(u), each of shape
+    (2, rows, 1), and the 1/n_i of every slot, balanced as the rows are:
+    -(p - 1)/n_i.
     """
-    p = ctx.p
     _, base, octaves = tables
-    active = [ni for ni in sizes if ni > 1]
+    n = sum(sizes)
     half = base.shape[1]
-    stage_ms = [[ni >> (st + 1) for ni in active if ni >> st > 1]
-                for st in range(active[0].bit_length() - 1)]
-    if not twist:
-        rows_at = [base[:, :sum(ms)] for ms in stage_ms]
-    else:
-        rows_at = []
-        for ms in stage_ms:
-            width = sum(ms)
-            if width == 2 * ms[0] - ms[-1]:  # m halves from block to block
-                rows_at.append(octaves[:, half - 2 * ms[0]:half - 2 * ms[0] + width])
-            else:
-                rows_at.append(_counted(ctx, np.concatenate([base[:, m:2 * m] for m in ms],
-                                                            axis=1)))
-    inv_n = [p - (p - 1) // ni for ni in active]
+    rows_at = []
+    for st in range(n.bit_length() - 1):
+        w = n >> (st + 1)
+        if not twist:
+            rows = base[:, :w]
+        elif w & (w + (w & -w)) == 0:  # m halves from block to block
+            top = 1 << (w.bit_length() - 1)
+            rows = octaves[:, half - 2 * top:half - 2 * top + w]
+        else:
+            rows = _counted(ctx, np.concatenate(
+                [base[:, 1 << b:2 << b] for b in range(w.bit_length() - 1, -1, -1) if w >> b & 1],
+                axis=1))
+        rows_at.append(rows)
+    active = [ni for ni in sizes if ni > 1]
+    inv_n = [-((ctx.p - 1) // ni) for ni in active]
     scale = inv_n[0] if len(active) == 1 else _counted(
-        ctx, np.repeat(np.array(inv_n, np.int64), active))
+        ctx, np.repeat(np.array(inv_n, np.int64), active))[:, None]
     return rows_at, scale
 
 
@@ -192,12 +206,35 @@ def _transform(ctx: FieldCtx, a: np.ndarray, sizes, twiddles, work: np.ndarray,
 
     ``sizes`` are the n_i, decreasing powers of two whose sum is len(a);
     block i starts at n_1 + ... + n_(i-1).  The twiddles, from
-    :func:`_twiddles`, carry the blocks' twists.  Every output is in [0, p).
-    Reduction is lazy (Harvey 2014): no multiplied value reaches 2p in
-    magnitude, so no product with a twiddle reaches 2p^2 < 2^63.  Forward
-    stages reduce the multiplied operand, and the whole prefix every second
-    stage (values stay in (-2p, 3p)); inverse stages reduce the multiplied
-    difference and bring the sums below 2p.
+    :func:`_twiddles`, carry the blocks' twists.  The input is in [0, p),
+    and so is every output.
+
+    Reduction is lazy (Harvey 2014), on balanced twiddles.  p is odd, so a
+    twiddle or 1/n_i in (-p/2, p/2] has magnitude at most (p - 1)/2, and
+    for |v| < 4p a product has |v w| < 2p (p - 1) < 2p^2 < 2^63, as p < 2^31
+    gives p^2 < 2^62.  Every product is reduced into [0, p) at once; the
+    sums and differences wait, and never leave [-4p, 8p).  The two bounds
+    below show that no multiplied value reaches 4p in magnitude.
+
+    Forward, u falls and the prefix grows.  Before the d-th stage every
+    value of its prefix lies in [-jp, (j + 1) p), j = (d - 1) mod 4.  This
+    holds at d = 1 and for the blocks that join the prefix later, which
+    hold their input.  A stage multiplies y, |y| < (j + 1) p <= 4p, into
+    t in [0, p); then x - t lies in [-(j + 1) p, (j + 1) p) and x + t in
+    [-jp, (j + 2) p), so the bound holds with j + 1.  After every fourth
+    stage (j = 3: values in [-4p, 5p)) the prefix is reduced into [0, p),
+    so j restarts at 0, and after the last stage, whose prefix holds every
+    block, too.
+
+    Inverse, u grows and the prefix shrinks.  Before the d-th stage every
+    value of its prefix lies in [0, cp), c = 2^((d - 1) mod 3).  This holds
+    at d = 1, the input being in [0, p).  A stage multiplies x - y,
+    |x - y| < cp <= 4p, into y in [0, p), and x + y lies in [0, 2cp), so
+    the next prefix, a part of this one, lies in [0, 2cp).  After every
+    third stage (c = 4: sums in [0, 8p)) the sums are reduced into [0, p),
+    so c restarts at 1.  A block that has left the prefix keeps what its
+    last stage left, in [0, 4p) (c <= 2) or in [0, p) (c = 4, reduced); so
+    the 1/n_i pass multiplies values below 4p, and reduces them.
     """
     k = a.shape[1]
     active = [ni for ni in sizes if ni > 1]
@@ -205,39 +242,33 @@ def _transform(ctx: FieldCtx, a: np.ndarray, sizes, twiddles, work: np.ndarray,
     span = sum(active)
     prod = work[:span // 2 * k]
     quot = work[span // 2 * k:]
-    stages = active[0].bit_length() - 1
+    stages = span.bit_length() - 1
     order = range(stages) if inverse else range(stages - 1, -1, -1)
     for done, st in enumerate(order, 1):
-        u = 1 << st
-        tw = stage_rows[st][1 if inverse else 0][:, None, None]
+        tw = stage_rows[st][1 if inverse else 0]
         rows = len(tw)
-        width = rows * 2 * u
-        view = a[:width].reshape(rows, 2, u, k)
+        width = rows << (st + 1)
+        view = a[:width].reshape(rows, 2, -1)
         x = view[:, 0]
         y = view[:, 1]
-        t = prod[:width // 2 * k].reshape(rows, u, k)
-        if inverse:  # x, y in [0, 2p)
+        t = prod[:width // 2 * k].reshape(rows, -1)
+        if inverse:
             np.subtract(x, y, out=t)
             np.add(x, y, out=x)
             np.multiply(t, tw, out=t)
             _mod(ctx, t, quot, out=y)
-            if t.size < _DIVIDE_MIN:
-                np.remainder(x, ctx.p, out=x)
-            else:  # [0, 4p) to [0, 2p): the smaller of x and x - 2p, unsigned
-                xu = x.view(np.uint64)
-                qu = quot[:t.size].reshape(t.shape).view(np.uint64)
-                np.subtract(xu, np.uint64(2 * ctx.p), out=qu)
-                np.minimum(xu, qu, out=xu)
-        else:  # x, y in (-p, 2p), or in [0, p) after a reduced stage
+            if done % 3 == 0:
+                _mod(ctx, x, quot)
+        else:
             np.multiply(y, tw, out=t)
             _mod(ctx, t, quot)
             np.subtract(x, t, out=y)
             np.add(x, t, out=x)
-            if done % 2 == 0 or done == stages:
+            if done % 4 == 0 or done == stages:
                 _mod(ctx, a[:width], work)
     if inverse:
         head = a[:span]
-        np.multiply(head, scale if type(scale) is int else scale[:, None], out=head)
+        np.multiply(head, scale, out=head)
         _mod(ctx, head, work)
     for ni in active:
         st = ni.bit_length() - 1
@@ -342,12 +373,17 @@ def _unbreak(ctx: FieldCtx, a: np.ndarray, plan: Plan, counts: tuple, work: np.n
     into block i lies in [0, M_i p), 2 n_i M_i = n_1 + ... + n_(i-1) (f_1
     folds n_1 / 2 n_2 chunks, f_i + 2 C_hi then n_i / 2 n_(i+1)), so
     2^(i-1) r_i lies in (-M_i p, (M_i + 1) p), within n p < p^2 < 2^62.
-    It is reduced once, before the halvings multiply it.
+    It is reduced once, before the halvings multiply it, except with two
+    blocks and n_1 = 2 n_2: there the carry is f_1 itself (M_2 = 1), read
+    in place as no carry step writes into it, and 2 r_2 in (-p, 2p) times
+    2^-1 < p stays below 2p^2 < 2^63.
     """
     n, k = a.shape
     sizes, offsets, tails = plan.sizes, plan.offsets, plan.tails
     s = plan.s
-    c = _fold(a[:sizes[0]], 2 * sizes[1], work[:sizes[0] * k].reshape(-1, k))
+    first = a[:sizes[0]]
+    one_chunk = s == 2 and sizes[0] == 2 * sizes[1]
+    c = first if one_chunk else _fold(first, 2 * sizes[1], work[:first.size].reshape(-1, k))
     for i in range(2, s + 1):
         ni = sizes[i - 1]
         c = _fold(c, 2 * ni, c)
@@ -359,7 +395,8 @@ def _unbreak(ctx: FieldCtx, a: np.ndarray, plan: Plan, counts: tuple, work: np.n
         blk -= lo
         c = hi
     rest = a[sizes[0]:]
-    _mod(ctx, rest, work)
+    if not one_chunk:
+        _mod(ctx, rest, work)
     halvings = [pow(ctx.half, i, ctx.p) for i in range(1, s)]
     rest *= halvings[0] if s == 2 else _counted(ctx, np.repeat(halvings, sizes[1:]))[:, None]
     _mod(ctx, rest, work)

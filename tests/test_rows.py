@@ -25,7 +25,7 @@ from tftlib import (FieldCtx, brtft_forward, brtft_inverse, ctft_forward,
 from tftlib.bridge import _ROWS_MIN, _grid_scale
 from tftlib.transform import scale_by_powers
 
-PRIMES = (2013265921, 998244353)
+PRIMES = (2013265921, 998244353, 2130706433)
 PATHS = ("padded", "cyclotomic", "bitreversed")
 # long runs of 0 bits (folds of many chunks) next to adjacent 1 bits (folds of one)
 SHAPES = {2**12 + 2**5 + 1, 2**11 + 2**10 + 2**3 + 1, 0b1001001001, 0b110000000011,
@@ -136,6 +136,27 @@ def test_largest_residues_stay_within_int64(field, n, path):
             h = _product(field, f, g, path)
         assert h == want
         assert (sess.mul, sess.pow2, sess.add) == counts
+
+
+@pytest.mark.parametrize("path, n", [("padded", 256), ("padded", 1024), ("cyclotomic", 255),
+                                     ("cyclotomic", 384), ("cyclotomic", 1025)])
+def test_inverse_rows_take_their_largest_sums(field, n, path):
+    # The inverse rows reduce their sums only every few stages.  The product
+    # of f and [1] hands the inverse the forward transform of f, so with f
+    # the list inverse of a pattern the inverse starts from that pattern:
+    # p - 1 in the first half of every 2^(b + 1) slots and 0 in the other
+    # drives the sums of its first b + 1 stages, and their differences, to
+    # the largest the bounds of tftlib._rows._transform allow.  The last
+    # slot, 1, keeps f from being sparse, so the product has length n.
+    p = field.p
+    for b in range(6):
+        f = [0 if j >> b & 1 else p - 1 for j in range(n - 1)] + [1]
+        if path == "padded":
+            ifft_in_place(field, f, n)
+        else:
+            ctft_inverse(field, f, plan_new(n, field))
+        assert f[-1] != 0  # the product has length n
+        assert _product(field, f, [1], path) == f
 
 
 @pytest.mark.parametrize("path", PATHS)
