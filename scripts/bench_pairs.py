@@ -27,6 +27,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from record import spread  # noqa: E402  (the quartiles the baseline records use)
+
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -40,15 +43,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summary(name: str, better: str, parent: list[float], change: list[float]) -> str:
-    q1, p_med, q3 = statistics.quantiles(parent, n=4)
+    base = spread(parent)
+    p_med = base["median"]
     c_med = statistics.median(change)
     sign = 1 if better == "higher" else -1
     gain = sign * (c_med - p_med) / p_med
     won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-    iqr = (q3 - q1) / p_med
-    shown = won >= 0.9 * len(parent) and abs(c_med - p_med) > q3 - q1
+    shown = won >= 0.9 * len(parent) and abs(c_med - p_med) > base["q3"] - base["q1"]
     return (f"{name:28s} parent {p_med:12.6g}  change {c_med:12.6g}  gain {gain:+7.2%}  "
-            f"won {won}/{len(parent)}  parent IQR {iqr:6.2%}{'  shown' if shown else ''}")
+            f"won {won}/{len(parent)}  parent IQR {base['iqr_frac']:6.2%}"
+            f"{'  shown' if shown else ''}")
 
 
 def main(argv=None) -> int:
@@ -58,7 +62,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--count", type=int, default=10, help="pairs to run")
     ap.add_argument("--seconds", type=float, default=20)
-    ap.add_argument("--out", help="write every run's metrics to this JSON file")
     args = ap.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -83,9 +86,6 @@ def main(argv=None) -> int:
         print(summary(name, metric["better"], values["parent"][name], values["change"][name]))
     failed = {side: sum(r["failed"] for r in results) for side, results in runs.items()}
     print(f"failed outputs: parent {failed['parent']}, change {failed['change']}")
-    if args.out:
-        Path(args.out).write_text(json.dumps({"workload": args.workload, "seconds": args.seconds,
-                                              "values": values}, indent=1) + "\n")
     return 0 if not any(failed.values()) else 1
 
 

@@ -373,17 +373,12 @@ def _unbreak(ctx: FieldCtx, a: np.ndarray, plan: Plan, counts: tuple, work: np.n
     into block i lies in [0, M_i p), 2 n_i M_i = n_1 + ... + n_(i-1) (f_1
     folds n_1 / 2 n_2 chunks, f_i + 2 C_hi then n_i / 2 n_(i+1)), so
     2^(i-1) r_i lies in (-M_i p, (M_i + 1) p), within n p < p^2 < 2^62.
-    It is reduced once, before the halvings multiply it, except with two
-    blocks and n_1 = 2 n_2: there the carry is f_1 itself (M_2 = 1), read
-    in place as no carry step writes into it, and 2 r_2 in (-p, 2p) times
-    2^-1 < p stays below 2p^2 < 2^63.
+    It is reduced once, before the halvings multiply it.
     """
     n, k = a.shape
     sizes, offsets, tails = plan.sizes, plan.offsets, plan.tails
     s = plan.s
-    first = a[:sizes[0]]
-    one_chunk = s == 2 and sizes[0] == 2 * sizes[1]
-    c = first if one_chunk else _fold(first, 2 * sizes[1], work[:first.size].reshape(-1, k))
+    c = _fold(a[:sizes[0]], 2 * sizes[1], work[:sizes[0] * k].reshape(-1, k))
     for i in range(2, s + 1):
         ni = sizes[i - 1]
         c = _fold(c, 2 * ni, c)
@@ -395,8 +390,7 @@ def _unbreak(ctx: FieldCtx, a: np.ndarray, plan: Plan, counts: tuple, work: np.n
         blk -= lo
         c = hi
     rest = a[sizes[0]:]
-    if not one_chunk:
-        _mod(ctx, rest, work)
+    _mod(ctx, rest, work)
     halvings = [pow(ctx.half, i, ctx.p) for i in range(1, s)]
     rest *= halvings[0] if s == 2 else _counted(ctx, np.repeat(halvings, sizes[1:]))[:, None]
     _mod(ctx, rest, work)

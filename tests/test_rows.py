@@ -15,15 +15,17 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import tftlib
+from tftlib import _rows
 from tftlib import (FieldCtx, brtft_forward, brtft_inverse, ctft_forward,
                     ctft_inverse, fft_in_place, ifft_in_place,
                     multiply_full_fft, multiply_tft, oracle, plan_new,
                     unbreak_in_place)
 from tftlib.bridge import _ROWS_MIN, _grid_scale
-from tftlib.transform import scale_by_powers
+from tftlib.transform import dwt, scale_by_powers
 
 PRIMES = (2013265921, 998244353, 2130706433)
 PATHS = ("padded", "cyclotomic", "bitreversed")
@@ -157,6 +159,42 @@ def test_inverse_rows_take_their_largest_sums(field, n, path):
             ctft_inverse(field, f, plan_new(n, field))
         assert f[-1] != 0  # the product has length n
         assert _product(field, f, [1], path) == f
+
+
+@pytest.mark.parametrize("twist", (0, 1))
+@pytest.mark.parametrize("start", range(6))
+def test_forward_rows_take_their_largest_sums(field, start, twist):
+    # The forward rows reduce their prefix only after every fourth stage.
+    # An input of degree below M = N / 2^start passes the first `start`
+    # stages unchanged into each of its 2^start chunks of M slots.  A stage
+    # pairs slot x with slot y, multiplies y by the twiddle w of their row
+    # and reduces it to t, then x takes x + t and y takes x - t; in chunk r,
+    # a y that is -1/w alone in its chain makes t = p - 1.  So slot M/32
+    # gains p - 1 in each of four stages and reaches 5 (p - 1), and slot
+    # M/2 + M/4 + M/8 + M/16 loses it four times and reaches -4 (p - 1):
+    # for start 0 and 4, the extremes of the prefix before its reduction.
+    # Slot M/32 then meets the twiddle of row 16 r, r the chunk where that
+    # is largest: for start 5, a copy that reduces every fifth stage
+    # overflows int64 there over p = 2013265921 and 2130706433.
+    p, N = field.p, 1024
+    M = N >> start
+    work = np.empty(2 * N, np.int64)
+    # twist 1 reads the octaves of a padded length 2N, as a block of a product does
+    twiddles = _rows._twiddles(field, [N], _rows._tables(field, N << twist, work), twist)
+
+    def w(e, row):  # the forward twiddle of `row` at stage start + e
+        return int(twiddles[0][N.bit_length() - 1 - start - e][0][row, 0])
+
+    r = max(range(1 << start), key=lambda r: abs(w(5, r << 4)))
+    f = [0] * N
+    f[M >> 5] = p - 1
+    for e in range(1, 5):
+        f[(M >> 5) + (M >> e)] = -pow(w(e, r << (e - 1)), -1, p) % p
+        f[M >> e] = -pow(w(e, (r + 1 << (e - 1)) - 1), -1, p) % p
+    a = np.array(f, np.int64)[:, None]
+    _rows._transform(field, a, [N], twiddles, work, False)
+    dwt(field, f, N, twist)
+    assert a[:, 0].tolist() == f
 
 
 @pytest.mark.parametrize("path", PATHS)
