@@ -95,7 +95,9 @@ class CountSession:
 
     @property
     def alloc(self) -> int:
-        """Field elements handed out by :meth:`FieldCtx.alloc` in this session."""
+        """Scratch elements taken in this session: what :meth:`FieldCtx.alloc`
+        hands out, plus the numpy arrays a row product adds to
+        ``scratch_allocated`` (its tables when built, its per-product rows)."""
         if self._frozen is not None:
             return self._frozen_alloc
         return self._ctx.scratch_allocated - self._start_alloc

@@ -38,6 +38,46 @@ def break_additions(plan):
                   for i in range(2, plan.s + 1) for j in range(1, i)))
 
 
+def sergeev_tallies(plan):
+    """(mul, pow2, add) of sergeev_break, step by step down the chain z^K - 1.
+
+    With images 1..i extracted, a step at a set bit (K/2 = n_(i+1)) adds
+    2 tail(i+1) for its butterflies and rebuilds K/2 - tail(i+1) coefficients
+    when i >= 1; a step at a zero bit rebuilds tail(i).  Each rebuilt
+    coefficient costs its surviving terms plus one additions and i - 1
+    doublings.  Image j contributes r_j 2^popcount(free_j) terms: runs of
+    r_j = (lowest bit of mask_j) / K exponents, or n_j / K when the mask
+    n_(j+1) + ... + n_i is 0, one run per subset of the free bits above them.
+    """
+    pow2 = add = 0
+    i, k = 0, plan.N
+    while k > plan.size(plan.s):
+        kh = k >> 1
+        block = i < plan.s and kh == plan.size(i + 1)
+        if block:
+            add += 2 * plan.tail(i + 1)
+            rebuilt = kh - plan.tail(i + 1) if i else 0
+        else:
+            rebuilt = plan.tail(i)
+        terms = 0
+        for j in range(1, i + 1):
+            mask = plan.tail(j) - plan.tail(i)
+            run = mask & -mask or plan.size(j)
+            free = (plan.size(j) - 1) & ~mask & -run
+            terms += run // k << bin(free).count("1")
+        add += rebuilt * (terms + 1)
+        pow2 += rebuilt * (i - 1)
+        i += block
+        k = kh
+    return 0, pow2, add
+
+
+# several zero bits between set bits, so that Sergeev's rebuilt coefficients
+# gather many survivor runs (2^16 + 2^8 + 1: 128 runs each from image 1)
+MANY_RUN_SIZES = [2**12 + 2**5 + 1, 2**11 + 2**10 + 2**3 + 1, 0b1001001001,
+                  0b110000000011, 0b101010101011, 2**16 + 2**8 + 1]
+
+
 def test_reduce_to_remainders_example(ctx5):
     plan = plan_new(3, ctx5)
     a = [1, 2, 3]
@@ -329,29 +369,47 @@ def test_break_of_short_chunk_runs(ctx, n):
     assert (inv.mul, inv.pow2, inv.add) == want
 
 
+def traced_scratch(ctx, n, run):
+    """Traced peak of run(a), above the larger of the buffer before and after it."""
+    rng = random.Random(n)
+    tracemalloc.start()
+    try:
+        a = [rng.randrange(ctx.p) for _ in range(n)]
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run(a)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - max(before, after)
+
+
 @pytest.mark.parametrize("n", [4161, 65537])
 def test_break_and_unbreak_scratch_is_constant(ctx, n):
     # the passes read sources through iterators: a slice or list temporary of
     # the buffer would show in the peak (half of it is 262 kB at 65537)
-    p = ctx.p
     plan = plan_new(n, ctx)
-    rng = random.Random(n)
-    tracemalloc.start()
-    try:
-        a = [rng.randrange(p) for _ in range(n)]
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
+
+    def round_trip(a):
         break_in_place(ctx, a, plan)
         unbreak_in_place(ctx, a, plan)
-        after, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - max(before, after) < 4096
+
+    assert traced_scratch(ctx, n, round_trip) < 4096
+
+
+# one long strided run per rebuilt coefficient (65537) and 128 short runs per
+# coefficient (2^16 + 2^8 + 1): the runs are walked, never stored
+@pytest.mark.parametrize("n", [65537, 2**16 + 2**8 + 1])
+def test_sergeev_scratch_is_constant(ctx, n):
+    plan = plan_new(n, ctx)
+    assert traced_scratch(ctx, n, lambda a: sergeev_break(ctx, a, plan)) < 4096
 
 
 def test_sergeev_additions_at_power_of_two_plus_one(ctx):
-    # one butterfly, then one reconstructed term per halving: nothing is
-    # reconstructed before the first image exists
+    # one butterfly (2 additions), then each of the k halvings rebuilds one
+    # coefficient from image 1 alone: its n_1 / K terms plus one addition into
+    # its slot, n_1 - 1 + k in all; nothing is rebuilt before the first image
+    # exists
     p = ctx.p
     for k in range(1, 15):
         n = (1 << k) + 1
@@ -363,7 +421,21 @@ def test_sergeev_additions_at_power_of_two_plus_one(ctx):
         assert (sess.mul, sess.pow2, sess.add) == (0, 0, n + k), n
 
 
-@pytest.mark.parametrize("n", [65535, 21845, 65537])
+@pytest.mark.parametrize("sizes", [SWEEP_SIZES,
+                                   [2**k + d for k in range(1, 15) for d in (-1, 1)],
+                                   MANY_RUN_SIZES])
+def test_sergeev_tallies_closed_form(ctx, sizes):
+    p = ctx.p
+    for n in sizes:
+        plan = plan_new(n, ctx)
+        rng = random.Random(n)
+        a = [rng.randrange(p) for _ in range(n)]
+        with ctx.count_session() as sess:
+            sergeev_break(ctx, a, plan)
+        assert (sess.mul, sess.pow2, sess.add) == sergeev_tallies(plan), n
+
+
+@pytest.mark.parametrize("n", [65535, 21845, 65537] + MANY_RUN_SIZES)
 def test_engines_match_naive_reduction_at_scale(ctx, n):
     p = ctx.p
     plan = plan_new(n, ctx)

@@ -107,6 +107,36 @@ def test_numpy_int64_buffers_at_62_bit_prime(n):
     _check_numpy_buffers(FieldCtx(P62), n)
 
 
+# 2^52 < P52 < 2^53 (2-adicity 21): below n = 2048, n * P52 < 2^63, so the
+# break engines keep numpy int64 elements as they are; at lengths with many
+# images Sergeev's rebuilt coefficients double their accumulator up to i - 1
+# times (the bound that keeps it in an int64 is proved in ctft._add_rebuilt)
+P52 = 4503599629467649
+
+
+@pytest.mark.parametrize("n", [1023, 1365, 2046])
+def test_numpy_int64_sergeev_unconverted(n):
+    ctx = FieldCtx(P52)
+    p = ctx.p
+    assert n * p < 2**63
+    plan = plan_new(n, ctx)
+    rng = random.Random(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an int64 overflow warning fails the test
+        for plain in ([rng.randrange(p) for _ in range(n)], [p - 1] * n):
+            want = [oracle.naive_mod_reduce(plain, ni, p - 1, p) for ni in plan.sizes]
+            a = list(np.array(plain, dtype=np.int64))
+            sergeev_break(ctx, a, plan)
+            assert any(type(x) is not int for x in a)  # the elements were kept
+            assert [[int(x) for x in a[o:o + ni]]
+                    for o, ni in zip(plan.offsets, plan.sizes)] == want
+            from_numpy = list(np.array(plain, dtype=np.int64))
+            ctft_forward(ctx, from_numpy, plan, "sergeev")
+            ctft_forward(ctx, plain, plan, "sergeev")
+            assert from_numpy == plain
+            _assert_field_ints(from_numpy, p, "ctft_forward[sergeev]")
+
+
 # 2^62 < P63 < 2^63 (2-adicity 20): a residue fits in an int64, a sum of two
 # may not
 P63 = 9223372036836950017
