@@ -15,7 +15,11 @@ both medians, the change's gain over the parent in the metric's better
 direction, the pairs the change won (ties count for neither side) and the
 distance between the quartiles of the parent's runs, as a share of the
 parent's median.  A gain is shown when the change wins at least nine pairs
-in ten and the medians differ by more than that distance.
+in ten and the medians differ by more than that distance.  Against the
+metric's ``bound`` in ``BENCHMARK.json``, a metric is flagged ``worse`` when
+the change's median is worse than the parent's by more than the bound, and
+``unresolved`` when the parent's quartile distance exceeds the bound, unless
+every run of the change beats every run of the parent.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def summary(name: str, better: str, parent: list[float], change: list[float]) -> str:
+def summary(name: str, better: str, bound: float, parent: list[float],
+            change: list[float]) -> str:
     base = spread(parent)
     p_med = base["median"]
     c_med = statistics.median(change)
@@ -50,9 +55,13 @@ def summary(name: str, better: str, parent: list[float], change: list[float]) ->
     gain = sign * (c_med - p_med) / p_med
     won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     shown = won >= 0.9 * len(parent) and abs(c_med - p_med) > base["q3"] - base["q1"]
+    apart = min(sign * c for c in change) > max(sign * p for p in parent)
+    flags = [flag for flag, raised in (("shown", shown), ("worse", gain < -bound),
+                                       ("unresolved", base["iqr_frac"] > bound and not apart))
+             if raised]
     return (f"{name:28s} parent {p_med:12.6g}  change {c_med:12.6g}  gain {gain:+7.2%}  "
             f"won {won}/{len(parent)}  parent IQR {base['iqr_frac']:6.2%}"
-            f"{'  shown' if shown else ''}")
+            + "".join(f"  {flag}" for flag in flags))
 
 
 def main(argv=None) -> int:
@@ -83,7 +92,8 @@ def main(argv=None) -> int:
     print(f"{args.workload}: {args.count} pairs of {args.seconds:g} s runs, seeds 1..{args.count}")
     for metric in spec["end_to_end"]:
         name = metric["name"]
-        print(summary(name, metric["better"], values["parent"][name], values["change"][name]))
+        print(summary(name, metric["better"], metric["bound"], values["parent"][name],
+                      values["change"][name]))
     failed = {side: sum(r["failed"] for r in results) for side, results in runs.items()}
     print(f"failed outputs: parent {failed['parent']}, change {failed['change']}")
     return 0 if not any(failed.values()) else 1

@@ -36,13 +36,10 @@ is reduced at once, but the forward transform reduces its sums and
 differences only after every fourth stage and its last, and the inverse its
 sums after every third stage (proofs at :func:`_transform`).
 
-The element work differs from the tallies.  The rows reduce lazily between
-stages and fully at the ends, take every twiddle from the
-tables instead of generating it, and halve the break and carry its inverse
-instead of folding survivor runs.  None of this is counted: each product
-adds to ``ctx.ops`` exactly the (mul, pow2, add) that the list path adds
-for the same call, in closed form from the plan, so the two paths cannot
-disagree on them.
+The rows count nothing.  Their element work is not the list path's (lazy
+reductions, twiddles read from tables, a halved break), so the bridge adds
+the list product's (mul, pow2, add) after a row product, from the closed
+forms beside the list code that counts them.
 
 Every array this module takes besides the int64 copies of the operands
 and of the product is reported in ``ctx.scratch_allocated``: each table
@@ -270,35 +267,6 @@ def _transform(ctx: FieldCtx, a: np.ndarray, sizes, twiddles, work: np.ndarray,
         head = a[:span]
         np.multiply(head, scale, out=head)
         _mod(ctx, head, work)
-    for ni in active:
-        st = ni.bit_length() - 1
-        ctx.ops.mul += k * ((ni // 2) * st + ni - 1 - st)
-        ctx.ops.add += k * ni * st
-        if inverse:
-            ctx.ops.pow2 += k * ni
-
-
-def _break_counts(plan: Plan) -> tuple[int, int]:
-    """The (add, pow2) that :func:`tftlib.ctft.break_in_place` counts over
-    plan, and :func:`tftlib.ctft.unbreak_in_place` too: phase 1's tail(i)
-    subtractions, then for each block i >= 2 n_(i-1) additions per survivor
-    run of every image j < i, and (i - 1) n_i doublings.
-
-    Image j has one run per subset of the free bits (see
-    :func:`tftlib.ctft._contribution_pass`): the 0 bits of n between
-    log2(n_(i-1)) and log2(n_j), of which there are
-    log2(n_j) - log2(n_(i-1)) - (i - 1 - j).  So its runs add
-    n_(i-1) 2^(that) = n_j 2^j / 2^(i-1), and block i adds
-    (sum over j < i of n_j 2^j) / 2^(i-1).
-    """
-    sizes = plan.sizes
-    adds = sum(plan.tails[1:plan.s])
-    pow2 = weighted = 0
-    for i in range(2, plan.s + 1):
-        weighted += sizes[i - 2] << (i - 2)
-        adds += weighted >> (i - 2)
-        pow2 += (i - 1) * sizes[i - 1]
-    return adds, pow2
 
 
 def _fold(d: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
@@ -328,7 +296,7 @@ def _fold(d: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
                      ).reshape(width, -1)
 
 
-def _break(ctx: FieldCtx, a: np.ndarray, plan: Plan, counts: tuple, work: np.ndarray) -> None:
+def _break(ctx: FieldCtx, a: np.ndarray, plan: Plan, work: np.ndarray) -> None:
     """:func:`tftlib.ctft.break_in_place` on every column of a, by halving.
 
     The images f_i = f mod (z^(n_i) + 1) are those of the ``mateer``
@@ -340,9 +308,8 @@ def _break(ctx: FieldCtx, a: np.ndarray, plan: Plan, counts: tuple, work: np.nda
     halvings every value lies in (-2^j p, 2^j p), 2^j < N <= 2^(two-adicity)
     < p < 2^31, so within p^2 < 2^62.
     """
-    n, k = a.shape
     sizes, offsets = plan.sizes, plan.offsets
-    t = n - sizes[0]
+    t = len(a) - sizes[0]
     first, y = a[:sizes[0]], a[sizes[0]:]
     c = _fold(first, 2 * sizes[1], work[:first.size].reshape(first.shape))
     c[:t] += y
@@ -353,12 +320,9 @@ def _break(ctx: FieldCtx, a: np.ndarray, plan: Plan, counts: tuple, work: np.nda
         np.subtract(c[:ni], c[ni:], out=a[offsets[i - 1]:offsets[i - 1] + ni])
     _mod(ctx, a[:t], work)
     _mod(ctx, y, work)
-    ctx.ops.add += k * counts[0]
-    ctx.ops.pow2 += k * counts[1]
 
 
-def _unbreak(ctx: FieldCtx, a: np.ndarray, plan: Plan, counts: tuple, work: np.ndarray
-             ) -> None:
+def _unbreak(ctx: FieldCtx, a: np.ndarray, plan: Plan, work: np.ndarray) -> None:
     """:func:`tftlib.ctft.unbreak_in_place` on every column of a, by a carry.
 
     The list path's phase 1 leaves the remainder r_i in block i; as
@@ -375,7 +339,7 @@ def _unbreak(ctx: FieldCtx, a: np.ndarray, plan: Plan, counts: tuple, work: np.n
     2^(i-1) r_i lies in (-M_i p, (M_i + 1) p), within n p < p^2 < 2^62.
     It is reduced once, before the halvings multiply it.
     """
-    n, k = a.shape
+    k = a.shape[1]
     sizes, offsets, tails = plan.sizes, plan.offsets, plan.tails
     s = plan.s
     c = _fold(a[:sizes[0]], 2 * sizes[1], work[:sizes[0] * k].reshape(-1, k))
@@ -398,24 +362,6 @@ def _unbreak(ctx: FieldCtx, a: np.ndarray, plan: Plan, counts: tuple, work: np.n
         blk = a[offsets[i - 1]:offsets[i - 1] + tails[i]]
         blk += a[offsets[i]:]
     _mod(ctx, a[:offsets[-2] + tails[-2]], work)  # the slots the loop added to
-    ctx.ops.add += k * counts[0]
-    ctx.ops.pow2 += k * counts[1]
-
-
-def _pointwise(ctx: FieldCtx, a: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Column 0 times column 1, as an (n, 1) buffer."""
-    h = np.empty((len(a), 1), np.int64)
-    np.multiply(a[:, 0], a[:, 1], out=h[:, 0])
-    _mod(ctx, h, work)
-    ctx.ops.mul += len(a)
-    return h
-
-
-def _scale(ctx: FieldCtx, a: np.ndarray, powers: np.ndarray, work: np.ndarray) -> None:
-    """Every column of a times the power row; counts as scale_by_powers per column."""
-    np.multiply(a, powers[:, None], out=a)
-    _mod(ctx, a, work)
-    ctx.ops.mul += 2 * (len(a) - 1) * a.shape[1]
 
 
 def multiply_full_fft(ctx: FieldCtx, f, g, size: int) -> list[int]:
@@ -428,7 +374,7 @@ def multiply_full_fft(ctx: FieldCtx, f, g, size: int) -> list[int]:
     a = _load(ctx, f, g, size, work)
     twiddles = _twiddles(ctx, [size], _tables(ctx, size, work), 0)
     _transform(ctx, a, [size], twiddles, work, False)
-    h = _pointwise(ctx, a, work)
+    h = _mod(ctx, np.multiply(a[:, :1], a[:, 1:]), work)  # the pointwise product
     _transform(ctx, h, [size], twiddles, work, True)
     return h[:len(f) + len(g) - 1, 0].tolist()
 
@@ -448,14 +394,13 @@ def multiply_tft(ctx: FieldCtx, f, g, plan: Plan, path: str) -> list[int]:
         for row in scales:  # Omega_s**k, then Omega_s**(-k)
             tables[0].take(np.bitwise_and(exps, N - 1, out=exps), out=row, mode="clip")
             np.negative(exps, out=exps)
-        _scale(ctx, a, scales[0], work)
+        _mod(ctx, np.multiply(a, scales[0, :, None], out=a), work)
     twiddles = _twiddles(ctx, plan.sizes, tables, 1)
-    counts = _break_counts(plan)
-    _break(ctx, a, plan, counts, work)
+    _break(ctx, a, plan, work)
     _transform(ctx, a, plan.sizes, twiddles, work, False)
-    h = _pointwise(ctx, a, work)
+    h = _mod(ctx, np.multiply(a[:, :1], a[:, 1:]), work)  # the pointwise product
     _transform(ctx, h, plan.sizes, twiddles, work, True)
-    _unbreak(ctx, h, plan, counts, work)
+    _unbreak(ctx, h, plan, work)
     if path == "bitreversed":
-        _scale(ctx, h, scales[1], work)
+        _mod(ctx, np.multiply(h, scales[1, :, None], out=h), work)
     return h[:, 0].tolist()

@@ -32,10 +32,12 @@ operands by Omega_s**k and one of the result by Omega_s**(-k).
 Over p < 2^31, where a product of two residues fits an int64, products of
 length n >= _ROWS_MIN compute in int64 numpy rows (:mod:`tftlib._rows`):
 ``multiply_full_fft``, and ``multiply_tft`` on both paths with the ``new``
-engine.  They return the same Python ints and add the same counted (mul,
-pow2, add) as the list code here, which stays the reference and the only
-path for p >= 2^31, for shorter products and for the ``sergeev`` and
-``mateer`` engines.  The row form reports its numpy scratch, the tables of
+engine.  They return the same Python ints as the list code here, which
+stays the reference and the only path for p >= 2^31, for shorter products
+and for the ``sergeev`` and ``mateer`` engines.  The rows count nothing:
+:func:`_tally_rows` adds the list product's (mul, pow2, add) from the
+closed forms of the kernel and the break (``transform.kernel_counts``,
+``ctft.break_counts``).  The rows report their numpy scratch, the tables of
 the padded length N included, in ``ctx.scratch_allocated``: at most 5N, 9N
 and 10N elements on the padded, cyclotomic and bit-reversed paths; the list
 path reports none.  numpy and the row module load with the first product
@@ -44,10 +46,11 @@ that takes them, not with ``import tftlib``.
 
 from __future__ import annotations
 
-from .ctft import ENGINES, break_in_place, ctft_forward, ctft_inverse, unbreak_in_place
+from .ctft import (ENGINES, break_counts, break_in_place, ctft_forward, ctft_inverse,
+                   unbreak_in_place)
 from .plan import Plan, plan_new
 from .ring import FieldCtx
-from .transform import dwt, fft_in_place, idwt, ifft_in_place, scale_by_powers
+from .transform import dwt, fft_in_place, idwt, ifft_in_place, kernel_counts, scale_by_powers
 
 # From this product length on, over p < 2^31, products compute in int64 rows
 # (tftlib._rows).  Measured at every n in 16..64: the least n from which each
@@ -67,6 +70,25 @@ def _row_form(ctx: FieldCtx, n: int):
         from . import _rows as rows
         _rows = rows
     return _rows
+
+
+def _tally_rows(ctx: FieldCtx, sizes, plan: Plan | None = None, scaled: bool = False) -> None:
+    """Count what the list product over blocks ``sizes`` counts: two forward
+    kernels and an inverse per block and a pointwise product per slot, then
+    for a TFT ``plan`` two breaks and an unbreak, and if ``scaled`` three
+    scalings by the powers of Omega_s, 2 (n - 1) multiplications each."""
+    n = sum(sizes)
+    break_add, break_pow2 = break_counts(plan) if plan else (0, 0)
+    mul, pow2, add = n + (6 * (n - 1) if scaled else 0), 3 * break_pow2, 3 * break_add
+    for ni in sizes:
+        fmul, _, fadd = kernel_counts(ni, False)
+        imul, ipow2, iadd = kernel_counts(ni, True)
+        mul += 2 * fmul + imul
+        pow2 += ipow2
+        add += 2 * fadd + iadd
+    ctx.ops.mul += mul
+    ctx.ops.pow2 += pow2
+    ctx.ops.add += add
 
 
 def _grid_twist(plan: Plan, i: int) -> int:
@@ -132,7 +154,9 @@ def multiply_full_fft(ctx: FieldCtx, f: list[int], g: list[int]) -> list[int]:
     size = 1 << d.bit_length() if d else 1  # least power of two > d
     rows = _row_form(ctx, d + 1)
     if rows is not None:
-        return rows.multiply_full_fft(ctx, f[:df + 1], g[:dg + 1], size)
+        h = rows.multiply_full_fft(ctx, f[:df + 1], g[:dg + 1], size)
+        _tally_rows(ctx, [size])
+        return h
     fa = [int(c) % p for c in f[:df + 1]] + [0] * (size - df - 1)
     ga = [int(c) % p for c in g[:dg + 1]] + [0] * (size - dg - 1)
     fft_in_place(ctx, fa, size)
@@ -173,7 +197,9 @@ def multiply_tft(ctx: FieldCtx, f: list[int], g: list[int],
     plan = plan_new(n, ctx)
     rows = _row_form(ctx, n) if engine == "new" else None
     if rows is not None:
-        return rows.multiply_tft(ctx, f[:df + 1], g[:dg + 1], plan, path)
+        h = rows.multiply_tft(ctx, f[:df + 1], g[:dg + 1], plan, path)
+        _tally_rows(ctx, plan.sizes, plan, path == "bitreversed")
+        return h
     fa = [int(c) % p for c in f[:df + 1]] + [0] * (n - df - 1)
     ga = [int(c) % p for c in g[:dg + 1]] + [0] * (n - dg - 1)
     for a in (fa, ga):

@@ -181,6 +181,28 @@ def break_in_place(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
         add_contribution(ctx, a, plan, i)
 
 
+def break_counts(plan: Plan) -> tuple[int, int]:
+    """The (add, pow2) that :func:`break_in_place` and :func:`unbreak_in_place`
+    count over plan: phase 1's tail(i) subtractions, then for each block
+    i >= 2 n_(i-1) additions per survivor run of every image j < i, and
+    (i - 1) n_i doublings.
+
+    Image j has one run per subset of the free bits (see
+    :func:`_contribution_pass`): the 0 bits of n between log2(n_(i-1)) and
+    log2(n_j), of which there are log2(n_j) - log2(n_(i-1)) - (i - 1 - j).
+    So its runs add n_(i-1) 2^(that) = n_j 2^j / 2^(i-1), and block i adds
+    (sum over j < i of n_j 2^j) / 2^(i-1).
+    """
+    sizes = plan.sizes
+    adds = sum(plan.tails[1:plan.s])
+    pow2 = weighted = 0
+    for i in range(2, plan.s + 1):
+        weighted += sizes[i - 2] << (i - 2)
+        adds += weighted >> (i - 2)
+        pow2 += (i - 1) * sizes[i - 1]
+    return adds, pow2
+
+
 def unbreak_in_place(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     """Exact inverse of :func:`break_in_place`, step by step in reverse."""
     _require_ints(ctx, a)

@@ -72,15 +72,22 @@ def _stage_start(ctx: FieldCtx, twist: int, k: int) -> int:
     return x
 
 
+def kernel_counts(n: int, inverse: bool) -> tuple[int, int, int]:
+    """(mul, pow2, add) that :func:`dwt`, or :func:`idwt` if ``inverse``,
+    counts at length n and twist 0 or 1: (n/2) log2(n) butterfly and
+    n - 1 - log2(n) twiddle-generation multiplications, n log2(n) additions,
+    and for the inverse the 1/n pass, which a block of length 1 skips."""
+    stages = n.bit_length() - 1
+    return (n // 2 * stages + n - 1 - stages, n if inverse and n > 1 else 0, n * stages)
+
+
 def dwt(ctx: FieldCtx, a: list[int], n: int, twist: int, offset: int = 0) -> None:
     """Twisted transform: a[offset + rev(j)] <- f(omega_2n**twist * omega_n**j), in place.
 
     omega_m is the canonical root of order m, ``ctx.roots[log2(m)]``.  Twist 0
     is the plain FFT; twist 1 evaluates a negacyclic image at all roots of
-    z**n + 1.  Exactly n*log2(n) additions and (n/2)*log2(n) butterfly
-    multiplications plus n - 1 - log2(n) twiddle-generation multiplications;
-    a twist other than 0 or 1 adds one per extra ladder factor of each
-    stage's first twiddle.
+    z**n + 1.  Counts :func:`kernel_counts`; a twist other than 0 or 1 adds
+    one multiplication per extra ladder factor of each stage's first twiddle.
 
     Any integers are accepted: the first stage loads them through ``int()``,
     and every output is a Python int in [0, p).  Sums and differences are
@@ -97,7 +104,6 @@ def dwt(ctx: FieldCtx, a: list[int], n: int, twist: int, offset: int = 0) -> Non
             return
     roots = ctx.roots
     stages = n.bit_length() - 1
-    half = n >> 1
     for i in range(1, stages):
         u = n >> i
         tw = _stage_start(ctx, twist, i + 1)
@@ -125,7 +131,7 @@ def dwt(ctx: FieldCtx, a: list[int], n: int, twist: int, offset: int = 0) -> Non
     wu = roots[stages]
     tw = _stage_start(ctx, twist, stages + 1)
     r = 0
-    for j in range(half):
+    for j in range(n >> 1):
         if j:
             tw = tw * wu % p
             r ^= n - (n >> (j ^ (j - 1)).bit_length())
@@ -134,8 +140,9 @@ def dwt(ctx: FieldCtx, a: list[int], n: int, twist: int, offset: int = 0) -> Non
         y = a[k + 1] * tw % p
         a[k] = (x + y) % p
         a[k + 1] = (x - y) % p
-    ctx.ops.mul += half * stages + n - 1 - stages
-    ctx.ops.add += n * stages
+    mul, _, add = kernel_counts(n, False)
+    ctx.ops.mul += mul
+    ctx.ops.add += add
 
 
 def idwt(ctx: FieldCtx, a: list[int], n: int, twist: int, offset: int = 0) -> None:
@@ -157,12 +164,11 @@ def idwt(ctx: FieldCtx, a: list[int], n: int, twist: int, offset: int = 0) -> No
         return
     inv_roots = ctx.inv_roots
     stages = n.bit_length() - 1
-    half = n >> 1
     # u = 1: one butterfly per block, loads coerced to int
     wu = inv_roots[stages]
     tw = _stage_start(ctx, -twist, stages + 1)
     r = 0
-    for j in range(half):
+    for j in range(n >> 1):
         if j:
             tw = tw * wu % p
             r ^= n - (n >> (j ^ (j - 1)).bit_length())
@@ -189,9 +195,10 @@ def idwt(ctx: FieldCtx, a: list[int], n: int, twist: int, offset: int = 0) -> No
     inv_n = p - (p - 1) // n  # n divides p - 1
     for k in range(offset, offset + n):
         a[k] = a[k] * inv_n % p
-    ctx.ops.mul += half * stages + n - 1 - stages
-    ctx.ops.add += n * stages
-    ctx.ops.pow2 += n
+    mul, pow2, add = kernel_counts(n, True)
+    ctx.ops.mul += mul
+    ctx.ops.pow2 += pow2
+    ctx.ops.add += add
 
 
 def fft_in_place(ctx: FieldCtx, a: list[int], n: int, offset: int = 0) -> None:

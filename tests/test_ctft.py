@@ -11,6 +11,7 @@ from tftlib import (ENGINES, FieldCtx, add_contribution, break_in_place,
                     fft_in_place, mateer_break, plan_new, reduce_to_remainders,
                     sergeev_break, unbreak_in_place)
 from tftlib import oracle
+from tftlib.ctft import break_counts
 
 SWEEP_SIZES = [1, 2, 3, 4, 5, 6, 7, 8, 11, 15, 16, 21, 31, 32, 33, 48, 86,
                100, 127, 128, 129, 171, 255, 256, 257, 300, 341, 500, 512]
@@ -72,6 +73,8 @@ def sergeev_tallies(plan):
     return 0, pow2, add
 
 
+# 2^k - 1 (k blocks) and 2^k + 1 (two blocks) for k <= 16
+EDGE_SIZES = [2**k + d for k in range(1, 17) for d in (-1, 1)]
 # several zero bits between set bits, so that Sergeev's rebuilt coefficients
 # gather many survivor runs (2^16 + 2^8 + 1: 128 runs each from image 1)
 MANY_RUN_SIZES = [2**12 + 2**5 + 1, 2**11 + 2**10 + 2**3 + 1, 0b1001001001,
@@ -314,7 +317,7 @@ def test_cumulative_contribution_bounds(ctx, n):
     assert total_add <= 2 * n
 
 
-@pytest.mark.parametrize("sizes", [range(1, 601), (1000, 4096)])
+@pytest.mark.parametrize("sizes", [range(1, 601), (1000, 4096), EDGE_SIZES])
 def test_break_doublings_are_nested(ctx, sizes):
     p = ctx.p
     for n in sizes:
@@ -328,11 +331,12 @@ def test_break_doublings_are_nested(ctx, sizes):
             break_in_place(ctx, a, plan)
         with ctx.count_session() as inv:
             unbreak_in_place(ctx, a, plan)
-        assert (fwd.pow2, inv.pow2) == (want, want), n
+        # both directions tally what ctft's closed form predicts
+        assert (fwd.pow2, inv.pow2, break_counts(plan)[1]) == (want, want, want), n
         assert a == f
 
 
-@pytest.mark.parametrize("sizes", [range(1, 601), (4095, 21845, 65535)])
+@pytest.mark.parametrize("sizes", [range(1, 601), (4095, 21845, 65535), EDGE_SIZES])
 def test_break_additions_closed_form(ctx, sizes):
     p = ctx.p
     for n in sizes:
@@ -344,7 +348,7 @@ def test_break_additions_closed_form(ctx, sizes):
             break_in_place(ctx, a, plan)
         with ctx.count_session() as inv:
             unbreak_in_place(ctx, a, plan)
-        assert (fwd.add, inv.add) == (want, want), n
+        assert (fwd.add, inv.add, break_counts(plan)[0]) == (want, want, want), n
 
 
 # runs of many short chunks, folded by strided sums: n_i > 1 (4098..4104,
@@ -370,11 +374,18 @@ def test_break_of_short_chunk_runs(ctx, n):
 
 
 def traced_scratch(ctx, n, run):
-    """Traced peak of run(a), above the larger of the buffer before and after it."""
+    """Traced peak of run(a), above the larger of the buffer before and after it.
+
+    CPython sizes an int's memory block by the operation that made it, not
+    by its value, and randrange makes smaller blocks than the engines' sums
+    and reductions do.  Rewriting such slots would grow the buffer by a few
+    bytes each, so the buffer is loaded through arithmetic, as the engines
+    write it.
+    """
     rng = random.Random(n)
     tracemalloc.start()
     try:
-        a = [rng.randrange(ctx.p) for _ in range(n)]
+        a = [(rng.randrange(ctx.p) + 1) - 1 for _ in range(n)]
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         run(a)
@@ -397,9 +408,10 @@ def test_break_and_unbreak_scratch_is_constant(ctx, n):
     assert traced_scratch(ctx, n, round_trip) < 4096
 
 
-# one long strided run per rebuilt coefficient (65537) and 128 short runs per
-# coefficient (2^16 + 2^8 + 1): the runs are walked, never stored
-@pytest.mark.parametrize("n", [65537, 2**16 + 2**8 + 1])
+# one long strided run per rebuilt coefficient (65537), 128 short runs per
+# coefficient (2^16 + 2^8 + 1) and k blocks at 2^k - 1: the runs are walked,
+# never stored
+@pytest.mark.parametrize("n", [1023, 4095, 65535, 65537, 2**16 + 2**8 + 1])
 def test_sergeev_scratch_is_constant(ctx, n):
     plan = plan_new(n, ctx)
     assert traced_scratch(ctx, n, lambda a: sergeev_break(ctx, a, plan)) < 4096

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from tftlib import (FieldCtx, UnsupportedOrderError, bit_reverse, dwt,
                     fft_in_place, find_root_of_unity, idwt, ifft_in_place)
 from tftlib import oracle
+from tftlib.transform import kernel_counts
 
 
 def test_fft_example_f5():
@@ -208,10 +209,11 @@ def test_fft_round_trip_property(logn, data):
     assert a == f
 
 
-@pytest.mark.parametrize("logn", range(1, 13))
+@pytest.mark.parametrize("logn", range(0, 13))
 def test_kernel_counts_exactly(ctx, logn):
     # twists 0 and 1 take every stage root and first twiddle from the ladder:
-    # butterflies and sequential twiddle steps, nothing else
+    # butterflies and sequential twiddle steps, nothing else; a block of
+    # length 1 takes no 1/n pass
     n = 1 << logn
     want_mul = (n // 2) * logn + n - 1 - logn
     for twist in (0, 1):
@@ -221,7 +223,8 @@ def test_kernel_counts_exactly(ctx, logn):
                 kernel(ctx, a, n, twist)
             assert sess.mul == want_mul, (kernel.__name__, twist)
             assert sess.add == n * logn
-            assert sess.pow2 == (n if inverse else 0)
+            assert sess.pow2 == (n if inverse and n > 1 else 0)
+            assert kernel_counts(n, inverse) == (sess.mul, sess.pow2, sess.add)
 
 
 @pytest.mark.parametrize("logn", [1, 2, 5, 10])
