@@ -1,13 +1,12 @@
-"""The three products in int64 rows, for fields below 2^31.
+"""The product in int64 rows, for fields below 2^31.
 
 :mod:`tftlib.bridge` hands a product here when p < 2^31 and its length n is
-at least ``bridge._ROWS_MIN``: ``multiply_full_fft``, and ``multiply_tft``
-on both paths with the ``new`` engine.
-Below 2^31 a product of two residues fits an int64, so every butterfly,
-fold and scaling is a numpy operation, and the outputs are the Python ints
-in [0, p) of the list path.  Everything else (the public transforms, p >=
-2^31, shorter products, the ``sergeev`` and ``mateer`` engines) stays on
-the list path, which is the reference these rows are tested against.
+at least ``bridge._ROWS_MIN``: a padded one, and a truncated one with the
+``new`` engine.  Below 2^31 a product of two residues fits an int64, so every
+butterfly, fold and scaling is a numpy operation, and the outputs are the
+list path's Python ints in [0, p).  The list path, the reference these rows
+are tested against, keeps the rest: the public transforms, p >= 2^31,
+shorter products and the other engines' truncated products.
 
 The two operands are the columns of an (n, 2) buffer, so a product's
 forward transforms are one set of operations.  The block transform takes
@@ -25,9 +24,10 @@ The ``new`` break and its inverse reach the list path's images without
 its survivor runs.  The break halves z^N - 1, as the ``mateer`` engine
 does, and the unbreak undoes it by a Horner carry; each takes a few numpy
 calls per bit of N or per block on contiguous slices, and reduces only at
-its end, which the int64 headroom allows (``_break``, ``_unbreak``).  The
-bit-reversed product is the cyclotomic one between two Omega_s scalings,
-each a row of powers of omega_N, as on the list path.
+its end, which the int64 headroom allows (``_break``, ``_unbreak``).
+:func:`multiply` is the one product: the break, the blocks at twist 1 and
+the unbreak, on the bit-reversed path between two Omega_s scalings (rows of
+powers of omega_N); the padded product is its one-block case at twist 0.
 
 The rows' twiddles are balanced, in (-p/2, p/2], so a product of a twiddle
 and a value below 4p in magnitude stays below 2p^2 < 2^63 for every p <
@@ -55,7 +55,7 @@ from __future__ import annotations
 import numpy as np
 
 from .plan import Plan
-from .ring import FieldCtx, UnsupportedOrderError
+from .ring import FieldCtx
 
 # from this many elements, x - (x // p) * p beats np.remainder (measured)
 _DIVIDE_MIN = 1024
@@ -364,43 +364,32 @@ def _unbreak(ctx: FieldCtx, a: np.ndarray, plan: Plan, work: np.ndarray) -> None
     _mod(ctx, a[:offsets[-2] + tails[-2]], work)  # the slots the loop added to
 
 
-def multiply_full_fft(ctx: FieldCtx, f, g, size: int) -> list[int]:
-    """:func:`tftlib.bridge.multiply_full_fft` of f and g, trimmed to their
-    degrees, padded to ``size``."""
-    if size.bit_length() - 1 > ctx.two_adicity:
-        raise UnsupportedOrderError(
-            f"no root of order {size}: 2-adicity of {ctx.p} - 1 is {ctx.two_adicity}")
-    work = _counted(ctx, np.empty(2 * size, np.int64))
-    a = _load(ctx, f, g, size, work)
-    twiddles = _twiddles(ctx, [size], _tables(ctx, size, work), 0)
-    _transform(ctx, a, [size], twiddles, work, False)
-    h = _mod(ctx, np.multiply(a[:, :1], a[:, 1:]), work)  # the pointwise product
-    _transform(ctx, h, [size], twiddles, work, True)
-    return h[:len(f) + len(g) - 1, 0].tolist()
-
-
-def multiply_tft(ctx: FieldCtx, f, g, plan: Plan, path: str) -> list[int]:
-    """:func:`tftlib.bridge.multiply_tft` of f and g, trimmed to their degrees,
-    over ``plan`` (two blocks or more), with the ``new`` break."""
-    n, N = plan.n, plan.N
+def multiply(ctx: FieldCtx, f, g, n: int, plan: Plan | None, scaled: bool) -> list[int]:
+    """:func:`tftlib.bridge._multiply` of f and g, trimmed to their degrees,
+    at transform length n.  With no ``plan`` this is one block of the padded
+    length n at twist 0; with a plan (two blocks or more) the ``new`` break,
+    twist 1 and the unbreak, and if ``scaled`` the two Omega_s scalings."""
+    sizes = plan.sizes if plan else (n,)
     work = _counted(ctx, np.empty(2 * n, np.int64))
     a = _load(ctx, f, g, n, work)
-    tables = _tables(ctx, N, work)
-    if path == "bitreversed":  # Omega_s = omega_N**e, e = sum of n_1/n_l
+    tables = _tables(ctx, plan.N if plan else n, work)
+    if scaled:  # Omega_s = omega_N**e, e = sum of n_1/n_l
         exps = work[:n]  # k e, then -k e, in the free work buffer
-        exps[0], exps[1:] = 0, sum(plan.sizes[0] // nl for nl in plan.sizes)
+        exps[0], exps[1:] = 0, sum(sizes[0] // nl for nl in sizes)
         np.cumsum(exps, out=exps)
         scales = _counted(ctx, np.empty((2, n), np.int64))
         for row in scales:  # Omega_s**k, then Omega_s**(-k)
-            tables[0].take(np.bitwise_and(exps, N - 1, out=exps), out=row, mode="clip")
+            tables[0].take(np.bitwise_and(exps, plan.N - 1, out=exps), out=row, mode="clip")
             np.negative(exps, out=exps)
         _mod(ctx, np.multiply(a, scales[0, :, None], out=a), work)
-    twiddles = _twiddles(ctx, plan.sizes, tables, 1)
-    _break(ctx, a, plan, work)
-    _transform(ctx, a, plan.sizes, twiddles, work, False)
+    twiddles = _twiddles(ctx, sizes, tables, 1 if plan else 0)
+    if plan:
+        _break(ctx, a, plan, work)
+    _transform(ctx, a, sizes, twiddles, work, False)
     h = _mod(ctx, np.multiply(a[:, :1], a[:, 1:]), work)  # the pointwise product
-    _transform(ctx, h, plan.sizes, twiddles, work, True)
-    _unbreak(ctx, h, plan, work)
-    if path == "bitreversed":
+    _transform(ctx, h, sizes, twiddles, work, True)
+    if plan:
+        _unbreak(ctx, h, plan, work)
+    if scaled:
         _mod(ctx, np.multiply(h, scales[1, :, None], out=h), work)
-    return h[:, 0].tolist()
+    return h[:len(f) + len(g) - 1, 0].tolist()

@@ -18,7 +18,8 @@ Psi_i(Omega_s z) = -Omega_(i-1)^(n_i) * Phi_i(z).  So:
 
 At i = 1 the factor is 1/Omega_s, so Omega_s = omega_1**e_1 comes from the
 same twist, evaluated once per call as uncounted set-up.  When n = 2^k there
-is one block and Omega_s = 1, so the plain FFT is the whole transform.
+is one block, e_1 = 1 and Omega_s = omega_1, of order 2n; the twist -1
+undoes that scaling, so the transforms skip both and run the plain FFT.
 Every step is invertible, which gives the inverse transform, and with it
 polynomial products of any target length n at a cost that grows smoothly in
 n instead of jumping at powers of two.
@@ -27,21 +28,23 @@ A product never sees the order of its evaluation points: its inverse uses
 the points of its forward transforms.  e_i is odd, so the twist -e_i reaches
 the roots of Phi_i that twist 1 reaches, in another order, and the
 bit-reversed product is the cyclotomic one between a scaling of both
-operands by Omega_s**k and one of the result by Omega_s**(-k).
+operands by Omega_s**k and one of the result by Omega_s**(-k).  Each backend
+writes the product once (:func:`_multiply`, ``_rows.multiply``); the padded
+product, and every product at n = 2^k, is its one-block case at twist 0,
+with no break and no scaling.
 
 Over p < 2^31, where a product of two residues fits an int64, products of
 length n >= _ROWS_MIN compute in int64 numpy rows (:mod:`tftlib._rows`):
-``multiply_full_fft``, and ``multiply_tft`` on both paths with the ``new``
-engine.  They return the same Python ints as the list code here, which
-stays the reference and the only path for p >= 2^31, for shorter products
-and for the ``sergeev`` and ``mateer`` engines.  The rows count nothing:
-:func:`_tally_rows` adds the list product's (mul, pow2, add) from the
-closed forms of the kernel and the break (``transform.kernel_counts``,
+padded ones, and truncated ones with the ``new`` engine.  They return the
+same Python ints as the list code here, the reference and the only path for
+p >= 2^31, shorter products and the other engines.  The rows count nothing:
+:func:`_tally_rows` adds the list product's (mul, pow2, add) from the closed
+forms of the kernel and the break (``transform.kernel_counts``,
 ``ctft.break_counts``).  The rows report their numpy scratch, the tables of
 the padded length N included, in ``ctx.scratch_allocated``: at most 5N, 9N
 and 10N elements on the padded, cyclotomic and bit-reversed paths; the list
-path reports none.  numpy and the row module load with the first product
-that takes them, not with ``import tftlib``.
+path reports none.  numpy and the row module load with the first product that
+takes them, not with ``import tftlib``.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from __future__ import annotations
 from .ctft import (ENGINES, break_counts, break_in_place, ctft_forward, ctft_inverse,
                    unbreak_in_place)
 from .plan import Plan, plan_new
-from .ring import FieldCtx
+from .ring import FieldCtx, find_root_of_unity
 from .transform import dwt, fft_in_place, idwt, ifft_in_place, kernel_counts, scale_by_powers
 
 # From this product length on, over p < 2^31, products compute in int64 rows
@@ -72,15 +75,15 @@ def _row_form(ctx: FieldCtx, n: int):
     return _rows
 
 
-def _tally_rows(ctx: FieldCtx, sizes, plan: Plan | None = None, scaled: bool = False) -> None:
-    """Count what the list product over blocks ``sizes`` counts: two forward
-    kernels and an inverse per block and a pointwise product per slot, then
-    for a TFT ``plan`` two breaks and an unbreak, and if ``scaled`` three
-    scalings by the powers of Omega_s, 2 (n - 1) multiplications each."""
-    n = sum(sizes)
+def _tally_rows(ctx: FieldCtx, n: int, plan: Plan | None, scaled: bool) -> None:
+    """Count what the list product of transform length n counts: two forward
+    kernels and an inverse per block (one block of n with no ``plan``) and a
+    pointwise product per slot, then for a TFT ``plan`` two breaks and an
+    unbreak, and if ``scaled`` three scalings by the powers of Omega_s,
+    2 (n - 1) multiplications each."""
     break_add, break_pow2 = break_counts(plan) if plan else (0, 0)
     mul, pow2, add = n + (6 * (n - 1) if scaled else 0), 3 * break_pow2, 3 * break_add
-    for ni in sizes:
+    for ni in plan.sizes if plan else (n,):
         fmul, _, fadd = kernel_counts(ni, False)
         imul, ipow2, iadd = kernel_counts(ni, True)
         mul += 2 * fmul + imul
@@ -139,33 +142,53 @@ def poly_degree(f: list[int], p: int) -> int:
     return -1
 
 
+def _multiply(ctx: FieldCtx, f: list[int], g: list[int], path: str, engine: str) -> list[int]:
+    """The product on ``path``: "padded", or a path of :func:`multiply_tft`.
+    With no plan, the padded product at N; else the block transforms of n."""
+    p = ctx.p
+    df, dg = poly_degree(f, p), poly_degree(g, p)
+    if df < 0 or dg < 0:
+        return [0]
+    n = df + dg + 1
+    N = 1 << (n - 1).bit_length()  # least power of two >= n
+    find_root_of_unity(ctx, N)  # UnsupportedOrderError before any work
+    plan = None if path == "padded" or n == N else plan_new(n, ctx)
+    scaled = plan is not None and path == "bitreversed"
+    m = N if plan is None else n  # the transform length
+    rows = _row_form(ctx, n) if plan is None or engine == "new" else None
+    if rows is not None:
+        h = rows.multiply(ctx, f[:df + 1], g[:dg + 1], m, plan, scaled)
+        _tally_rows(ctx, m, plan, scaled)
+        return h
+    fa = [int(c) % p for c in f[:df + 1]] + [0] * (m - df - 1)
+    ga = [int(c) % p for c in g[:dg + 1]] + [0] * (m - dg - 1)
+    for a in (fa, ga):
+        if scaled:
+            scale_by_powers(ctx, a, m, _grid_scale(plan, 1))
+        if plan is None:
+            fft_in_place(ctx, a, m)
+        else:
+            ctft_forward(ctx, a, plan, engine)
+    for k in range(m):
+        fa[k] = fa[k] * ga[k] % p
+    ctx.ops.mul += m
+    if plan is None:
+        ifft_in_place(ctx, fa, m)
+    else:
+        ctft_inverse(ctx, fa, plan)
+    if scaled:
+        scale_by_powers(ctx, fa, m, _grid_scale(plan, -1))
+    del fa[n:]  # the padding
+    return fa
+
+
 def multiply_full_fft(ctx: FieldCtx, f: list[int], g: list[int]) -> list[int]:
     """Exact product by zero-padding to the least power of two above deg(fg).
 
     Two forward transforms, a pointwise product, one inverse transform.  Cost
     jumps by roughly 2x whenever the product degree crosses a power of two.
     """
-    p = ctx.p
-    df = poly_degree(f, p)
-    dg = poly_degree(g, p)
-    if df < 0 or dg < 0:
-        return [0]
-    d = df + dg
-    size = 1 << d.bit_length() if d else 1  # least power of two > d
-    rows = _row_form(ctx, d + 1)
-    if rows is not None:
-        h = rows.multiply_full_fft(ctx, f[:df + 1], g[:dg + 1], size)
-        _tally_rows(ctx, [size])
-        return h
-    fa = [int(c) % p for c in f[:df + 1]] + [0] * (size - df - 1)
-    ga = [int(c) % p for c in g[:dg + 1]] + [0] * (size - dg - 1)
-    fft_in_place(ctx, fa, size)
-    fft_in_place(ctx, ga, size)
-    for k in range(size):
-        fa[k] = fa[k] * ga[k] % p
-    ctx.ops.mul += size
-    ifft_in_place(ctx, fa, size)
-    return fa[:d + 1]
+    return _multiply(ctx, f, g, "padded", "new")
 
 
 def multiply_tft(ctx: FieldCtx, f: list[int], g: list[int],
@@ -186,30 +209,4 @@ def multiply_tft(ctx: FieldCtx, f: list[int], g: list[int],
         raise ValueError(f"unknown path {path!r}")
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
-    p = ctx.p
-    df = poly_degree(f, p)
-    dg = poly_degree(g, p)
-    if df < 0 or dg < 0:
-        return [0]
-    n = df + dg + 1
-    if n & (n - 1) == 0:
-        return multiply_full_fft(ctx, f, g)
-    plan = plan_new(n, ctx)
-    rows = _row_form(ctx, n) if engine == "new" else None
-    if rows is not None:
-        h = rows.multiply_tft(ctx, f[:df + 1], g[:dg + 1], plan, path)
-        _tally_rows(ctx, plan.sizes, plan, path == "bitreversed")
-        return h
-    fa = [int(c) % p for c in f[:df + 1]] + [0] * (n - df - 1)
-    ga = [int(c) % p for c in g[:dg + 1]] + [0] * (n - dg - 1)
-    for a in (fa, ga):
-        if path == "bitreversed":
-            scale_by_powers(ctx, a, n, _grid_scale(plan, 1))
-        ctft_forward(ctx, a, plan, engine)
-    for k in range(n):
-        fa[k] = fa[k] * ga[k] % p
-    ctx.ops.mul += n
-    ctft_inverse(ctx, fa, plan)
-    if path == "bitreversed":
-        scale_by_powers(ctx, fa, n, _grid_scale(plan, -1))
-    return fa
+    return _multiply(ctx, f, g, path, engine)

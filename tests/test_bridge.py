@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tftlib import (FieldCtx, brtft_forward, brtft_inverse, ctft_forward,
+from tftlib import (ENGINES, FieldCtx, brtft_forward, brtft_inverse, ctft_forward,
                     ctft_inverse, dwt, eval_points_bitreversed, fft_in_place,
                     idwt, ifft_in_place, multiply_full_fft, multiply_tft, plan_new)
 from tftlib import oracle
@@ -286,32 +286,38 @@ def test_multiply_at_two_adicity_limit(p, n):
         assert multiply_tft(ctx_p, f, g, path) == want
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("path", ["cyclotomic", "bitreversed"])
-def test_multiply_at_power_of_two_costs_padded(ctx, path):
-    p = ctx.p
+def test_multiply_at_power_of_two_costs_padded(path, engine):
+    # every engine takes the padded product at n = 2^k, rows included; each
+    # side has its own field, since a field reports its row tables once
+    padded, truncated = FieldCtx(), FieldCtx()
+    p = padded.p
     rng = random.Random(11)
     for k in range(13):
         n = 1 << k
         df = n // 2
         f = [rng.randrange(p) for _ in range(df)] + [1]
         g = [rng.randrange(p) for _ in range(n - 1 - df)] + [1]
-        with ctx.count_session() as s_fft:
-            want = multiply_full_fft(ctx, f, g)
-        with ctx.count_session() as s_tft:
-            got = multiply_tft(ctx, f, g, path)
+        with padded.count_session() as s_fft:
+            want = multiply_full_fft(padded, f, g)
+        with truncated.count_session() as s_tft:
+            got = multiply_tft(truncated, f, g, path, engine)
         assert len(got) == n and got == want
-        assert s_tft.ops == s_fft.ops, k
+        assert (s_tft.ops, s_tft.alloc) == (s_fft.ops, s_fft.alloc), k
 
 
 def test_multiply_beyond_two_adicity_rejected():
     from tftlib import UnsupportedOrderError
 
     ctx17 = FieldCtx(17)  # roots only up to order 16
-    f = [1] * 17
-    with pytest.raises(UnsupportedOrderError):
-        multiply_full_fft(ctx17, f, f)
-    with pytest.raises(UnsupportedOrderError):
-        multiply_tft(ctx17, f, f)
+    products = [lambda f: multiply_full_fft(ctx17, f, f)] + [
+        lambda f, path=path: multiply_tft(ctx17, f, f, path) for path in ("cyclotomic", "bitreversed")]
+    for f in ([1] * 17, [1] * 9):  # product lengths 33 (rows) and 17 (list)
+        for product in products:
+            with ctx17.count_session() as sess, pytest.raises(UnsupportedOrderError):
+                product(f)
+            assert (sess.mul, sess.pow2, sess.add, sess.alloc) == (0, 0, 0, 0)
 
 
 @given(st.integers(min_value=1, max_value=160), st.data())
