@@ -12,7 +12,10 @@ fresh ``FieldCtx``, and the calls run in a fixed order on seeded operands,
 so the row tables a field builds once land on the same call in every
 checkout.  One line per (entry point, p, n): the entry point, p, n, a short
 hash of the outputs, then the call's (mul, pow2, add) and the scratch
-elements it reports (``alloc``).
+elements it reports (``alloc``).  After each prime's calls, one line per
+padded length in ``ctx.row_tables``: ``row_tables``, p, N and a short hash
+of the bytes of its three arrays, so a change to how the tables are built
+shows even in entries no product reads.
 
 Entry points: ``multiply_full_fft``; ``multiply_tft`` on both paths with
 each engine; ``ctft_forward`` with each engine; ``ctft_inverse``;
@@ -72,6 +75,11 @@ def main(argv=None) -> int:
                     out = fn(ctx, a, *rest)
                 print(f"{name} {p} {n} {digest(a if out is None else out)} "
                       f"{sess.mul} {sess.pow2} {sess.add} {sess.alloc}")
+        for N, tables in sorted(ctx.row_tables.items()):
+            h = hashlib.blake2b(digest_size=6)
+            for table in tables:
+                h.update(table.tobytes())
+            print(f"row_tables {p} {N} {h.hexdigest()}")
     return 0
 
 

@@ -15,10 +15,10 @@ and aligned, so at half-length u the blocks with n_i >= 2u are a prefix of
 the buffer that reshapes to (rows, 2, u k), k its columns, and each row
 takes one twiddle, a power of omega_N, N the padded length.  The powers,
 the bit-reversed base rows and their twist-1 octaves are tables of the
-field and N, built by the first product of padded length N over a context
-and kept on it (``ctx.row_tables``, one entry per power of two); a product
-slices them, or gathers the rows of stages whose blocks do not halve one
-into the next.
+field and N that grow from the root ladder by doubling, built by the first
+product of padded length N over a context and kept on it (``ctx.row_tables``,
+one entry per power of two); a product slices them, or gathers the rows of
+stages whose blocks do not halve one into the next.
 
 The ``new`` break and its inverse reach the list path's images without
 its survivor runs.  The break halves z^N - 1, as the ``mateer`` engine
@@ -103,31 +103,13 @@ def _load(ctx: FieldCtx, f, g, n: int, work: np.ndarray) -> np.ndarray:
     return _mod(ctx, a, work)
 
 
-def _unit_powers(ctx: FieldCtx, N: int, work: np.ndarray) -> np.ndarray:
-    """omega_N**j for j < N: the outer product of two short geometric rows."""
-    p = ctx.p
-    w = ctx.roots[N.bit_length() - 1]
-    lo = [1]
-    for _ in range((1 << (N.bit_length() - 1) // 2) - 1):
-        lo.append(lo[-1] * w % p)
-    w = lo[-1] * w % p
-    hi = [1]
-    for _ in range(N // len(lo) - 1):
-        hi.append(hi[-1] * w % p)
-    return _mod(ctx, _counted(ctx, np.multiply.outer(np.array(hi, np.int64),
-                                                     np.array(lo, np.int64)).ravel()), work)
-
-
-def _bit_reversal(bits: int) -> np.ndarray:
-    """rev(r) over ``bits`` bits for r < 2^bits.  With r = i 2^a + j,
-    rev(r) = rev(j) 2^b + rev(i): the outer sum of two short rows."""
-    def rows(m):
-        row = [0]
-        for _ in range(m):
-            row = [2 * x for x in row] + [2 * x + 1 for x in row]
-        return np.array(row, np.int64)
-    a = bits // 2
-    return np.add.outer(rows(bits - a), rows(a) << (bits - a)).ravel()
+def _grow(ctx: FieldCtx, row: np.ndarray, ladder, work: np.ndarray) -> np.ndarray:
+    """Fill a row of 2^len(ladder) residues in [0, p) by doubling: entry 0
+    is 1, and entries [m, 2m) are entries [0, m) times ladder[log2(m)]."""
+    row[0] = 1
+    for b, w in enumerate(ladder):
+        _mod(ctx, np.multiply(row[:1 << b], w, out=row[1 << b:2 << b]), work)
+    return row
 
 
 def _tables(ctx: FieldCtx, N: int, work: np.ndarray) -> tuple:
@@ -138,17 +120,21 @@ def _tables(ctx: FieldCtx, N: int, work: np.ndarray) -> tuple:
     log2(N/2) bits, balanced into (-p/2, p/2] (see :func:`_transform`);
     ``octaves`` holds base[:, m:2m] for m from N/4 down to 1, the octave of
     m at N/2 - 2m.  Both keep a last axis of length 1, so that a slice
-    multiplies the rows of a stage.  rev itself is not kept: with it the
-    tables and the 2N work buffer would pass the padded product's 5N bound.
+    multiplies the rows of a stage.  The tables grow from the root ladder by
+    doubling (:func:`_grow`): ``powers`` by omega_N**m = roots[log2(N/m)],
+    and as rev(m + r) = rev(m) + rev(r) for r < m, entries [m, 2m) of a
+    base row are its first m entries times omega_N**(+-rev(m)) =
+    omega_(4m)**(+-1), roots[log2(4m)] or inv_roots[log2(4m)].
     """
     tables = ctx.row_tables.get(N)
     if tables is None:
-        p = ctx.p
-        powers = _unit_powers(ctx, N, work)
-        rev = _bit_reversal(N.bit_length() - 2)
-        base = _counted(ctx, powers.take(np.stack((rev, -rev & (N - 1)))))
-        np.subtract(base, p, out=base, where=base > p // 2)
+        k = N.bit_length() - 1
         half = N // 2
+        powers = _grow(ctx, _counted(ctx, np.empty(N, np.int64)), ctx.roots[k:0:-1], work)
+        base = _counted(ctx, np.empty((2, half), np.int64))
+        for row, ladder in zip(base, (ctx.roots, ctx.inv_roots)):
+            _grow(ctx, row, ladder[2:k + 1], work)
+        np.subtract(base, ctx.p, out=base, where=base > ctx.p // 2)
         octaves = _counted(ctx, np.concatenate(
             [base[:, m:2 * m] for m in (half >> e for e in range(1, half.bit_length()))], axis=1))
         tables = ctx.row_tables[N] = (powers, base[:, :, None], octaves[:, :, None])
@@ -364,18 +350,19 @@ def _unbreak(ctx: FieldCtx, a: np.ndarray, plan: Plan, work: np.ndarray) -> None
     _mod(ctx, a[:offsets[-2] + tails[-2]], work)  # the slots the loop added to
 
 
-def multiply(ctx: FieldCtx, f, g, n: int, plan: Plan | None, scaled: bool) -> list[int]:
+def multiply(ctx: FieldCtx, f, g, n: int, plan: Plan | None, e: int) -> list[int]:
     """:func:`tftlib.bridge._multiply` of f and g, trimmed to their degrees,
     at transform length n.  With no ``plan`` this is one block of the padded
     length n at twist 0; with a plan (two blocks or more) the ``new`` break,
-    twist 1 and the unbreak, and if ``scaled`` the two Omega_s scalings."""
+    twist 1 and the unbreak, and unless ``e`` is 0 the two Omega_s scalings,
+    Omega_s = omega_N**e (``bridge._grid_twist``)."""
     sizes = plan.sizes if plan else (n,)
     work = _counted(ctx, np.empty(2 * n, np.int64))
     a = _load(ctx, f, g, n, work)
     tables = _tables(ctx, plan.N if plan else n, work)
-    if scaled:  # Omega_s = omega_N**e, e = sum of n_1/n_l
+    if e:
         exps = work[:n]  # k e, then -k e, in the free work buffer
-        exps[0], exps[1:] = 0, sum(sizes[0] // nl for nl in sizes)
+        exps[0], exps[1:] = 0, e
         np.cumsum(exps, out=exps)
         scales = _counted(ctx, np.empty((2, n), np.int64))
         for row in scales:  # Omega_s**k, then Omega_s**(-k)
@@ -390,6 +377,6 @@ def multiply(ctx: FieldCtx, f, g, n: int, plan: Plan | None, scaled: bool) -> li
     _transform(ctx, h, sizes, twiddles, work, True)
     if plan:
         _unbreak(ctx, h, plan, work)
-    if scaled:
+    if e:
         _mod(ctx, np.multiply(h, scales[1, :, None], out=h), work)
     return h[:len(f) + len(g) - 1, 0].tolist()

@@ -49,8 +49,8 @@ takes them, not with ``import tftlib``.
 
 from __future__ import annotations
 
-from .ctft import (ENGINES, break_counts, break_in_place, ctft_forward, ctft_inverse,
-                   unbreak_in_place)
+from .ctft import (ENGINES, _require_length, break_counts, break_in_place, ctft_forward,
+                   ctft_inverse, unbreak_in_place)
 from .plan import Plan, plan_new
 from .ring import FieldCtx, find_root_of_unity
 from .transform import dwt, fft_in_place, idwt, ifft_in_place, kernel_counts, scale_by_powers
@@ -108,8 +108,7 @@ def brtft_forward(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     """In place, slot l <- f(omega**rev(l)) for l < n (rev over log2(N) bits)."""
     if plan.p != ctx.p:  # Omega_s and the twists come from the plan's ladder
         raise ValueError(f"plan over {plan.p} used with a field over {ctx.p}")
-    if len(a) != plan.n:
-        raise ValueError(f"buffer length {len(a)} != plan length {plan.n}")
+    _require_length(a, plan.n)
     if plan.s == 1:
         fft_in_place(ctx, a, plan.n)
         return
@@ -123,8 +122,7 @@ def brtft_inverse(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     """Recover coefficients from the first n bit-reversed grid values, in place."""
     if plan.p != ctx.p:  # Omega_s and the twists come from the plan's ladder
         raise ValueError(f"plan over {plan.p} used with a field over {ctx.p}")
-    if len(a) != plan.n:
-        raise ValueError(f"buffer length {len(a)} != plan length {plan.n}")
+    _require_length(a, plan.n)
     if plan.s == 1:
         ifft_in_place(ctx, a, plan.n)
         return
@@ -153,17 +151,18 @@ def _multiply(ctx: FieldCtx, f: list[int], g: list[int], path: str, engine: str)
     N = 1 << (n - 1).bit_length()  # least power of two >= n
     find_root_of_unity(ctx, N)  # UnsupportedOrderError before any work
     plan = None if path == "padded" or n == N else plan_new(n, ctx)
-    scaled = plan is not None and path == "bitreversed"
+    # Omega_s = omega_N**e1 scales the bit-reversed path; 0 for no scaling
+    e1 = -_grid_twist(plan, 1) if plan is not None and path == "bitreversed" else 0
     m = N if plan is None else n  # the transform length
     rows = _row_form(ctx, n) if plan is None or engine == "new" else None
     if rows is not None:
-        h = rows.multiply(ctx, f[:df + 1], g[:dg + 1], m, plan, scaled)
-        _tally_rows(ctx, m, plan, scaled)
+        h = rows.multiply(ctx, f[:df + 1], g[:dg + 1], m, plan, e1)
+        _tally_rows(ctx, m, plan, e1 != 0)
         return h
     fa = [int(c) % p for c in f[:df + 1]] + [0] * (m - df - 1)
     ga = [int(c) % p for c in g[:dg + 1]] + [0] * (m - dg - 1)
     for a in (fa, ga):
-        if scaled:
+        if e1:
             scale_by_powers(ctx, a, m, _grid_scale(plan, 1))
         if plan is None:
             fft_in_place(ctx, a, m)
@@ -176,7 +175,7 @@ def _multiply(ctx: FieldCtx, f: list[int], g: list[int], path: str, engine: str)
         ifft_in_place(ctx, fa, m)
     else:
         ctft_inverse(ctx, fa, plan)
-    if scaled:
+    if e1:
         scale_by_powers(ctx, fa, m, _grid_scale(plan, -1))
     del fa[n:]  # the padding
     return fa

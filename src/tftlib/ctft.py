@@ -56,7 +56,13 @@ from .transform import dwt, idwt
 ENGINES = ("new", "sergeev", "mateer")
 
 
-def _require_ints(ctx: FieldCtx, a: list[int]) -> None:
+def _require_length(a: list[int], size: int) -> None:
+    if len(a) != size:
+        raise ValueError(f"buffer length {len(a)} != {size}")
+
+
+def _require_ints(ctx: FieldCtx, a: list[int], size: int) -> None:
+    _require_length(a, size)
     # The contribution pass sums up to n/2 residues before it reduces, which
     # overflows an int64 once n*p reaches 2^63: below p = 2^62 non-int
     # elements are then loaded through int(), above it they are rejected.
@@ -76,6 +82,7 @@ def reduce_to_remainders(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     fewer than n subtractions in place.  The last remainder is the final
     quotient itself, which already fits its block.
     """
+    _require_length(a, plan.n)
     p = ctx.p
     adds = 0
     for i in range(1, plan.s):
@@ -165,6 +172,7 @@ def add_contribution(ctx: FieldCtx, a: list[int], plan: Plan, i: int) -> None:
     """With blocks 1..i-1 holding the images f_1..f_(i-1) and block i holding
     the remainder r_i, rewrite block i to the image f_i.  Additions and
     doublings only."""
+    _require_length(a, plan.n)
     _contribution_pass(ctx, a, plan, i, undo=False)
 
 
@@ -175,7 +183,7 @@ def break_in_place(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     before it.  At most 3n additions, sum (i-1)*n_i < n doublings, zero
     general multiplications, O(1) scratch.
     """
-    _require_ints(ctx, a)
+    _require_ints(ctx, a, plan.n)
     reduce_to_remainders(ctx, a, plan)
     for i in range(2, plan.s + 1):
         add_contribution(ctx, a, plan, i)
@@ -205,7 +213,7 @@ def break_counts(plan: Plan) -> tuple[int, int]:
 
 def unbreak_in_place(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     """Exact inverse of :func:`break_in_place`, step by step in reverse."""
-    _require_ints(ctx, a)
+    _require_ints(ctx, a, plan.n)
     p = ctx.p
     for i in range(plan.s, 1, -1):
         _contribution_pass(ctx, a, plan, i, undo=True)
@@ -226,11 +234,7 @@ def mateer_break(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     so no ring multiplications at all.  Image f_i is left in slots
     [n_i, 2*n_i); when n is a power of two the buffer itself is the image.
     """
-    if len(a) < plan.N:
-        raise ValueError(f"need {plan.N} slots, buffer has {len(a)}")
-    _require_ints(ctx, a)
-    if plan.s == 1:
-        return
+    _require_ints(ctx, a, plan.N)
     p = ctx.p
     adds = 0
     k = plan.N
@@ -338,9 +342,7 @@ def sergeev_break(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     step over their survivor runs (:func:`_add_rebuilt`).  Ends in exactly
     the image state of :func:`break_in_place`.
     """
-    _require_ints(ctx, a)
-    if plan.s == 1:
-        return
+    _require_ints(ctx, a, plan.n)
     p = ctx.p
     i = 0
     survivors = 0   # terms of images 1..i that hold their survival masks
@@ -375,8 +377,7 @@ def ctft_forward(ctx: FieldCtx, a: list[int], plan: Plan, engine: str = "new") -
     allocates an N-slot working buffer through the context and loads it
     through ``int()``; the other two touch only the caller's n slots.
     """
-    if len(a) != plan.n:
-        raise ValueError(f"buffer length {len(a)} != plan length {plan.n}")
+    _require_length(a, plan.n)
     if engine == "new":
         break_in_place(ctx, a, plan)
     elif engine == "sergeev":
@@ -386,10 +387,7 @@ def ctft_forward(ctx: FieldCtx, a: list[int], plan: Plan, engine: str = "new") -
         for t in range(plan.n):
             buf[t] = int(a[t])
         mateer_break(ctx, buf, plan)
-        if plan.s == 1:
-            for t in range(plan.n):
-                a[t] = buf[t]
-        else:
+        if plan.s > 1:  # one block is its own image, which dwt loads through int()
             for i in range(1, plan.s + 1):
                 o = plan.offset(i)
                 ni = plan.size(i)
@@ -409,8 +407,7 @@ def ctft_inverse(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     inverse (per-block inverse twisted transform, then the unbreak) serves
     them all.
     """
-    if len(a) != plan.n:
-        raise ValueError(f"buffer length {len(a)} != plan length {plan.n}")
+    _require_length(a, plan.n)
     for i in range(1, plan.s + 1):
         idwt(ctx, a, plan.size(i), 1, plan.offset(i))
     unbreak_in_place(ctx, a, plan)

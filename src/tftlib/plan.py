@@ -62,7 +62,7 @@ def plan_new(n: int, ctx: FieldCtx) -> Plan:
     return Plan(
         p=ctx.p,
         n=n,
-        N=1 << (n - 1).bit_length() if n > 1 else 1,
+        N=1 << (n - 1).bit_length(),
         s=len(sizes),
         sizes=sizes,
         offsets=tuple(n - t for t in tails[:-1]),

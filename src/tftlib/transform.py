@@ -35,7 +35,7 @@ output is a Python int in [0, p).
 
 from __future__ import annotations
 
-from .ring import FieldCtx, UnsupportedOrderError
+from .ring import FieldCtx, find_root_of_unity
 
 
 def _check_window(ctx: FieldCtx, a: list[int], n: int, twist: int, offset: int) -> None:
@@ -43,10 +43,7 @@ def _check_window(ctx: FieldCtx, a: list[int], n: int, twist: int, offset: int) 
         raise ValueError(f"transform length {n} is not a power of two")
     if offset < 0 or offset + n > len(a):
         raise ValueError(f"window [{offset}, {offset + n}) exceeds buffer of {len(a)}")
-    order = n << (twist & 1)  # an odd twist needs omega_2n
-    if order.bit_length() - 1 > ctx.two_adicity:
-        raise UnsupportedOrderError(
-            f"no root of order {order}: 2-adicity of {ctx.p} - 1 is {ctx.two_adicity}")
+    find_root_of_unity(ctx, n << (twist & 1))  # an odd twist needs omega_2n
 
 
 def _stage_start(ctx: FieldCtx, twist: int, k: int) -> int:
@@ -223,5 +220,4 @@ def scale_by_powers(ctx: FieldCtx, a: list[int], n: int, base: int) -> None:
     for k in range(1, n):
         pw = pw * base % p
         a[k] = int(a[k]) * pw % p
-    if n > 1:
-        ctx.ops.mul += 2 * (n - 1)
+    ctx.ops.mul += 2 * (n - 1)

@@ -142,12 +142,21 @@ def test_break_example_and_inverse(ctx5):
     assert a == [1, 2, 3]
 
 
+def _single_block_is_identity(ctx, n):
+    # at n = N every engine leaves f, its one image, as it is and counts
+    # nothing; mateer_break's N slots are the n slots
+    plan = plan_new(n, ctx)
+    f = list(range(n))
+    for engine in (break_in_place, sergeev_break, mateer_break):
+        a = list(f)
+        with ctx.count_session() as sess:
+            engine(ctx, a, plan)
+        assert a == f, engine.__name__
+        assert (sess.mul, sess.pow2, sess.add) == (0, 0, 0), engine.__name__
+
+
 def test_break_single_block_identity(ctx):
-    plan = plan_new(128, ctx)
-    f = list(range(128))
-    a = list(f)
-    break_in_place(ctx, a, plan)
-    assert a == f
+    _single_block_is_identity(ctx, 128)
 
 
 def test_break_zero(ctx):
@@ -219,11 +228,7 @@ def test_mateer_requires_full_buffer(ctx):
 
 
 def test_sergeev_single_block_identity(ctx):
-    plan = plan_new(32, ctx)
-    f = list(range(32))
-    a = list(f)
-    sergeev_break(ctx, a, plan)
-    assert a == f
+    _single_block_is_identity(ctx, 32)
 
 
 def test_sergeev_uses_no_general_multiplications(ctx):
@@ -512,7 +517,7 @@ def test_forward_at_power_of_two_costs_fft(ctx, engine):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_space_accounting(ctx, engine):
     p = ctx.p
-    for n in (86, 257):
+    for n in (86, 257, 128):  # 128: one block, no copy back from mateer's N slots
         plan = plan_new(n, ctx)
         rng = random.Random(n)
         a = [rng.randrange(p) for _ in range(n)]

@@ -19,11 +19,11 @@ import warnings
 import numpy as np
 import pytest
 
-from tftlib import (ENGINES, FieldCtx, break_in_place, brtft_forward,
-                    brtft_inverse, ctft_forward, ctft_inverse, dwt,
-                    fft_in_place, idwt, ifft_in_place, mateer_break,
-                    multiply_full_fft, multiply_tft, plan_new, sergeev_break,
-                    unbreak_in_place)
+from tftlib import (ENGINES, FieldCtx, add_contribution, break_in_place,
+                    brtft_forward, brtft_inverse, ctft_forward, ctft_inverse,
+                    dwt, fft_in_place, idwt, ifft_in_place, mateer_break,
+                    multiply_full_fft, multiply_tft, plan_new,
+                    reduce_to_remainders, sergeev_break, unbreak_in_place)
 from tftlib import oracle
 
 
@@ -186,6 +186,28 @@ def test_bit_reversed_transforms_reject_a_plan_over_another_field(n):
         with pytest.raises(ValueError):
             call(ctx, a, plan)
         assert a == list(range(n))
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_break_phases_reject_a_buffer_of_the_wrong_length(delta):
+    # each takes exactly n slots (mateer_break N), and a wrong length is
+    # rejected before any slot is written or any operation counted
+    ctx = FieldCtx()
+    n = 86
+    plan = plan_new(n, ctx)
+    calls = _breaks(ctx, n) + [
+        ("reduce_to_remainders", lambda a: reduce_to_remainders(ctx, a, plan), n),
+        ("add_contribution", lambda a: add_contribution(ctx, a, plan, 2), n),
+    ]
+    rng = random.Random(n)
+    for name, call, length in calls:
+        a = [rng.randrange(ctx.p) for _ in range(length + delta)]
+        before = list(a)
+        with ctx.count_session() as sess:
+            with pytest.raises(ValueError):
+                call(a)
+        assert a == before, name
+        assert (sess.mul, sess.pow2, sess.add, sess.alloc) == (0, 0, 0, 0), name
 
 
 def _residues(length: int, p: int, rng: random.Random) -> tuple[list[int], list[int]]:

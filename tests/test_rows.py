@@ -24,6 +24,7 @@ from tftlib import (FieldCtx, brtft_forward, brtft_inverse, ctft_forward,
                     ctft_inverse, fft_in_place, ifft_in_place,
                     multiply_full_fft, multiply_tft, oracle, plan_new,
                     unbreak_in_place)
+from tftlib.bitops import bit_reverse
 from tftlib.bridge import _ROWS_MIN, _grid_scale
 from tftlib.transform import dwt, scale_by_powers
 
@@ -195,6 +196,24 @@ def test_forward_rows_take_their_largest_sums(field, start, twist):
     _rows._transform(field, a, [N], twiddles, work, False)
     dwt(field, f, N, twist)
     assert a[:, 0].tolist() == f
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_row_tables_match_their_definition(p):
+    # powers[j] = omega_N**j in [0, p); base[0, r] and base[1, r] are
+    # omega_N**(+-rev(r)), rev over log2(N/2) bits, balanced into
+    # (-p/2, p/2]; the octave of m, at N/2 - 2m, is base[:, m:2m]
+    ctx = FieldCtx(p)
+    for k in range(2, 15):
+        N, half = 1 << k, 1 << (k - 1)
+        powers, base, octaves = _rows._tables(ctx, N, np.empty(2 * N, np.int64))
+        w = ctx.roots[k]
+        assert powers.tolist() == [pow(w, j, p) for j in range(N)]
+        for sign, row in zip((1, -1), base[:, :, 0]):
+            want = [pow(w, sign * bit_reverse(r, k - 1), p) for r in range(half)]
+            assert row.tolist() == [x - p if x > p // 2 else x for x in want], (N, sign)
+        for m in (half >> e for e in range(1, k)):
+            assert np.array_equal(octaves[:, half - 2 * m:half - m], base[:, m:2 * m]), (N, m)
 
 
 @pytest.mark.parametrize("path", PATHS)
