@@ -49,7 +49,7 @@ takes them, not with ``import tftlib``.
 
 from __future__ import annotations
 
-from .ctft import (ENGINES, _require_length, break_counts, break_in_place, ctft_forward,
+from .ctft import (ENGINES, _require_plan, break_counts, break_in_place, ctft_forward,
                    ctft_inverse, unbreak_in_place)
 from .plan import Plan, plan_new
 from .ring import FieldCtx, find_root_of_unity
@@ -76,22 +76,17 @@ def _row_form(ctx: FieldCtx, n: int):
 
 
 def _tally_rows(ctx: FieldCtx, n: int, plan: Plan | None, scaled: bool) -> None:
-    """Count what the list product of transform length n counts: two forward
-    kernels and an inverse per block (one block of n with no ``plan``) and a
-    pointwise product per slot, then for a TFT ``plan`` two breaks and an
-    unbreak, and if ``scaled`` three scalings by the powers of Omega_s,
-    2 (n - 1) multiplications each."""
+    """Count what the list product of transform length n counts: per block
+    (one block of n with no ``plan``) three kernels, which count the same mul
+    and add, and the inverse's pow2; a pointwise product per slot; for a TFT
+    ``plan`` two breaks and an unbreak; if ``scaled`` three scalings by the
+    powers of Omega_s, 2 (n - 1) multiplications each."""
     break_add, break_pow2 = break_counts(plan) if plan else (0, 0)
-    mul, pow2, add = n + (6 * (n - 1) if scaled else 0), 3 * break_pow2, 3 * break_add
-    for ni in plan.sizes if plan else (n,):
-        fmul, _, fadd = kernel_counts(ni, False)
-        imul, ipow2, iadd = kernel_counts(ni, True)
-        mul += 2 * fmul + imul
-        pow2 += ipow2
-        add += 2 * fadd + iadd
-    ctx.ops.mul += mul
-    ctx.ops.pow2 += pow2
-    ctx.ops.add += add
+    sizes = plan.sizes if plan else (n,)
+    kmul, kpow2, kadd = map(sum, zip(*(kernel_counts(ni, True) for ni in sizes)))
+    ctx.ops.mul += n + (6 * (n - 1) if scaled else 0) + 3 * kmul
+    ctx.ops.pow2 += 3 * break_pow2 + kpow2
+    ctx.ops.add += 3 * break_add + 3 * kadd
 
 
 def _grid_twist(plan: Plan, i: int) -> int:
@@ -105,10 +100,9 @@ def _grid_scale(plan: Plan, sign: int) -> int:
 
 
 def brtft_forward(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
-    """In place, slot l <- f(omega**rev(l)) for l < n (rev over log2(N) bits)."""
-    if plan.p != ctx.p:  # Omega_s and the twists come from the plan's ladder
-        raise ValueError(f"plan over {plan.p} used with a field over {ctx.p}")
-    _require_length(a, plan.n)
+    """In place, slot l <- f(omega**rev(l)) for l < n (rev over log2(N) bits);
+    a plan over another field or a buffer not of n slots raises ValueError first."""
+    _require_plan(ctx, a, plan)
     if plan.s == 1:
         fft_in_place(ctx, a, plan.n)
         return
@@ -119,10 +113,9 @@ def brtft_forward(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
 
 
 def brtft_inverse(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
-    """Recover coefficients from the first n bit-reversed grid values, in place."""
-    if plan.p != ctx.p:  # Omega_s and the twists come from the plan's ladder
-        raise ValueError(f"plan over {plan.p} used with a field over {ctx.p}")
-    _require_length(a, plan.n)
+    """Recover coefficients from the first n bit-reversed grid values, in place;
+    rejects what :func:`brtft_forward` rejects, before any write."""
+    _require_plan(ctx, a, plan)
     if plan.s == 1:
         ifft_in_place(ctx, a, plan.n)
         return

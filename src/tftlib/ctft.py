@@ -61,6 +61,13 @@ def _require_length(a: list[int], size: int) -> None:
         raise ValueError(f"buffer length {len(a)} != {size}")
 
 
+def _require_plan(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
+    # plan_new checked every root over plan.p, so no transform raises after it writes
+    if plan.p != ctx.p:
+        raise ValueError(f"plan over {plan.p} used with a field over {ctx.p}")
+    _require_length(a, plan.n)
+
+
 def _require_ints(ctx: FieldCtx, a: list[int], size: int) -> None:
     _require_length(a, size)
     # The contribution pass sums up to n/2 residues before it reduces, which
@@ -84,14 +91,12 @@ def reduce_to_remainders(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     """
     _require_length(a, plan.n)
     p = ctx.p
-    adds = 0
     for i in range(1, plan.s):
         o = plan.offset(i)
         ni = plan.size(i)
         for t in range(o, o + plan.tail(i)):
             a[t] = (a[t] - a[t + ni]) % p
-        adds += plan.tail(i)
-    ctx.ops.add += adds
+    ctx.ops.add += sum(plan.tails[1:plan.s])
 
 
 # chunk pairs per run from which _contribution_pass sums strided (measured)
@@ -170,8 +175,10 @@ def _contribution_pass(ctx: FieldCtx, a: list[int], plan: Plan, i: int, undo: bo
 
 def add_contribution(ctx: FieldCtx, a: list[int], plan: Plan, i: int) -> None:
     """With blocks 1..i-1 holding the images f_1..f_(i-1) and block i holding
-    the remainder r_i, rewrite block i to the image f_i.  Additions and
-    doublings only."""
+    the remainder r_i, rewrite block i to the image f_i, for 2 <= i <= s.
+    Additions and doublings only."""
+    if not 2 <= i <= plan.s:
+        raise ValueError(f"need 2 <= i <= {plan.s}, got i={i}")
     _require_length(a, plan.n)
     _contribution_pass(ctx, a, plan, i, undo=False)
 
@@ -217,14 +224,12 @@ def unbreak_in_place(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     p = ctx.p
     for i in range(plan.s, 1, -1):
         _contribution_pass(ctx, a, plan, i, undo=True)
-    adds = 0
     for i in range(plan.s - 1, 0, -1):
         o = plan.offset(i)
         ni = plan.size(i)
         for t in range(o, o + plan.tail(i)):
             a[t] = (a[t] + a[t + ni]) % p
-        adds += plan.tail(i)
-    ctx.ops.add += adds
+    ctx.ops.add += sum(plan.tails[1:plan.s])
 
 
 def mateer_break(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
@@ -351,7 +356,7 @@ def sergeev_break(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     while k > n_last:
         kh = k >> 1
         o = plan.offset(i + 1)
-        if i < plan.s and kh == plan.size(i + 1):
+        if kh == plan.size(i + 1):
             nst = plan.tail(i + 1)
             for t in range(o, o + nst):
                 x = a[t]
@@ -375,9 +380,11 @@ def ctft_forward(ctx: FieldCtx, a: list[int], plan: Plan, engine: str = "new") -
     Block i ends up holding f(omega_i^(2*rev(j) + 1)) for j = 0..n_i-1 (the
     layout of :func:`tftlib.plan.eval_points_cyclotomic`).  The mateer engine
     allocates an N-slot working buffer through the context and loads it
-    through ``int()``; the other two touch only the caller's n slots.
+    through ``int()``; the other two touch only the caller's n slots.  A plan
+    over another field, a buffer not of n slots or an unknown engine raises
+    ValueError before any write.
     """
-    _require_length(a, plan.n)
+    _require_plan(ctx, a, plan)
     if engine == "new":
         break_in_place(ctx, a, plan)
     elif engine == "sergeev":
@@ -405,9 +412,9 @@ def ctft_inverse(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
 
     Engine-agnostic: every engine produces the same image state, so one
     inverse (per-block inverse twisted transform, then the unbreak) serves
-    them all.
+    them all.  Rejects what :func:`ctft_forward` rejects, before any write.
     """
-    _require_length(a, plan.n)
+    _require_plan(ctx, a, plan)
     for i in range(1, plan.s + 1):
         idwt(ctx, a, plan.size(i), 1, plan.offset(i))
     unbreak_in_place(ctx, a, plan)

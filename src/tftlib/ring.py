@@ -39,17 +39,10 @@ class OpCount:
     pow2: int = 0
     add: int = 0
 
-    def snapshot(self) -> "OpCount":
-        return OpCount(self.mul, self.pow2, self.add)
-
-    def since(self, earlier: "OpCount") -> "OpCount":
-        return OpCount(self.mul - earlier.mul,
-                       self.pow2 - earlier.pow2,
-                       self.add - earlier.add)
-
 
 class CountSession:
-    """Delta view over a context's counters, usable during and after the block.
+    """Counter deltas over a block, live inside it and frozen at exit: each of
+    (mul, pow2, add, alloc) is the end snapshot, or the counters now, less the start.
 
     >>> from tftlib import fft_in_place
     >>> ctx = FieldCtx(5)
@@ -61,46 +54,37 @@ class CountSession:
 
     def __init__(self, ctx: "FieldCtx"):
         self._ctx = ctx
-        self._start = ctx.ops.snapshot()
-        self._start_alloc = ctx.scratch_allocated
-        self._frozen: OpCount | None = None
-        self._frozen_alloc = 0
+        self._start = self._now()
+        self._end: tuple[int, int, int, int] | None = None
+
+    def _now(self) -> tuple[int, int, int, int]:
+        ops = self._ctx.ops
+        return ops.mul, ops.pow2, ops.add, self._ctx.scratch_allocated
 
     def __enter__(self) -> "CountSession":
         return self
 
     def __exit__(self, *exc) -> bool:
-        # freeze the deltas so later work on the context cannot leak in
-        self._frozen = self._ctx.ops.since(self._start)
-        self._frozen_alloc = self._ctx.scratch_allocated - self._start_alloc
+        self._end = self._now()
         return False
+
+    def _figures(self) -> tuple[int, ...]:
+        return tuple(e - s for e, s in zip(self._end or self._now(), self._start))
 
     @property
     def ops(self) -> OpCount:
-        if self._frozen is not None:
-            return self._frozen
-        return self._ctx.ops.since(self._start)
+        return OpCount(*self._figures()[:3])
 
-    @property
-    def mul(self) -> int:
-        return self.ops.mul
-
-    @property
-    def pow2(self) -> int:
-        return self.ops.pow2
-
-    @property
-    def add(self) -> int:
-        return self.ops.add
+    mul = property(lambda self: self._figures()[0])
+    pow2 = property(lambda self: self._figures()[1])
+    add = property(lambda self: self._figures()[2])
 
     @property
     def alloc(self) -> int:
         """Scratch elements taken in this session: what :meth:`FieldCtx.alloc`
         hands out, plus the numpy arrays a row product adds to
         ``scratch_allocated`` (its tables when built, its per-product rows)."""
-        if self._frozen is not None:
-            return self._frozen_alloc
-        return self._ctx.scratch_allocated - self._start_alloc
+        return self._figures()[3]
 
 
 # The first 13 primes are a deterministic Miller-Rabin witness set for every

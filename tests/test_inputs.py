@@ -175,17 +175,23 @@ def test_numpy_int64_buffers_above_2_62(n):
             _assert_field_ints(got, p, name)
 
 
-@pytest.mark.parametrize("n", [5, 37, 100])
+@pytest.mark.parametrize("n", [5, 17, 37, 100])
 def test_bit_reversed_transforms_reject_a_plan_over_another_field(n):
-    # Omega_s and the block twists come from the plan's root ladder, so a
-    # plan over another field would give wrong values
+    # Every transform that takes a plan rejects one over another field
+    # before it writes or counts: the roots come from the plan's ladder, so
+    # over 998244353 it would give wrong values, and 17 has no root of order
+    # 2 n_1 from n = 9 on, which a block transform finds only after the break.
     plan = plan_new(n, FieldCtx(2013265921))
-    ctx = FieldCtx(998244353)
-    for call in (brtft_forward, brtft_inverse):
-        a = list(range(n))
-        with pytest.raises(ValueError):
-            call(ctx, a, plan)
-        assert a == list(range(n))
+    calls = [brtft_forward, brtft_inverse, ctft_inverse]
+    calls += [lambda c, a, pl, e=engine: ctft_forward(c, a, pl, e) for engine in ENGINES]
+    for ctx in (FieldCtx(998244353), FieldCtx(17)):
+        for call in calls:
+            a = list(range(n))
+            with ctx.count_session() as sess:
+                with pytest.raises(ValueError):
+                    call(ctx, a, plan)
+            assert a == list(range(n))
+            assert (sess.mul, sess.pow2, sess.add, sess.alloc) == (0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("delta", [-1, 1])
@@ -208,6 +214,21 @@ def test_break_phases_reject_a_buffer_of_the_wrong_length(delta):
                 call(a)
         assert a == before, name
         assert (sess.mul, sess.pow2, sess.add, sess.alloc) == (0, 0, 0, 0), name
+
+
+def test_add_contribution_rejects_a_block_index_outside_2_to_s():
+    # block 1 has no earlier image and no block lies outside 1..s
+    ctx = FieldCtx()
+    plan = plan_new(86, ctx)  # s = 4
+    rng = random.Random(86)
+    a = [rng.randrange(ctx.p) for _ in range(plan.n)]
+    before = list(a)
+    for i in (-1, 0, 1, plan.s + 1):
+        with ctx.count_session() as sess:
+            with pytest.raises(ValueError):
+                add_contribution(ctx, a, plan, i)
+        assert a == before, i
+        assert (sess.mul, sess.pow2, sess.add, sess.alloc) == (0, 0, 0, 0), i
 
 
 def _residues(length: int, p: int, rng: random.Random) -> tuple[list[int], list[int]]:

@@ -120,6 +120,31 @@ def test_session_freezes_on_exit(ctx):
     assert sess.mul == 1
 
 
+def test_session_reads_live_in_the_block_and_frozen_after_it(ctx5):
+    with ctx5.count_session() as sess:
+        fft_in_place(ctx5, [3, 4], 2)
+        assert (sess.ops, sess.alloc) == (OpCount(1, 0, 2), 0)
+        ctx5.alloc(3)
+        ifft_in_place(ctx5, [3, 4], 2)
+        assert (sess.ops, sess.alloc) == (OpCount(2, 2, 4), 3)
+    ctx5.alloc(5)
+    ifft_in_place(ctx5, [3, 4], 2)
+    assert (sess.ops, sess.mul, sess.pow2, sess.add, sess.alloc) == (
+        OpCount(2, 2, 4), 2, 2, 4, 3)
+
+
+def test_nested_sessions_see_only_their_own_blocks(ctx5):
+    with ctx5.count_session() as outer:
+        fft_in_place(ctx5, [3, 4], 2)
+        with ctx5.count_session() as inner:
+            ctx5.alloc(7)
+            ifft_in_place(ctx5, [3, 4], 2)
+        fft_in_place(ctx5, [3, 4], 2)
+        ctx5.alloc(2)
+    assert (inner.ops, inner.alloc) == (OpCount(1, 2, 2), 7)
+    assert (outer.ops, outer.alloc) == (OpCount(3, 2, 6), 9)
+
+
 def test_alloc_hook(ctx):
     with ctx.count_session() as sess:
         buf = ctx.alloc(37)
