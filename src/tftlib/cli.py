@@ -1,8 +1,9 @@
 """Command-line surface: transforms, multiplication, self-test, benchmark.
 
-Polynomial file format (bit-exact): line 1 ``p <modulus>``, line 2
+Polynomial file format (bit-exact, ASCII): line 1 ``p <modulus>``, line 2
 ``n <length>``, then n whitespace-separated decimal coefficients a_0..a_(n-1),
-each in [0, p).  Lines starting with ``#`` are comments.  The writer is
+each in [0, p).  Every number is made of the digits 0-9 alone (no sign, no
+underscore).  Lines starting with ``#`` are comments.  The writer is
 canonical (one coefficient line, single spaces, LF endings), so a forward
 transform followed by the inverse reproduces its input file byte for byte.
 
@@ -11,7 +12,9 @@ Benchmark CSV: header ``n,algo,mul,pow2,add,wall_nanos``, one row per
 forward transform at that length.  Input polynomials are derived from the seed
 and the row's (n, role) by hashing, so rows are reproducible in any order.
 
-Exit status: 0 success, 1 verification failure, 2 usage or format error.
+Every failure of a command is one stderr line, ``error: <message>``, whose
+message starts ``<path>:<line>:`` for a malformed file.  Exit status: 0
+success, 1 verification failure, 2 usage or format error.
 """
 
 from __future__ import annotations
@@ -51,54 +54,50 @@ class PolyFormatError(ValueError):
 
 def read_poly_file(path: str) -> tuple[int, list[int]]:
     """Parse a polynomial file into (modulus, coefficients)."""
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.readlines()
+    with open(path, "rb") as fh:
+        raw = fh.read().splitlines()
     fields: list[tuple[int, str]] = []  # (line_no, token)
     for no, line in enumerate(raw, start=1):
-        body = line.strip()
-        if not body or body.startswith("#"):
-            continue
-        for tok in body.split():
-            fields.append((no, tok))
+        if not line.isascii():
+            raise PolyFormatError(path, no, "line is not ASCII")
+        body = line.decode().strip()
+        if body and not body.startswith("#"):
+            fields.extend((no, tok) for tok in body.split())
+    tokens = iter(fields)
     last_line = len(raw) if raw else 1
 
-    def need(idx: int, what: str) -> tuple[int, str]:
-        if idx >= len(fields):
-            raise PolyFormatError(path, last_line, f"missing {what}")
-        return fields[idx]
+    def take(what: str, marker: str = "") -> tuple[int, int]:
+        """The line and value of the next token: the marker if one is given
+        (value 0), else a decimal integer of ASCII digits."""
+        no, tok = next(tokens, (last_line, ""))
+        if not tok:
+            raise PolyFormatError(path, no, f"missing {what}")
+        if marker:
+            if tok != marker:
+                raise PolyFormatError(path, no, f"expected {marker!r}, found {tok!r}")
+            return no, 0
+        if tok.isdigit():
+            try:
+                return no, int(tok)
+            except ValueError:  # more digits than int() converts
+                pass
+        raise PolyFormatError(path, no, f"{what} is {tok!r}, not a decimal integer")
 
-    no, tok = need(0, "'p' marker")
-    if tok != "p":
-        raise PolyFormatError(path, no, f"expected 'p', found {tok!r}")
-    no, tok = need(1, "modulus")
-    try:
-        p = int(tok)
-    except ValueError:
-        raise PolyFormatError(path, no, f"modulus {tok!r} is not an integer") from None
-    no, tok = need(2, "'n' marker")
-    if tok != "n":
-        raise PolyFormatError(path, no, f"expected 'n', found {tok!r}")
-    no, tok = need(3, "length")
-    try:
-        n = int(tok)
-    except ValueError:
-        raise PolyFormatError(path, no, f"length {tok!r} is not an integer") from None
+    take("'p' marker", "p")
+    p = take("modulus")[1]
+    take("'n' marker", "n")
+    no, n = take("length")
     if n < 1:
         raise PolyFormatError(path, no, f"length must be at least 1, got {n}")
-
     coeffs = []
-    for idx in range(4, 4 + n):
-        no, tok = need(idx, f"coefficient {idx - 4} of {n}")
-        try:
-            c = int(tok)
-        except ValueError:
-            raise PolyFormatError(path, no, f"coefficient {tok!r} is not an integer") from None
-        if not 0 <= c < p:
+    for k in range(n):
+        no, c = take(f"coefficient {k} of {n}")
+        if c >= p:
             raise PolyFormatError(path, no, f"coefficient {c} outside [0, {p})")
         coeffs.append(c)
-    if len(fields) > 4 + n:
-        no, tok = fields[4 + n]
-        raise PolyFormatError(path, no, f"unexpected extra token {tok!r}")
+    extra = next(tokens, None)
+    if extra:
+        raise PolyFormatError(path, extra[0], f"unexpected extra token {extra[1]!r}")
     return p, coeffs
 
 
@@ -155,10 +154,8 @@ def bench_rows(ctx: FieldCtx, engine: str, seed: int,
     return rows
 
 
-def selftest(ctx: FieldCtx, seed: int, out=None) -> int:
+def selftest(ctx: FieldCtx, seed: int) -> int:
     """Compact oracle-equivalence run; returns 0 if everything matches."""
-    if out is None:
-        out = sys.stdout
     p = ctx.p
     failures = 0
 
@@ -167,7 +164,7 @@ def selftest(ctx: FieldCtx, seed: int, out=None) -> int:
         if not ok:
             failures += 1
         tag = "ok" if ok else "FAIL"
-        print(f"selftest: {name}: {tag}{(' ' + detail) if detail else ''}", file=out)
+        print(f"selftest: {name}: {tag}{(' ' + detail) if detail else ''}")
 
     sizes = sorted(set(range(1, 41)) | {63, 64, 65, 86, 100, 127, 128, 129, 255, 256, 257})
     eval_ok = bridge_ok = round_ok = True
@@ -237,14 +234,19 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="seed for generated polynomials (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-            ("ctft-fwd", "forward block transform of a polynomial file"),
-            ("ctft-inv", "inverse block transform"),
-            ("brtft-fwd", "forward bit-reversed truncated transform"),
-            ("brtft-inv", "inverse bit-reversed truncated transform")):
+    # each transform is called as (ctx, a, plan, engine)
+    for name, transform, help_text in (
+            ("ctft-fwd", ctft_forward, "forward block transform of a polynomial file"),
+            ("ctft-inv", lambda ctx, a, plan, _: ctft_inverse(ctx, a, plan),
+             "inverse block transform"),
+            ("brtft-fwd", lambda ctx, a, plan, _: brtft_forward(ctx, a, plan),
+             "forward bit-reversed truncated transform"),
+            ("brtft-inv", lambda ctx, a, plan, _: brtft_inverse(ctx, a, plan),
+             "inverse bit-reversed truncated transform")):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("input")
         cmd.add_argument("output")
+        cmd.set_defaults(run=_transform_file, transform=transform)
 
     mul = sub.add_parser("mul", help="multiply two polynomial files")
     mul.add_argument("lhs")
@@ -252,75 +254,70 @@ def _build_parser() -> argparse.ArgumentParser:
     mul.add_argument("output")
     mul.add_argument("--path", choices=("cyclotomic", "bitreversed", "fft"),
                      default="cyclotomic")
+    mul.set_defaults(run=_mul)
 
     bench = sub.add_parser("bench", help="operation-count benchmark, CSV output")
     bench.add_argument("--min", type=int, required=True, dest="n_min")
     bench.add_argument("--max", type=int, required=True, dest="n_max")
     bench.add_argument("--csv", required=True, dest="csv_path")
+    bench.set_defaults(run=_bench)
 
-    sub.add_parser("selftest", help="run the oracle equivalence suites")
+    sub.add_parser("selftest", help="run the oracle equivalence suites").set_defaults(
+        run=lambda args: selftest(_field(args), args.seed))
     return parser
 
 
-def _file_ctx(args, p: int) -> FieldCtx:
-    if args.modulus is not None and args.modulus != p:
-        raise PolyFormatError("<args>", 0, f"--modulus {args.modulus} "
-                                           f"conflicts with file modulus {p}")
+def _field(args, p: int | None = None) -> FieldCtx:
+    """The field of a command: the file's modulus p, which ``--modulus`` must
+    match if it is given; else ``--modulus``; else the default."""
+    if p is None:
+        p = DEFAULT_MODULUS if args.modulus is None else args.modulus
+    elif args.modulus is not None and args.modulus != p:
+        raise ValueError(f"--modulus {args.modulus} conflicts with file modulus {p}")
     return FieldCtx(p)
 
 
+def _transform_file(args) -> int:
+    p, coeffs = read_poly_file(args.input)
+    ctx = _field(args, p)
+    args.transform(ctx, coeffs, plan_new(len(coeffs), ctx), args.engine)
+    write_poly_file(args.output, p, coeffs)
+    return 0
+
+
+def _mul(args) -> int:
+    p, f = read_poly_file(args.lhs)
+    p2, g = read_poly_file(args.rhs)
+    if p != p2:
+        raise ValueError(f"moduli differ: {p} vs {p2}")
+    ctx = _field(args, p)
+    if args.path == "fft":
+        result = multiply_full_fft(ctx, f, g)
+    else:
+        result = multiply_tft(ctx, f, g, args.path, args.engine)
+    write_poly_file(args.output, p, result)
+    return 0
+
+
+def _bench(args) -> int:
+    if args.n_min < 1 or args.n_max < args.n_min:
+        raise ValueError(f"bad range [{args.n_min}, {args.n_max}]")
+    emit_csv(bench_rows(_field(args), args.engine, args.seed, args.n_min, args.n_max),
+             args.csv_path)
+    return 0
+
+
 def run_command(argv: list[str]) -> int:
-    parser = _build_parser()
+    """Parse argv and run its command's handler; every failure of a command
+    is one ``error:`` line on stderr and exit status 2."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
+    except SystemExit as exc:  # argparse has printed its usage message
         return int(exc.code or 0)
-
-    transforms = {
-        "ctft-fwd": lambda ctx, a, plan: ctft_forward(ctx, a, plan, args.engine),
-        "ctft-inv": ctft_inverse,
-        "brtft-fwd": brtft_forward,
-        "brtft-inv": brtft_inverse,
-    }
-    try:
-        if args.command in transforms:
-            p, coeffs = read_poly_file(args.input)
-            ctx = _file_ctx(args, p)
-            plan = plan_new(len(coeffs), ctx)
-            transforms[args.command](ctx, coeffs, plan)
-            write_poly_file(args.output, p, coeffs)
-            return 0
-
-        if args.command == "mul":
-            p, f = read_poly_file(args.lhs)
-            p2, g = read_poly_file(args.rhs)
-            if p != p2:
-                print(f"error: moduli differ: {p} vs {p2}", file=sys.stderr)
-                return 2
-            ctx = _file_ctx(args, p)
-            if args.path == "fft":
-                result = multiply_full_fft(ctx, f, g)
-            else:
-                result = multiply_tft(ctx, f, g, args.path, args.engine)
-            write_poly_file(args.output, p, result)
-            return 0
-
-        if args.command == "bench":
-            if args.n_min < 1 or args.n_max < args.n_min:
-                print(f"error: bad range [{args.n_min}, {args.n_max}]", file=sys.stderr)
-                return 2
-            ctx = FieldCtx(args.modulus if args.modulus is not None else DEFAULT_MODULUS)
-            rows = bench_rows(ctx, args.engine, args.seed, args.n_min, args.n_max)
-            emit_csv(rows, args.csv_path)
-            return 0
-
-        if args.command == "selftest":
-            ctx = FieldCtx(args.modulus if args.modulus is not None else DEFAULT_MODULUS)
-            return selftest(ctx, args.seed)
     except (OSError, ValueError) as exc:  # PolyFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable command")
 
 
 def main() -> None:

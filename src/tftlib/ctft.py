@@ -39,11 +39,10 @@ inverse.  They and the unbreak return residues congruent mod p, in [0, p)
 when the inputs are: ``new`` and ``sergeev`` leave slots [tail(1), n_1) of
 block 1 as passed, since reducing them would cost a full pass at 2^k + 1.
 
-The engines and the unbreak add buffer values before they reduce them.  For
-p > 2^62 a sum of two residues overflows an int64, so there they take Python
-ints only and raise ValueError on any other element (numpy integers, say).
-Below that, once n*p reaches 2^63 (where the strided sums of up to n/2
-residues could overflow), they load such elements through int() first.
+The engines and the unbreak add buffer values before they reduce them.  Once
+n*p reaches 2^63, where the strided sums of up to n/2 residues (or, for
+p > 2^62, a sum of two) could overflow an int64, they load every element
+that is not a Python int (numpy integers, say) through int() first.
 """
 
 from __future__ import annotations
@@ -71,12 +70,9 @@ def _require_plan(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
 def _require_ints(ctx: FieldCtx, a: list[int], size: int) -> None:
     _require_length(a, size)
     # The contribution pass sums up to n/2 residues before it reduces, which
-    # overflows an int64 once n*p reaches 2^63: below p = 2^62 non-int
-    # elements are then loaded through int(), above it they are rejected.
-    if (ctx.p > 1 << 62 or len(a) * ctx.p >> 63) and any(type(x) is not int for x in a):
-        if ctx.p > 1 << 62:
-            raise ValueError(f"modulus {ctx.p} > 2^62: sums of residues overflow an int64, "
-                             "so the buffer must hold Python ints")
+    # overflows an int64 once n*p reaches 2^63 (for n >= 2, p > 2^62 is past
+    # that): non-int elements are then loaded through int().
+    if len(a) * ctx.p >> 63 and any(type(x) is not int for x in a):
         for t in range(len(a)):
             a[t] = int(a[t])
 
@@ -241,7 +237,6 @@ def mateer_break(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     """
     _require_ints(ctx, a, plan.N)
     p = ctx.p
-    adds = 0
     k = plan.N
     n_last = plan.size(plan.s)
     while k > n_last:
@@ -251,9 +246,9 @@ def mateer_break(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
             y = a[t + kh]
             a[t] = (x + y) % p
             a[t + kh] = (x - y) % p
-        adds += k
         k = kh
-    ctx.ops.add += adds
+    # the halvings add k for k = N, N/2, ..., 2 n_s
+    ctx.ops.add += 2 * (plan.N - n_last)
 
 
 def _add_rebuilt(ctx: FieldCtx, a: list[int], plan: Plan, i: int, k: int,

@@ -28,10 +28,13 @@ def test_poly_file_comments_and_wrapping(tmp_path):
     ("p 97\nn 2\n1 99\n", 3),             # coefficient out of range
     ("p 97\nn 2\n1 2 3\n", 3),            # extra token
     ("p 97\nn 0\n", 2),                   # non-positive length
+    ("p 97\nn 3\n1_0 5 0\n", 3),          # a token is ASCII digits alone:
+    ("p 97\nn 3\n10 +5 0\n", 3),          # no underscore, no sign
+    ("p 97\nn 3\n1 2\n\xff 0\n", 4),      # a byte outside ASCII
 ])
 def test_poly_file_errors_name_the_line(tmp_path, body, line):
     path = tmp_path / "bad.poly"
-    path.write_text(body)
+    path.write_bytes(body.encode("latin-1"))
     with pytest.raises(PolyFormatError) as err:
         read_poly_file(str(path))
     assert err.value.line_no == line
@@ -75,7 +78,30 @@ def test_modulus_conflict_is_usage_error(tmp_path, capsys):
     src = str(tmp_path / "in.poly")
     write_poly_file(src, 97, [1, 2, 3])
     assert run_command(["--modulus", "13", "ctft-fwd", src, src + ".out"]) == 2
-    assert "conflicts with file modulus 97" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --modulus 13 conflicts with file modulus 97\n"
+
+
+def test_mul_of_files_over_different_moduli_is_usage_error(tmp_path, capsys):
+    lhs = str(tmp_path / "lhs.poly")
+    rhs = str(tmp_path / "rhs.poly")
+    write_poly_file(lhs, 97, [1, 2])
+    write_poly_file(rhs, DEFAULT_MODULUS, [3, 4])
+    assert run_command(["mul", lhs, rhs, str(tmp_path / "out.poly")]) == 2
+    assert "moduli differ" in capsys.readouterr().err
+    assert not (tmp_path / "out.poly").exists()
+
+
+@pytest.mark.parametrize("modulus", ["0", "15"])
+@pytest.mark.parametrize("command", ["bench", "selftest"])
+def test_modulus_that_is_not_an_odd_prime_is_usage_error(tmp_path, capsys, modulus,
+                                                         command):
+    # --modulus 0 must not fall back to the default field
+    argv = ["--modulus", modulus, command]
+    if command == "bench":
+        argv += ["--min", "2", "--max", "3", "--csv", str(tmp_path / "x.csv")]
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not an odd prime" in err
 
 
 def test_unsupported_length_is_usage_error(tmp_path, capsys):
@@ -97,11 +123,13 @@ def test_missing_file_and_bad_usage(tmp_path, capsys):
 
 def test_malformed_file_diagnostic(tmp_path, capsys):
     path = tmp_path / "bad.poly"
-    path.write_text("p 97\nn 2\n1 banana\n")
-    assert run_command(["ctft-fwd", str(path), str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1  # one-line diagnostic
-    assert "bad.poly:3" in err
+    for body, line in ((b"p 97\nn 2\n1 banana\n", 3), (b"p 97\nn 2\n1\n\xff 2\n", 4),
+                       (b"p 97\nn 1\n" + b"1" * 5000 + b"\n", 3)):  # past int()'s digit limit
+        path.write_bytes(body)
+        assert run_command(["ctft-fwd", str(path), str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1  # one-line diagnostic
+        assert f"bad.poly:{line}" in err
 
 
 def test_emit_csv_shapes(tmp_path):
