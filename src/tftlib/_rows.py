@@ -1,12 +1,13 @@
 """The product in int64 rows, for fields below 2^31.
 
 :mod:`tftlib.bridge` hands a product here when p < 2^31 and its length n is
-at least ``bridge._ROWS_MIN``: a padded one, and a truncated one with the
-``new`` engine.  Below 2^31 a product of two residues fits an int64, so every
-butterfly, fold and scaling is a numpy operation, and the outputs are the
-list path's Python ints in [0, p).  The list path, the reference these rows
-are tested against, keeps the rest: the public transforms, p >= 2^31,
-shorter products and the other engines' truncated products.
+at least ``bridge._ROWS_MIN``, on every path and with every engine: the
+rows take no engine, since every engine reaches the same images.  Below
+2^31 a product of two residues fits an int64, so every butterfly, fold and
+scaling is a numpy operation, and the outputs are the list path's Python
+ints in [0, p).  The list path, the reference these rows are tested
+against, keeps the rest: the public transforms, p >= 2^31 and shorter
+products.
 
 The two operands are the columns of an (n, 2) buffer, so a product's
 forward transforms are one set of operations.  The block transform takes
@@ -20,8 +21,8 @@ product of padded length N over a context and kept on it (``ctx.row_tables``,
 one entry per power of two); a product slices them, or gathers the rows of
 stages whose blocks do not halve one into the next.
 
-The ``new`` break and its inverse reach the list path's images without
-its survivor runs.  The break halves z^N - 1, as the ``mateer`` engine
+The break and its inverse reach the list path's images without the
+engines' survivor runs.  The break halves z^N - 1, as the ``mateer`` engine
 does, and the unbreak undoes it by a Horner carry; each takes a few numpy
 calls per bit of N or per block on contiguous slices, and reduces only at
 its end, which the int64 headroom allows (``_break``, ``_unbreak``).
@@ -38,8 +39,9 @@ sums after every third stage (proofs at :func:`_transform`).
 
 The rows count nothing.  Their element work is not the list path's (lazy
 reductions, twiddles read from tables, a halved break), so the bridge adds
-the list product's (mul, pow2, add) after a row product, from the closed
-forms beside the list code that counts them.
+the list product's (mul, pow2, add) after a row product, with the breaks
+of the engine the caller named, from the closed forms beside the list code
+that counts them.
 
 Every array this module takes besides the int64 copies of the operands
 and of the product is reported in ``ctx.scratch_allocated``: each table
@@ -51,6 +53,9 @@ and 10N on the bit-reversed one, tables included (``tests/test_rows.py``).
 """
 
 from __future__ import annotations
+
+from array import array
+from operator import index
 
 import numpy as np
 
@@ -85,22 +90,22 @@ def _mod(ctx: FieldCtx, x: np.ndarray, work: np.ndarray, out: np.ndarray | None 
     return np.subtract(x, q, out=out)
 
 
-def _load(ctx: FieldCtx, f, g, n: int, work: np.ndarray) -> np.ndarray:
-    """Both operands as the columns of an (n, 2) int64 buffer, reduced and
-    zero-padded.
+def _load(ctx: FieldCtx, f, g, n: int) -> np.ndarray:
+    """Both operands as the columns of an (n, 2) int64 buffer, zero-padded,
+    not yet reduced.
 
-    Each element goes through the same int() as on the list path; only an
-    int outside int64 takes the slow road.
+    Each element loads through its ``__index__``, as on the list path:
+    ``array('q')`` raises TypeError on a float, a Fraction or a numpy float,
+    and OverflowError on an integer outside int64, which then loads through
+    ``operator.index`` and is reduced.
     """
-    p = ctx.p
     a = np.zeros((n, 2), np.int64)
     for col, c in enumerate((f, g)):
-        c = c if type(c) is list else list(c)
         try:
-            a[:len(c), col] = c
+            a[:len(c), col] = np.frombuffer(array('q', c), np.int64)
         except OverflowError:
-            a[:len(c), col] = [int(x) % p for x in c]
-    return _mod(ctx, a, work)
+            a[:len(c), col] = [index(x) % ctx.p for x in c]
+    return a
 
 
 def _grow(ctx: FieldCtx, row: np.ndarray, ladder, work: np.ndarray) -> np.ndarray:
@@ -353,12 +358,13 @@ def _unbreak(ctx: FieldCtx, a: np.ndarray, plan: Plan, work: np.ndarray) -> None
 def multiply(ctx: FieldCtx, f, g, n: int, plan: Plan | None, e: int) -> list[int]:
     """:func:`tftlib.bridge._multiply` of f and g, trimmed to their degrees,
     at transform length n.  With no ``plan`` this is one block of the padded
-    length n at twist 0; with a plan (two blocks or more) the ``new`` break,
-    twist 1 and the unbreak, and unless ``e`` is 0 the two Omega_s scalings,
+    length n at twist 0; with a plan (two blocks or more) the break, twist 1
+    and the unbreak, and unless ``e`` is 0 the two Omega_s scalings,
     Omega_s = omega_N**e (``bridge._grid_twist``)."""
     sizes = plan.sizes if plan else (n,)
+    a = _load(ctx, f, g, n)  # TypeError before any work
     work = _counted(ctx, np.empty(2 * n, np.int64))
-    a = _load(ctx, f, g, n, work)
+    _mod(ctx, a, work)
     tables = _tables(ctx, plan.N if plan else n, work)
     if e:
         exps = work[:n]  # k e, then -k e, in the free work buffer

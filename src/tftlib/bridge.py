@@ -33,14 +33,17 @@ writes the product once (:func:`_multiply`, ``_rows.multiply``); the padded
 product, and every product at n = 2^k, is its one-block case at twist 0,
 with no break and no scaling.
 
-Over p < 2^31, where a product of two residues fits an int64, products of
-length n >= _ROWS_MIN compute in int64 numpy rows (:mod:`tftlib._rows`):
-padded ones, and truncated ones with the ``new`` engine.  They return the
-same Python ints as the list code here, the reference and the only path for
-p >= 2^31, shorter products and the other engines.  The rows count nothing:
-:func:`_tally_rows` adds the list product's (mul, pow2, add) from the closed
-forms of the kernel and the break (``transform.kernel_counts``,
-``ctft.break_counts``).  The rows report their numpy scratch, the tables of
+One rule picks a product's backend, from p and n alone: over p < 2^31,
+where a product of two residues fits an int64, a product of length
+n >= _ROWS_MIN computes in int64 numpy rows (:mod:`tftlib._rows`), on every
+path and with every engine.  The rows return the same Python ints as the
+list code here, the reference and the only path for p >= 2^31 and shorter
+products.  The engine only picks the tally: the rows count nothing, and
+:func:`_tally_rows` adds the list product's (mul, pow2, add), the engine's
+two breaks among them, from the closed forms of the kernel and the breaks
+(``transform.kernel_counts``, ``ctft.break_counts``).  Each operand element
+loads through ``operator.index``, so a non-integral one raises TypeError
+before any work.  The rows report their numpy scratch, the tables of
 the padded length N included, in ``ctx.scratch_allocated``: at most 5N, 9N
 and 10N elements on the padded, cyclotomic and bit-reversed paths; the list
 path reports none.  numpy and the row module load with the first product that
@@ -48,6 +51,8 @@ takes them, not with ``import tftlib``.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 from .ctft import (ENGINES, _require_plan, break_counts, break_in_place, ctft_forward,
                    ctft_inverse, unbreak_in_place)
@@ -75,18 +80,20 @@ def _row_form(ctx: FieldCtx, n: int):
     return _rows
 
 
-def _tally_rows(ctx: FieldCtx, n: int, plan: Plan | None, scaled: bool) -> None:
+def _tally_rows(ctx: FieldCtx, n: int, plan: Plan | None, scaled: bool, engine: str) -> None:
     """Count what the list product of transform length n counts: per block
     (one block of n with no ``plan``) three kernels, which count the same mul
     and add, and the inverse's pow2; a pointwise product per slot; for a TFT
-    ``plan`` two breaks and an unbreak; if ``scaled`` three scalings by the
-    powers of Omega_s, 2 (n - 1) multiplications each."""
-    break_add, break_pow2 = break_counts(plan) if plan else (0, 0)
+    ``plan`` two ``engine`` breaks and the one unbreak, whose counts are the
+    ``new`` break's; if ``scaled`` three scalings by the powers of Omega_s,
+    2 (n - 1) multiplications each."""
+    fwd = break_counts(plan, engine) if plan else (0, 0)
+    inv = break_counts(plan) if plan and engine != "new" else fwd
     sizes = plan.sizes if plan else (n,)
     kmul, kpow2, kadd = map(sum, zip(*(kernel_counts(ni, True) for ni in sizes)))
     ctx.ops.mul += n + (6 * (n - 1) if scaled else 0) + 3 * kmul
-    ctx.ops.pow2 += 3 * break_pow2 + kpow2
-    ctx.ops.add += 3 * break_add + 3 * kadd
+    ctx.ops.pow2 += 2 * fwd[1] + inv[1] + kpow2
+    ctx.ops.add += 2 * fwd[0] + inv[0] + 3 * kadd
 
 
 def _grid_twist(plan: Plan, i: int) -> int:
@@ -147,13 +154,13 @@ def _multiply(ctx: FieldCtx, f: list[int], g: list[int], path: str, engine: str)
     # Omega_s = omega_N**e1 scales the bit-reversed path; 0 for no scaling
     e1 = -_grid_twist(plan, 1) if plan is not None and path == "bitreversed" else 0
     m = N if plan is None else n  # the transform length
-    rows = _row_form(ctx, n) if plan is None or engine == "new" else None
+    rows = _row_form(ctx, n)
     if rows is not None:
         h = rows.multiply(ctx, f[:df + 1], g[:dg + 1], m, plan, e1)
-        _tally_rows(ctx, m, plan, e1 != 0)
+        _tally_rows(ctx, m, plan, e1 != 0, engine)
         return h
-    fa = [int(c) % p for c in f[:df + 1]] + [0] * (m - df - 1)
-    ga = [int(c) % p for c in g[:dg + 1]] + [0] * (m - dg - 1)
+    fa = [index(c) % p for c in f[:df + 1]] + [0] * (m - df - 1)
+    ga = [index(c) % p for c in g[:dg + 1]] + [0] * (m - dg - 1)
     for a in (fa, ga):
         if e1:
             scale_by_powers(ctx, a, m, _grid_scale(plan, 1))
@@ -193,7 +200,9 @@ def multiply_tft(ctx: FieldCtx, f: list[int], g: list[int],
     product between a scaling by Omega_s**k of both operands and one by
     Omega_s**(-k) of the result (see the module docstring).  Both operands
     share one plan, so the pointwise product is taken over identical
-    evaluation points.  ``engine`` selects the block split on both paths.
+    evaluation points.  ``engine`` selects the block split on both paths;
+    a product on the rows, whose break is the same for every engine, takes
+    only the engine's counts.
     When n = 2^k the truncated transform is the padded one, so the product
     is :func:`multiply_full_fft`'s.
     """

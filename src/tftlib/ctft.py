@@ -42,10 +42,19 @@ block 1 as passed, since reducing them would cost a full pass at 2^k + 1.
 The engines and the unbreak add buffer values before they reduce them.  Once
 n*p reaches 2^63, where the strided sums of up to n/2 residues (or, for
 p > 2^62, a sum of two) could overflow an int64, they load every element
-that is not a Python int (numpy integers, say) through int() first.
+that is not a Python int (numpy integers, say) through ``operator.index``
+first.  Below that they take field elements as they are, unchecked; in
+:func:`ctft_forward` a non-integral element then reaches the block kernels,
+whose loads reject it.
+
+:func:`break_counts` gives each engine's (add, pow2) in closed form; the
+bridge tallies a row product's breaks from it, and ``new`` and ``sergeev``
+count their own breaks run by run, against which the tests check it.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 from .bitops import survival_mask
 from .plan import Plan
@@ -71,10 +80,10 @@ def _require_ints(ctx: FieldCtx, a: list[int], size: int) -> None:
     _require_length(a, size)
     # The contribution pass sums up to n/2 residues before it reduces, which
     # overflows an int64 once n*p reaches 2^63 (for n >= 2, p > 2^62 is past
-    # that): non-int elements are then loaded through int().
+    # that): non-int elements are then loaded through index().
     if len(a) * ctx.p >> 63 and any(type(x) is not int for x in a):
         for t in range(len(a)):
-            a[t] = int(a[t])
+            a[t] = index(a[t])
 
 
 def reduce_to_remainders(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
@@ -192,18 +201,54 @@ def break_in_place(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
         add_contribution(ctx, a, plan, i)
 
 
-def break_counts(plan: Plan) -> tuple[int, int]:
-    """The (add, pow2) that :func:`break_in_place` and :func:`unbreak_in_place`
-    count over plan: phase 1's tail(i) subtractions, then for each block
-    i >= 2 n_(i-1) additions per survivor run of every image j < i, and
-    (i - 1) n_i doublings.
+def break_counts(plan: Plan, engine: str = "new") -> tuple[int, int]:
+    """The (add, pow2) that ``engine``'s break counts over plan.
 
-    Image j has one run per subset of the free bits (see
+    ``new`` (:func:`break_in_place`, and :func:`unbreak_in_place` too):
+    phase 1's tail(i) subtractions, then for each block i >= 2 n_(i-1)
+    additions per survivor run of every image j < i, and (i - 1) n_i
+    doublings.  Image j has one run per subset of the free bits (see
     :func:`_contribution_pass`): the 0 bits of n between log2(n_(i-1)) and
     log2(n_j), of which there are log2(n_j) - log2(n_(i-1)) - (i - 1 - j).
     So its runs add n_(i-1) 2^(that) = n_j 2^j / 2^(i-1), and block i adds
     (sum over j < i of n_j 2^j) / 2^(i-1).
+
+    ``mateer`` (:func:`mateer_break`): the halvings add 2k for k = N, N/2,
+    ..., 2 n_s, which is 2 (N - n_s).
+
+    ``sergeev`` (:func:`sergeev_break`), step by step down the chain
+    z^K - 1: with images 1..i extracted, a step at a set bit (K/2 =
+    n_(i+1)) adds 2 tail(i+1) for its butterflies and rebuilds K/2 -
+    tail(i+1) coefficients when i >= 1; a step at a zero bit rebuilds
+    tail(i).  Each rebuilt coefficient costs its surviving terms plus one
+    additions and i - 1 doublings.  Image j contributes r_j
+    2^popcount(free_j) terms: runs of r_j = (lowest bit of mask_j) / K
+    exponents, or n_j / K when the mask n_(j+1) + ... + n_i is 0, one run
+    per subset of the free bits above them.
     """
+    if engine == "mateer":
+        return 2 * (plan.N - plan.size(plan.s)), 0
+    if engine == "sergeev":
+        add = pow2 = i = 0
+        k = plan.N
+        while k > plan.size(plan.s):
+            kh = k >> 1
+            block = kh == plan.size(i + 1)
+            if block:
+                add += 2 * plan.tail(i + 1)
+                rebuilt = kh - plan.tail(i + 1) if i else 0
+            else:
+                rebuilt = plan.tail(i)
+            terms = 0
+            for j in range(1, i + 1):
+                mask = plan.tail(j) - plan.tail(i)
+                run = mask & -mask or plan.size(j)
+                terms += run // k << ((plan.size(j) - 1) & ~mask & -run).bit_count()
+            add += rebuilt * (terms + 1)
+            pow2 += rebuilt * (i - 1)
+            i += block
+            k = kh
+        return add, pow2
     sizes = plan.sizes
     adds = sum(plan.tails[1:plan.s])
     pow2 = weighted = 0
@@ -238,8 +283,7 @@ def mateer_break(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     _require_ints(ctx, a, plan.N)
     p = ctx.p
     k = plan.N
-    n_last = plan.size(plan.s)
-    while k > n_last:
+    while k > plan.size(plan.s):
         kh = k >> 1
         for t in range(kh):
             x = a[t]
@@ -247,8 +291,7 @@ def mateer_break(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
             a[t] = (x + y) % p
             a[t + kh] = (x - y) % p
         k = kh
-    # the halvings add k for k = N, N/2, ..., 2 n_s
-    ctx.ops.add += 2 * (plan.N - n_last)
+    ctx.ops.add += break_counts(plan, "mateer")[0]
 
 
 def _add_rebuilt(ctx: FieldCtx, a: list[int], plan: Plan, i: int, k: int,
@@ -373,11 +416,13 @@ def ctft_forward(ctx: FieldCtx, a: list[int], plan: Plan, engine: str = "new") -
     """Evaluate the buffer at the roots of every Phi_i, in place.
 
     Block i ends up holding f(omega_i^(2*rev(j) + 1)) for j = 0..n_i-1 (the
-    layout of :func:`tftlib.plan.eval_points_cyclotomic`).  The mateer engine
-    allocates an N-slot working buffer through the context and loads it
-    through ``int()``; the other two touch only the caller's n slots.  A plan
-    over another field, a buffer not of n slots or an unknown engine raises
-    ValueError before any write.
+    layout of :func:`tftlib.plan.eval_points_cyclotomic`).  With two blocks
+    or more the mateer engine allocates an N-slot working buffer through the
+    context and loads it through ``operator.index``; the other two, and
+    mateer at one block, touch only the caller's n slots.  A plan over
+    another field, a buffer not of n slots or an unknown engine raises
+    ValueError before any write; a non-integral element raises TypeError
+    and leaves the buffer unspecified.
     """
     _require_plan(ctx, a, plan)
     if engine == "new":
@@ -385,11 +430,11 @@ def ctft_forward(ctx: FieldCtx, a: list[int], plan: Plan, engine: str = "new") -
     elif engine == "sergeev":
         sergeev_break(ctx, a, plan)
     elif engine == "mateer":
-        buf = ctx.alloc(plan.N)
-        for t in range(plan.n):
-            buf[t] = int(a[t])
-        mateer_break(ctx, buf, plan)
-        if plan.s > 1:  # one block is its own image, which dwt loads through int()
+        if plan.s > 1:  # one block is its own image, which dwt loads
+            buf = ctx.alloc(plan.N)
+            for t in range(plan.n):
+                buf[t] = index(a[t])
+            mateer_break(ctx, buf, plan)
             for i in range(1, plan.s + 1):
                 o = plan.offset(i)
                 ni = plan.size(i)

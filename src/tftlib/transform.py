@@ -29,11 +29,14 @@ transforms", 2014): a butterfly reduces only the operand it multiplies, and
 the forward sums and differences are reduced in the last stage (u = 1, run
 without an inner loop), the inverse sums by the final 1/n pass.  Python ints
 do not overflow, so this costs no range checks.  The first stage loads the
-caller's integers through ``int()``, so any integers are accepted and every
+caller's elements through ``operator.index``, so any integers are accepted,
+anything else raises TypeError (leaving the window unspecified), and every
 output is a Python int in [0, p).
 """
 
 from __future__ import annotations
+
+from operator import index
 
 from .ring import FieldCtx, find_root_of_unity
 
@@ -86,17 +89,17 @@ def dwt(ctx: FieldCtx, a: list[int], n: int, twist: int, offset: int = 0) -> Non
     z**n + 1.  Counts :func:`kernel_counts`; a twist other than 0 or 1 adds
     one multiplication per extra ladder factor of each stage's first twiddle.
 
-    Any integers are accepted: the first stage loads them through ``int()``,
-    and every output is a Python int in [0, p).  Sums and differences are
-    left unreduced until the last stage; only the multiplied operand is
-    reduced, so from inputs in [0, p) every value stays below
-    (log2(n) + 1) * p in magnitude.
+    Any integers are accepted: the first stage loads them through
+    ``operator.index``, and every output is a Python int in [0, p).  Sums
+    and differences are left unreduced until the last stage; only the
+    multiplied operand is reduced, so from inputs in [0, p) every value
+    stays below (log2(n) + 1) * p in magnitude.
     """
     _check_window(ctx, a, n, twist, offset)
     p = ctx.p
     if n <= 2:  # a lone stage is both first and last: coerce before it
         for k in range(offset, offset + n):
-            a[k] = int(a[k]) % p
+            a[k] = index(a[k]) % p
         if n == 1:
             return
     roots = ctx.roots
@@ -104,10 +107,10 @@ def dwt(ctx: FieldCtx, a: list[int], n: int, twist: int, offset: int = 0) -> Non
     for i in range(1, stages):
         u = n >> i
         tw = _stage_start(ctx, twist, i + 1)
-        if i == 1:  # one block, so no stage root: load the caller's integers as int
+        if i == 1:  # one block, so no stage root: load the caller's integers
             for k in range(offset, offset + u):
-                x = int(a[k])
-                y = int(a[k + u]) * tw % p
+                x = index(a[k])
+                y = index(a[k + u]) * tw % p
                 a[k] = x + y
                 a[k + u] = x - y
             continue
@@ -149,19 +152,19 @@ def idwt(ctx: FieldCtx, a: list[int], n: int, twist: int, offset: int = 0) -> No
     ``ctx.inv_roots`` and whose first twiddles are omega_(2n/u)**-twist, in
     reversed stage order, then multiplies every slot by 1/n in one final pass
     (n pow2 operations).  Counts match :func:`dwt`'s.  The first stage
-    (u = 1) loads the caller's integers through ``int()``; sums are left
-    unreduced (below n * p in magnitude from inputs in [0, p)), multiplied
-    differences are reduced, and the 1/n pass reduces every slot, so every
-    output is a Python int in [0, p).
+    (u = 1) loads the caller's integers through ``operator.index``; sums are
+    left unreduced (below n * p in magnitude from inputs in [0, p)),
+    multiplied differences are reduced, and the 1/n pass reduces every slot,
+    so every output is a Python int in [0, p).
     """
     _check_window(ctx, a, n, twist, offset)
     p = ctx.p
     if n == 1:
-        a[offset] = int(a[offset]) % p
+        a[offset] = index(a[offset]) % p
         return
     inv_roots = ctx.inv_roots
     stages = n.bit_length() - 1
-    # u = 1: one butterfly per block, loads coerced to int
+    # u = 1: one butterfly per block, loads through index()
     wu = inv_roots[stages]
     tw = _stage_start(ctx, -twist, stages + 1)
     r = 0
@@ -170,8 +173,8 @@ def idwt(ctx: FieldCtx, a: list[int], n: int, twist: int, offset: int = 0) -> No
             tw = tw * wu % p
             r ^= n - (n >> (j ^ (j - 1)).bit_length())
         k = offset + r
-        x = int(a[k])
-        y = int(a[k + 1])
+        x = index(a[k])
+        y = index(a[k + 1])
         a[k] = x + y
         a[k + 1] = (x - y) * tw % p
     for i in range(stages - 1, 0, -1):
@@ -212,12 +215,12 @@ def scale_by_powers(ctx: FieldCtx, a: list[int], n: int, base: int) -> None:
     """a[k] *= base**k for k < n, powers generated sequentially.
 
     2*(n - 1) counted multiplications; base**0 is applied as the identity.
-    Every slot is loaded through ``int()``.
+    Every slot is loaded through ``operator.index``.
     """
     p = ctx.p
-    a[0] = int(a[0]) % p
+    a[0] = index(a[0]) % p
     pw = 1
     for k in range(1, n):
         pw = pw * base % p
-        a[k] = int(a[k]) * pw % p
+        a[k] = index(a[k]) * pw % p
     ctx.ops.mul += 2 * (n - 1)

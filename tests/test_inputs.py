@@ -6,13 +6,18 @@ returns Python ints in [0, p) equal to the result for the reduced input.
 numpy int64 elements are checked at the default prime, at a 62-bit prime
 and above 2^62, where a sum of two residues overflows an int64: there every
 entry point, the break engines and the unbreak included, loads them through
-``int()``, since n*p has reached 2^63.  The break engines and the unbreak
+``operator.index``, since n*p has reached 2^63.  The break engines and the unbreak
 promise less: residues congruent mod p to the reduced result, which are in
 [0, p) when the inputs are.
+
+An element is anything with ``__index__``.  Every product and every
+transform raises TypeError on a float, a Fraction or a numpy float, which
+would otherwise truncate; a product raises before it counts or allocates.
 """
 
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from tftlib import (ENGINES, FieldCtx, add_contribution, break_in_place,
                     multiply_full_fft, multiply_tft, plan_new,
                     reduce_to_remainders, sergeev_break, unbreak_in_place)
 from tftlib import oracle
+from tftlib.bridge import _ROWS_MIN
 
 
 def _transforms(ctx, n: int):
@@ -144,7 +150,7 @@ P63 = 9223372036836950017
 def test_numpy_int64_buffers_above_2_62(n):
     # the entry points that add buffer values before they reduce them (the
     # break engines, the unbreak, ctft_forward with new or sergeev) load
-    # numpy elements through int() as every other entry point does
+    # numpy elements through operator.index as every other entry point does
     ctx = FieldCtx(P63)
     p = ctx.p
     rng = random.Random(n)
@@ -282,3 +288,44 @@ def test_breaks_of_unreduced_inputs_are_congruent(ctx, n):
             assert [[x % p for x in b] for b in blocks] == want, (engine, fill)
             unbreak_in_place(ctx, a, plan)
             assert [x % p for x in a] == [fill % p] * n, (engine, fill)
+
+
+NON_INTEGRAL = [1.5, Fraction(3, 2), np.float64(2.0)]
+
+
+@pytest.mark.parametrize("bad", NON_INTEGRAL, ids=repr)
+@pytest.mark.parametrize("n", [5, 256, 257])
+def test_transforms_reject_non_integral_elements(ctx, n, bad):
+    rng = random.Random(n)
+    for name, call, length in _transforms(ctx, n):
+        for pos in (0, length // 2, length - 1):
+            a = [rng.randrange(ctx.p) for _ in range(length)]
+            a[pos] = bad
+            with pytest.raises(TypeError):
+                call(a)
+
+
+@pytest.mark.parametrize("bad", NON_INTEGRAL, ids=repr)
+@pytest.mark.parametrize("n", [_ROWS_MIN - 1, 255, 256, 257])
+def test_products_reject_non_integral_elements_before_any_work(n, bad):
+    # on both sides of the rows' crossover, over a new field so that no
+    # table of the padded length exists yet
+    ctx = FieldCtx()
+    products = [("multiply_full_fft", lambda f, g: multiply_full_fft(ctx, f, g))]
+    products += [(f"multiply_tft[{path}, {engine}]",
+                  lambda f, g, pa=path, e=engine: multiply_tft(ctx, f, g, pa, e))
+                 for path in ("cyclotomic", "bitreversed") for engine in ENGINES]
+    rng = random.Random(n)
+    for name, mul in products:
+        for pos in ("middle", "leading"):
+            f = [rng.randrange(1, ctx.p) for _ in range((n + 1) // 2)]
+            g = [rng.randrange(1, ctx.p) for _ in range(n + 1 - len(f))]
+            if pos == "middle":
+                g[len(g) // 2] = bad
+            else:
+                f[-1] = bad
+            with ctx.count_session() as sess:
+                with pytest.raises(TypeError):
+                    mul(f, g)
+            assert (sess.mul, sess.pow2, sess.add, sess.alloc) == (0, 0, 0, 0), (name, pos)
+            assert ctx.row_tables == {}, name

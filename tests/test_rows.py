@@ -1,10 +1,11 @@
 """Products in int64 rows, checked against the list transforms.
 
 Over p < 2^31, every product of length n >= ``bridge._ROWS_MIN`` computes in
-int64 rows.  Each product here is compared with a reference composed from
-the list functions: the forward transforms of both operands, a pointwise
-product and the inverse transform, on the bit-reversed path between two
-Omega_s scalings.  The outputs must be equal, and so must the (mul, pow2,
+int64 rows, on every path and with every engine.  Each product here is
+compared with a reference composed from the list functions: the forward
+transforms of both operands with the product's engine, a pointwise product
+and the inverse transform, on the bit-reversed path between two Omega_s
+scalings.  The outputs must be equal, and so must the (mul, pow2,
 add) each adds, the reference's pointwise product counting one
 multiplication per slot as the list path does.
 """
@@ -20,7 +21,7 @@ import pytest
 
 import tftlib
 from tftlib import _rows
-from tftlib import (FieldCtx, brtft_forward, brtft_inverse, ctft_forward,
+from tftlib import (ENGINES, FieldCtx, brtft_forward, brtft_inverse, ctft_forward,
                     ctft_inverse, fft_in_place, ifft_in_place,
                     multiply_full_fft, multiply_tft, oracle, plan_new,
                     unbreak_in_place)
@@ -59,14 +60,15 @@ def _operands(p: int, n: int, seed: int) -> tuple[list[int], list[int]]:
     return f, g
 
 
-def _product(ctx, f, g, path):
+def _product(ctx, f, g, path, engine="new"):
     if path == "padded":
         return multiply_full_fft(ctx, f, g)
-    return multiply_tft(ctx, f, g, path)
+    return multiply_tft(ctx, f, g, path, engine)
 
 
-def _reference(ctx, f, g, path):
-    """The product by the list transforms, and the counts it adds.
+def _reference(ctx, f, g, path, engine="new"):
+    """The product by the list transforms, with ``engine``'s forward
+    transforms, and the counts it adds.
 
     A bit-reversed product is the cyclotomic one between two Omega_s
     scalings, and its counts are that composition's.  Its output is also
@@ -87,7 +89,7 @@ def _reference(ctx, f, g, path):
         def forward(a):
             if scaled:
                 scale_by_powers(ctx, a, n, _grid_scale(plan, 1))
-            ctft_forward(ctx, a, plan)
+            ctft_forward(ctx, a, plan, engine)
 
         def inverse(a):
             ctft_inverse(ctx, a, plan)
@@ -113,13 +115,23 @@ def _reference(ctx, f, g, path):
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("n", LENGTHS)
 def test_rows_equal_the_list_composition(field, n, path):
+    # the rows break one way for every engine, and tally the engine's counts
     f, g = _operands(field.p, n, n)
-    want, counts = _reference(field, f, g, path)
-    with field.count_session() as sess:
-        h = _product(field, f, g, path)
-    assert h == want
-    assert all(type(x) is int for x in h)
-    assert (sess.mul, sess.pow2, sess.add) == counts
+    for engine in ENGINES if path != "padded" else ("new",):
+        want, counts = _reference(field, f, g, path, engine)
+        with field.count_session() as sess:
+            h = _product(field, f, g, path, engine)
+        assert h == want, engine
+        assert all(type(x) is int for x in h)
+        assert (sess.mul, sess.pow2, sess.add) == counts, engine
+
+
+@pytest.mark.parametrize("engine", ("sergeev", "mateer"))
+def test_every_engine_takes_the_rows(engine):
+    ctx = FieldCtx()
+    f, g = _operands(ctx.p, 255, 255)
+    multiply_tft(ctx, f, g, "cyclotomic", engine)
+    assert list(ctx.row_tables) == [256]
 
 
 @pytest.mark.parametrize("path", PATHS)
