@@ -14,7 +14,6 @@ Usage: python3 scripts/smoothness_demo.py [--k 8] [--window 8] [--seed 0]
 
 import argparse
 
-from tftlib import ENGINES
 from tftlib.cli import bench_rows
 from tftlib.ring import DEFAULT_MODULUS, FieldCtx
 
@@ -25,12 +24,11 @@ def main() -> None:
     parser.add_argument("--window", type=int, default=8, help="half-width around 2^k")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--modulus", type=int, default=DEFAULT_MODULUS)
-    parser.add_argument("--engine", default="new", choices=ENGINES)
     args = parser.parse_args()
 
     boundary = 1 << args.k
     ctx = FieldCtx(args.modulus)
-    rows = bench_rows(ctx, args.engine, args.seed,
+    rows = bench_rows(ctx, "new", args.seed,
                       boundary - args.window, boundary + args.window)
     mul = {(r.n, r.algo): r.mul for r in rows}
 

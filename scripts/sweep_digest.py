@@ -17,8 +17,8 @@ padded length in ``ctx.row_tables``: ``row_tables``, p, N and a short hash
 of the bytes of its three arrays, so a change to how the tables are built
 shows even in entries no product reads.
 
-Entry points: ``multiply_full_fft``; ``multiply_tft`` on both paths with
-each engine; ``ctft_forward`` with each engine; ``ctft_inverse``;
+Entry points: ``multiply_full_fft``; ``multiply_tft`` on both paths;
+``ctft_forward`` with each engine; ``ctft_inverse``;
 ``brtft_forward``; ``brtft_inverse``.  Lengths: 1..600 and 2^k - 1, 2^k,
 2^k + 1 up to 2^14 + 1, over 2013265921, 998244353 and 2130706433, which
 take the row products from their crossover length; over
@@ -62,8 +62,8 @@ def main(argv=None) -> int:
             buf = [rng.randrange(p) for _ in range(n)]
             plan = t.plan_new(n, ctx)
             calls = [("multiply_full_fft", t.multiply_full_fft, (f, g))]
-            calls += [(f"multiply_tft:{path}:{engine}", t.multiply_tft, (f, g, path, engine))
-                      for path in ("cyclotomic", "bitreversed") for engine in t.ENGINES]
+            calls += [(f"multiply_tft:{path}", t.multiply_tft, (f, g, path))
+                      for path in ("cyclotomic", "bitreversed")]
             calls += [(f"ctft_forward:{engine}", t.ctft_forward, (buf, plan, engine))
                       for engine in t.ENGINES]
             calls += [(fn.__name__, fn, (buf, plan))

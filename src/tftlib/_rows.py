@@ -1,13 +1,11 @@
 """The product in int64 rows, for fields below 2^31.
 
 :mod:`tftlib.bridge` hands a product here when p < 2^31 and its length n is
-at least ``bridge._ROWS_MIN``, on every path and with every engine: the
-rows take no engine, since every engine reaches the same images.  Below
-2^31 a product of two residues fits an int64, so every butterfly, fold and
-scaling is a numpy operation, and the outputs are the list path's Python
-ints in [0, p).  The list path, the reference these rows are tested
-against, keeps the rest: the public transforms, p >= 2^31 and shorter
-products.
+at least ``bridge._ROWS_MIN``, on every path.  Below 2^31 a product of two
+residues fits an int64, so every butterfly, fold and scaling is a numpy
+operation, and the outputs are the list path's Python ints in [0, p).  The
+list path, the reference these rows are tested against, keeps the rest: the
+public transforms, p >= 2^31 and shorter products.
 
 The two operands are the columns of an (n, 2) buffer, so a product's
 forward transforms are one set of operations.  The block transform takes
@@ -39,9 +37,8 @@ sums after every third stage (proofs at :func:`_transform`).
 
 The rows count nothing.  Their element work is not the list path's (lazy
 reductions, twiddles read from tables, a halved break), so the bridge adds
-the list product's (mul, pow2, add) after a row product, with the breaks
-of the engine the caller named, from the closed forms beside the list code
-that counts them.
+the list product's (mul, pow2, add) after a row product, from the closed
+forms beside the list code that counts them.
 
 Every array this module takes besides the int64 copies of the operands
 and of the product is reported in ``ctx.scratch_allocated``: each table

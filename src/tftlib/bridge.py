@@ -33,29 +33,28 @@ writes the product once (:func:`_multiply`, ``_rows.multiply``); the padded
 product, and every product at n = 2^k, is its one-block case at twist 0,
 with no break and no scaling.
 
-One rule picks a product's backend, from p and n alone: over p < 2^31,
-where a product of two residues fits an int64, a product of length
-n >= _ROWS_MIN computes in int64 numpy rows (:mod:`tftlib._rows`), on every
-path and with every engine.  The rows return the same Python ints as the
+A product breaks by the ``new`` engine on every path.  One rule picks its
+backend, from p and n alone: over p < 2^31, where a product of two residues
+fits an int64, a product of length n >= _ROWS_MIN computes in int64 numpy
+rows (:mod:`tftlib._rows`).  The rows return the same Python ints as the
 list code here, the reference and the only path for p >= 2^31 and shorter
-products.  The engine only picks the tally: the rows count nothing, and
-:func:`_tally_rows` adds the list product's (mul, pow2, add), the engine's
-two breaks among them, from the closed forms of the kernel and the breaks
-(``transform.kernel_counts``, ``ctft.break_counts``).  Each operand element
-loads through ``operator.index``, so a non-integral one raises TypeError
-before any work.  The rows report their numpy scratch, the tables of
-the padded length N included, in ``ctx.scratch_allocated``: at most 5N, 9N
-and 10N elements on the padded, cyclotomic and bit-reversed paths; the list
-path reports none.  numpy and the row module load with the first product that
-takes them, not with ``import tftlib``.
+products.  They count nothing: :func:`_tally_rows` adds the list product's
+(mul, pow2, add) from the closed forms of the kernel and the break
+(``transform.kernel_counts``, ``ctft.break_counts``).  Each operand element,
+a zero product's too, loads through ``operator.index``, so a non-integral
+one raises TypeError before any work.  The rows report their numpy scratch,
+the tables of the padded length N included, in ``ctx.scratch_allocated``: at
+most 5N, 9N and 10N elements on the padded, cyclotomic and bit-reversed
+paths; the list path reports none.  numpy and the row module load with the
+first product that takes them, not with ``import tftlib``.
 """
 
 from __future__ import annotations
 
 from operator import index
 
-from .ctft import (ENGINES, _require_plan, break_counts, break_in_place, ctft_forward,
-                   ctft_inverse, unbreak_in_place)
+from .ctft import (_require_plan, break_counts, break_in_place, ctft_forward, ctft_inverse,
+                   unbreak_in_place)
 from .plan import Plan, plan_new
 from .ring import FieldCtx, find_root_of_unity
 from .transform import dwt, fft_in_place, idwt, ifft_in_place, kernel_counts, scale_by_powers
@@ -80,20 +79,19 @@ def _row_form(ctx: FieldCtx, n: int):
     return _rows
 
 
-def _tally_rows(ctx: FieldCtx, n: int, plan: Plan | None, scaled: bool, engine: str) -> None:
+def _tally_rows(ctx: FieldCtx, n: int, plan: Plan | None, scaled: bool) -> None:
     """Count what the list product of transform length n counts: per block
     (one block of n with no ``plan``) three kernels, which count the same mul
     and add, and the inverse's pow2; a pointwise product per slot; for a TFT
-    ``plan`` two ``engine`` breaks and the one unbreak, whose counts are the
-    ``new`` break's; if ``scaled`` three scalings by the powers of Omega_s,
-    2 (n - 1) multiplications each."""
-    fwd = break_counts(plan, engine) if plan else (0, 0)
-    inv = break_counts(plan) if plan and engine != "new" else fwd
+    ``plan`` two breaks and the unbreak, which counts what a break counts;
+    if ``scaled`` three scalings by the powers of Omega_s, 2 (n - 1)
+    multiplications each."""
+    badd, bpow2 = break_counts(plan) if plan else (0, 0)
     sizes = plan.sizes if plan else (n,)
     kmul, kpow2, kadd = map(sum, zip(*(kernel_counts(ni, True) for ni in sizes)))
     ctx.ops.mul += n + (6 * (n - 1) if scaled else 0) + 3 * kmul
-    ctx.ops.pow2 += 2 * fwd[1] + inv[1] + kpow2
-    ctx.ops.add += 2 * fwd[0] + inv[0] + 3 * kadd
+    ctx.ops.pow2 += 3 * bpow2 + kpow2
+    ctx.ops.add += 3 * (badd + kadd)
 
 
 def _grid_twist(plan: Plan, i: int) -> int:
@@ -133,19 +131,22 @@ def brtft_inverse(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
 
 
 def poly_degree(f: list[int], p: int) -> int:
-    """Degree of the coefficient list modulo p; the zero polynomial has degree -1."""
+    """Degree of the coefficient list modulo p; the zero polynomial has degree -1.
+    Each element it reads loads through ``operator.index``."""
     for i in range(len(f) - 1, -1, -1):
-        if f[i] % p:
+        if index(f[i]) % p:
             return i
     return -1
 
 
-def _multiply(ctx: FieldCtx, f: list[int], g: list[int], path: str, engine: str) -> list[int]:
+def _multiply(ctx: FieldCtx, f: list[int], g: list[int], path: str) -> list[int]:
     """The product on ``path``: "padded", or a path of :func:`multiply_tft`.
     With no plan, the padded product at N; else the block transforms of n."""
     p = ctx.p
     df, dg = poly_degree(f, p), poly_degree(g, p)
     if df < 0 or dg < 0:
+        for c in (*f, *g):  # still only elements with __index__
+            index(c)
         return [0]
     n = df + dg + 1
     N = 1 << (n - 1).bit_length()  # least power of two >= n
@@ -157,7 +158,7 @@ def _multiply(ctx: FieldCtx, f: list[int], g: list[int], path: str, engine: str)
     rows = _row_form(ctx, n)
     if rows is not None:
         h = rows.multiply(ctx, f[:df + 1], g[:dg + 1], m, plan, e1)
-        _tally_rows(ctx, m, plan, e1 != 0, engine)
+        _tally_rows(ctx, m, plan, e1 != 0)
         return h
     fa = [index(c) % p for c in f[:df + 1]] + [0] * (m - df - 1)
     ga = [index(c) % p for c in g[:dg + 1]] + [0] * (m - dg - 1)
@@ -167,7 +168,7 @@ def _multiply(ctx: FieldCtx, f: list[int], g: list[int], path: str, engine: str)
         if plan is None:
             fft_in_place(ctx, a, m)
         else:
-            ctft_forward(ctx, a, plan, engine)
+            ctft_forward(ctx, a, plan)
     for k in range(m):
         fa[k] = fa[k] * ga[k] % p
     ctx.ops.mul += m
@@ -187,11 +188,11 @@ def multiply_full_fft(ctx: FieldCtx, f: list[int], g: list[int]) -> list[int]:
     Two forward transforms, a pointwise product, one inverse transform.  Cost
     jumps by roughly 2x whenever the product degree crosses a power of two.
     """
-    return _multiply(ctx, f, g, "padded", "new")
+    return _multiply(ctx, f, g, "padded")
 
 
 def multiply_tft(ctx: FieldCtx, f: list[int], g: list[int],
-                 path: str = "cyclotomic", engine: str = "new") -> list[int]:
+                 path: str = "cyclotomic") -> list[int]:
     """Exact product at transform length exactly deg(fg) + 1.
 
     ``cyclotomic`` multiplies the per-block evaluations (the product is
@@ -200,14 +201,11 @@ def multiply_tft(ctx: FieldCtx, f: list[int], g: list[int],
     product between a scaling by Omega_s**k of both operands and one by
     Omega_s**(-k) of the result (see the module docstring).  Both operands
     share one plan, so the pointwise product is taken over identical
-    evaluation points.  ``engine`` selects the block split on both paths;
-    a product on the rows, whose break is the same for every engine, takes
-    only the engine's counts.
+    evaluation points.  Both paths break by the ``new`` engine, and count
+    its break.
     When n = 2^k the truncated transform is the padded one, so the product
     is :func:`multiply_full_fft`'s.
     """
     if path not in ("cyclotomic", "bitreversed"):
         raise ValueError(f"unknown path {path!r}")
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
-    return _multiply(ctx, f, g, path, engine)
+    return _multiply(ctx, f, g, path)

@@ -140,8 +140,8 @@ def bench_rows(ctx: FieldCtx, engine: str, seed: int,
         plan = plan_new(n, ctx)
         jobs = (
             ("mul-fft", lambda: multiply_full_fft(ctx, f, g)),
-            ("mul-ctft", lambda: multiply_tft(ctx, f, g, "cyclotomic", engine)),
-            ("mul-brtft", lambda: multiply_tft(ctx, f, g, "bitreversed", engine)),
+            ("mul-ctft", lambda: multiply_tft(ctx, f, g, "cyclotomic")),
+            ("mul-brtft", lambda: multiply_tft(ctx, f, g, "bitreversed")),
             ("ctft-fwd", lambda: ctft_forward(ctx, list(h), plan, engine)),
             ("brtft-fwd", lambda: brtft_forward(ctx, list(h), plan)),
         )
@@ -228,8 +228,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"prime modulus (default {DEFAULT_MODULUS}; "
                              "file-based commands take the file's modulus)")
     parser.add_argument("--engine", choices=ENGINES, default="new",
-                        help="block decomposition engine of ctft-fwd and both "
-                             "TFT mul paths (default new)")
+                        help="block decomposition engine of ctft-fwd and of the "
+                             "ctft-fwd rows of bench (default new)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for generated polynomials (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -294,7 +294,7 @@ def _mul(args) -> int:
     if args.path == "fft":
         result = multiply_full_fft(ctx, f, g)
     else:
-        result = multiply_tft(ctx, f, g, args.path, args.engine)
+        result = multiply_tft(ctx, f, g, args.path)
     write_poly_file(args.output, p, result)
     return 0
 

@@ -47,9 +47,9 @@ first.  Below that they take field elements as they are, unchecked; in
 :func:`ctft_forward` a non-integral element then reaches the block kernels,
 whose loads reject it.
 
-:func:`break_counts` gives each engine's (add, pow2) in closed form; the
-bridge tallies a row product's breaks from it, and ``new`` and ``sergeev``
-count their own breaks run by run, against which the tests check it.
+:func:`break_counts` gives the ``new`` break's (add, pow2) in closed form,
+which the unbreak shares and the bridge tallies a row product from; the
+break counts itself run by run, against which the tests check it.
 """
 
 from __future__ import annotations
@@ -201,54 +201,18 @@ def break_in_place(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
         add_contribution(ctx, a, plan, i)
 
 
-def break_counts(plan: Plan, engine: str = "new") -> tuple[int, int]:
-    """The (add, pow2) that ``engine``'s break counts over plan.
+def break_counts(plan: Plan) -> tuple[int, int]:
+    """The (add, pow2) that :func:`break_in_place` and :func:`unbreak_in_place`
+    count over plan: phase 1's tail(i) subtractions, then for each block
+    i >= 2 n_(i-1) additions per survivor run of every image j < i, and
+    (i - 1) n_i doublings.
 
-    ``new`` (:func:`break_in_place`, and :func:`unbreak_in_place` too):
-    phase 1's tail(i) subtractions, then for each block i >= 2 n_(i-1)
-    additions per survivor run of every image j < i, and (i - 1) n_i
-    doublings.  Image j has one run per subset of the free bits (see
+    Image j has one run per subset of the free bits (see
     :func:`_contribution_pass`): the 0 bits of n between log2(n_(i-1)) and
     log2(n_j), of which there are log2(n_j) - log2(n_(i-1)) - (i - 1 - j).
     So its runs add n_(i-1) 2^(that) = n_j 2^j / 2^(i-1), and block i adds
     (sum over j < i of n_j 2^j) / 2^(i-1).
-
-    ``mateer`` (:func:`mateer_break`): the halvings add 2k for k = N, N/2,
-    ..., 2 n_s, which is 2 (N - n_s).
-
-    ``sergeev`` (:func:`sergeev_break`), step by step down the chain
-    z^K - 1: with images 1..i extracted, a step at a set bit (K/2 =
-    n_(i+1)) adds 2 tail(i+1) for its butterflies and rebuilds K/2 -
-    tail(i+1) coefficients when i >= 1; a step at a zero bit rebuilds
-    tail(i).  Each rebuilt coefficient costs its surviving terms plus one
-    additions and i - 1 doublings.  Image j contributes r_j
-    2^popcount(free_j) terms: runs of r_j = (lowest bit of mask_j) / K
-    exponents, or n_j / K when the mask n_(j+1) + ... + n_i is 0, one run
-    per subset of the free bits above them.
     """
-    if engine == "mateer":
-        return 2 * (plan.N - plan.size(plan.s)), 0
-    if engine == "sergeev":
-        add = pow2 = i = 0
-        k = plan.N
-        while k > plan.size(plan.s):
-            kh = k >> 1
-            block = kh == plan.size(i + 1)
-            if block:
-                add += 2 * plan.tail(i + 1)
-                rebuilt = kh - plan.tail(i + 1) if i else 0
-            else:
-                rebuilt = plan.tail(i)
-            terms = 0
-            for j in range(1, i + 1):
-                mask = plan.tail(j) - plan.tail(i)
-                run = mask & -mask or plan.size(j)
-                terms += run // k << ((plan.size(j) - 1) & ~mask & -run).bit_count()
-            add += rebuilt * (terms + 1)
-            pow2 += rebuilt * (i - 1)
-            i += block
-            k = kh
-        return add, pow2
     sizes = plan.sizes
     adds = sum(plan.tails[1:plan.s])
     pow2 = weighted = 0
@@ -291,7 +255,8 @@ def mateer_break(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
             a[t] = (x + y) % p
             a[t + kh] = (x - y) % p
         k = kh
-    ctx.ops.add += break_counts(plan, "mateer")[0]
+    # the halvings add k for k = N, N/2, ..., 2 n_s
+    ctx.ops.add += 2 * (plan.N - plan.size(plan.s))
 
 
 def _add_rebuilt(ctx: FieldCtx, a: list[int], plan: Plan, i: int, k: int,

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tftlib import (ENGINES, FieldCtx, brtft_forward, brtft_inverse, ctft_forward,
-                    ctft_inverse, dwt, eval_points_bitreversed, fft_in_place,
-                    idwt, ifft_in_place, multiply_full_fft, multiply_tft, plan_new)
+from tftlib import (FieldCtx, brtft_forward, brtft_inverse, ctft_forward, ctft_inverse,
+                    dwt, eval_points_bitreversed, fft_in_place, idwt, ifft_in_place,
+                    multiply_full_fft, multiply_tft, plan_new)
 from tftlib import oracle
 from tftlib.bridge import poly_degree
 
@@ -199,9 +199,6 @@ def test_multiply_against_schoolbook(ctx):
         assert multiply_full_fft(ctx, f, g) == want
         assert multiply_tft(ctx, f, g, "cyclotomic") == want
         assert multiply_tft(ctx, f, g, "bitreversed") == want
-        for path in ("cyclotomic", "bitreversed"):
-            for engine in ("sergeev", "mateer"):
-                assert multiply_tft(ctx, f, g, path, engine) == want, (path, engine)
 
 
 def test_multiply_commutative_bilinear(ctx):
@@ -262,14 +259,6 @@ def test_multiply_path_validation(ctx):
         multiply_tft(ctx, [1], [1], "weird")
 
 
-@pytest.mark.parametrize("path", ["cyclotomic", "bitreversed"])
-def test_multiply_engine_validation(ctx, path):
-    with ctx.count_session() as sess:
-        with pytest.raises(ValueError, match="unknown engine 'bogus'"):
-            multiply_tft(ctx, [1, 2, 3], [4, 5, 6, 7], path, "bogus")
-    assert (sess.mul, sess.pow2, sess.add) == (0, 0, 0)
-
-
 @pytest.mark.parametrize("p, n", [(5, 4), (17, 16), (257, 256), (7681, 512),
                                   (12289, 4096)])
 def test_multiply_at_two_adicity_limit(p, n):
@@ -286,10 +275,9 @@ def test_multiply_at_two_adicity_limit(p, n):
         assert multiply_tft(ctx_p, f, g, path) == want
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("path", ["cyclotomic", "bitreversed"])
-def test_multiply_at_power_of_two_costs_padded(path, engine):
-    # every engine takes the padded product at n = 2^k, rows included; each
+def test_multiply_at_power_of_two_costs_padded(path):
+    # both paths take the padded product at n = 2^k, rows included; each
     # side has its own field, since a field reports its row tables once
     padded, truncated = FieldCtx(), FieldCtx()
     p = padded.p
@@ -302,7 +290,7 @@ def test_multiply_at_power_of_two_costs_padded(path, engine):
         with padded.count_session() as s_fft:
             want = multiply_full_fft(padded, f, g)
         with truncated.count_session() as s_tft:
-            got = multiply_tft(truncated, f, g, path, engine)
+            got = multiply_tft(truncated, f, g, path)
         assert len(got) == n and got == want
         assert (s_tft.ops, s_tft.alloc) == (s_fft.ops, s_fft.alloc), k
 

@@ -1,13 +1,13 @@
 """Products in int64 rows, checked against the list transforms.
 
 Over p < 2^31, every product of length n >= ``bridge._ROWS_MIN`` computes in
-int64 rows, on every path and with every engine.  Each product here is
-compared with a reference composed from the list functions: the forward
-transforms of both operands with the product's engine, a pointwise product
-and the inverse transform, on the bit-reversed path between two Omega_s
-scalings.  The outputs must be equal, and so must the (mul, pow2,
-add) each adds, the reference's pointwise product counting one
-multiplication per slot as the list path does.
+int64 rows, on every path.  Each product here is compared with a reference
+composed from the list functions: the forward transforms of both operands,
+a pointwise product and the inverse transform, on the bit-reversed path
+between two Omega_s scalings.  The outputs must be equal, and so must the
+(mul, pow2, add) each adds, the reference's pointwise product counting one
+multiplication per slot as the list path does.  Above 2^31 the list
+product runs, and counts what the rows tally.
 """
 
 import os
@@ -21,7 +21,7 @@ import pytest
 
 import tftlib
 from tftlib import _rows
-from tftlib import (ENGINES, FieldCtx, brtft_forward, brtft_inverse, ctft_forward,
+from tftlib import (FieldCtx, brtft_forward, brtft_inverse, ctft_forward,
                     ctft_inverse, fft_in_place, ifft_in_place,
                     multiply_full_fft, multiply_tft, oracle, plan_new,
                     unbreak_in_place)
@@ -60,15 +60,14 @@ def _operands(p: int, n: int, seed: int) -> tuple[list[int], list[int]]:
     return f, g
 
 
-def _product(ctx, f, g, path, engine="new"):
+def _product(ctx, f, g, path):
     if path == "padded":
         return multiply_full_fft(ctx, f, g)
-    return multiply_tft(ctx, f, g, path, engine)
+    return multiply_tft(ctx, f, g, path)
 
 
-def _reference(ctx, f, g, path, engine="new"):
-    """The product by the list transforms, with ``engine``'s forward
-    transforms, and the counts it adds.
+def _reference(ctx, f, g, path):
+    """The product by the list transforms, and the counts it adds.
 
     A bit-reversed product is the cyclotomic one between two Omega_s
     scalings, and its counts are that composition's.  Its output is also
@@ -89,7 +88,7 @@ def _reference(ctx, f, g, path, engine="new"):
         def forward(a):
             if scaled:
                 scale_by_powers(ctx, a, n, _grid_scale(plan, 1))
-            ctft_forward(ctx, a, plan, engine)
+            ctft_forward(ctx, a, plan)
 
         def inverse(a):
             ctft_inverse(ctx, a, plan)
@@ -115,23 +114,13 @@ def _reference(ctx, f, g, path, engine="new"):
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("n", LENGTHS)
 def test_rows_equal_the_list_composition(field, n, path):
-    # the rows break one way for every engine, and tally the engine's counts
     f, g = _operands(field.p, n, n)
-    for engine in ENGINES if path != "padded" else ("new",):
-        want, counts = _reference(field, f, g, path, engine)
-        with field.count_session() as sess:
-            h = _product(field, f, g, path, engine)
-        assert h == want, engine
-        assert all(type(x) is int for x in h)
-        assert (sess.mul, sess.pow2, sess.add) == counts, engine
-
-
-@pytest.mark.parametrize("engine", ("sergeev", "mateer"))
-def test_every_engine_takes_the_rows(engine):
-    ctx = FieldCtx()
-    f, g = _operands(ctx.p, 255, 255)
-    multiply_tft(ctx, f, g, "cyclotomic", engine)
-    assert list(ctx.row_tables) == [256]
+    want, counts = _reference(field, f, g, path)
+    with field.count_session() as sess:
+        h = _product(field, f, g, path)
+    assert h == want
+    assert all(type(x) is int for x in h)
+    assert (sess.mul, sess.pow2, sess.add) == counts
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -233,6 +222,16 @@ def test_fields_above_2_31_stay_correct(path):
     ctx = FieldCtx(2305919975027638273)
     f, g = _operands(ctx.p, 2 * _ROWS_MIN + 1, 5)
     assert _product(ctx, f, g, path) == oracle.schoolbook_mul(f, g, ctx.p)
+    # the list product there counts what a row product tallies
+    rows = FieldCtx()
+    for n in (_ROWS_MIN, 255, 257, 1023):
+        counts = []
+        for field in (ctx, rows):
+            f, g = _operands(field.p, n, n)
+            with field.count_session() as sess:
+                _product(field, f, g, path)
+            counts.append((sess.mul, sess.pow2, sess.add))
+        assert counts[0] == counts[1], n
 
 
 @pytest.mark.parametrize("path", PATHS)
