@@ -16,8 +16,8 @@ none) and its stderr.  The benchmark CSV is hashed with its ``wall_nanos``
 column dropped.
 
 Invocations: ``ctft-fwd`` with each engine, ``ctft-inv``, ``brtft-fwd`` and
-``brtft-inv`` at n = 1..70 and 2^k - 1, 2^k, 2^k + 1 up to 1025; ``mul`` on
-each path with each engine at the same product lengths; ``bench --min 20
+``brtft-inv`` at n = 1..70 and 2^k - 1, 2^k, 2^k + 1 up to 1025; ``mul``
+once on each path at the same product lengths; ``bench --min 20
 --max 40``; ``selftest``; then the malformed files and usage errors of
 ``tests/test_cli.py`` and the field errors of ``--modulus``.
 """
@@ -94,10 +94,8 @@ def invocations() -> list[tuple[list[str], list[str]]]:
         la = rng.randint(1, n)  # a product of length n
         lhs = write_poly(f"f{n}.poly", [rng.randrange(P) for _ in range(la - 1)] + [1])
         rhs = write_poly(f"g{n}.poly", [rng.randrange(P) for _ in range(n - la)] + [1])
-        for path in PATHS:
-            for engine in ENGINES:
-                runs.append((["--engine", engine, "mul", lhs, rhs, "out.poly", "--path", path],
-                             ["out.poly"]))
+        for path in PATHS:  # mul takes no engine
+            runs.append((["mul", lhs, rhs, "out.poly", "--path", path], ["out.poly"]))
     runs.append((["bench", "--min", "20", "--max", "40", "--csv", "b.csv"], ["b.csv"]))
     runs.append((["selftest"], []))
 

@@ -31,7 +31,12 @@ bit-reversed product is the cyclotomic one between a scaling of both
 operands by Omega_s**k and one of the result by Omega_s**(-k).  Each backend
 writes the product once (:func:`_multiply`, ``_rows.multiply``); the padded
 product, and every product at n = 2^k, is its one-block case at twist 0,
-with no break and no scaling.
+with no break and no scaling.  A TFT product of length n runs at transform
+length m = :func:`_transform_length` (n), the least m >= n with at most
+``_MAX_BLOCKS`` = 3 set bits, on both backends: m <= N, m/n < 8/7, and a
+length of at most three bits (2^k + 1 included) runs as it is.  Outputs are
+those of length n, since the product is exact at any m >= n; the counts
+are the length-m product's.
 
 A product breaks by the ``new`` engine on every path.  One rule picks its
 backend, from p and n alone: over p < 2^31, where a product of two residues
@@ -65,6 +70,9 @@ from .transform import dwt, fft_in_place, idwt, ifft_in_place, kernel_counts, sc
 # two or three runs) is at most 1.00 on every path: 0.99 from 29, 0.82 from
 # 40.  28 read 1.01 (padded), 24 1.02, 20 1.15 and 16 1.50.
 _ROWS_MIN = 29
+# A TFT product runs at the least length m >= n with at most this many set
+# bits, so at most this many blocks (see multiply_tft).  Read at call time.
+_MAX_BLOCKS = 3
 _rows = None  # tftlib._rows, bound once, by the first product that takes it
 
 
@@ -77,6 +85,14 @@ def _row_form(ctx: FieldCtx, n: int):
         from . import _rows as rows
         _rows = rows
     return _rows
+
+
+def _transform_length(n: int) -> int:
+    """The least m >= n with at most ``_MAX_BLOCKS`` set bits; m <= N."""
+    m = n
+    while m.bit_count() > _MAX_BLOCKS:
+        m += m & -m  # the least larger length with no set bit below m's lowest
+    return m
 
 
 def _tally_rows(ctx: FieldCtx, n: int, plan: Plan | None, scaled: bool) -> None:
@@ -141,7 +157,8 @@ def poly_degree(f: list[int], p: int) -> int:
 
 def _multiply(ctx: FieldCtx, f: list[int], g: list[int], path: str) -> list[int]:
     """The product on ``path``: "padded", or a path of :func:`multiply_tft`.
-    With no plan, the padded product at N; else the block transforms of n."""
+    With no plan, the padded product at N; else the block transforms of
+    m = :func:`_transform_length` (n); the backend follows n."""
     p = ctx.p
     df, dg = poly_degree(f, p), poly_degree(g, p)
     if df < 0 or dg < 0:
@@ -151,10 +168,10 @@ def _multiply(ctx: FieldCtx, f: list[int], g: list[int], path: str) -> list[int]
     n = df + dg + 1
     N = 1 << (n - 1).bit_length()  # least power of two >= n
     find_root_of_unity(ctx, N)  # UnsupportedOrderError before any work
-    plan = None if path == "padded" or n == N else plan_new(n, ctx)
+    m = N if path == "padded" else _transform_length(n)  # the transform length
+    plan = None if m == N else plan_new(m, ctx)
     # Omega_s = omega_N**e1 scales the bit-reversed path; 0 for no scaling
     e1 = -_grid_twist(plan, 1) if plan is not None and path == "bitreversed" else 0
-    m = N if plan is None else n  # the transform length
     rows = _row_form(ctx, n)
     if rows is not None:
         h = rows.multiply(ctx, f[:df + 1], g[:dg + 1], m, plan, e1)
@@ -193,17 +210,23 @@ def multiply_full_fft(ctx: FieldCtx, f: list[int], g: list[int]) -> list[int]:
 
 def multiply_tft(ctx: FieldCtx, f: list[int], g: list[int],
                  path: str = "cyclotomic") -> list[int]:
-    """Exact product at transform length exactly deg(fg) + 1.
+    """Exact product at transform length m, the least m >= deg(fg) + 1 = n
+    with at most three set bits, so at most three blocks.
+
+    m <= N and m/n < 8/7: 2^k - 1 runs at 2^k, a length of at most three
+    bits (2^k + 1 included) as it is.  On the rows a product's time follows
+    its numpy calls per block, and a few blocks cut them.  The outputs are
+    the product's at any m, and the counts are the length-m product's.
 
     ``cyclotomic`` multiplies the per-block evaluations (the product is
-    determined modulo the product of the Phi_i, whose degree is n > deg(fg));
+    determined modulo the product of the Phi_i, whose degree is m > deg(fg));
     ``bitreversed`` multiplies the truncated grid values, which is the same
     product between a scaling by Omega_s**k of both operands and one by
     Omega_s**(-k) of the result (see the module docstring).  Both operands
     share one plan, so the pointwise product is taken over identical
     evaluation points.  Both paths break by the ``new`` engine, and count
     its break.
-    When n = 2^k the truncated transform is the padded one, so the product
+    When m = N the truncated transform is the padded one, so the product
     is :func:`multiply_full_fft`'s.
     """
     if path not in ("cyclotomic", "bitreversed"):

@@ -9,7 +9,9 @@ from tftlib import (FieldCtx, brtft_forward, brtft_inverse, ctft_forward, ctft_i
                     dwt, eval_points_bitreversed, fft_in_place, idwt, ifft_in_place,
                     multiply_full_fft, multiply_tft, plan_new)
 from tftlib import oracle
-from tftlib.bridge import poly_degree
+from tftlib.bridge import _transform_length, poly_degree
+
+from test_rows import LENGTHS, _operands, _reference
 
 SWEEP_SIZES = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65,
                86, 100, 127, 128, 129, 171, 255, 256, 257, 300, 500, 512]
@@ -153,12 +155,18 @@ def test_truncated_transforms_within_margin_of_padded(ctx):
 
 # Worst total-op ratio, minus 1, of each truncated product against the
 # padded product of the same operands over n = 3..1100 and 2^k +- 1 up to
-# 16385 (n = 511 and n = 63).  Tighten these as the counts fall; never
-# loosen them.
+# 16385, at transform length exactly n (n = 511 and n = 63).  Tighten these
+# as the counts fall; never loosen them.
 PRODUCT_MARGIN = {"cyclotomic": 0.057, "bitreversed": 0.218}
+# The same for the public product, which runs at bridge._transform_length:
+# the cyclotomic one ties with the padded product where m = N, and the
+# bit-reversed one is worst at n = 7.
+PUBLIC_PRODUCT_MARGIN = {"cyclotomic": 0.000, "bitreversed": 0.067}
 
 
-def test_truncated_products_within_margin_of_padded(ctx):
+def _product_totals(ctx):
+    """(path, n, total ops of multiply_tft, total ops of multiply_full_fft)
+    over the sweep of the margins above."""
     def total(sess):
         return sess.mul + sess.pow2 + sess.add
 
@@ -167,10 +175,62 @@ def test_truncated_products_within_margin_of_padded(ctx):
         with ctx.count_session() as sess:
             multiply_full_fft(ctx, f, g)
         padded = total(sess)
-        for path, margin in PRODUCT_MARGIN.items():
+        for path in PRODUCT_MARGIN:
             with ctx.count_session() as sess:
                 multiply_tft(ctx, f, g, path)
-            assert total(sess) <= (1 + margin) * padded, (path, n)
+            yield path, n, total(sess), padded
+
+
+@pytest.mark.usefixtures("exact_length")
+def test_truncated_products_within_margin_of_padded(ctx):
+    for path, n, tft, padded in _product_totals(ctx):
+        assert tft <= (1 + PRODUCT_MARGIN[path]) * padded, (path, n)
+
+
+def test_public_products_within_margin_of_padded(ctx):
+    for path, n, tft, padded in _product_totals(ctx):
+        assert tft <= (1 + PUBLIC_PRODUCT_MARGIN[path]) * padded, (path, n)
+
+
+def test_transform_length_is_the_least_with_three_blocks():
+    for n in range(1, 5001):
+        m, N = _transform_length(n), 1 << (n - 1).bit_length()
+        assert n <= m <= N and m.bit_count() <= 3, n
+        assert 7 * m < 8 * n or m == n, n
+        assert all(k.bit_count() > 3 for k in range(n, m)), n
+
+
+# 2^k - 1 runs at 2^k and 23 at 24 on the list path; LENGTHS adds the
+# many-block lengths and 2^k + 1
+@pytest.mark.parametrize("path", ["cyclotomic", "bitreversed"])
+@pytest.mark.parametrize("n", sorted(set(LENGTHS) | {23} | {2**k - 1 for k in range(2, 15)}))
+def test_public_products_are_the_composition_at_the_transform_length(ctx, n, path):
+    # a product is exact at any m >= n, so f padded to length m - n + len(f)
+    # gives the reference at m: the same output, and the counts the public
+    # product takes
+    f, g = _operands(ctx.p, n, n)
+    m = _transform_length(n)
+    want, counts = _reference(ctx, f + [0] * (m - n), g, path)
+    with ctx.count_session() as sess:
+        h = multiply_tft(ctx, f, g, path)
+    assert h == want[:n]
+    assert (sess.mul, sess.pow2, sess.add) == counts
+
+
+@pytest.mark.parametrize("n", [29, 31, 40, 63, 255, 257, 495, 1023, 1025, 1365, 4095, 5461])
+def test_public_bitreversed_product_adds_only_the_two_power_rows(n):
+    # at m < N the two Omega_s power rows, of m elements each; at m = N both
+    # paths run the padded product
+    ctx = FieldCtx()
+    f, g = _operands(ctx.p, n, n)
+    multiply_tft(ctx, f, g)  # builds the tables of the padded length
+    allocs = {}
+    for path in ("cyclotomic", "bitreversed"):
+        with ctx.count_session() as sess:
+            multiply_tft(ctx, f, g, path)
+        allocs[path] = sess.alloc
+    m, N = _transform_length(n), 1 << (n - 1).bit_length()
+    assert allocs["bitreversed"] - allocs["cyclotomic"] == (2 * m if m < N else 0)
 
 
 def test_multiply_full_fft_examples(ctx):

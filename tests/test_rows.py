@@ -7,7 +7,10 @@ a pointwise product and the inverse transform, on the bit-reversed path
 between two Omega_s scalings.  The outputs must be equal, and so must the
 (mul, pow2, add) each adds, the reference's pointwise product counting one
 multiplication per slot as the list path does.  Above 2^31 the list
-product runs, and counts what the rows tally.
+product runs, and counts what the rows tally.  Every product here runs at
+transform length exactly deg(fg) + 1 (the ``exact_length`` fixture), so the
+many-block lengths run as they are; ``tests/test_bridge.py`` checks the
+public product, which runs at ``bridge._transform_length``.
 """
 
 import os
@@ -44,6 +47,8 @@ HEADROOM = sorted({2**k + d for k in range(5, 13) for d in (-1, 1)}
                   | {2**k + 2**(k - 4) + 1 for k in range(5, 13)})
 # bound stated in the tftlib._rows docstring, in elements per padded slot
 ALLOC_PER_SLOT = {"padded": 5, "cyclotomic": 9, "bitreversed": 10}
+
+pytestmark = pytest.mark.usefixtures("exact_length")
 
 
 @pytest.fixture(scope="module", params=PRIMES)

@@ -97,10 +97,11 @@ def test_products_at_scale_at_random_points(ctx, n):
     test_products_at_random_points(ctx, n)
 
 
+@pytest.mark.usefixtures("exact_length")
 @pytest.mark.parametrize("n", [2**16 - 1, 2**16 + 1])
 def test_row_products_equal_the_list_composition(ctx, n):
     # products of this length compute in int64 rows; the reference composes
-    # the list transforms (tests/test_rows.py)
+    # the list transforms at length exactly n (tests/test_rows.py)
     p = ctx.p
     rng = random.Random(30 * n)
     f = [rng.randrange(1, p) for _ in range(n // 2)]
