@@ -14,8 +14,10 @@ checkout.  One line per (entry point, p, n): the entry point, p, n, a short
 hash of the outputs, then the call's (mul, pow2, add) and the scratch
 elements it reports (``alloc``).  After each prime's calls, one line per
 padded length in ``ctx.row_tables``: ``row_tables``, p, N and a short hash
-of the bytes of its three arrays, so a change to how the tables are built
-shows even in entries no product reads.
+of the bytes of each of its arrays, so a change to how the tables are built
+shows even in entries no product reads; then, where a row product built
+them, ``row_dft``, p and a short hash of the field's base-case matrices
+(``ctx.row_dft``).
 
 Entry points: ``multiply_full_fft``; ``multiply_tft`` on both paths;
 ``ctft_forward`` with each engine; ``ctft_inverse``;
@@ -43,6 +45,10 @@ def lengths(top: int) -> list[int]:
 
 def digest(values) -> str:
     return hashlib.blake2b(repr([int(x) for x in values]).encode(), digest_size=6).hexdigest()
+
+
+def array_digest(table) -> str:
+    return hashlib.blake2b(table.tobytes(), digest_size=6).hexdigest()
 
 
 def main(argv=None) -> int:
@@ -76,10 +82,9 @@ def main(argv=None) -> int:
                 print(f"{name} {p} {n} {digest(a if out is None else out)} "
                       f"{sess.mul} {sess.pow2} {sess.add} {sess.alloc}")
         for N, tables in sorted(ctx.row_tables.items()):
-            h = hashlib.blake2b(digest_size=6)
-            for table in tables:
-                h.update(table.tobytes())
-            print(f"row_tables {p} {N} {h.hexdigest()}")
+            print(f"row_tables {p} {N} {' '.join(array_digest(table) for table in tables)}")
+        if getattr(ctx, "row_dft", None) is not None:
+            print(f"row_dft {p} {array_digest(ctx.row_dft)}")
     return 0
 
 

@@ -7,17 +7,41 @@ operation, and the outputs are the list path's Python ints in [0, p).  The
 list path, the reference these rows are tested against, keeps the rest: the
 public transforms, p >= 2^31 and shorter products.
 
-The two operands are the columns of an (n, 2) buffer, so a product's
-forward transforms are one set of operations.  The block transform takes
-one set per butterfly stage over every block at once: blocks are contiguous
-and aligned, so at half-length u the blocks with n_i >= 2u are a prefix of
-the buffer that reshapes to (rows, 2, u k), k its columns, and each row
-takes one twiddle, a power of omega_N, N the padded length.  The powers,
-the bit-reversed base rows and their twist-1 octaves are tables of the
-field and N that grow from the root ladder by doubling, built by the first
-product of padded length N over a context and kept on it (``ctx.row_tables``,
-one entry per power of two); a product slices them, or gathers the rows of
-stages whose blocks do not halve one into the next.
+The two operands are the rows of a (2, n) buffer, so a product's forward
+transforms are one set of operations.  The block transform takes one set
+per butterfly stage over every block at once, for half-lengths u >= 64:
+blocks are contiguous and aligned, so at half-length u the blocks with n_i
+>= 2u are a prefix of each row that reshapes to (rows, 2, u), and each row
+takes one twiddle, a power of omega_N, N the padded length.
+
+The six stages below u = 64 are the base case: on each row of the buffer,
+one float64 matrix product over every 64-slot chunk, and one for each
+smaller block.  Each 64-slot chunk c of a block of 64 slots or more holds its polynomial modulo
+z^64 - lambda_c^64, lambda_c = omega_N**rev(c); it is multiplied by its
+twist row lambda_c**i, and then by the 64-point DFT matrix in bit-reversed
+order, zeta**(i rev(j)), zeta = omega_64.  A block of n_i < 64 slots at
+twist t evaluates at the points of columns [t n_i, (t + 1) n_i) of that
+matrix, so it is its own row times those columns' top n_i rows, and needs
+no twist.  The inverse applies the unnormalised inverse matrix,
+zeta**(-i rev(j)) (a small block: rows [t n_i, (t + 1) n_i), left n_i
+columns), then lambda_c**(-i) to the chunks, then the stages u >= 64 and
+the 1/n_i pass.  The matrices are float64 in 16-bit limbs, so that numpy
+hands the products to BLAS (FFLAS-FFPACK's way to exact finite-field
+products): a residue in [0, p) times a low limb, summed over 64 slots, is
+at most 64 (p - 1)(2^16 - 1) < 2^6 2^31 2^16 = 2^53 for every p < 2^31,
+and a high limb is below 2^15, so every sum and every partial sum is an
+integer that float64 holds exactly, whatever order BLAS adds in.  The two
+limbs' sums then recombine in int64, lo + 2^16 (hi mod p) < 2^53 + 2^47.
+
+The per-N tables are ``ctx.row_tables[N]``, built by the first product of
+padded length N over a context: the powers of omega_N (the Omega_s
+scalings), the bit-reversed base rows and their twist-1 octaves (only the
+entries below N/128, which the stages u >= 64 read), and the twist rows,
+N/64 rows of 64, with their lambda_c**(-63).  The two matrices, 128 KiB,
+are field set-up like ``ctx.roots``: built once per field by its first row
+product (``ctx.row_dft``), not counted as scratch.  All grow from the root
+ladder by doubling.  A product slices the tables, or gathers the rows of stages
+whose blocks do not halve one into the next.
 
 The break and its inverse reach the list path's images without the
 engines' survivor runs.  The break halves z^N - 1, as the ``mateer`` engine
@@ -32,21 +56,24 @@ The rows' twiddles are balanced, in (-p/2, p/2], so a product of a twiddle
 and a value below 4p in magnitude stays below 2p^2 < 2^63 for every p <
 2^31.  That lets the butterflies reduce lazily (Harvey 2014): each product
 is reduced at once, but the forward transform reduces its sums and
-differences only after every fourth stage and its last, and the inverse its
-sums after every third stage (proofs at :func:`_transform`).
+differences only after every fourth stage, and hands the base case values
+below 4p in magnitude, which the twist multiplies and reduces; the inverse
+reduces its sums after every third stage (proofs at :func:`_transform`).
 
 The rows count nothing.  Their element work is not the list path's (lazy
-reductions, twiddles read from tables, a halved break), so the bridge adds
-the list product's (mul, pow2, add) after a row product, from the closed
-forms beside the list code that counts them.
+reductions, twiddles read from tables, a halved break, a matrix product),
+so the bridge adds the list product's (mul, pow2, add) after a row
+product, from the closed forms beside the list code that counts them.
 
 Every array this module takes besides the int64 copies of the operands
-and of the product is reported in ``ctx.scratch_allocated``: each table
-once, and per product a work buffer of 2n elements (the stages' products
-and quotients, the carries), the concatenated twiddle rows and on the
-bit-reversed path the two power rows.  A product of padded length N
-reports at most 5N elements on the padded path, 9N on the cyclotomic one
-and 10N on the bit-reversed one, tables included (``tests/test_rows.py``).
+and of the product, and besides the field's matrices, is reported in
+``ctx.scratch_allocated``: each table once, and per product a work buffer
+of 2n elements (the stages' products and quotients, the carries, and the
+base case's float sums, one row at a time), the concatenated twiddle rows,
+the per-slot 1/n_i and halvings, and on the bit-reversed path the two
+power rows.  A product of padded length N reports at most 5N elements on
+the padded path, 9N on the cyclotomic one and 10N on the bit-reversed one,
+tables included (``tests/test_rows.py``).
 """
 
 from __future__ import annotations
@@ -59,12 +86,17 @@ import numpy as np
 from .plan import Plan
 from .ring import FieldCtx
 
-# from this many elements, x - (x // p) * p beats np.remainder (measured)
-_DIVIDE_MIN = 1024
+# from this many elements, x - (x // p) * p beats np.remainder: on contiguous
+# int64 below 2p^2, best of 41 alternating rounds of 1000 calls on a shared
+# 2-core VM, 3.36-3.60 us against 3.52-3.78 at 640, 3.65 against 4.20 at 768,
+# a tie at 576 and 2.99-3.34 against 2.88-3.18 at 512
+_DIVIDE_MIN = 640
 # chunks at most this many elements wide fold by one matmul, which costs
 # about three additions an element; wider ones halve (measured)
 _SUM_WIDTH = 64
 _ONE = np.ones(1, np.int64)  # a row of ones of any length, as a view of stride 0
+_BASE = 64  # the base case: a chunk of this many slots is one row of a matrix product
+_LIMB = 16  # bits of the matrices' low limbs
 
 
 def _counted(ctx: FieldCtx, a: np.ndarray) -> np.ndarray:
@@ -72,14 +104,15 @@ def _counted(ctx: FieldCtx, a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _mod(ctx: FieldCtx, x: np.ndarray, work: np.ndarray, out: np.ndarray | None = None
-         ) -> np.ndarray:
+def _mod(ctx: FieldCtx, x: np.ndarray, work: np.ndarray | None,
+         out: np.ndarray | None = None) -> np.ndarray:
     """out <- x mod p, in [0, p) (out defaults to x).  numpy divides by a
     scalar several times faster than it takes a remainder, so large arrays
-    take x - (x // p) * p, the quotient in ``work`` (flat, apart from x)."""
+    take x - (x // p) * p, the quotient in ``work`` (flat, apart from x;
+    None for the set-up, which takes the remainder)."""
     if out is None:
         out = x
-    if x.size < _DIVIDE_MIN:
+    if x.size < _DIVIDE_MIN or work is None:
         return np.remainder(x, ctx.p, out=out)
     q = work[:x.size].reshape(x.shape)
     np.floor_divide(x, ctx.p, out=q)
@@ -88,63 +121,117 @@ def _mod(ctx: FieldCtx, x: np.ndarray, work: np.ndarray, out: np.ndarray | None 
 
 
 def _load(ctx: FieldCtx, f, g, n: int) -> np.ndarray:
-    """Both operands as the columns of an (n, 2) int64 buffer, zero-padded,
-    not yet reduced.
+    """Both operands as the rows of a (2, n) int64 buffer, zero-padded, not
+    yet reduced.
 
     Each element loads through its ``__index__``, as on the list path:
     ``array('q')`` raises TypeError on a float, a Fraction or a numpy float,
     and OverflowError on an integer outside int64, which then loads through
     ``operator.index`` and is reduced.
     """
-    a = np.zeros((n, 2), np.int64)
-    for col, c in enumerate((f, g)):
+    a = np.zeros((2, n), np.int64)
+    for row, c in zip(a, (f, g)):
         try:
-            a[:len(c), col] = np.frombuffer(array('q', c), np.int64)
+            row[:len(c)] = np.frombuffer(array('q', c), np.int64)
         except OverflowError:
-            a[:len(c), col] = [index(x) % ctx.p for x in c]
+            row[:len(c)] = [index(x) % ctx.p for x in c]
     return a
 
 
-def _grow(ctx: FieldCtx, row: np.ndarray, ladder, work: np.ndarray) -> np.ndarray:
+def _grow(ctx: FieldCtx, row: np.ndarray, ladder, work: np.ndarray | None) -> np.ndarray:
     """Fill a row of 2^len(ladder) residues in [0, p) by doubling: entry 0
     is 1, and entries [m, 2m) are entries [0, m) times ladder[log2(m)]."""
-    row[0] = 1
+    row[:1] = 1
     for b, w in enumerate(ladder):
         _mod(ctx, np.multiply(row[:1 << b], w, out=row[1 << b:2 << b]), work)
     return row
 
 
+def _powers(ctx: FieldCtx, table: np.ndarray, work: np.ndarray | None) -> None:
+    """Fill columns 2..63 of ``table`` with the powers of its column 1, by
+    doubling: column m is column m/2 squared, and columns [m + 1, 2m) are
+    columns [1, m) times column m.  Column 0 is left as it is."""
+    for m in (2, 4, 8, 16, 32):
+        _mod(ctx, np.multiply(table[:, m // 2], table[:, m // 2], out=table[:, m]), work)
+        _mod(ctx, np.multiply(table[:, 1:m], table[:, m:m + 1], out=table[:, m + 1:2 * m]),
+             work)
+
+
 def _tables(ctx: FieldCtx, N: int, work: np.ndarray) -> tuple:
     """The tables of padded length N over ctx, built and reported once.
 
-    ``powers`` holds omega_N**j for j < N, in [0, p); ``base`` holds the
-    forward and inverse base rows omega_N**(+-rev(r)) for r < N/2, rev over
-    log2(N/2) bits, balanced into (-p/2, p/2] (see :func:`_transform`);
-    ``octaves`` holds base[:, m:2m] for m from N/4 down to 1, the octave of
-    m at N/2 - 2m.  Both keep a last axis of length 1, so that a slice
-    multiplies the rows of a stage.  The tables grow from the root ladder by
-    doubling (:func:`_grow`): ``powers`` by omega_N**m = roots[log2(N/m)],
-    and as rev(m + r) = rev(m) + rev(r) for r < m, entries [m, 2m) of a
-    base row are its first m entries times omega_N**(+-rev(m)) =
-    omega_(4m)**(+-1), roots[log2(4m)] or inv_roots[log2(4m)].
+    ``powers`` holds omega_N**j for j < N, in [0, p).  ``base`` holds the
+    forward and inverse base rows omega_N**(+-rev(r)) for r < N/128, rev
+    over log2(N/2) bits, the entries the stages u >= 64 read (see
+    :func:`_transform`); ``octaves`` holds base[:, m:2m] for m from N/256
+    down to 1, the octave of m at N/128 - 2m.  Both keep a last axis of
+    length 1, so that a slice multiplies the rows of a stage.  ``twists``
+    holds lambda_c**i in row c < N/64 and column i < 64, lambda_c =
+    omega_N**rev(c), rev over log2(N/64) bits, and ``unwind`` holds
+    lambda_c**(-63), with which the inverse reads lambda**(-i) =
+    lambda**(63 - i) lambda**(-63), row c of ``twists`` reversed.  base,
+    twists and unwind are balanced into (-p/2, p/2].
+
+    The tables grow from the root ladder by doubling (:func:`_grow`):
+    ``powers`` by omega_N**m = roots[log2(N/m)]; as rev(m + r) = rev(m) +
+    rev(r) for r < m, entries [m, 2m) of a base row are its first m
+    entries times omega_N**(+-rev(m)) = omega_(4m)**(+-1), roots[log2(4m)]
+    or inv_roots[log2(4m)]; the lambda_c by omega_(128m) =
+    roots[log2(128m)], and the columns of ``twists`` by :func:`_powers`;
+    ``unwind`` is lambda_c**(-64), grown by omega_(2m)**(-1) =
+    inv_roots[log2(2m)], times lambda_c.
     """
     tables = ctx.row_tables.get(N)
     if tables is None:
         k = N.bit_length() - 1
-        half = N // 2
+        half = N >> 7
         powers = _grow(ctx, _counted(ctx, np.empty(N, np.int64)), ctx.roots[k:0:-1], work)
         base = _counted(ctx, np.empty((2, half), np.int64))
         for row, ladder in zip(base, (ctx.roots, ctx.inv_roots)):
-            _grow(ctx, row, ladder[2:k + 1], work)
-        np.subtract(base, ctx.p, out=base, where=base > ctx.p // 2)
-        octaves = _counted(ctx, np.concatenate(
-            [base[:, m:2 * m] for m in (half >> e for e in range(1, half.bit_length()))], axis=1))
-        tables = ctx.row_tables[N] = (powers, base[:, :, None], octaves[:, :, None])
+            _grow(ctx, row, ladder[2:k - 5], work)
+        octaves = _counted(ctx, np.concatenate([base[:, :0]] + [  # empty below N = 256
+            base[:, m:2 * m] for m in (half >> e for e in range(1, half.bit_length()))], axis=1))
+        twists = _counted(ctx, np.empty((N >> 6, _BASE), np.int64))
+        twists[:, 0] = 1
+        _grow(ctx, twists[:, 1], ctx.roots[7:k + 1], work)
+        _powers(ctx, twists, work)
+        unwind = _counted(ctx, np.empty((N >> 6, 1), np.int64))
+        _grow(ctx, unwind[:, 0], ctx.inv_roots[1:k - 5], work)
+        _mod(ctx, np.multiply(unwind, twists[:, 1:2], out=unwind), work)
+        for table in (base, octaves, twists, unwind):
+            np.subtract(table, ctx.p, out=table, where=table > ctx.p // 2)
+        tables = ctx.row_tables[N] = (powers, base[:, :, None], octaves[:, :, None], twists,
+                                      unwind)
     return tables
 
 
+def _matrices(ctx: FieldCtx) -> np.ndarray:
+    """The base case's matrices over ctx, built once per field: the forward
+    one, zeta**(i rev(j)) in row i and column j, and the unnormalised
+    inverse, zeta**(-i rev(j)) in row j and column i, zeta = omega_64 and
+    rev over six bits, as float64 of shape (2, 64, 128).  Column 2c holds
+    the low 16 bits of column c's residues in [0, p), and column 2c + 1 the
+    rest, shifted down, so that the columns of a block are one slice.
+    Their points zeta**(+-rev(j)) grow from the ladder by doubling (entries
+    [m, 2m) times omega_(2m)**(+-1)), and their powers by :func:`_powers`.
+    """
+    if ctx.row_dft is None:
+        ints = np.empty((2, _BASE, _BASE), np.int64)  # the points' powers in row j
+        for table, ladder in zip(ints, (ctx.roots, ctx.inv_roots)):
+            _grow(ctx, table[:, 1], ladder[1:7], None)
+            table[:, 0] = 1
+            _powers(ctx, table, None)
+        ints[0] = ints[0].T.copy()
+        mats = np.empty((2, _BASE, 2 * _BASE))
+        mats[:, :, 0::2] = ints & ((1 << _LIMB) - 1)
+        mats[:, :, 1::2] = ints >> _LIMB
+        ctx.row_dft = mats
+    return ctx.row_dft
+
+
 def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int) -> tuple:
-    """Every stage's row twiddles, forward and inverse, from the tables of N.
+    """Every stage's row twiddles, forward and inverse, from the tables of N,
+    and what the base case reads.
 
     Blocks of ``sizes`` take ``twist``, 0 or 1.  At half-length u, row q
     of block i (m = n_i / 2u rows, n_i = 2^(k-1) u) takes
@@ -156,17 +243,22 @@ def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int) -> tuple:
     one set bit each of n >> (st + 1), which is the stage's row count, so a
     stage whose m halve from block to block (its bits are contiguous: every
     stage, when n is 2^k - 1 or 2^k + 1) reads one slice of the octaves;
-    the others concatenate their blocks' octaves.
+    the others concatenate their blocks' octaves.  Likewise the c-th chunk
+    of a block of n_i >= 64 slots reads twist row t n_i/64 + c, and a
+    smaller block the matrix columns [t n_i, (t + 1) n_i).
 
-    Returns the (forward, inverse) rows by log2(u), each of shape
-    (2, rows, 1), and the 1/n_i of every slot, balanced as the rows are:
-    -(p - 1)/n_i.
+    Returns the (forward, inverse) rows of the stages u = 64, 128, ...,
+    each of shape (2, rows, 1); (offset, size, twist rows, their
+    lambda**(-63)) of every block of 64 slots or more; (offset, size) of
+    every smaller block but those of one slot, whose transform is the
+    identity; and the 1/n_i of every slot of those blocks, balanced as the
+    rows are: -(p - 1)/n_i.
     """
-    _, base, octaves = tables
+    _, base, octaves, twists, unwind = tables
     n = sum(sizes)
     half = base.shape[1]
     rows_at = []
-    for st in range(n.bit_length() - 1):
+    for st in range(_BASE.bit_length() - 1, n.bit_length() - 1):
         w = n >> (st + 1)
         if not twist:
             rows = base[:, :w]
@@ -178,28 +270,72 @@ def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int) -> tuple:
                 [base[:, 1 << b:2 << b] for b in range(w.bit_length() - 1, -1, -1) if w >> b & 1],
                 axis=1))
         rows_at.append(rows)
+    chunks, small, offset = [], [], 0
+    for ni in sizes:
+        if ni >= _BASE:
+            rows = slice(twist * ni // _BASE, (twist + 1) * ni // _BASE)
+            chunks.append((offset, ni, twists[rows], unwind[rows]))
+        elif ni > 1:
+            small.append((offset, ni))
+        offset += ni
     active = [ni for ni in sizes if ni > 1]
     inv_n = [-((ctx.p - 1) // ni) for ni in active]
     scale = inv_n[0] if len(active) == 1 else _counted(
-        ctx, np.repeat(np.array(inv_n, np.int64), active))[:, None]
-    return rows_at, scale
+        ctx, np.repeat(np.array(inv_n, np.int64), active))
+    return rows_at, chunks, small, scale
 
 
-def _transform(ctx: FieldCtx, a: np.ndarray, sizes, twiddles, work: np.ndarray,
+def _base(ctx: FieldCtx, a: np.ndarray, chunks, small, span: int, twist: int,
+          work: np.ndarray, inverse: bool) -> None:
+    """The base case of every block on every row of a, in [0, p): each chunk
+    of ``chunks`` (already twisted) times the forward or inverse matrix, and
+    each block of ``small`` times the columns or rows of its twist.
+
+    A row's first ``span`` slots turn into float64 where they lie, and the
+    limbs' sums go to the work buffer as float64, lo and hi side by side;
+    turned into int64 where they lie, they recombine into the row.
+    """
+    mats = ctx.row_dft[1 if inverse else 0]
+    top = sum(c[1] for c in chunks)
+    sums = work[:2 * span]
+    fsums = sums.view(np.float64)
+    lo, hi = sums[0::2], sums[1::2]
+    for row in a:
+        x = row[:span]
+        fx = x.view(np.float64)
+        np.copyto(fx, x, casting="unsafe")
+        if top:
+            np.matmul(fx[:top].reshape(-1, _BASE), mats,
+                      out=fsums[:2 * top].reshape(-1, 2 * _BASE))
+        for off, ni in small:
+            c = twist * ni
+            part = mats[c:c + ni, :2 * ni] if inverse else mats[:ni, 2 * c:2 * (c + ni)]
+            np.matmul(fx[off:off + ni], part, out=fsums[2 * off:2 * (off + ni)])
+        np.copyto(sums, fsums, casting="unsafe")
+        _mod(ctx, hi, x)
+        np.left_shift(hi, _LIMB, out=hi)
+        np.add(lo, hi, out=lo)
+        _mod(ctx, lo, hi, out=x)
+
+
+def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, twist: int, work: np.ndarray,
                inverse: bool) -> None:
-    """dwt (or idwt) of every block, on every column of a at once.
+    """dwt (or idwt) of every block, on every row of a at once.
 
-    ``sizes`` are the n_i, decreasing powers of two whose sum is len(a);
-    block i starts at n_1 + ... + n_(i-1).  The twiddles, from
-    :func:`_twiddles`, carry the blocks' twists.  The input is in [0, p),
-    and so is every output.
+    The blocks, at ``twist``, are those of :func:`_twiddles`: decreasing
+    powers of two whose sum is the row length, block i starting at n_1 +
+    ... + n_(i-1).  The input is in [0, p), and so is every output.  The
+    stages u >= 64 run on the prefix of blocks of 2u slots or more; the
+    base case (:func:`_base`) ends the forward transform and starts the
+    inverse.
 
     Reduction is lazy (Harvey 2014), on balanced twiddles.  p is odd, so a
-    twiddle or 1/n_i in (-p/2, p/2] has magnitude at most (p - 1)/2, and
-    for |v| < 4p a product has |v w| < 2p (p - 1) < 2p^2 < 2^63, as p < 2^31
-    gives p^2 < 2^62.  Every product is reduced into [0, p) at once; the
-    sums and differences wait, and never leave [-4p, 8p).  The two bounds
-    below show that no multiplied value reaches 4p in magnitude.
+    twiddle, a twist or 1/n_i in (-p/2, p/2] has magnitude at most (p -
+    1)/2, and for |v| < 4p a product has |v w| < 2p (p - 1) < 2p^2 < 2^63,
+    as p < 2^31 gives p^2 < 2^62.  Every product of a stage is reduced into
+    [0, p) at once; the sums and differences wait, and never leave [-4p,
+    8p).  The two bounds below, over the stages u >= 64 alone, show that no
+    multiplied value reaches 4p in magnitude.
 
     Forward, u falls and the prefix grows.  Before the d-th stage every
     value of its prefix lies in [-jp, (j + 1) p), j = (d - 1) mod 4.  This
@@ -208,110 +344,130 @@ def _transform(ctx: FieldCtx, a: np.ndarray, sizes, twiddles, work: np.ndarray,
     t in [0, p); then x - t lies in [-(j + 1) p, (j + 1) p) and x + t in
     [-jp, (j + 2) p), so the bound holds with j + 1.  After every fourth
     stage (j = 3: values in [-4p, 5p)) the prefix is reduced into [0, p),
-    so j restarts at 0, and after the last stage, whose prefix holds every
-    block, too.
+    so j restarts at 0.  After the last stage, then, every value lies in
+    [-3p, 4p) or in [0, p): the twist multiplies values below 4p in
+    magnitude, and its reduction hands the base case [0, p).
 
-    Inverse, u grows and the prefix shrinks.  Before the d-th stage every
-    value of its prefix lies in [0, cp), c = 2^((d - 1) mod 3).  This holds
-    at d = 1, the input being in [0, p).  A stage multiplies x - y,
-    |x - y| < cp <= 4p, into y in [0, p), and x + y lies in [0, 2cp), so
-    the next prefix, a part of this one, lies in [0, 2cp).  After every
-    third stage (c = 4: sums in [0, 8p)) the sums are reduced into [0, p),
-    so c restarts at 1.  A block that has left the prefix keeps what its
-    last stage left, in [0, 4p) (c <= 2) or in [0, p) (c = 4, reduced); so
-    the 1/n_i pass multiplies values below 4p, and reduces them.
+    Inverse, u grows and the prefix shrinks.  The base case and the twist
+    leave every value in [0, p).  Before the d-th stage every value of its
+    prefix lies in [0, cp), c = 2^((d - 1) mod 3).  This holds at d = 1.  A
+    stage multiplies x - y, |x - y| < cp <= 4p, into y in [0, p), and x + y
+    lies in [0, 2cp), so the next prefix, a part of this one, lies in [0,
+    2cp).  After every third stage (c = 4: sums in [0, 8p)) the sums are
+    reduced into [0, p), so c restarts at 1.  A block that has left the
+    prefix keeps what its last stage left, in [0, 4p) (c <= 2) or in [0, p)
+    (c = 4, reduced), and a block of no stage holds [0, p); so the 1/n_i
+    pass multiplies values below 4p, and reduces them.
     """
-    k = a.shape[1]
-    active = [ni for ni in sizes if ni > 1]
-    stage_rows, scale = twiddles
-    span = sum(active)
-    prod = work[:span // 2 * k]
-    quot = work[span // 2 * k:]
-    stages = span.bit_length() - 1
-    order = range(stages) if inverse else range(stages - 1, -1, -1)
-    for done, st in enumerate(order, 1):
-        tw = stage_rows[st][1 if inverse else 0]
-        rows = len(tw)
-        width = rows << (st + 1)
-        view = a[:width].reshape(rows, 2, -1)
-        x = view[:, 0]
-        y = view[:, 1]
-        t = prod[:width // 2 * k].reshape(rows, -1)
-        if inverse:
-            np.subtract(x, y, out=t)
-            np.add(x, y, out=x)
-            np.multiply(t, tw, out=t)
-            _mod(ctx, t, quot, out=y)
-            if done % 3 == 0:
-                _mod(ctx, x, quot)
-        else:
-            np.multiply(y, tw, out=t)
+    k = a.shape[0]
+    stage_rows, chunks, small, scale = twiddles
+    top = sum(c[1] for c in chunks)
+    span = top + sum(ni for _, ni in small)
+    low = _BASE.bit_length() - 1  # stage st has half-length u = 2^st
+
+    def stage(st):
+        rows = stage_rows[st - low].shape[1]
+        u = 1 << st
+        view = a[:, :2 * u * rows].reshape(k, rows, 2, u)
+        return view[:, :, 0], view[:, :, 1], work[:k * rows * u].reshape(k, rows, u)
+
+    def rotate(factor):  # every chunk times its row of factor(rows, unwind), reduced
+        for off, ni, rows, unwind in chunks:
+            x = a[:, off:off + ni].reshape(k, -1, _BASE)
+            np.multiply(x, factor(rows, unwind), out=x)
+        if chunks:
+            _mod(ctx, a[:, :top], work)
+
+    stages = range(low, low + len(stage_rows))
+    quot = work[k * top // 2:]
+    if not inverse:
+        for done, st in enumerate(reversed(stages), 1):
+            x, y, t = stage(st)
+            np.multiply(y, stage_rows[st - low][0], out=t)
             _mod(ctx, t, quot)
-            np.subtract(x, t, out=y)
-            np.add(x, t, out=x)
-            if done % 4 == 0 or done == stages:
-                _mod(ctx, a[:width], work)
-    if inverse:
-        head = a[:span]
-        np.multiply(head, scale, out=head)
-        _mod(ctx, head, work)
+            # y <- x - t and x <- x + t = 2x - (x - t), with no call writing
+            # y or x from the other: numpy copies an input whose span
+            # overlaps the output's first
+            np.subtract(x, t, out=t)
+            np.add(x, x, out=x)
+            np.subtract(x, t, out=x)
+            np.copyto(y, t)
+            if done % 4 == 0:
+                _mod(ctx, a[:, :x.shape[1] * 2 << st], work)
+        rotate(lambda rows, unwind: rows)  # lambda**i
+        _base(ctx, a, chunks, small, span, twist, work, False)
+        return
+    _base(ctx, a, chunks, small, span, twist, work, True)
+    rotate(lambda rows, unwind: rows[:, ::-1])  # lambda**(63 - i)
+    rotate(lambda rows, unwind: unwind)  # lambda**(-63)
+    for done, st in enumerate(stages, 1):
+        x, y, t = stage(st)
+        np.subtract(x, y, out=t)
+        np.add(x, x, out=x)  # x + y = 2x - (x - y), as in the forward stage
+        np.subtract(x, t, out=x)
+        np.multiply(t, stage_rows[st - low][1], out=t)
+        _mod(ctx, t, quot, out=y)
+        if done % 3 == 0:
+            _mod(ctx, x, quot)
+    head = a[:, :span]
+    np.multiply(head, scale, out=head)
+    _mod(ctx, head, work)
 
 
 def _fold(d: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
-    """d mod (z^width - 1) in out, which may be d.  d_lo + d_hi goes into
-    out, and halves again while two chunks are left or a chunk is wider
-    than _SUM_WIDTH elements; the chunks then left sum at once into the
-    rows after them, by a matmul with a row of ones of stride 0.  A halving
-    takes a numpy call, and np.sum over a reshape a pass of numpy's loop
-    per chunk: on two columns 4096 rows fold to 2 in 8-11 us, against
-    18-26 us by halving and 44-53 us by np.sum (best of 15, two runs,
-    shared 2-core VM).
+    """d mod (z^width - 1) in out, which may be d, on every row.  d_lo + d_hi
+    goes into out, and halves again while two chunks are left or a chunk
+    (over every row) is wider than _SUM_WIDTH elements; the chunks then
+    left sum at once into the slots after them, by a matmul with a row of
+    ones of stride 0.  A halving takes a numpy call, and np.sum over a
+    reshape a pass of numpy's loop per chunk: on two columns 4096 rows fold
+    to 2 in 8-11 us, against 18-26 us by halving and 44-53 us by np.sum
+    (best of 15, two runs, shared 2-core VM).
     """
-    h = len(d) // 2
+    h = d.shape[1] // 2
     if h < width:
         if d is not out:
-            np.copyto(out[:width], d)
-            d = out[:width]
+            np.copyto(out[:, :width], d)
+            d = out[:, :width]
         return d
-    d = np.add(d[:h], d[h:], out=out[:h])
-    while h > width and (h == 2 * width or width * d.shape[1] > _SUM_WIDTH):
+    d = np.add(d[:, :h], d[:, h:], out=out[:, :h])
+    while h > width and (h == 2 * width or width * d.shape[0] > _SUM_WIDTH):
         h //= 2
-        d = np.add(d[:h], d[h:], out=d[:h])
+        d = np.add(d[:, :h], d[:, h:], out=d[:, :h])
     if h == width:
         return d
     ones = np.ndarray((h // width,), np.int64, _ONE, 0, (0,))
-    return np.matmul(ones, d.reshape(h // width, -1), out=out[h:h + width].reshape(-1)
-                     ).reshape(width, -1)
+    return np.matmul(ones, d.reshape(len(d), h // width, width), out=out[:, h:h + width])
 
 
 def _break(ctx: FieldCtx, a: np.ndarray, plan: Plan, work: np.ndarray) -> None:
-    """:func:`tftlib.ctft.break_in_place` on every column of a, by halving.
+    """:func:`tftlib.ctft.break_in_place` on every row of a, by halving.
 
     The images f_i = f mod (z^(n_i) + 1) are those of the ``mateer``
     chain: from C = f mod (z^N - 1), halving at m = n_1, ..., n_s, block i
     takes C_lo - C_hi where m = n_i, and C becomes C_lo + C_hi.  The first
-    C is f, its upper half the rows y past block 1: block 1 is f_1 - y, and
-    the next C, folded to 2 n_2 rows at once, is f_1 folded plus y.  C
+    C is f, its upper half the slots y past block 1: block 1 is f_1 - y,
+    and the next C, folded to 2 n_2 slots at once, is f_1 folded plus y.  C
     lives in the work buffer and only the images are reduced: after j
     halvings every value lies in (-2^j p, 2^j p), 2^j < N <= 2^(two-adicity)
     < p < 2^31, so within p^2 < 2^62.
     """
     sizes, offsets = plan.sizes, plan.offsets
-    t = len(a) - sizes[0]
-    first, y = a[:sizes[0]], a[sizes[0]:]
+    t = a.shape[1] - sizes[0]
+    first, y = a[:, :sizes[0]], a[:, sizes[0]:]
     c = _fold(first, 2 * sizes[1], work[:first.size].reshape(first.shape))
-    c[:t] += y
-    first[:t] -= y
+    c[:, :t] += y
+    first[:, :t] -= y
     for i in range(2, plan.s + 1):
         ni = sizes[i - 1]
         c = _fold(c, 2 * ni, c)
-        np.subtract(c[:ni], c[ni:], out=a[offsets[i - 1]:offsets[i - 1] + ni])
-    _mod(ctx, a[:t], work)
+        np.subtract(c[:, :ni], c[:, ni:], out=a[:, offsets[i - 1]:offsets[i - 1] + ni])
+    _mod(ctx, a[:, :t], work)
     _mod(ctx, y, work)
 
 
 def _unbreak(ctx: FieldCtx, a: np.ndarray, plan: Plan, work: np.ndarray) -> None:
-    """:func:`tftlib.ctft.unbreak_in_place` on every column of a, by a carry.
+    """:func:`tftlib.ctft.unbreak_in_place` on every row of a, by a carry.
 
     The list path's phase 1 leaves the remainder r_i in block i; as
     z^(n_l) + 1 = 2 mod z^(n_i) + 1 for l < i, f_i = S_i mod z^(n_i) + 1,
@@ -327,29 +483,29 @@ def _unbreak(ctx: FieldCtx, a: np.ndarray, plan: Plan, work: np.ndarray) -> None
     2^(i-1) r_i lies in (-M_i p, (M_i + 1) p), within n p < p^2 < 2^62.
     It is reduced once, before the halvings multiply it.
     """
-    k = a.shape[1]
+    k = a.shape[0]
     sizes, offsets, tails = plan.sizes, plan.offsets, plan.tails
     s = plan.s
-    c = _fold(a[:sizes[0]], 2 * sizes[1], work[:sizes[0] * k].reshape(-1, k))
+    c = _fold(a[:, :sizes[0]], 2 * sizes[1], work[:sizes[0] * k].reshape(k, -1))
     for i in range(2, s + 1):
         ni = sizes[i - 1]
         c = _fold(c, 2 * ni, c)
-        blk = a[offsets[i - 1]:offsets[i - 1] + ni]
-        lo, hi = c[:ni], c[ni:]
+        blk = a[:, offsets[i - 1]:offsets[i - 1] + ni]
+        lo, hi = c[:, :ni], c[:, ni:]
         blk += hi
         if i < s:
             np.add(blk, hi, out=hi)  # f_i + 2 C_hi
         blk -= lo
         c = hi
-    rest = a[sizes[0]:]
+    rest = a[:, sizes[0]:]
     _mod(ctx, rest, work)
     halvings = [pow(ctx.half, i, ctx.p) for i in range(1, s)]
-    rest *= halvings[0] if s == 2 else _counted(ctx, np.repeat(halvings, sizes[1:]))[:, None]
+    rest *= halvings[0] if s == 2 else _counted(ctx, np.repeat(halvings, sizes[1:]))
     _mod(ctx, rest, work)
     for i in range(s - 1, 0, -1):
-        blk = a[offsets[i - 1]:offsets[i - 1] + tails[i]]
-        blk += a[offsets[i]:]
-    _mod(ctx, a[:offsets[-2] + tails[-2]], work)  # the slots the loop added to
+        blk = a[:, offsets[i - 1]:offsets[i - 1] + tails[i]]
+        blk += a[:, offsets[i]:]
+    _mod(ctx, a[:, :offsets[-2] + tails[-2]], work)  # the slots the loop added to
 
 
 def multiply(ctx: FieldCtx, f, g, n: int, plan: Plan | None, e: int) -> list[int]:
@@ -359,10 +515,12 @@ def multiply(ctx: FieldCtx, f, g, n: int, plan: Plan | None, e: int) -> list[int
     and the unbreak, and unless ``e`` is 0 the two Omega_s scalings,
     Omega_s = omega_N**e (``bridge._grid_twist``)."""
     sizes = plan.sizes if plan else (n,)
+    twist = 1 if plan else 0
     a = _load(ctx, f, g, n)  # TypeError before any work
     work = _counted(ctx, np.empty(2 * n, np.int64))
     _mod(ctx, a, work)
     tables = _tables(ctx, plan.N if plan else n, work)
+    _matrices(ctx)
     if e:
         exps = work[:n]  # k e, then -k e, in the free work buffer
         exps[0], exps[1:] = 0, e
@@ -371,15 +529,15 @@ def multiply(ctx: FieldCtx, f, g, n: int, plan: Plan | None, e: int) -> list[int
         for row in scales:  # Omega_s**k, then Omega_s**(-k)
             tables[0].take(np.bitwise_and(exps, plan.N - 1, out=exps), out=row, mode="clip")
             np.negative(exps, out=exps)
-        _mod(ctx, np.multiply(a, scales[0, :, None], out=a), work)
-    twiddles = _twiddles(ctx, sizes, tables, 1 if plan else 0)
+        _mod(ctx, np.multiply(a, scales[0], out=a), work)
+    twiddles = _twiddles(ctx, sizes, tables, twist)
     if plan:
         _break(ctx, a, plan, work)
-    _transform(ctx, a, sizes, twiddles, work, False)
-    h = _mod(ctx, np.multiply(a[:, :1], a[:, 1:]), work)  # the pointwise product
-    _transform(ctx, h, sizes, twiddles, work, True)
+    _transform(ctx, a, twiddles, twist, work, False)
+    h = _mod(ctx, np.multiply(a[:1], a[1:]), work)  # the pointwise product
+    _transform(ctx, h, twiddles, twist, work, True)
     if plan:
         _unbreak(ctx, h, plan, work)
     if e:
-        _mod(ctx, np.multiply(h, scales[1, :, None], out=h), work)
-    return h[:len(f) + len(g) - 1, 0].tolist()
+        _mod(ctx, np.multiply(h, scales[1], out=h), work)
+    return h[0, :len(f) + len(g) - 1].tolist()

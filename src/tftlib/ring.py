@@ -164,7 +164,7 @@ class FieldCtx:
     """The field Z/pZ for an odd prime p, with its counters.
 
     Immutable after construction except for the counters and the tables
-    that row products build once per padded length.  A context may be
+    that row products build once per padded length and once per field.  A context may be
     shared across threads only if each thread runs its own count session and
     transforms its own buffers; the library itself is single-threaded.
     """
@@ -183,6 +183,7 @@ class FieldCtx:
         self.ops = OpCount()
         self.scratch_allocated = 0
         self.row_tables = {}  # by padded length, built by tftlib._rows
+        self.row_dft = None  # the rows' base-case matrices, built by tftlib._rows
 
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p})"

@@ -168,58 +168,165 @@ def test_inverse_rows_take_their_largest_sums(field, n, path):
         assert _product(field, f, [1], path) == f
 
 
-@pytest.mark.parametrize("twist", (0, 1))
-@pytest.mark.parametrize("start", range(6))
-def test_forward_rows_take_their_largest_sums(field, start, twist):
-    # The forward rows reduce their prefix only after every fourth stage.
+def _drive_forward_sums(field, N: int, start: int, twist: int) -> None:
     # An input of degree below M = N / 2^start passes the first `start`
     # stages unchanged into each of its 2^start chunks of M slots.  A stage
     # pairs slot x with slot y, multiplies y by the twiddle w of their row
     # and reduces it to t, then x takes x + t and y takes x - t; in chunk r,
     # a y that is -1/w alone in its chain makes t = p - 1.  So slot M/32
-    # gains p - 1 in each of four stages and reaches 5 (p - 1), and slot
-    # M/2 + M/4 + M/8 + M/16 loses it four times and reaches -4 (p - 1):
-    # for start 0 and 4, the extremes of the prefix before its reduction.
-    # Slot M/32 then meets the twiddle of row 16 r, r the chunk where that
-    # is largest: for start 5, a copy that reduces every fifth stage
-    # overflows int64 there over p = 2013265921 and 2130706433.
-    p, N = field.p, 1024
+    # gains p - 1 in each of the g = min(4, stages - start) stages u >= 64
+    # left and reaches (g + 1)(p - 1), and slot M/2 + ... + M/2^g loses it
+    # g times.  Slot M/32 then meets the twiddle of its row at the next
+    # stage or, past the last, the twist of its base-case chunk, in the
+    # chunk r where that is largest.  The rows must equal the list dwt.
+    p = field.p
     M = N >> start
     work = np.empty(2 * N, np.int64)
-    # twist 1 reads the octaves of a padded length 2N, as a block of a product does
+    # twist 1 reads the tables of a padded length 2N, as a block of a product does
     twiddles = _rows._twiddles(field, [N], _rows._tables(field, N << twist, work), twist)
+    _rows._matrices(field)
+    stages = len(twiddles[0])
+    gains = min(4, stages - start)
 
-    def w(e, row):  # the forward twiddle of `row` at stage start + e
-        return int(twiddles[0][N.bit_length() - 1 - start - e][0][row, 0])
+    def w(e, r, last=False):  # what chunk r's first (or last) row meets at step start + e
+        if start + e > stages:  # the twist of slot M/32, in base-case chunk r M/64
+            return int(twiddles[1][0][2][r * M // 64, (M >> 5) % 64])
+        rows = 1 << (e - 1)
+        return int(twiddles[0][stages - start - e][0][r * rows + (rows - 1 if last else 0), 0])
 
-    r = max(range(1 << start), key=lambda r: abs(w(5, r << 4)))
+    r = max(range(1 << start), key=lambda r: abs(w(gains + 1, r)))
     f = [0] * N
     f[M >> 5] = p - 1
-    for e in range(1, 5):
-        f[(M >> 5) + (M >> e)] = -pow(w(e, r << (e - 1)), -1, p) % p
-        f[M >> e] = -pow(w(e, (r + 1 << (e - 1)) - 1), -1, p) % p
-    a = np.array(f, np.int64)[:, None]
-    _rows._transform(field, a, [N], twiddles, work, False)
+    for e in range(1, gains + 1):
+        f[(M >> 5) + (M >> e)] = -pow(w(e, r), -1, p) % p
+        f[M >> e] = -pow(w(e, r, last=True), -1, p) % p
+    a = np.array([f], np.int64)
+    _rows._transform(field, a, twiddles, twist, work, False)
     dwt(field, f, N, twist)
-    assert a[:, 0].tolist() == f
+    assert a[0].tolist() == f
+
+
+@pytest.mark.parametrize("twist", (0, 1))
+@pytest.mark.parametrize("start", range(6))
+def test_forward_rows_take_their_largest_sums(field, start, twist):
+    # The forward rows reduce their prefix only after every fourth stage
+    # u >= 64; at N = 2^15 there are nine.  Four stages drive the prefix to
+    # its extremes before a reduction, 5 (p - 1) and -4 (p - 1), for start
+    # 0 and 4 (_drive_forward_sums).  For start 5 those four are stages 6 to
+    # 9, and the twist of the base case follows: a copy that reduces every
+    # fifth stage overflows int64 there over p = 2013265921 and 2130706433.
+    _drive_forward_sums(field, 2**15, start, twist)
+
+
+@pytest.mark.parametrize("twist", (0, 1))
+def test_base_case_twist_takes_its_largest_inputs(field, twist):
+    # After the last reduction of the forward prefix, at most three stages
+    # run before the base case's twist, so it multiplies values in [-3p,
+    # 4p) by a balanced lambda**i: below 2p^2 < 2^63.  At N = 2^13 there are
+    # seven stages u >= 64, and stages 5 to 7 drive slot M/32 to 4 (p - 1)
+    # (_drive_forward_sums, start 4): a copy whose twists lie in [0, p)
+    # overflows int64 there over p = 2013265921 and 2130706433.
+    _drive_forward_sums(field, 2**13, 4, twist)
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("n", [64, 65, 127, 128, 2**12 + 2**5 + 2**4, 2**12 + 96])
+def test_base_case_takes_its_largest_sums(n, path):
+    # The base case's float sums are exact while a residue times a 16-bit
+    # limb, summed over 64 slots, stays below 2^53; they are largest over
+    # the largest prime here when every input is p - 1.  Operands of p - 1
+    # feed the forward base case those, and on the padded and cyclotomic
+    # paths the product of [1] and the list inverse of p - 1 in every slot
+    # but the last (as in test_inverse_rows_take_their_largest_sums) starts
+    # the inverse base case from them.  The lengths run blocks below 64
+    # slots in the base case beside chunks of larger ones: 65 = 64 + 1, 127
+    # = 64 + 32 + ... + 1, 2^12 + 96 = 2^12 + 64 + 32.
+    field = FieldCtx(2130706433)
+    p = field.p
+    cases = [([p - 1] * (n // 2 + 1), [p - 1] * (n - n // 2))]
+    if path != "bitreversed":
+        size = 1 << (n - 1).bit_length() if path == "padded" else n
+        top = [p - 1] * (size - 1) + [1]
+        if path == "padded":
+            ifft_in_place(field, top, size)
+        else:
+            ctft_inverse(field, top, plan_new(size, field))
+        assert top[-1] != 0  # the product has length size
+        cases.append((top, [1]))
+    for f, g in cases:
+        want, counts = _reference(field, f, g, path)
+        with field.count_session() as sess:
+            h = _product(field, f, g, path)
+        assert h == want
+        assert (sess.mul, sess.pow2, sess.add) == counts
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_row_tables_match_their_definition(p):
-    # powers[j] = omega_N**j in [0, p); base[0, r] and base[1, r] are
-    # omega_N**(+-rev(r)), rev over log2(N/2) bits, balanced into
-    # (-p/2, p/2]; the octave of m, at N/2 - 2m, is base[:, m:2m]
+    # the tables of N: powers[j] = omega_N**j in [0, p); base[0, r] and
+    # base[1, r] are omega_N**(+-rev(r)) for r < N/128, rev over log2(N/2)
+    # bits, balanced into (-p/2, p/2]; the octave of m, at N/128 - 2m, is
+    # base[:, m:2m]; twists[c, i] = lambda_c**i and unwind[c] =
+    # lambda_c**(-63), lambda_c = omega_N**rev(c), rev over log2(N/64) bits,
+    # balanced
     ctx = FieldCtx(p)
-    for k in range(2, 15):
-        N, half = 1 << k, 1 << (k - 1)
-        powers, base, octaves = _rows._tables(ctx, N, np.empty(2 * N, np.int64))
+
+    def balanced(values):
+        return [x - p if x > p // 2 else x for x in values]
+
+    for k in range(5, 15):  # N >= 32, as in every row product
+        N, half = 1 << k, 1 << k >> 7
+        powers, base, octaves, twists, unwind = _rows._tables(ctx, N, np.empty(2 * N, np.int64))
         w = ctx.roots[k]
         assert powers.tolist() == [pow(w, j, p) for j in range(N)]
         for sign, row in zip((1, -1), base[:, :, 0]):
             want = [pow(w, sign * bit_reverse(r, k - 1), p) for r in range(half)]
-            assert row.tolist() == [x - p if x > p // 2 else x for x in want], (N, sign)
-        for m in (half >> e for e in range(1, k)):
+            assert row.tolist() == balanced(want), (N, sign)
+        for m in (half >> e for e in range(1, max(half.bit_length(), 1))):
             assert np.array_equal(octaves[:, half - 2 * m:half - m], base[:, m:2 * m]), (N, m)
+        assert twists.shape == (N >> 6, 64) and unwind.shape == (N >> 6, 1)
+        for c in range(N >> 6):
+            lam = pow(w, bit_reverse(c, k - 6), p)
+            assert twists[c].tolist() == balanced([pow(lam, i, p) for i in range(64)]), (N, c)
+            assert unwind[c].tolist() == balanced([pow(lam, -63, p)]), (N, c)
+    # the base case's forward matrix holds zeta**(i rev(j)) in row i and
+    # column j, the inverse one zeta**(-i rev(j)) in row j and column i,
+    # zeta = omega_64 and rev over six bits, each residue as its low 16 bits
+    # in column 2c and the rest in column 2c + 1; forward times inverse is
+    # 64 I mod p
+    mats = _rows._matrices(ctx)
+    assert mats.dtype == np.float64 and mats.shape == (2, 64, 128)
+    assert mats[:, :, 0::2].max() < 2**16 and mats[:, :, 1::2].max() < 2**15
+    forward, inverse = ([[int(lo) + (int(hi) << 16) for lo, hi in zip(row[0::2], row[1::2])]
+                         for row in mat] for mat in mats)
+    zeta = ctx.roots[6]
+    for i in range(64):
+        for j in range(64):
+            assert forward[i][j] == pow(zeta, i * bit_reverse(j, 6), p), (i, j)
+            assert inverse[j][i] == pow(zeta, -i * bit_reverse(j, 6), p), (i, j)
+    for i in range(64):
+        for j in range(64):
+            dot = sum(forward[i][m] * inverse[m][j] for m in range(64)) % p
+            assert dot == (64 if i == j else 0), (i, j)
+
+
+def test_a_field_builds_its_base_case_matrices_once():
+    # field set-up, as ctx.roots: 128 KiB that the first row product builds
+    # and does not report as scratch, and that every later product reads
+    ctx = FieldCtx()
+    assert ctx.row_dft is None
+    f, g = _operands(ctx.p, 128, 1)
+    with ctx.count_session() as sess:
+        _product(ctx, f, g, "padded")
+    mats = ctx.row_dft
+    assert mats.nbytes == 128 * 1024
+    # the scratch is the tables of padded length 128 and the work buffer
+    assert sess.alloc == sum(table.size for table in ctx.row_tables[128]) + 2 * 128
+    for n in (29, 65, 257, 1025):
+        for path in PATHS:
+            f, g = _operands(ctx.p, n, n)
+            _product(ctx, f, g, path)
+            assert ctx.row_dft is mats, (n, path)
 
 
 @pytest.mark.parametrize("path", PATHS)
