@@ -209,11 +209,11 @@ def _matrices(ctx: FieldCtx) -> np.ndarray:
     """The base case's matrices over ctx, built once per field: the forward
     one, zeta**(i rev(j)) in row i and column j, and the unnormalised
     inverse, zeta**(-i rev(j)) in row j and column i, zeta = omega_64 and
-    rev over six bits, as float64 of shape (2, 64, 128).  Column 2c holds
-    the low 16 bits of column c's residues in [0, p), and column 2c + 1 the
-    rest, shifted down, so that the columns of a block are one slice.
-    Their points zeta**(+-rev(j)) grow from the ladder by doubling (entries
-    [m, 2m) times omega_(2m)**(+-1)), and their powers by :func:`_powers`.
+    rev over six bits, as float64 of shape (2, 2, 64, 64): [d, 0] holds the
+    low 16 bits of direction d's residues in [0, p), and [d, 1] the rest,
+    shifted down.  Their points zeta**(+-rev(j)) grow from the ladder by
+    doubling (entries [m, 2m) times omega_(2m)**(+-1)), and their powers by
+    :func:`_powers`.
     """
     if ctx.row_dft is None:
         ints = np.empty((2, _BASE, _BASE), np.int64)  # the points' powers in row j
@@ -222,10 +222,7 @@ def _matrices(ctx: FieldCtx) -> np.ndarray:
             table[:, 0] = 1
             _powers(ctx, table, None)
         ints[0] = ints[0].T.copy()
-        mats = np.empty((2, _BASE, 2 * _BASE))
-        mats[:, :, 0::2] = ints & ((1 << _LIMB) - 1)
-        mats[:, :, 1::2] = ints >> _LIMB
-        ctx.row_dft = mats
+        ctx.row_dft = np.stack([ints & ((1 << _LIMB) - 1), ints >> _LIMB], axis=1).astype(float)
     return ctx.row_dft
 
 
@@ -291,27 +288,28 @@ def _base(ctx: FieldCtx, a: np.ndarray, chunks, small, span: int, twist: int,
     of ``chunks`` (already twisted) times the forward or inverse matrix, and
     each block of ``small`` times the columns or rows of its twist.
 
-    A row's first ``span`` slots turn into float64 where they lie, and the
-    limbs' sums go to the work buffer as float64, lo and hi side by side;
-    turned into int64 where they lie, they recombine into the row.
+    A row's first ``span`` slots turn into float64 where they lie.  The
+    low and the high limbs' sums go to the two halves of the work buffer as
+    float64, both limbs of a block by one matmul; turned into int64 where
+    they lie, they recombine into the row.
     """
     mats = ctx.row_dft[1 if inverse else 0]
     top = sum(c[1] for c in chunks)
     sums = work[:2 * span]
-    fsums = sums.view(np.float64)
-    lo, hi = sums[0::2], sums[1::2]
+    fsums = sums.view(np.float64).reshape(2, span)
+    lo, hi = sums[:span], sums[span:]
     for row in a:
         x = row[:span]
         fx = x.view(np.float64)
         np.copyto(fx, x, casting="unsafe")
         if top:
             np.matmul(fx[:top].reshape(-1, _BASE), mats,
-                      out=fsums[:2 * top].reshape(-1, 2 * _BASE))
+                      out=fsums[:, :top].reshape(2, -1, _BASE))
         for off, ni in small:
             c = twist * ni
-            part = mats[c:c + ni, :2 * ni] if inverse else mats[:ni, 2 * c:2 * (c + ni)]
-            np.matmul(fx[off:off + ni], part, out=fsums[2 * off:2 * (off + ni)])
-        np.copyto(sums, fsums, casting="unsafe")
+            part = mats[:, c:c + ni, :ni] if inverse else mats[:, :ni, c:c + ni]
+            np.matmul(fx[off:off + ni], part, out=fsums[:, off:off + ni])
+        np.copyto(sums, fsums.reshape(-1), casting="unsafe")
         _mod(ctx, hi, x)
         np.left_shift(hi, _LIMB, out=hi)
         np.add(lo, hi, out=lo)
@@ -385,13 +383,8 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, twist: int, work: np.ndar
             x, y, t = stage(st)
             np.multiply(y, stage_rows[st - low][0], out=t)
             _mod(ctx, t, quot)
-            # y <- x - t and x <- x + t = 2x - (x - t), with no call writing
-            # y or x from the other: numpy copies an input whose span
-            # overlaps the output's first
-            np.subtract(x, t, out=t)
-            np.add(x, x, out=x)
-            np.subtract(x, t, out=x)
-            np.copyto(y, t)
+            np.subtract(x, t, out=y)
+            np.add(x, t, out=x)
             if done % 4 == 0:
                 _mod(ctx, a[:, :x.shape[1] * 2 << st], work)
         rotate(lambda rows, unwind: rows)  # lambda**i
@@ -403,8 +396,7 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, twist: int, work: np.ndar
     for done, st in enumerate(stages, 1):
         x, y, t = stage(st)
         np.subtract(x, y, out=t)
-        np.add(x, x, out=x)  # x + y = 2x - (x - y), as in the forward stage
-        np.subtract(x, t, out=x)
+        np.add(x, y, out=x)
         np.multiply(t, stage_rows[st - low][1], out=t)
         _mod(ctx, t, quot, out=y)
         if done % 3 == 0:

@@ -292,13 +292,12 @@ def test_row_tables_match_their_definition(p):
     # the base case's forward matrix holds zeta**(i rev(j)) in row i and
     # column j, the inverse one zeta**(-i rev(j)) in row j and column i,
     # zeta = omega_64 and rev over six bits, each residue as its low 16 bits
-    # in column 2c and the rest in column 2c + 1; forward times inverse is
-    # 64 I mod p
+    # in limb 0 and the rest in limb 1; forward times inverse is 64 I mod p
     mats = _rows._matrices(ctx)
-    assert mats.dtype == np.float64 and mats.shape == (2, 64, 128)
-    assert mats[:, :, 0::2].max() < 2**16 and mats[:, :, 1::2].max() < 2**15
-    forward, inverse = ([[int(lo) + (int(hi) << 16) for lo, hi in zip(row[0::2], row[1::2])]
-                         for row in mat] for mat in mats)
+    assert mats.dtype == np.float64 and mats.shape == (2, 2, 64, 64)
+    assert mats[:, 0].max() < 2**16 and mats[:, 1].max() < 2**15
+    forward, inverse = (lo.astype(np.int64) + (hi.astype(np.int64) << 16) for lo, hi in mats)
+    forward, inverse = forward.tolist(), inverse.tolist()
     zeta = ctx.roots[6]
     for i in range(64):
         for j in range(64):
