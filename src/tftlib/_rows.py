@@ -148,9 +148,10 @@ def _grow(ctx: FieldCtx, row: np.ndarray, ladder, work: np.ndarray | None) -> np
 
 
 def _powers(ctx: FieldCtx, table: np.ndarray, work: np.ndarray | None) -> None:
-    """Fill columns 2..63 of ``table`` with the powers of its column 1, by
+    """Fill column i of ``table`` with the i-th powers of its column 1, by
     doubling: column m is column m/2 squared, and columns [m + 1, 2m) are
-    columns [1, m) times column m.  Column 0 is left as it is."""
+    columns [1, m) times column m."""
+    table[:, 0] = 1
     for m in (2, 4, 8, 16, 32):
         _mod(ctx, np.multiply(table[:, m // 2], table[:, m // 2], out=table[:, m]), work)
         _mod(ctx, np.multiply(table[:, 1:m], table[:, m:m + 1], out=table[:, m + 1:2 * m]),
@@ -184,19 +185,18 @@ def _tables(ctx: FieldCtx, N: int, work: np.ndarray) -> tuple:
     tables = ctx.row_tables.get(N)
     if tables is None:
         k = N.bit_length() - 1
-        half = N >> 7
+        half, rows = N >> 7, N >> 6  # b rungs grow a row of 2^b entries, none an empty one
         powers = _grow(ctx, _counted(ctx, np.empty(N, np.int64)), ctx.roots[k:0:-1], work)
         base = _counted(ctx, np.empty((2, half), np.int64))
         for row, ladder in zip(base, (ctx.roots, ctx.inv_roots)):
-            _grow(ctx, row, ladder[2:k - 5], work)
+            _grow(ctx, row, ladder[2:half.bit_length() + 1], work)
         octaves = _counted(ctx, np.concatenate([base[:, :0]] + [  # empty below N = 256
             base[:, m:2 * m] for m in (half >> e for e in range(1, half.bit_length()))], axis=1))
-        twists = _counted(ctx, np.empty((N >> 6, _BASE), np.int64))
-        twists[:, 0] = 1
-        _grow(ctx, twists[:, 1], ctx.roots[7:k + 1], work)
+        twists = _counted(ctx, np.empty((rows, _BASE), np.int64))
+        _grow(ctx, twists[:, 1], ctx.roots[7:rows.bit_length() + 6], work)
         _powers(ctx, twists, work)
-        unwind = _counted(ctx, np.empty((N >> 6, 1), np.int64))
-        _grow(ctx, unwind[:, 0], ctx.inv_roots[1:k - 5], work)
+        unwind = _counted(ctx, np.empty((rows, 1), np.int64))
+        _grow(ctx, unwind[:, 0], ctx.inv_roots[1:rows.bit_length()], work)
         _mod(ctx, np.multiply(unwind, twists[:, 1:2], out=unwind), work)
         for table in (base, octaves, twists, unwind):
             np.subtract(table, ctx.p, out=table, where=table > ctx.p // 2)
@@ -219,10 +219,11 @@ def _matrices(ctx: FieldCtx) -> np.ndarray:
         ints = np.empty((2, _BASE, _BASE), np.int64)  # the points' powers in row j
         for table, ladder in zip(ints, (ctx.roots, ctx.inv_roots)):
             _grow(ctx, table[:, 1], ladder[1:7], None)
-            table[:, 0] = 1
             _powers(ctx, table, None)
         ints[0] = ints[0].T.copy()
-        ctx.row_dft = np.stack([ints & ((1 << _LIMB) - 1), ints >> _LIMB], axis=1).astype(float)
+        mats = ctx.row_dft = np.empty((2, 2, _BASE, _BASE))
+        mats[:, 0] = ints & ((1 << _LIMB) - 1)
+        mats[:, 1] = ints >> _LIMB
     return ctx.row_dft
 
 

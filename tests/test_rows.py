@@ -274,7 +274,7 @@ def test_row_tables_match_their_definition(p):
     def balanced(values):
         return [x - p if x > p // 2 else x for x in values]
 
-    for k in range(5, 15):  # N >= 32, as in every row product
+    for k in range(2, 15):
         N, half = 1 << k, 1 << k >> 7
         powers, base, octaves, twists, unwind = _rows._tables(ctx, N, np.empty(2 * N, np.int64))
         w = ctx.roots[k]
