@@ -213,10 +213,12 @@ def _matrices(ctx: FieldCtx) -> np.ndarray:
     low 16 bits of direction d's residues in [0, p), and [d, 1] the rest,
     shifted down.  Their points zeta**(+-rev(j)) grow from the ladder by
     doubling (entries [m, 2m) times omega_(2m)**(+-1)), and their powers by
-    :func:`_powers`.
+    :func:`_powers`.  A field of two-adicity 5 has no zeta: its points stop
+    at j < 32, the others are 0, and no product reads them, since every
+    padded length there is 32.
     """
     if ctx.row_dft is None:
-        ints = np.empty((2, _BASE, _BASE), np.int64)  # the points' powers in row j
+        ints = np.zeros((2, _BASE, _BASE), np.int64)  # the points' powers in row j
         for table, ladder in zip(ints, (ctx.roots, ctx.inv_roots)):
             _grow(ctx, table[:, 1], ladder[1:7], None)
             _powers(ctx, table, None)

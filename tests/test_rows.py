@@ -309,6 +309,16 @@ def test_row_tables_match_their_definition(p):
             assert dot == (64 if i == j else 0), (i, j)
 
 
+@pytest.mark.parametrize("path", PATHS)
+def test_a_field_with_no_64th_root_takes_the_rows(path):
+    # over 97 (two-adicity 5) a product of length 29..32 runs in rows at
+    # padded length 32, whose base case reads the points j < 32 alone
+    ctx = FieldCtx(97)
+    for n in range(_ROWS_MIN, 33):
+        f, g = _operands(ctx.p, n, n)
+        assert _product(ctx, f, g, path) == oracle.schoolbook_mul(f, g, ctx.p), n
+
+
 def test_a_field_builds_its_base_case_matrices_once():
     # field set-up, as ctx.roots: 128 KiB that the first row product builds
     # and does not report as scratch, and that every later product reads
