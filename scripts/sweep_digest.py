@@ -9,10 +9,13 @@ Usage, with CHECKOUT holding ``src/tftlib``:
 
 The checkout's ``src/`` goes first on the import path.  Each prime gets one
 fresh ``FieldCtx``, and the calls run in a fixed order on seeded operands,
-so the row tables a field builds once land on the same call in every
-checkout.  One line per (entry point, p, n): the entry point, p, n, a short
-hash of the outputs, then the call's (mul, pow2, add) and the scratch
-elements it reports (``alloc``).  After each prime's calls, one line per
+so what a field builds once (row tables, product plans) lands on the same
+call in every checkout.  One line per (entry point, p, n): the entry point,
+p, n, a short hash of the outputs, then the call's (mul, pow2, add) and the
+scratch elements it reports (``alloc``).  Then every product runs a second
+time on the same field and operands, one line each, its entry point
+prefixed ``again:``, so a product that reads what an earlier one built is
+diffed too.  After each prime's calls, one line per
 padded length in ``ctx.row_tables``: ``row_tables``, p, N and a short hash
 of the bytes of each of its arrays, so a change to how the tables are built
 shows even in entries no product reads; then, where a row product built
@@ -60,6 +63,14 @@ def main(argv=None) -> int:
 
     for p, top in PRIMES.items():
         ctx = t.FieldCtx(p)
+
+        def run(name, n, fn, a, *rest):
+            with ctx.count_session() as sess:
+                out = fn(ctx, a, *rest)
+            print(f"{name} {p} {n} {digest(a if out is None else out)} "
+                  f"{sess.mul} {sess.pow2} {sess.add} {sess.alloc}")
+
+        products = {}
         for n in lengths(top):
             rng = random.Random(p * 100003 + n)
             la = rng.randint(1, n)  # a product of length n
@@ -67,20 +78,18 @@ def main(argv=None) -> int:
             g = [rng.randrange(p) for _ in range(n - la)] + [rng.randrange(1, p)]
             buf = [rng.randrange(p) for _ in range(n)]
             plan = t.plan_new(n, ctx)
-            calls = [("multiply_full_fft", t.multiply_full_fft, (f, g))]
-            calls += [(f"multiply_tft:{path}", t.multiply_tft, (f, g, path))
-                      for path in ("cyclotomic", "bitreversed")]
-            calls += [(f"ctft_forward:{engine}", t.ctft_forward, (buf, plan, engine))
-                      for engine in t.ENGINES]
-            calls += [(fn.__name__, fn, (buf, plan))
-                      for fn in (t.ctft_inverse, t.brtft_forward, t.brtft_inverse)]
-            for name, fn, (a, *rest) in calls:
-                if a is buf:  # a transform works in place, on a copy
-                    a = list(buf)
-                with ctx.count_session() as sess:
-                    out = fn(ctx, a, *rest)
-                print(f"{name} {p} {n} {digest(a if out is None else out)} "
-                      f"{sess.mul} {sess.pow2} {sess.add} {sess.alloc}")
+            products[n] = [("multiply_full_fft", t.multiply_full_fft, (f, g))]
+            products[n] += [(f"multiply_tft:{path}", t.multiply_tft, (f, g, path))
+                            for path in ("cyclotomic", "bitreversed")]
+            for name, fn, args in products[n]:
+                run(name, n, fn, *args)
+            for engine in t.ENGINES:  # a transform works in place, on a copy
+                run(f"ctft_forward:{engine}", n, t.ctft_forward, list(buf), plan, engine)
+            for fn in (t.ctft_inverse, t.brtft_forward, t.brtft_inverse):
+                run(fn.__name__, n, fn, list(buf), plan)
+        for n, calls in products.items():
+            for name, fn, args in calls:
+                run(f"again:{name}", n, fn, *args)
         for N, tables in sorted(ctx.row_tables.items()):
             print(f"row_tables {p} {N} {' '.join(array_digest(table) for table in tables)}")
         if getattr(ctx, "row_dft", None) is not None:

@@ -40,8 +40,14 @@ entries below N/128, which the stages u >= 64 read), and the twist rows,
 N/64 rows of 64, with their lambda_c**(-63).  The two matrices, 128 KiB,
 are field set-up like ``ctx.roots``: built once per field by its first row
 product (``ctx.row_dft``), not counted as scratch.  All grow from the root
-ladder by doubling.  A product slices the tables, or gathers the rows of stages
-whose blocks do not halve one into the next.
+ladder by doubling.  What a product of transform length m reads of them
+depends only on the field and m, so the first row product of length m
+builds it once, into its product plan (``bridge._ProductPlan``,
+:func:`_twiddles`): a view of the tables per stage and per block, and
+1/n_i as one scalar per block; no array of its own, so the plans of every
+length a field meets hold no elements.  Each product only gathers the rows
+of the stages whose blocks do not halve one into the next (only from m =
+640 on), since those would grow with m.
 
 The break and its inverse reach the list path's images without the
 engines' survivor runs.  The break halves z^N - 1, as the ``mateer`` engine
@@ -67,13 +73,14 @@ product, from the closed forms beside the list code that counts them.
 
 Every array this module takes besides the int64 copies of the operands
 and of the product, and besides the field's matrices, is reported in
-``ctx.scratch_allocated``: each table once, and per product a work buffer
-of 2n elements (the stages' products and quotients, the carries, and the
-base case's float sums, one row at a time), the concatenated twiddle rows,
-the per-slot 1/n_i and halvings, and on the bit-reversed path the two
-power rows.  A product of padded length N reports at most 5N elements on
-the padded path, 9N on the cyclotomic one and 10N on the bit-reversed one,
-tables included (``tests/test_rows.py``).
+``ctx.scratch_allocated``, once: each table by the product that builds it,
+and per product a work buffer of 2m elements (the stages' products and
+quotients, the carries, and the base case's float sums, one row at a
+time), the concatenated stage rows, and on the bit-reversed path the two
+power rows.  The 1/n_i and the unbreak's halvings are scalars, one per
+block.  A product of padded length N reports at most 4.1N elements on the
+padded and the cyclotomic path and 6.1N on the bit-reversed one, tables
+included (``tests/test_rows.py``).
 """
 
 from __future__ import annotations
@@ -120,7 +127,7 @@ def _mod(ctx: FieldCtx, x: np.ndarray, work: np.ndarray | None,
     return np.subtract(x, q, out=out)
 
 
-def _load(ctx: FieldCtx, f, g, n: int) -> np.ndarray:
+def load(ctx: FieldCtx, f, g, n: int) -> np.ndarray:
     """Both operands as the rows of a (2, n) int64 buffer, zero-padded, not
     yet reduced.
 
@@ -230,62 +237,68 @@ def _matrices(ctx: FieldCtx) -> np.ndarray:
 
 
 def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int) -> tuple:
-    """Every stage's row twiddles, forward and inverse, from the tables of N,
-    and what the base case reads.
+    """What every product of blocks ``sizes`` at ``twist`` (0 or 1) reads
+    besides the tables of N: views into those tables and per-block scalars,
+    no array of its own.
 
-    Blocks of ``sizes`` take ``twist``, 0 or 1.  At half-length u, row q
-    of block i (m = n_i / 2u rows, n_i = 2^(k-1) u) takes
-    c * omega_(2^(k-1))**rev(q), where c = omega_(2^k)**twist is its first
-    twiddle (as in :func:`tftlib.transform.dwt`).  Entry q of the base
-    row is omega_(2m)**rev(q) for q < m, so twist 0 reads base[q]; its
-    entry m + q is omega_(4m)**(2 rev(q) + 1), which twist 1 reads: the
-    octave [m, 2m) of the base row.  The blocks of a stage have distinct m,
-    one set bit each of n >> (st + 1), which is the stage's row count, so a
-    stage whose m halve from block to block (its bits are contiguous: every
-    stage, when n is 2^k - 1 or 2^k + 1) reads one slice of the octaves;
-    the others concatenate their blocks' octaves.  Likewise the c-th chunk
-    of a block of n_i >= 64 slots reads twist row t n_i/64 + c, and a
-    smaller block the matrix columns [t n_i, (t + 1) n_i).
+    At half-length u, row q of block i (m = n_i / 2u rows, n_i = 2^(k-1) u)
+    takes c * omega_(2^(k-1))**rev(q), where c = omega_(2^k)**twist is its
+    first twiddle (as in :func:`tftlib.transform.dwt`).  Entry q of the base
+    row is omega_(2m)**rev(q) for q < m, so twist 0 reads base[q]; its entry
+    m + q is omega_(4m)**(2 rev(q) + 1), which twist 1 reads: the octave [m,
+    2m) of the base row.  The blocks of a stage have distinct m, one set bit
+    each of n >> (st + 1), which is the stage's row count, so a stage whose
+    m halve from block to block (its bits are contiguous: every stage, when
+    n is 2^k - 1 or 2^k + 1) reads one slice of the octaves; the others
+    read their blocks' octaves, which :func:`_stage_rows` concatenates.
+    Likewise the c-th chunk of a block of n_i >= 64 slots reads twist row t
+    n_i/64 + c, and a smaller block the matrix columns [t n_i, (t + 1) n_i).
 
-    Returns the (forward, inverse) rows of the stages u = 64, 128, ...,
-    each of shape (2, rows, 1); (offset, size, twist rows, their
+    Returns the pieces of the (forward, inverse) rows of the stages u = 64,
+    128, ..., each of shape (2, rows, 1); (offset, size, twist rows, their
     lambda**(-63)) of every block of 64 slots or more; (offset, size) of
     every smaller block but those of one slot, whose transform is the
-    identity; and the 1/n_i of every slot of those blocks, balanced as the
-    rows are: -(p - 1)/n_i.
+    identity; (offset, size, 1/n_i) of each of those blocks, 1/n_i balanced
+    as the rows are: -(p - 1)/n_i; and the slots of the chunks, and of every
+    block but one of one slot.
     """
     _, base, octaves, twists, unwind = tables
     n = sum(sizes)
     half = base.shape[1]
-    rows_at = []
+    stages = []
     for st in range(_BASE.bit_length() - 1, n.bit_length() - 1):
         w = n >> (st + 1)
         if not twist:
-            rows = base[:, :w]
+            pieces = (base[:, :w],)
         elif w & (w + (w & -w)) == 0:  # m halves from block to block
-            top = 1 << (w.bit_length() - 1)
-            rows = octaves[:, half - 2 * top:half - 2 * top + w]
+            lead = 1 << (w.bit_length() - 1)
+            pieces = (octaves[:, half - 2 * lead:half - 2 * lead + w],)
         else:
-            rows = _counted(ctx, np.concatenate(
-                [base[:, 1 << b:2 << b] for b in range(w.bit_length() - 1, -1, -1) if w >> b & 1],
-                axis=1))
-        rows_at.append(rows)
-    chunks, small, offset = [], [], 0
+            pieces = tuple(base[:, 1 << b:2 << b]
+                           for b in range(w.bit_length() - 1, -1, -1) if w >> b & 1)
+        stages.append(pieces)
+    chunks, small, scales, offset = [], [], [], 0
     for ni in sizes:
         if ni >= _BASE:
             rows = slice(twist * ni // _BASE, (twist + 1) * ni // _BASE)
             chunks.append((offset, ni, twists[rows], unwind[rows]))
         elif ni > 1:
             small.append((offset, ni))
+        if ni > 1:
+            scales.append((offset, ni, -((ctx.p - 1) // ni)))
         offset += ni
-    active = [ni for ni in sizes if ni > 1]
-    inv_n = [-((ctx.p - 1) // ni) for ni in active]
-    scale = inv_n[0] if len(active) == 1 else _counted(
-        ctx, np.repeat(np.array(inv_n, np.int64), active))
-    return rows_at, chunks, small, scale
+    top = sum(c[1] for c in chunks)
+    return stages, chunks, small, scales, top, top + sum(ni for _, ni in small)
 
 
-def _base(ctx: FieldCtx, a: np.ndarray, chunks, small, span: int, twist: int,
+def _stage_rows(ctx: FieldCtx, stages) -> list:
+    """The row of each stage: its one piece, or its pieces concatenated,
+    a copy per product, reported."""
+    return [pieces[0] if len(pieces) == 1 else _counted(ctx, np.concatenate(pieces, axis=1))
+            for pieces in stages]
+
+
+def _base(ctx: FieldCtx, a: np.ndarray, chunks, small, top: int, span: int, twist: int,
           work: np.ndarray, inverse: bool) -> None:
     """The base case of every block on every row of a, in [0, p): each chunk
     of ``chunks`` (already twisted) times the forward or inverse matrix, and
@@ -297,7 +310,6 @@ def _base(ctx: FieldCtx, a: np.ndarray, chunks, small, span: int, twist: int,
     they lie, they recombine into the row.
     """
     mats = ctx.row_dft[1 if inverse else 0]
-    top = sum(c[1] for c in chunks)
     sums = work[:2 * span]
     fsums = sums.view(np.float64).reshape(2, span)
     lo, hi = sums[:span], sums[span:]
@@ -361,9 +373,7 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, twist: int, work: np.ndar
     pass multiplies values below 4p, and reduces them.
     """
     k = a.shape[0]
-    stage_rows, chunks, small, scale = twiddles
-    top = sum(c[1] for c in chunks)
-    span = top + sum(ni for _, ni in small)
+    stage_rows, chunks, small, scales, top, span = twiddles
     low = _BASE.bit_length() - 1  # stage st has half-length u = 2^st
 
     def stage(st):
@@ -391,9 +401,9 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, twist: int, work: np.ndar
             if done % 4 == 0:
                 _mod(ctx, a[:, :x.shape[1] * 2 << st], work)
         rotate(lambda rows, unwind: rows)  # lambda**i
-        _base(ctx, a, chunks, small, span, twist, work, False)
+        _base(ctx, a, chunks, small, top, span, twist, work, False)
         return
-    _base(ctx, a, chunks, small, span, twist, work, True)
+    _base(ctx, a, chunks, small, top, span, twist, work, True)
     rotate(lambda rows, unwind: rows[:, ::-1])  # lambda**(63 - i)
     rotate(lambda rows, unwind: unwind)  # lambda**(-63)
     for done, st in enumerate(stages, 1):
@@ -404,9 +414,10 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, twist: int, work: np.ndar
         _mod(ctx, t, quot, out=y)
         if done % 3 == 0:
             _mod(ctx, x, quot)
-    head = a[:, :span]
-    np.multiply(head, scale, out=head)
-    _mod(ctx, head, work)
+    for off, ni, inv_n in scales:
+        blk = a[:, off:off + ni]
+        np.multiply(blk, inv_n, out=blk)
+    _mod(ctx, a[:, :span], work)
 
 
 def _fold(d: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
@@ -494,8 +505,11 @@ def _unbreak(ctx: FieldCtx, a: np.ndarray, plan: Plan, work: np.ndarray) -> None
         c = hi
     rest = a[:, sizes[0]:]
     _mod(ctx, rest, work)
-    halvings = [pow(ctx.half, i, ctx.p) for i in range(1, s)]
-    rest *= halvings[0] if s == 2 else _counted(ctx, np.repeat(halvings, sizes[1:]))
+    halving = 1
+    for i in range(1, s):  # block i + 1 times 2^(-i)
+        halving = halving * ctx.half % ctx.p
+        blk = a[:, offsets[i]:offsets[i] + sizes[i]]
+        blk *= halving
     _mod(ctx, rest, work)
     for i in range(s - 1, 0, -1):
         blk = a[:, offsets[i - 1]:offsets[i - 1] + tails[i]]
@@ -503,29 +517,35 @@ def _unbreak(ctx: FieldCtx, a: np.ndarray, plan: Plan, work: np.ndarray) -> None
     _mod(ctx, a[:, :offsets[-2] + tails[-2]], work)  # the slots the loop added to
 
 
-def multiply(ctx: FieldCtx, f, g, n: int, plan: Plan | None, e: int) -> list[int]:
-    """:func:`tftlib.bridge._multiply` of f and g, trimmed to their degrees,
-    at transform length n.  With no ``plan`` this is one block of the padded
-    length n at twist 0; with a plan (two blocks or more) the break, twist 1
-    and the unbreak, and unless ``e`` is 0 the two Omega_s scalings,
-    Omega_s = omega_N**e (``bridge._grid_twist``)."""
-    sizes = plan.sizes if plan else (n,)
+def multiply(ctx: FieldCtx, a: np.ndarray, n: int, product, e: int) -> list[int]:
+    """:func:`tftlib.bridge._multiply` of the rows of ``a`` (:func:`load`),
+    at transform length m, the rows' length, by its product plan
+    (``bridge._ProductPlan``); the first n slots of the product.  With no
+    ``plan`` this is one block of the padded length m at twist 0; with a
+    plan (two blocks or more) the break, twist 1 and the unbreak, and
+    unless ``e`` is 0 the two Omega_s scalings, Omega_s = omega_N**e.  The
+    first row product of length m over a field fills the plan's ``rows``
+    (:func:`_twiddles`)."""
+    m = a.shape[1]
+    plan = product.plan
     twist = 1 if plan else 0
-    a = _load(ctx, f, g, n)  # TypeError before any work
-    work = _counted(ctx, np.empty(2 * n, np.int64))
+    work = _counted(ctx, np.empty(2 * m, np.int64))
     _mod(ctx, a, work)
-    tables = _tables(ctx, plan.N if plan else n, work)
-    _matrices(ctx)
+    tables = _tables(ctx, plan.N if plan else m, work)
+    if product.rows is None:
+        _matrices(ctx)
+        product.rows = _twiddles(ctx, plan.sizes if plan else (m,), tables, twist)
+    stages, *rest = product.rows
+    twiddles = (_stage_rows(ctx, stages), *rest)
     if e:
-        exps = work[:n]  # k e, then -k e, in the free work buffer
+        exps = work[:m]  # k e, then -k e, in the free work buffer
         exps[0], exps[1:] = 0, e
         np.cumsum(exps, out=exps)
-        scales = _counted(ctx, np.empty((2, n), np.int64))
+        scales = _counted(ctx, np.empty((2, m), np.int64))
         for row in scales:  # Omega_s**k, then Omega_s**(-k)
             tables[0].take(np.bitwise_and(exps, plan.N - 1, out=exps), out=row, mode="clip")
             np.negative(exps, out=exps)
         _mod(ctx, np.multiply(a, scales[0], out=a), work)
-    twiddles = _twiddles(ctx, sizes, tables, twist)
     if plan:
         _break(ctx, a, plan, work)
     _transform(ctx, a, twiddles, twist, work, False)
@@ -535,4 +555,4 @@ def multiply(ctx: FieldCtx, f, g, n: int, plan: Plan | None, e: int) -> list[int
         _unbreak(ctx, h, plan, work)
     if e:
         _mod(ctx, np.multiply(h, scales[1], out=h), work)
-    return h[0, :len(f) + len(g) - 1].tolist()
+    return h[0, :n].tolist()

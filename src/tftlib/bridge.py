@@ -17,7 +17,7 @@ Psi_i(Omega_s z) = -Omega_(i-1)^(n_i) * Phi_i(z).  So:
        the context's root ladder.
 
 At i = 1 the factor is 1/Omega_s, so Omega_s = omega_1**e_1 comes from the
-same twist, evaluated once per call as uncounted set-up.  When n = 2^k there
+same twist, evaluated as uncounted set-up.  When n = 2^k there
 is one block, e_1 = 1 and Omega_s = omega_1, of order 2n; the twist -1
 undoes that scaling, so the transforms skip both and run the plain FFT.
 Every step is invertible, which gives the inverse transform, and with it
@@ -43,13 +43,29 @@ backend, from p and n alone: over p < 2^31, where a product of two residues
 fits an int64, a product of length n >= _ROWS_MIN computes in int64 numpy
 rows (:mod:`tftlib._rows`).  The rows return the same Python ints as the
 list code here, the reference and the only path for p >= 2^31 and shorter
-products.  They count nothing: :func:`_tally_rows` adds the list product's
-(mul, pow2, add) from the closed forms of the kernel and the break
-(``transform.kernel_counts``, ``ctft.break_counts``).  Each operand element,
-a zero product's too, loads through ``operator.index``, so a non-integral
-one raises TypeError before any work.  The rows report their numpy scratch,
-the tables of the padded length N included, in ``ctx.scratch_allocated``: at
-most 5N, 9N and 10N elements on the padded, cyclotomic and bit-reversed
+products.  They count nothing: the bridge adds the list product's (mul,
+pow2, add), from the closed forms of the kernel and the break
+(``transform.kernel_counts``, ``ctft.break_counts``).
+
+What a product's set-up yields depends only on the field and m, so the
+first product of transform length m over a context builds it once, FFTW's
+plan (Frigo and Johnson), and keeps it in ``ctx.product_plans[m]`` (a
+:class:`_ProductPlan`): the split of m, e_1, those counts and, once a row
+product has run, what the rows read besides the tables of N.  Every later
+product of length m, on any path and either backend, only reads it.  The key
+is m, not n: the entries are at most the lengths of at most three set bits,
+about k^3/6 below 2^k, and each holds a few Python objects per block and
+per stage (views into the tables of N, and scalars), no array that grows
+with m.  What does
+grow with m stays per product: the work buffer, the Omega_s power rows and
+the concatenated rows of a stage whose blocks do not halve.
+
+Each operand element, a zero product's too, loads through
+``operator.index``, so a non-integral one raises TypeError, and a length
+past the field's two-adicity UnsupportedOrderError, before any work and
+before anything is built.  The rows report their numpy scratch, the tables
+of the padded length N included, in ``ctx.scratch_allocated``: at most
+4.1N, 4.1N and 6.1N elements on the padded, cyclotomic and bit-reversed
 paths; the list path reports none.  numpy and the row module load with the
 first product that takes them, not with ``import tftlib``.
 """
@@ -95,19 +111,38 @@ def _transform_length(n: int) -> int:
     return m
 
 
-def _tally_rows(ctx: FieldCtx, n: int, plan: Plan | None, scaled: bool) -> None:
-    """Count what the list product of transform length n counts: per block
-    (one block of n with no ``plan``) three kernels, which count the same mul
-    and add, and the inverse's pow2; a pointwise product per slot; for a TFT
-    ``plan`` two breaks and the unbreak, which counts what a break counts;
-    if ``scaled`` three scalings by the powers of Omega_s, 2 (n - 1)
-    multiplications each."""
+class _ProductPlan:
+    """What every product of one transform length m over one field reads.
+
+    ``plan`` is the split of m, None at m = N (the padded product, one
+    block); ``e1`` gives Omega_s = omega_N**e1 on the bit-reversed path (0
+    at m = N); ``counts`` is the list product's (mul, pow2, add): per block
+    three kernels, which count the same mul and add, and the inverse's pow2;
+    a pointwise product per slot; with a plan two breaks and the unbreak,
+    which counts what a break counts.  The bit-reversed path adds its three
+    scalings by the powers of Omega_s, 2 (m - 1) mul each.  ``rows`` is what
+    a row product reads besides the tables of N (``tftlib._rows._twiddles``),
+    filled by the first one.  (A plain class: a dataclass would cost about
+    0.5 ms of every ``import tftlib``.)
+    """
+
+    __slots__ = ("plan", "e1", "counts", "rows")
+
+    def __init__(self, plan: Plan | None, e1: int, counts: tuple[int, int, int]):
+        self.plan, self.e1, self.counts = plan, e1, counts
+        self.rows = None
+
+
+def _product_plan(ctx: FieldCtx, m: int) -> _ProductPlan:
+    """The product plan of transform length m over ctx, built and kept."""
+    plan = None if m & (m - 1) == 0 else plan_new(m, ctx)
     badd, bpow2 = break_counts(plan) if plan else (0, 0)
-    sizes = plan.sizes if plan else (n,)
-    kmul, kpow2, kadd = map(sum, zip(*(kernel_counts(ni, True) for ni in sizes)))
-    ctx.ops.mul += n + (6 * (n - 1) if scaled else 0) + 3 * kmul
-    ctx.ops.pow2 += 3 * bpow2 + kpow2
-    ctx.ops.add += 3 * (badd + kadd)
+    kmul, kpow2, kadd = map(sum, zip(*(kernel_counts(ni, True)
+                                       for ni in (plan.sizes if plan else (m,)))))
+    counts = (m + 3 * kmul, 3 * bpow2 + kpow2, 3 * (badd + kadd))
+    product = _ProductPlan(plan, -_grid_twist(plan, 1) if plan else 0, counts)
+    ctx.product_plans[m] = product
+    return product
 
 
 def _grid_twist(plan: Plan, i: int) -> int:
@@ -157,8 +192,9 @@ def poly_degree(f: list[int], p: int) -> int:
 
 def _multiply(ctx: FieldCtx, f: list[int], g: list[int], path: str) -> list[int]:
     """The product on ``path``: "padded", or a path of :func:`multiply_tft`.
-    With no plan, the padded product at N; else the block transforms of
-    m = :func:`_transform_length` (n); the backend follows n."""
+    At transform length m = N on the padded path, else m =
+    :func:`_transform_length` (n), by the product plan of m, built by the
+    first product of length m over ctx; the backend follows n."""
     p = ctx.p
     df, dg = poly_degree(f, p), poly_degree(g, p)
     if df < 0 or dg < 0:
@@ -166,19 +202,27 @@ def _multiply(ctx: FieldCtx, f: list[int], g: list[int], path: str) -> list[int]
             index(c)
         return [0]
     n = df + dg + 1
-    N = 1 << (n - 1).bit_length()  # least power of two >= n
-    find_root_of_unity(ctx, N)  # UnsupportedOrderError before any work
-    m = N if path == "padded" else _transform_length(n)  # the transform length
-    plan = None if m == N else plan_new(m, ctx)
-    # Omega_s = omega_N**e1 scales the bit-reversed path; 0 for no scaling
-    e1 = -_grid_twist(plan, 1) if plan is not None and path == "bitreversed" else 0
+    m = 1 << (n - 1).bit_length() if path == "padded" else _transform_length(n)
+    product = ctx.product_plans.get(m)
+    if product is None:  # UnsupportedOrderError before any work
+        find_root_of_unity(ctx, 1 << (m - 1).bit_length())
     rows = _row_form(ctx, n)
     if rows is not None:
-        h = rows.multiply(ctx, f[:df + 1], g[:dg + 1], m, plan, e1)
-        _tally_rows(ctx, m, plan, e1 != 0)
+        a = rows.load(ctx, f[:df + 1], g[:dg + 1], m)  # TypeError before anything is built
+    else:
+        fa = [index(c) % p for c in f[:df + 1]] + [0] * (m - df - 1)
+        ga = [index(c) % p for c in g[:dg + 1]] + [0] * (m - dg - 1)
+    product = product or _product_plan(ctx, m)
+    plan = product.plan
+    # Omega_s = omega_N**e1 scales the bit-reversed path; 0 for no scaling
+    e1 = product.e1 if path == "bitreversed" else 0
+    if rows is not None:
+        h = rows.multiply(ctx, a, n, product, e1)
+        mul, pow2, add = product.counts
+        ctx.ops.mul += mul + (6 * (m - 1) if e1 else 0)
+        ctx.ops.pow2 += pow2
+        ctx.ops.add += add
         return h
-    fa = [index(c) % p for c in f[:df + 1]] + [0] * (m - df - 1)
-    ga = [index(c) % p for c in g[:dg + 1]] + [0] * (m - dg - 1)
     for a in (fa, ga):
         if e1:
             scale_by_powers(ctx, a, m, _grid_scale(plan, 1))

@@ -163,8 +163,11 @@ def _ladder(top: int, k: int, p: int) -> tuple[int, ...]:
 class FieldCtx:
     """The field Z/pZ for an odd prime p, with its counters.
 
-    Immutable after construction except for the counters and the tables
-    that row products build once per padded length and once per field.  A context may be
+    Immutable after construction except for the counters and what products
+    build once and then only read: the product plans, one per transform
+    length (``product_plans``, by :mod:`tftlib.bridge`), the row tables, one
+    per padded length (``row_tables``), and the rows' base-case matrices,
+    one per field (``row_dft``).  None of these is an API.  A context may be
     shared across threads only if each thread runs its own count session and
     transforms its own buffers; the library itself is single-threaded.
     """
@@ -182,6 +185,7 @@ class FieldCtx:
         self.inv_roots = _ladder(pow(top, p - 2, p), self.two_adicity, p)
         self.ops = OpCount()
         self.scratch_allocated = 0
+        self.product_plans = {}  # by transform length, built by tftlib.bridge
         self.row_tables = {}  # by padded length, built by tftlib._rows
         self.row_dft = None  # the rows' base-case matrices, built by tftlib._rows
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from tftlib import (FieldCtx, brtft_forward, brtft_inverse, ctft_forward, ctft_i
                     dwt, eval_points_bitreversed, fft_in_place, idwt, ifft_in_place,
                     multiply_full_fft, multiply_tft, plan_new)
 from tftlib import oracle
-from tftlib.bridge import _transform_length, poly_degree
+from tftlib.bridge import _ROWS_MIN, _transform_length, poly_degree
 
 from test_rows import LENGTHS, _operands, _reference
 
@@ -231,6 +232,73 @@ def test_public_bitreversed_product_adds_only_the_two_power_rows(n):
         allocs[path] = sess.alloc
     m, N = _transform_length(n), 1 << (n - 1).bit_length()
     assert allocs["bitreversed"] - allocs["cyclotomic"] == (2 * m if m < N else 0)
+
+
+def _stage_copies(m: int) -> int:
+    """Elements of the stage rows a TFT product of transform length m copies
+    per product: at each stage u >= 64 whose blocks do not halve one into
+    the next, w forward and w inverse twiddles, w = m >> (log2(u) + 1),
+    whose set bits are then not contiguous."""
+    if m & (m - 1) == 0:
+        return 0
+    stages = (m >> (st + 1) for st in range(6, m.bit_length() - 1))
+    return sum(2 * w for w in stages if w & (w + (w & -w)))
+
+
+@pytest.mark.parametrize("n", [29, 31, 40, 63, 100, 255, 257, 495, 1025, 1281, 1365, 4097])
+def test_a_repeated_product_reads_its_plan(n):
+    # The first product of a transform length over a field builds its plan
+    # and, the first of a padded length, its row tables.  A repeat on the
+    # same field returns and counts what a new field's first product does,
+    # and reports only its own scratch: the 2m work buffer, the 2m Omega_s
+    # power rows on the bit-reversed path at m < N, and the stage rows it
+    # concatenates (1281 = 1024 + 256 + 1 has two such stages).
+    shared = FieldCtx()
+    f, g = _operands(shared.p, n, n)
+    m, N = _transform_length(n), 1 << (n - 1).bit_length()
+    for path in ("padded", "cyclotomic", "bitreversed"):
+        size = N if path == "padded" else m
+        runs = []
+        for ctx in (FieldCtx(), shared, shared):
+            with ctx.count_session() as sess:
+                h = (multiply_full_fft(ctx, f, g) if path == "padded"
+                     else multiply_tft(ctx, f, g, path))
+            runs.append((h, sess.ops, sess.alloc))
+        (h, ops, _), _, (again, again_ops, alloc) = runs
+        assert (again, again_ops) == (h, ops), (n, path)
+        scaled = path == "bitreversed" and m < N
+        assert alloc == 2 * size + (2 * m if scaled else 0) + _stage_copies(size), (n, path)
+
+
+# bytes that the product plans of every transform length in [29, 4096]
+# hold, 274 plans: measured at 710 KB, 2.0 KB a plan below 512 and 3.1 KB
+# from 512 (Python 3.11, numpy 2.4); one row of m int64 in each would add
+# 2.2 MB
+PLANS_BYTES = 750_000
+
+
+def test_product_plans_hold_no_elements():
+    # After products at every transform length in [29, 4096] on both TFT
+    # paths, the plans they leave hold no array that grows with m: only
+    # splits, counts, scalars and views into the tables of N, which a
+    # padded product of each N builds first.  tracemalloc traces numpy's
+    # buffers, so a plan holding a row of m elements would show.
+    ctx = FieldCtx()
+    for k in range(5, 13):
+        multiply_full_fft(ctx, [1] * (1 << k - 1), [1] * (1 << k - 1))
+    lengths = [m for m in range(_ROWS_MIN, 4097) if m.bit_count() <= 3]
+    operands = {m: _operands(ctx.p, m, m) for m in lengths}
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for m in lengths:
+            for path in ("cyclotomic", "bitreversed"):
+                multiply_tft(ctx, *operands[m], path)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert all(_transform_length(m) == m for m in lengths)
+    assert held <= PLANS_BYTES, held
 
 
 def test_multiply_full_fft_examples(ctx):

@@ -12,7 +12,9 @@ promise less: residues congruent mod p to the reduced result, which are in
 
 An element is anything with ``__index__``.  Every product and every
 transform raises TypeError on a float, a Fraction or a numpy float, which
-would otherwise truncate; a product raises before it counts or allocates.
+would otherwise truncate; a product raises before it counts or allocates,
+and before it builds anything its field keeps, as it does when the field
+has no root of the order it needs.
 """
 
 import random
@@ -22,8 +24,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tftlib import (ENGINES, FieldCtx, add_contribution, break_in_place,
-                    brtft_forward, brtft_inverse, ctft_forward, ctft_inverse,
+from tftlib import (ENGINES, FieldCtx, UnsupportedOrderError, add_contribution,
+                    break_in_place, brtft_forward, brtft_inverse, ctft_forward, ctft_inverse,
                     dwt, fft_in_place, idwt, ifft_in_place, mateer_break,
                     multiply_full_fft, multiply_tft, plan_new,
                     reduce_to_remainders, sergeev_break, unbreak_in_place)
@@ -329,4 +331,22 @@ def test_products_reject_non_integral_elements_before_any_work(n, bad):
                 with pytest.raises(TypeError):
                     mul(f, g)
             assert (sess.mul, sess.pow2, sess.add, sess.alloc) == (0, 0, 0, 0), (name, case)
-            assert ctx.row_tables == {}, name
+            assert ctx.row_tables == {} and ctx.product_plans == {}, name
+
+
+@pytest.mark.parametrize("n", [33, 64])
+def test_products_past_the_two_adicity_build_nothing(n):
+    # over 97 (two-adicity 5) a product of length 33..64 needs a root of
+    # order 64; it raises before it counts, allocates, or builds a product
+    # plan, a row table or the base-case matrices
+    ctx = FieldCtx(97)
+    products = [("multiply_full_fft", lambda f, g: multiply_full_fft(ctx, f, g))]
+    products += [(f"multiply_tft[{path}]", lambda f, g, pa=path: multiply_tft(ctx, f, g, pa))
+                 for path in ("cyclotomic", "bitreversed")]
+    f, g = [1] * (n // 2), [2] * (n + 1 - n // 2)
+    for name, mul in products:
+        with ctx.count_session() as sess, pytest.raises(UnsupportedOrderError):
+            mul(f, g)
+        assert (sess.mul, sess.pow2, sess.add, sess.alloc) == (0, 0, 0, 0), name
+        assert ctx.product_plans == {} and ctx.row_tables == {}, name
+        assert ctx.row_dft is None, name

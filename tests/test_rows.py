@@ -45,8 +45,11 @@ LENGTHS = sorted({_ROWS_MIN - 1, _ROWS_MIN, _ROWS_MIN + 1, 31, 32, 62, 1365, 546
 # second block whose carry folds to two rows, up to the lengths above
 HEADROOM = sorted({2**k + d for k in range(5, 13) for d in (-1, 1)}
                   | {2**k + 2**(k - 4) + 1 for k in range(5, 13)})
-# bound stated in the tftlib._rows docstring, in elements per padded slot
-ALLOC_PER_SLOT = {"padded": 5, "cyclotomic": 9, "bitreversed": 10}
+# bound stated in the tftlib._rows docstring, in elements per padded slot;
+# a first product at every n in [29, 4200] reports at most 4.047, 4.046
+# and 6.045 (the tables of N, about 2.05N, the 2m work buffer, and on the
+# bit-reversed path the 2m power rows)
+ALLOC_PER_SLOT = {"padded": 4.1, "cyclotomic": 4.1, "bitreversed": 6.1}
 
 pytestmark = pytest.mark.usefixtures("exact_length")
 
@@ -183,7 +186,8 @@ def _drive_forward_sums(field, N: int, start: int, twist: int) -> None:
     M = N >> start
     work = np.empty(2 * N, np.int64)
     # twist 1 reads the tables of a padded length 2N, as a block of a product does
-    twiddles = _rows._twiddles(field, [N], _rows._tables(field, N << twist, work), twist)
+    pieces, *rest = _rows._twiddles(field, [N], _rows._tables(field, N << twist, work), twist)
+    twiddles = (_rows._stage_rows(field, pieces), *rest)
     _rows._matrices(field)
     stages = len(twiddles[0])
     gains = min(4, stages - start)
