@@ -35,19 +35,19 @@ limbs' sums then recombine in int64, lo + 2^16 (hi mod p) < 2^53 + 2^47.
 
 The per-N tables are ``ctx.row_tables[N]``, built by the first product of
 padded length N over a context: the powers of omega_N (the Omega_s
-scalings), the bit-reversed base rows and their twist-1 octaves (only the
-entries below N/128, which the stages u >= 64 read), and the twist rows,
-N/64 rows of 64, with their lambda_c**(-63).  The two matrices, 128 KiB,
-are field set-up like ``ctx.roots``: built once per field by its first row
-product (``ctx.row_dft``), not counted as scratch.  All grow from the root
-ladder by doubling.  What a product of transform length m reads of them
-depends only on the field and m, so the first row product of length m
-builds it once, into its product plan (``bridge._ProductPlan``,
-:func:`_twiddles`): a view of the tables per stage and per block, and
-1/n_i as one scalar per block; no array of its own, so the plans of every
-length a field meets hold no elements.  Each product only gathers the rows
-of the stages whose blocks do not halve one into the next (only from m =
-640 on), since those would grow with m.
+scalings), the bit-reversed base rows (only the entries below N/128, which
+the stages u >= 64 read), and the twist rows, N/64 rows of 64, with their
+lambda_c**(-63).  The two matrices, 128 KiB, are field set-up like
+``ctx.roots``: built once per field by its first row product
+(``ctx.row_dft``), not counted as scratch.  All grow from the root ladder
+by doubling.  What a product of transform length m reads of them depends
+only on the field and m, so the first row product of length m builds it
+once, into its product plan (``bridge._ProductPlan``, :func:`_twiddles`):
+per block a view of the tables and 1/n_i as a scalar, and per stage u >=
+64 one row of twiddles.  A stage of one block reads a view of the base
+rows; the rows of a stage of several blocks are their views concatenated,
+w = m >> (st + 1) <= m/128 entries per direction, so a plan holds fewer
+than m/64 elements per direction.
 
 The break and its inverse reach the list path's images without the
 engines' survivor runs.  The break halves z^N - 1, as the ``mateer`` engine
@@ -73,14 +73,14 @@ product, from the closed forms beside the list code that counts them.
 
 Every array this module takes besides the int64 copies of the operands
 and of the product, and besides the field's matrices, is reported in
-``ctx.scratch_allocated``, once: each table by the product that builds it,
-and per product a work buffer of 2m elements (the stages' products and
-quotients, the carries, and the base case's float sums, one row at a
-time), the concatenated stage rows, and on the bit-reversed path the two
-power rows.  The 1/n_i and the unbreak's halvings are scalars, one per
-block.  A product of padded length N reports at most 4.1N elements on the
-padded and the cyclotomic path and 6.1N on the bit-reversed one, tables
-included (``tests/test_rows.py``).
+``ctx.scratch_allocated``, once: each table and each plan's concatenated
+stage rows by the product that builds them, and per product a work buffer
+of 2m elements (the stages' products and quotients, the carries, and the
+base case's float sums, one row at a time), and on the bit-reversed path
+the two power rows.  The 1/n_i and the unbreak's halvings are scalars, one
+per block.  A product of padded length N reports at most 4.1N elements on
+the padded and the cyclotomic path and 6.1N on the bit-reversed one,
+tables and plan included (``tests/test_rows.py``).
 """
 
 from __future__ import annotations
@@ -171,9 +171,8 @@ def _tables(ctx: FieldCtx, N: int, work: np.ndarray) -> tuple:
     ``powers`` holds omega_N**j for j < N, in [0, p).  ``base`` holds the
     forward and inverse base rows omega_N**(+-rev(r)) for r < N/128, rev
     over log2(N/2) bits, the entries the stages u >= 64 read (see
-    :func:`_transform`); ``octaves`` holds base[:, m:2m] for m from N/256
-    down to 1, the octave of m at N/128 - 2m.  Both keep a last axis of
-    length 1, so that a slice multiplies the rows of a stage.  ``twists``
+    :func:`_twiddles`), with a last axis of length 1, so that a slice
+    multiplies the rows of a stage.  ``twists``
     holds lambda_c**i in row c < N/64 and column i < 64, lambda_c =
     omega_N**rev(c), rev over log2(N/64) bits, and ``unwind`` holds
     lambda_c**(-63), with which the inverse reads lambda**(-i) =
@@ -197,18 +196,15 @@ def _tables(ctx: FieldCtx, N: int, work: np.ndarray) -> tuple:
         base = _counted(ctx, np.empty((2, half), np.int64))
         for row, ladder in zip(base, (ctx.roots, ctx.inv_roots)):
             _grow(ctx, row, ladder[2:half.bit_length() + 1], work)
-        octaves = _counted(ctx, np.concatenate([base[:, :0]] + [  # empty below N = 256
-            base[:, m:2 * m] for m in (half >> e for e in range(1, half.bit_length()))], axis=1))
         twists = _counted(ctx, np.empty((rows, _BASE), np.int64))
         _grow(ctx, twists[:, 1], ctx.roots[7:rows.bit_length() + 6], work)
         _powers(ctx, twists, work)
         unwind = _counted(ctx, np.empty((rows, 1), np.int64))
         _grow(ctx, unwind[:, 0], ctx.inv_roots[1:rows.bit_length()], work)
         _mod(ctx, np.multiply(unwind, twists[:, 1:2], out=unwind), work)
-        for table in (base, octaves, twists, unwind):
+        for table in (base, twists, unwind):
             np.subtract(table, ctx.p, out=table, where=table > ctx.p // 2)
-        tables = ctx.row_tables[N] = (powers, base[:, :, None], octaves[:, :, None], twists,
-                                      unwind)
+        tables = ctx.row_tables[N] = (powers, base[:, :, None], twists, unwind)
     return tables
 
 
@@ -237,72 +233,62 @@ def _matrices(ctx: FieldCtx) -> np.ndarray:
 
 
 def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int) -> tuple:
-    """What every product of blocks ``sizes`` at ``twist`` (0 or 1) reads
-    besides the tables of N: views into those tables and per-block scalars,
-    no array of its own.
+    """What every product of blocks ``sizes`` at ``twist`` t (0 or 1) reads
+    besides the tables of N, built once into its product plan.
 
-    At half-length u, row q of block i (m = n_i / 2u rows, n_i = 2^(k-1) u)
-    takes c * omega_(2^(k-1))**rev(q), where c = omega_(2^k)**twist is its
-    first twiddle (as in :func:`tftlib.transform.dwt`).  Entry q of the base
-    row is omega_(2m)**rev(q) for q < m, so twist 0 reads base[q]; its entry
-    m + q is omega_(4m)**(2 rev(q) + 1), which twist 1 reads: the octave [m,
-    2m) of the base row.  The blocks of a stage have distinct m, one set bit
-    each of n >> (st + 1), which is the stage's row count, so a stage whose
-    m halve from block to block (its bits are contiguous: every stage, when
-    n is 2^k - 1 or 2^k + 1) reads one slice of the octaves; the others
-    read their blocks' octaves, which :func:`_stage_rows` concatenates.
-    Likewise the c-th chunk of a block of n_i >= 64 slots reads twist row t
-    n_i/64 + c, and a smaller block the matrix columns [t n_i, (t + 1) n_i).
+    Every block reads entries [t s, (t + 1) s) of a table, s its share
+    (``share``): of the base rows, its m = n_i / 2u rows at half-length u;
+    of the twist rows, one per 64-slot chunk; of the matrix's columns, its
+    n_i points, when n_i < 64.  Row q of block i at half-length u (n_i =
+    2^(k-1) u) takes c * omega_(2^(k-1))**rev(q), where c = omega_(2^k)**t
+    is its first twiddle (as in :func:`tftlib.transform.dwt`): entry q of
+    the base row is omega_(2m)**rev(q) for q < m, and entry m + q is
+    omega_(4m)**(2 rev(q) + 1).  The blocks of a stage have distinct m, one
+    set bit each of n >> (st + 1), which is the stage's row count: a stage
+    of one block reads its view of the base rows, and the views of a stage
+    of several blocks are concatenated here, once, and reported, w = n >>
+    (st + 1) <= n/128 entries per direction.
 
-    Returns the pieces of the (forward, inverse) rows of the stages u = 64,
-    128, ..., each of shape (2, rows, 1); (offset, size, twist rows, their
-    lambda**(-63)) of every block of 64 slots or more; (offset, size) of
-    every smaller block but those of one slot, whose transform is the
+    Returns the (forward, inverse) rows of the stages u = 64, 128, ..., each
+    of shape (2, rows, 1); (offset, size, twist rows, their lambda**(-63))
+    of every block of 64 slots or more; (offset, size, first matrix column)
+    of every smaller block but those of one slot, whose transform is the
     identity; (offset, size, 1/n_i) of each of those blocks, 1/n_i balanced
     as the rows are: -(p - 1)/n_i; and the slots of the chunks, and of every
     block but one of one slot.
     """
-    _, base, octaves, twists, unwind = tables
+    _, base, twists, unwind = tables
     n = sum(sizes)
-    half = base.shape[1]
+
+    def share(s):
+        return slice(twist * s, (twist + 1) * s)
+
     stages = []
     for st in range(_BASE.bit_length() - 1, n.bit_length() - 1):
         w = n >> (st + 1)
-        if not twist:
-            pieces = (base[:, :w],)
-        elif w & (w + (w & -w)) == 0:  # m halves from block to block
-            lead = 1 << (w.bit_length() - 1)
-            pieces = (octaves[:, half - 2 * lead:half - 2 * lead + w],)
-        else:
-            pieces = tuple(base[:, 1 << b:2 << b]
-                           for b in range(w.bit_length() - 1, -1, -1) if w >> b & 1)
-        stages.append(pieces)
+        pieces = [base[:, share(1 << b)] for b in range(w.bit_length() - 1, -1, -1) if w >> b & 1]
+        stages.append(pieces[0] if len(pieces) == 1
+                      else _counted(ctx, np.concatenate(pieces, axis=1)))
     chunks, small, scales, offset = [], [], [], 0
     for ni in sizes:
         if ni >= _BASE:
-            rows = slice(twist * ni // _BASE, (twist + 1) * ni // _BASE)
+            rows = share(ni // _BASE)
             chunks.append((offset, ni, twists[rows], unwind[rows]))
         elif ni > 1:
-            small.append((offset, ni))
+            small.append((offset, ni, twist * ni))
         if ni > 1:
             scales.append((offset, ni, -((ctx.p - 1) // ni)))
         offset += ni
     top = sum(c[1] for c in chunks)
-    return stages, chunks, small, scales, top, top + sum(ni for _, ni in small)
+    return stages, chunks, small, scales, top, top + sum(c[1] for c in small)
 
 
-def _stage_rows(ctx: FieldCtx, stages) -> list:
-    """The row of each stage: its one piece, or its pieces concatenated,
-    a copy per product, reported."""
-    return [pieces[0] if len(pieces) == 1 else _counted(ctx, np.concatenate(pieces, axis=1))
-            for pieces in stages]
-
-
-def _base(ctx: FieldCtx, a: np.ndarray, chunks, small, top: int, span: int, twist: int,
+def _base(ctx: FieldCtx, a: np.ndarray, chunks, small, top: int, span: int,
           work: np.ndarray, inverse: bool) -> None:
     """The base case of every block on every row of a, in [0, p): each chunk
     of ``chunks`` (already twisted) times the forward or inverse matrix, and
-    each block of ``small`` times the columns or rows of its twist.
+    each block of ``small`` times its columns of the one or its rows of the
+    other.
 
     A row's first ``span`` slots turn into float64 where they lie.  The
     low and the high limbs' sums go to the two halves of the work buffer as
@@ -320,8 +306,7 @@ def _base(ctx: FieldCtx, a: np.ndarray, chunks, small, top: int, span: int, twis
         if top:
             np.matmul(fx[:top].reshape(-1, _BASE), mats,
                       out=fsums[:, :top].reshape(2, -1, _BASE))
-        for off, ni in small:
-            c = twist * ni
+        for off, ni, c in small:
             part = mats[:, c:c + ni, :ni] if inverse else mats[:, :ni, c:c + ni]
             np.matmul(fx[off:off + ni], part, out=fsums[:, off:off + ni])
         np.copyto(sums, fsums.reshape(-1), casting="unsafe")
@@ -331,11 +316,11 @@ def _base(ctx: FieldCtx, a: np.ndarray, chunks, small, top: int, span: int, twis
         _mod(ctx, lo, hi, out=x)
 
 
-def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, twist: int, work: np.ndarray,
+def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
                inverse: bool) -> None:
     """dwt (or idwt) of every block, on every row of a at once.
 
-    The blocks, at ``twist``, are those of :func:`_twiddles`: decreasing
+    The blocks are those of :func:`_twiddles`, at its twist: decreasing
     powers of two whose sum is the row length, block i starting at n_1 +
     ... + n_(i-1).  The input is in [0, p), and so is every output.  The
     stages u >= 64 run on the prefix of blocks of 2u slots or more; the
@@ -401,9 +386,9 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, twist: int, work: np.ndar
             if done % 4 == 0:
                 _mod(ctx, a[:, :x.shape[1] * 2 << st], work)
         rotate(lambda rows, unwind: rows)  # lambda**i
-        _base(ctx, a, chunks, small, top, span, twist, work, False)
+        _base(ctx, a, chunks, small, top, span, work, False)
         return
-    _base(ctx, a, chunks, small, top, span, twist, work, True)
+    _base(ctx, a, chunks, small, top, span, work, True)
     rotate(lambda rows, unwind: rows[:, ::-1])  # lambda**(63 - i)
     rotate(lambda rows, unwind: unwind)  # lambda**(-63)
     for done, st in enumerate(stages, 1):
@@ -528,15 +513,12 @@ def multiply(ctx: FieldCtx, a: np.ndarray, n: int, product, e: int) -> list[int]
     (:func:`_twiddles`)."""
     m = a.shape[1]
     plan = product.plan
-    twist = 1 if plan else 0
     work = _counted(ctx, np.empty(2 * m, np.int64))
     _mod(ctx, a, work)
     tables = _tables(ctx, plan.N if plan else m, work)
     if product.rows is None:
         _matrices(ctx)
-        product.rows = _twiddles(ctx, plan.sizes if plan else (m,), tables, twist)
-    stages, *rest = product.rows
-    twiddles = (_stage_rows(ctx, stages), *rest)
+        product.rows = _twiddles(ctx, plan.sizes if plan else (m,), tables, 1 if plan else 0)
     if e:
         exps = work[:m]  # k e, then -k e, in the free work buffer
         exps[0], exps[1:] = 0, e
@@ -548,9 +530,9 @@ def multiply(ctx: FieldCtx, a: np.ndarray, n: int, product, e: int) -> list[int]
         _mod(ctx, np.multiply(a, scales[0], out=a), work)
     if plan:
         _break(ctx, a, plan, work)
-    _transform(ctx, a, twiddles, twist, work, False)
+    _transform(ctx, a, product.rows, work, False)
     h = _mod(ctx, np.multiply(a[:1], a[1:]), work)  # the pointwise product
-    _transform(ctx, h, twiddles, twist, work, True)
+    _transform(ctx, h, product.rows, work, True)
     if plan:
         _unbreak(ctx, h, plan, work)
     if e:

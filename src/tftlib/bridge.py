@@ -55,10 +55,9 @@ product has run, what the rows read besides the tables of N.  Every later
 product of length m, on any path and either backend, only reads it.  The key
 is m, not n: the entries are at most the lengths of at most three set bits,
 about k^3/6 below 2^k, and each holds a few Python objects per block and
-per stage (views into the tables of N, and scalars), no array that grows
-with m.  What does
-grow with m stays per product: the work buffer, the Omega_s power rows and
-the concatenated rows of a stage whose blocks do not halve.
+per stage: views into the tables of N, scalars, and the twiddle rows of
+each stage of several blocks, fewer than m/64 elements per direction in
+all.  The work buffer and the Omega_s power rows stay per product.
 
 Each operand element, a zero product's too, loads through
 ``operator.index``, so a non-integral one raises TypeError, and a length
@@ -81,11 +80,12 @@ from .ring import FieldCtx, find_root_of_unity
 from .transform import dwt, fft_in_place, idwt, ifft_in_place, kernel_counts, scale_by_powers
 
 # From this product length on, over p < 2^31, products compute in int64 rows
-# (tftlib._rows).  Measured at every n in 16..64: the least n from which each
-# length's t_rows / t_list (median over 41 or 81 interleaved rounds, then over
-# two or three runs) is at most 1.00 on every path: 0.99 from 29, 0.82 from
-# 40.  28 read 1.01 (padded), 24 1.02, 20 1.15 and 16 1.50.
-_ROWS_MIN = 29
+# (tftlib._rows).  Measured at every n in 8..40 on a shared 2-core VM, the
+# threshold set at run time: the least n from which each length's t_rows /
+# t_list (median over 41 or 81 interleaved rounds of 20 products, then over
+# three to six runs) is at most 1.00 on every path: 0.97 at 14, at most 0.90
+# from 15 and 0.65 from 27.  13 read 1.06 (cyclotomic), 12 1.14 and 8 1.67.
+_ROWS_MIN = 14
 # A TFT product runs at the least length m >= n with at most this many set
 # bits, so at most this many blocks (see multiply_tft).  Read at call time.
 _MAX_BLOCKS = 3
@@ -122,8 +122,9 @@ class _ProductPlan:
     which counts what a break counts.  The bit-reversed path adds its three
     scalings by the powers of Omega_s, 2 (m - 1) mul each.  ``rows`` is what
     a row product reads besides the tables of N (``tftlib._rows._twiddles``),
-    filled by the first one.  (A plain class: a dataclass would cost about
-    0.5 ms of every ``import tftlib``.)
+    filled by the first one; its stage rows, fewer than m/64 elements per
+    direction, are the only array a plan holds.  (A plain class: a
+    dataclass would cost about 0.5 ms of every ``import tftlib``.)
     """
 
     __slots__ = ("plan", "e1", "counts", "rows")

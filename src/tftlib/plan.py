@@ -10,16 +10,17 @@ field's ladder (``FieldCtx.roots``), which the plan references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .bitops import bit_reverse
 from .ring import FieldCtx, find_root_of_unity
 
 
-@dataclass(frozen=True)
-class Plan:
-    """Immutable binary split of one transform length over one field."""
+class Plan(NamedTuple):
+    """Immutable binary split of one transform length over one field.  (A
+    named tuple: a frozen dataclass would cost about 1 ms of every ``import
+    tftlib``.)"""
 
     p: int
     n: int

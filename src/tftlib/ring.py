@@ -17,8 +17,6 @@ of the algorithm and are counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 DEFAULT_MODULUS = 2013265921  # 15 * 2**27 + 1, two-adicity 27
 
 
@@ -26,18 +24,29 @@ class UnsupportedOrderError(ValueError):
     """The requested root order does not divide the 2-power part of p - 1."""
 
 
-@dataclass
 class OpCount:
-    """Tallies of counted ring operations.
+    """Tallies of counted ring operations, equal when all three are.
 
     mul   -- general ring multiplications
     pow2  -- multiplications by 2^k, 2^-k or 1/N
     add   -- additions, subtractions and negations
+
+    (A plain class: a dataclass would cost about 0.5 ms of every ``import
+    tftlib``.)
     """
 
-    mul: int = 0
-    pow2: int = 0
-    add: int = 0
+    __slots__ = ("mul", "pow2", "add")
+
+    def __init__(self, mul: int = 0, pow2: int = 0, add: int = 0):
+        self.mul, self.pow2, self.add = mul, pow2, add
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.mul, self.pow2, self.add) == (other.mul, other.pow2, other.add)
+
+    def __repr__(self) -> str:
+        return f"OpCount(mul={self.mul}, pow2={self.pow2}, add={self.add})"
 
 
 class CountSession:

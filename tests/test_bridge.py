@@ -234,25 +234,15 @@ def test_public_bitreversed_product_adds_only_the_two_power_rows(n):
     assert allocs["bitreversed"] - allocs["cyclotomic"] == (2 * m if m < N else 0)
 
 
-def _stage_copies(m: int) -> int:
-    """Elements of the stage rows a TFT product of transform length m copies
-    per product: at each stage u >= 64 whose blocks do not halve one into
-    the next, w forward and w inverse twiddles, w = m >> (log2(u) + 1),
-    whose set bits are then not contiguous."""
-    if m & (m - 1) == 0:
-        return 0
-    stages = (m >> (st + 1) for st in range(6, m.bit_length() - 1))
-    return sum(2 * w for w in stages if w & (w + (w & -w)))
-
-
 @pytest.mark.parametrize("n", [29, 31, 40, 63, 100, 255, 257, 495, 1025, 1281, 1365, 4097])
 def test_a_repeated_product_reads_its_plan(n):
     # The first product of a transform length over a field builds its plan
-    # and, the first of a padded length, its row tables.  A repeat on the
-    # same field returns and counts what a new field's first product does,
-    # and reports only its own scratch: the 2m work buffer, the 2m Omega_s
-    # power rows on the bit-reversed path at m < N, and the stage rows it
-    # concatenates (1281 = 1024 + 256 + 1 has two such stages).
+    # and its stage rows and, the first of a padded length, its row tables.
+    # A repeat on the same field returns and counts what a new field's first
+    # product does, and reports only its own scratch: the 2m work buffer and
+    # the 2m Omega_s power rows on the bit-reversed path at m < N (1281 =
+    # 1024 + 256 + 1 has two stages of several blocks, whose rows the plan
+    # holds).
     shared = FieldCtx()
     f, g = _operands(shared.p, n, n)
     m, N = _transform_length(n), 1 << (n - 1).bit_length()
@@ -267,22 +257,24 @@ def test_a_repeated_product_reads_its_plan(n):
         (h, ops, _), _, (again, again_ops, alloc) = runs
         assert (again, again_ops) == (h, ops), (n, path)
         scaled = path == "bitreversed" and m < N
-        assert alloc == 2 * size + (2 * m if scaled else 0) + _stage_copies(size), (n, path)
+        assert alloc == 2 * size + (2 * m if scaled else 0), (n, path)
 
 
-# bytes that the product plans of every transform length in [29, 4096]
-# hold, 274 plans: measured at 710 KB, 2.0 KB a plan below 512 and 3.1 KB
-# from 512 (Python 3.11, numpy 2.4); one row of m int64 in each would add
-# 2.2 MB
+# bytes that the product plans of every transform length in [_ROWS_MIN,
+# 4096] hold, 286 plans: measured at 723 KB, 1.9 KB a plan below 512 and
+# 3.0 KB from 512 (Python 3.11, numpy 2.4); one row of m int64 in each
+# would add 2.2 MB
 PLANS_BYTES = 750_000
 
 
 def test_product_plans_hold_no_elements():
-    # After products at every transform length in [29, 4096] on both TFT
-    # paths, the plans they leave hold no array that grows with m: only
-    # splits, counts, scalars and views into the tables of N, which a
-    # padded product of each N builds first.  tracemalloc traces numpy's
-    # buffers, so a plan holding a row of m elements would show.
+    # After products at every transform length in [_ROWS_MIN, 4096] on both
+    # TFT paths, the plans they leave hold no array of m elements: only
+    # splits, counts, scalars, views into the tables of N, which a padded
+    # product of each N builds first, and the twiddle rows of each stage of
+    # several blocks, fewer than m/64 elements per direction in all.
+    # tracemalloc traces numpy's buffers, so a plan holding a row of m
+    # elements would show.
     ctx = FieldCtx()
     for k in range(5, 13):
         multiply_full_fft(ctx, [1] * (1 << k - 1), [1] * (1 << k - 1))

@@ -308,7 +308,7 @@ def test_transforms_reject_non_integral_elements(ctx, n, bad):
 
 
 @pytest.mark.parametrize("bad", NON_INTEGRAL, ids=repr)
-@pytest.mark.parametrize("n", [_ROWS_MIN - 1, 255, 256, 257])
+@pytest.mark.parametrize("n", [_ROWS_MIN - 1, 28, 255, 256, 257])
 def test_products_reject_non_integral_elements_before_any_work(n, bad):
     # on both sides of the rows' crossover, over a new field so that no
     # table of the padded length exists yet

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -49,9 +48,16 @@ def test_blocks_partition_the_buffer(n):
 
 
 def test_plan_holds_only_the_split(ctx):
-    assert tuple(f.name for f in dataclasses.fields(Plan)) == \
-        ("p", "n", "N", "s", "sizes", "offsets", "tails", "roots")
+    assert Plan._fields == ("p", "n", "N", "s", "sizes", "offsets", "tails", "roots")
     assert plan_new(86, ctx).roots is ctx.roots
+
+
+def test_a_plan_is_immutable(ctx):
+    plan = plan_new(86, ctx)
+    for name in ("p", "n", "N", "s", "sizes", "offsets", "tails", "roots", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(plan, name, 1)
+    assert plan == plan_new(86, ctx)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 86, 128, 255, 1000])

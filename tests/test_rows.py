@@ -1,16 +1,17 @@
 """Products in int64 rows, checked against the list transforms.
 
-Over p < 2^31, every product of length n >= ``bridge._ROWS_MIN`` computes in
-int64 rows, on every path.  Each product here is compared with a reference
-composed from the list functions: the forward transforms of both operands,
-a pointwise product and the inverse transform, on the bit-reversed path
-between two Omega_s scalings.  The outputs must be equal, and so must the
-(mul, pow2, add) each adds, the reference's pointwise product counting one
-multiplication per slot as the list path does.  Above 2^31 the list
-product runs, and counts what the rows tally.  Every product here runs at
-transform length exactly deg(fg) + 1 (the ``exact_length`` fixture), so the
-many-block lengths run as they are; ``tests/test_bridge.py`` checks the
-public product, which runs at ``bridge._transform_length``.
+Over p < 2^31, every product of length n >= ``bridge._ROWS_MIN`` (14, the
+measured crossover) computes in int64 rows, on every path.  Each product
+here is compared with a reference composed from the list functions: the
+forward transforms of both operands, a pointwise product and the inverse
+transform, on the bit-reversed path between two Omega_s scalings.  The
+outputs must be equal, and so must the (mul, pow2, add) each adds, the
+reference's pointwise product counting one multiplication per slot as the
+list path does.  Above 2^31 the list product runs, and counts what the rows
+tally.  Every product here runs at transform length exactly deg(fg) + 1
+(the ``exact_length`` fixture), so the many-block lengths run as they are;
+``tests/test_bridge.py`` checks the public product, which runs at
+``bridge._transform_length``.
 """
 
 import os
@@ -37,8 +38,10 @@ PATHS = ("padded", "cyclotomic", "bitreversed")
 # long runs of 0 bits (folds of many chunks) next to adjacent 1 bits (folds of one)
 SHAPES = {2**12 + 2**5 + 1, 2**11 + 2**10 + 2**3 + 1, 0b1001001001, 0b110000000011,
           0b101010101011}
-# 31 and 32: the first length of the rows under the earlier threshold, and 2^5
-LENGTHS = sorted({_ROWS_MIN - 1, _ROWS_MIN, _ROWS_MIN + 1, 31, 32, 62, 1365, 5461}
+# 28 to 32: the lengths about the rows' earlier thresholds, 29 and 31, and
+# 2^5; 448 and 1537: a first stage of adjacent blocks
+LENGTHS = sorted({_ROWS_MIN - 1, _ROWS_MIN, _ROWS_MIN + 1, 28, 29, 30, 31, 32, 62, 448, 1365,
+                  1537, 5461}
                  | {2**k + d for k in range(6, 13) for d in (-1, 0, 1)}
                  | SHAPES | set(random.Random(10).sample(range(63, 6001), 10)))
 # 2^k - 1 (k blocks, no fold), 2^k + 1 (block 1 folds to two rows) and a
@@ -46,9 +49,10 @@ LENGTHS = sorted({_ROWS_MIN - 1, _ROWS_MIN, _ROWS_MIN + 1, 31, 32, 62, 1365, 546
 HEADROOM = sorted({2**k + d for k in range(5, 13) for d in (-1, 1)}
                   | {2**k + 2**(k - 4) + 1 for k in range(5, 13)})
 # bound stated in the tftlib._rows docstring, in elements per padded slot;
-# a first product at every n in [29, 4200] reports at most 4.047, 4.046
-# and 6.045 (the tables of N, about 2.05N, the 2m work buffer, and on the
-# bit-reversed path the 2m power rows)
+# a first product at every n in [_ROWS_MIN, 4200] reports at most 4.031,
+# 4.058 and 6.058 (the tables of N, about 2.03N, the 2m work buffer, the
+# plan's stage rows, below 2m/64, and on the bit-reversed path the 2m power
+# rows)
 ALLOC_PER_SLOT = {"padded": 4.1, "cyclotomic": 4.1, "bitreversed": 6.1}
 
 pytestmark = pytest.mark.usefixtures("exact_length")
@@ -186,8 +190,7 @@ def _drive_forward_sums(field, N: int, start: int, twist: int) -> None:
     M = N >> start
     work = np.empty(2 * N, np.int64)
     # twist 1 reads the tables of a padded length 2N, as a block of a product does
-    pieces, *rest = _rows._twiddles(field, [N], _rows._tables(field, N << twist, work), twist)
-    twiddles = (_rows._stage_rows(field, pieces), *rest)
+    twiddles = _rows._twiddles(field, [N], _rows._tables(field, N << twist, work), twist)
     _rows._matrices(field)
     stages = len(twiddles[0])
     gains = min(4, stages - start)
@@ -205,7 +208,7 @@ def _drive_forward_sums(field, N: int, start: int, twist: int) -> None:
         f[(M >> 5) + (M >> e)] = -pow(w(e, r), -1, p) % p
         f[M >> e] = -pow(w(e, r, last=True), -1, p) % p
     a = np.array([f], np.int64)
-    _rows._transform(field, a, twiddles, twist, work, False)
+    _rows._transform(field, a, twiddles, work, False)
     dwt(field, f, N, twist)
     assert a[0].tolist() == f
 
@@ -269,10 +272,9 @@ def test_base_case_takes_its_largest_sums(n, path):
 def test_row_tables_match_their_definition(p):
     # the tables of N: powers[j] = omega_N**j in [0, p); base[0, r] and
     # base[1, r] are omega_N**(+-rev(r)) for r < N/128, rev over log2(N/2)
-    # bits, balanced into (-p/2, p/2]; the octave of m, at N/128 - 2m, is
-    # base[:, m:2m]; twists[c, i] = lambda_c**i and unwind[c] =
-    # lambda_c**(-63), lambda_c = omega_N**rev(c), rev over log2(N/64) bits,
-    # balanced
+    # bits, balanced into (-p/2, p/2]; twists[c, i] = lambda_c**i and
+    # unwind[c] = lambda_c**(-63), lambda_c = omega_N**rev(c), rev over
+    # log2(N/64) bits, balanced
     ctx = FieldCtx(p)
 
     def balanced(values):
@@ -280,14 +282,12 @@ def test_row_tables_match_their_definition(p):
 
     for k in range(2, 15):
         N, half = 1 << k, 1 << k >> 7
-        powers, base, octaves, twists, unwind = _rows._tables(ctx, N, np.empty(2 * N, np.int64))
+        powers, base, twists, unwind = _rows._tables(ctx, N, np.empty(2 * N, np.int64))
         w = ctx.roots[k]
         assert powers.tolist() == [pow(w, j, p) for j in range(N)]
         for sign, row in zip((1, -1), base[:, :, 0]):
             want = [pow(w, sign * bit_reverse(r, k - 1), p) for r in range(half)]
             assert row.tolist() == balanced(want), (N, sign)
-        for m in (half >> e for e in range(1, max(half.bit_length(), 1))):
-            assert np.array_equal(octaves[:, half - 2 * m:half - m], base[:, m:2 * m]), (N, m)
         assert twists.shape == (N >> 6, 64) and unwind.shape == (N >> 6, 1)
         for c in range(N >> 6):
             lam = pow(w, bit_reverse(c, k - 6), p)
@@ -315,8 +315,9 @@ def test_row_tables_match_their_definition(p):
 
 @pytest.mark.parametrize("path", PATHS)
 def test_a_field_with_no_64th_root_takes_the_rows(path):
-    # over 97 (two-adicity 5) a product of length 29..32 runs in rows at
-    # padded length 32, whose base case reads the points j < 32 alone
+    # over 97 (two-adicity 5) a product of length _ROWS_MIN..32 runs in
+    # rows at padded length 16 or 32, whose base case reads the points j <
+    # 32 alone
     ctx = FieldCtx(97)
     for n in range(_ROWS_MIN, 33):
         f, g = _operands(ctx.p, n, n)
@@ -360,7 +361,7 @@ def test_fields_above_2_31_stay_correct(path):
 
 
 @pytest.mark.parametrize("path", PATHS)
-@pytest.mark.parametrize("n", sorted({_ROWS_MIN, 31, 63, 255, 495, 1023, 1025,
+@pytest.mark.parametrize("n", sorted({_ROWS_MIN, 29, 31, 63, 255, 495, 1023, 1025,
                                       4095, 5461}))
 def test_row_scratch_is_reported_and_bounded(n, path):
     # a new field, so the bound covers the tables the first product builds
@@ -385,6 +386,49 @@ def test_bitreversed_rows_add_only_the_two_power_rows(n):
             _product(ctx, f, g, path)
         allocs[path] = sess.alloc
     assert allocs["bitreversed"] == allocs["cyclotomic"] + 2 * n
+
+
+# numpy calls of a repeated product on the padded, cyclotomic and
+# bit-reversed paths, at transform length n (the padded path at N): upper
+# bounds, pinned at the counts measured when the stage rows moved into the
+# product plans
+CALL_BUDGET = {257: (65, 62, 72), 385: (65, 74, 86), 1026: (126, 118, 132),
+               1282: (126, 132, 146), 1537: (126, 136, 150), 4098: (153, 155, 169)}
+
+
+class _CountingNumpy:
+    """numpy, counting the calls of its functions and ufuncs, not of its types."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def call(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+        return call
+
+
+@pytest.mark.parametrize("n", sorted(CALL_BUDGET))
+def test_a_repeated_product_keeps_its_numpy_call_budget(n, monkeypatch):
+    # Below about n = 1024 a row product's time follows its numpy calls,
+    # about 2 us each with the Python around them, so their number must not
+    # creep back.  The first product builds the plan; the repeat is counted.
+    ctx = FieldCtx()
+    f, g = _operands(ctx.p, n, n)
+    calls = []
+    for path in PATHS:
+        want = _product(ctx, f, g, path)
+        proxy = _CountingNumpy()
+        with monkeypatch.context() as patch:
+            patch.setattr(_rows, "np", proxy)
+            assert _product(ctx, f, g, path) == want
+        calls.append(proxy.calls)
+    assert all(0 < c <= bound for c, bound in zip(calls, CALL_BUDGET[n])), calls
 
 
 # bytes of numpy array headers and views, not of elements
@@ -413,7 +457,7 @@ def test_bitreversed_rows_take_no_unreported_memory(n):
 
 
 @pytest.mark.parametrize("path", PATHS)
-@pytest.mark.parametrize("n", sorted({_ROWS_MIN, 31, 1025}))
+@pytest.mark.parametrize("n", sorted({_ROWS_MIN, 29, 31, 1025}))
 def test_a_field_builds_the_tables_of_a_padded_length_once(n, path):
     ctx = FieldCtx()
     allocs = []
