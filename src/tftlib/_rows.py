@@ -216,9 +216,9 @@ def _matrices(ctx: FieldCtx) -> np.ndarray:
     low 16 bits of direction d's residues in [0, p), and [d, 1] the rest,
     shifted down.  Their points zeta**(+-rev(j)) grow from the ladder by
     doubling (entries [m, 2m) times omega_(2m)**(+-1)), and their powers by
-    :func:`_powers`.  A field of two-adicity 5 has no zeta: its points stop
-    at j < 32, the others are 0, and no product reads them, since every
-    padded length there is 32.
+    :func:`_powers`.  A field of two-adicity k <= 5 has no zeta: its points
+    stop at j < 2^k, the others are 0, and no product reads them, since its
+    padded lengths are at most 2^k.
     """
     if ctx.row_dft is None:
         ints = np.zeros((2, _BASE, _BASE), np.int64)  # the points' powers in row j

@@ -136,9 +136,10 @@ def _contribution_pass(ctx: FieldCtx, a: list[int], plan: Plan, i: int, undo: bo
     scratch stays O(1), and add the same terms, so outputs and counts agree.
     """
     p = ctx.p
-    oi = plan.offset(i)
-    ni = plan.size(i)
-    run = plan.size(i - 1)
+    offsets, sizes = plan.offsets, plan.sizes  # locals: a named tuple's fields read slowly
+    oi = offsets[i - 1]
+    ni = sizes[i - 1]
+    run = sizes[i - 2]
     step = 2 * ni
     strided = run >= _STRIDED_MIN_PAIRS * step
     get = a.__getitem__
@@ -152,10 +153,11 @@ def _contribution_pass(ctx: FieldCtx, a: list[int], plan: Plan, i: int, undo: bo
             for t in range(oi, oi + ni):
                 a[t] = 2 * a[t] % p
         mask = survival_mask(plan, j, i)
-        free = (plan.size(j) - run) & ~mask
+        free = (sizes[j - 1] - run) & ~mask
+        first = offsets[j - 1] - oi
         y = 0
         while True:
-            start = plan.offset(j) + (mask | y) - oi
+            start = first + (mask | y)
             if strided:
                 for t in range(oi, oi + ni):
                     s = t + start

@@ -418,14 +418,18 @@ def test_multiply_at_power_of_two_costs_padded(path):
 def test_multiply_beyond_two_adicity_rejected():
     from tftlib import UnsupportedOrderError
 
-    ctx17 = FieldCtx(17)  # roots only up to order 16
-    products = [lambda f: multiply_full_fft(ctx17, f, f)] + [
-        lambda f, path=path: multiply_tft(ctx17, f, f, path) for path in ("cyclotomic", "bitreversed")]
-    for f in ([1] * 17, [1] * 9):  # product lengths 33 (rows) and 17 (list)
-        for product in products:
-            with ctx17.count_session() as sess, pytest.raises(UnsupportedOrderError):
-                product(f)
+    # product length 33 over 17 (roots up to order 16) is a rows length,
+    # and 9 over 41 (roots up to order 8) one of the lists
+    for ctx, f in ((FieldCtx(17), [1] * 17), (FieldCtx(41), [1] * 5)):
+        assert (2 * len(f) - 1 >= _ROWS_MIN) == (ctx.p == 17)
+        for path in ("padded", "cyclotomic", "bitreversed"):
+            with ctx.count_session() as sess, pytest.raises(UnsupportedOrderError):
+                if path == "padded":
+                    multiply_full_fft(ctx, f, f)
+                else:
+                    multiply_tft(ctx, f, f, path)
             assert (sess.mul, sess.pow2, sess.add, sess.alloc) == (0, 0, 0, 0)
+            assert ctx.product_plans == {}, (ctx.p, path)
 
 
 @given(st.integers(min_value=1, max_value=160), st.data())

@@ -315,13 +315,14 @@ def test_row_tables_match_their_definition(p):
 
 @pytest.mark.parametrize("path", PATHS)
 def test_a_field_with_no_64th_root_takes_the_rows(path):
-    # over 97 (two-adicity 5) a product of length _ROWS_MIN..32 runs in
-    # rows at padded length 16 or 32, whose base case reads the points j <
-    # 32 alone
-    ctx = FieldCtx(97)
-    for n in range(_ROWS_MIN, 33):
-        f, g = _operands(ctx.p, n, n)
-        assert _product(ctx, f, g, path) == oracle.schoolbook_mul(f, g, ctx.p), n
+    # over a field of two-adicity k = 4 (17) or 5 (97), a product of length
+    # _ROWS_MIN..2^k runs in rows at a padded length of at most 2^k, whose
+    # base case reads the points j < 2^k alone
+    for ctx in (FieldCtx(17), FieldCtx(97)):
+        top = 1 << (len(ctx.roots) - 1)
+        for n in range(_ROWS_MIN, top + 1):
+            f, g = _operands(ctx.p, n, n)
+            assert _product(ctx, f, g, path) == oracle.schoolbook_mul(f, g, ctx.p), (ctx.p, n)
 
 
 def test_a_field_builds_its_base_case_matrices_once():
