@@ -447,8 +447,8 @@ def _break(ctx: FieldCtx, a: np.ndarray, plan: Plan, work: np.ndarray) -> None:
     t = a.shape[1] - sizes[0]
     first, y = a[:, :sizes[0]], a[:, sizes[0]:]
     c = _fold(first, 2 * sizes[1], work[:first.size].reshape(first.shape))
-    c[:, :t] += y
-    first[:, :t] -= y
+    np.add(c[:, :t], y, out=c[:, :t])
+    np.subtract(first[:, :t], y, out=first[:, :t])
     for i in range(2, plan.s + 1):
         ni = sizes[i - 1]
         c = _fold(c, 2 * ni, c)
@@ -483,10 +483,10 @@ def _unbreak(ctx: FieldCtx, a: np.ndarray, plan: Plan, work: np.ndarray) -> None
         c = _fold(c, 2 * ni, c)
         blk = a[:, offsets[i - 1]:offsets[i - 1] + ni]
         lo, hi = c[:, :ni], c[:, ni:]
-        blk += hi
+        np.add(blk, hi, out=blk)
         if i < s:
             np.add(blk, hi, out=hi)  # f_i + 2 C_hi
-        blk -= lo
+        np.subtract(blk, lo, out=blk)
         c = hi
     rest = a[:, sizes[0]:]
     _mod(ctx, rest, work)
@@ -494,11 +494,11 @@ def _unbreak(ctx: FieldCtx, a: np.ndarray, plan: Plan, work: np.ndarray) -> None
     for i in range(1, s):  # block i + 1 times 2^(-i)
         halving = halving * ctx.half % ctx.p
         blk = a[:, offsets[i]:offsets[i] + sizes[i]]
-        blk *= halving
+        np.multiply(blk, halving, out=blk)
     _mod(ctx, rest, work)
     for i in range(s - 1, 0, -1):
         blk = a[:, offsets[i - 1]:offsets[i - 1] + tails[i]]
-        blk += a[:, offsets[i]:]
+        np.add(blk, a[:, offsets[i]:], out=blk)
     _mod(ctx, a[:, :offsets[-2] + tails[-2]], work)  # the slots the loop added to
 
 
@@ -524,9 +524,10 @@ def multiply(ctx: FieldCtx, a: np.ndarray, n: int, product, e: int) -> list[int]
         exps[0], exps[1:] = 0, e
         np.cumsum(exps, out=exps)
         scales = _counted(ctx, np.empty((2, m), np.int64))
-        for row in scales:  # Omega_s**k, then Omega_s**(-k)
-            tables[0].take(np.bitwise_and(exps, plan.N - 1, out=exps), out=row, mode="clip")
-            np.negative(exps, out=exps)
+        low = plan.N - 1  # Omega_s**k, then Omega_s**(-k)
+        tables[0].take(np.bitwise_and(exps, low, out=exps), out=scales[0], mode="clip")
+        np.bitwise_and(np.negative(exps, out=exps), low, out=exps)
+        tables[0].take(exps, out=scales[1], mode="clip")
         _mod(ctx, np.multiply(a, scales[0], out=a), work)
     if plan:
         _break(ctx, a, plan, work)

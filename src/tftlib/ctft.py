@@ -5,28 +5,19 @@ f_i = f mod Phi_i (Phi_i = z^(n_i) + 1 from the binary split of n), and each
 image is then evaluated at the roots of its Phi_i by the kernel with twist 1.
 Three engines produce the image state:
 
-``new``     single buffer, O(1) scratch.  Phase 1 folds the buffer into the
-            chain of remainders r_i = q_(i-1) mod Phi_i using subtractions
-            only.  Phase 2 turns each r_i into f_i by Horner's rule over the
-            earlier images: for j = 1..i-1 it doubles the block and adds the
-            surviving terms of f_j, so the term of f_j lands with weight
-            2^(i-1-j) and r_i with 2^(i-1).  The survivors are built, not
-            searched for: runs of n_(i-1) exponents at the supersets of the
-            survival mask, each folded as n_i-chunk pairs of sign +, -, or,
-            from 16 pairs per run on, slot by slot in two strided sums over
-            the whole run.  At most 3n additions, fewer than n
+``new``     single buffer, O(1) scratch.  In one pass per block i = 1..s,
+            phase 1 folds the block into the remainder r_i = q_(i-1) mod
+            Phi_i by subtractions, reading only blocks past i, and Horner's
+            rule over the images j < i turns r_i into f_i, doubling the
+            block and adding the surviving terms of f_j for j = 1..i-1
+            (:func:`_contribution_pass`).  At most 3n additions, fewer than n
             multiplications by 2 or 1/2, no general multiplications.
 
 ``sergeev`` single buffer, O(1) scratch.  Walks the modulus chain z^K - 1
             downward, keeping the images found so far plus the leading
             coefficients of f mod (z^K - 1).  Each halving step rebuilds the
             coefficients that fell outside the stored prefix from the images,
-            in one pass over their survivor runs, built as ``new`` builds
-            them: while image 1 alone exists the runs land on their targets
-            directly, strided or chunk by chunk; later each coefficient is
-            summed by Horner's rule, the weights 2^(i-j) applied by doubling
-            between images (none at the first split, before any image
-            exists).
+            in one pass over their survivor runs (:func:`_add_rebuilt`).
 
 ``mateer``  needs a full N-slot buffer.  Splits f mod (z^K - 1) into
             f mod (z^(K/2) - 1) and f mod (z^(K/2) + 1) by plain butterflies
@@ -78,12 +69,20 @@ def _require_plan(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
 
 def _require_ints(ctx: FieldCtx, a: list[int], size: int) -> None:
     _require_length(a, size)
-    # The contribution pass sums up to n/2 residues before it reduces, which
-    # overflows an int64 once n*p reaches 2^63 (for n >= 2, p > 2^62 is past
-    # that): non-int elements are then loaded through index().
+    # the passes' sums stay below n*p (_contribution_pass, _add_rebuilt): from
+    # n*p >= 2^63 on, non-int elements are loaded through index()
     if len(a) * ctx.p >> 63 and any(type(x) is not int for x in a):
         for t in range(len(a)):
             a[t] = index(a[t])
+
+
+def _fold(ctx: FieldCtx, a: list[int], plan: Plan, i: int, undo: bool) -> None:
+    """Phase 1 at block i: the tail(i) slots past it come off its first tail(i) (undo: on)."""
+    p = ctx.p
+    o, ni, tail = plan.offsets[i - 1], plan.sizes[i - 1], plan.tails[i]
+    for t in range(o, o + tail):
+        a[t] = (a[t] + a[t + ni] if undo else a[t] - a[t + ni]) % p
+    ctx.ops.add += tail
 
 
 def reduce_to_remainders(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
@@ -95,20 +94,16 @@ def reduce_to_remainders(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     quotient itself, which already fits its block.
     """
     _require_length(a, plan.n)
-    p = ctx.p
     for i in range(1, plan.s):
-        o = plan.offset(i)
-        ni = plan.size(i)
-        for t in range(o, o + plan.tail(i)):
-            a[t] = (a[t] - a[t + ni]) % p
-    ctx.ops.add += sum(plan.tails[1:plan.s])
+        _fold(ctx, a, plan, i, False)
 
 
 # chunk pairs per run from which _contribution_pass sums strided (measured)
 _STRIDED_MIN_PAIRS = 16
 
 
-def _contribution_pass(ctx: FieldCtx, a: list[int], plan: Plan, i: int, undo: bool) -> None:
+def _contribution_pass(ctx: FieldCtx, a: list[int], plan: Plan, i: int, undo: bool,
+                       fold: bool) -> None:
     """Horner's rule over the images j < i, applied to block i.
 
     Forward, for j = 1..i-1: double block i, then add the survivors of image
@@ -120,20 +115,29 @@ def _contribution_pass(ctx: FieldCtx, a: list[int], plan: Plan, i: int, undo: bo
     below log2(n_(i-1)) >= log2(n_i) + 1, so the n_i-chunks of a run alternate
     in sign +, -, +, ..., with the signs swapped by undo.
 
-    A run is folded in one of two loop orders, chosen by the plan's shape
-    alone.  With fewer than _STRIDED_MIN_PAIRS = 16 chunk pairs per run,
-    n_(i-1) / (2 n_i), each chunk pair is folded in one statement per target
-    slot.  With at least that many, each target slot t folds the whole run in
-    one statement, ``sum(map(get, range(...)))`` over its + sources minus the
-    same over its - sources (stride 2 n_i), so the loop over the sources runs
-    in C.  At n = 2^k + 1 a chunk is a single slot and there are n_1 / 2
-    pairs, each of which the chunk-pair order spends a Python loop on.  The
-    crossover is measured, one pass over one run at n_i = 1..256 (shared
-    2-core Xeon VM, Python 3.11): from 16 pairs the strided order was
-    1.2-3.0x faster at every n_i; at 8 pairs it was 1.15-1.6x faster for
-    n_i <= 4 but up to 12% slower for n_i >= 16; at 4 pairs and fewer it
-    tied or lost.  Both orders read the sources through iterators, so
-    scratch stays O(1), and add the same terms, so outputs and counts agree.
+    No loop of its own doubles, halves or folds: the doubling rides on image
+    j's first statement, the halving on its last, and with ``fold`` phase 1
+    at block i, which reads only blocks past i, on image 1's: forward
+    2 (a[t] - a[t + n_i]) for t below offset(i) + tail(i), undo the halved
+    value plus a[t + n_i].  The halving takes no product: v in [0, p) halves
+    to v >> 1, or (v + p) >> 1 when odd.
+
+    With fewer than _STRIDED_MIN_PAIRS = 16 chunk pairs per run,
+    n_(i-1) / (2 n_i), each pair is folded in one statement per target slot;
+    from 16 on (at 2^k + 1, n_1 / 2 pairs of one slot), each target slot folds
+    the whole run in one statement, its + sources' ``sum(map(get, range(...)))``
+    minus its - sources', so the loop over the sources runs in C.  On one run
+    at n_i = 1..256 (shared 2-core Xeon VM, Python 3.11) strided was 1.2-3.0x
+    faster from 16 pairs; at 8 pairs 1.15-1.6x faster for n_i <= 4 but up to
+    12% slower from n_i = 16; at 4 and fewer it tied or lost.  Both orders
+    read through iterators (O(1) scratch) and add the same terms.
+
+    With every input in [0, p), so is every slot a statement reads: an input
+    or a value some statement reduced.  A statement folding m pairs then
+    stays within (m + 2) p in magnitude, the doubling and the fold included:
+    m = 1 in chunk order, where n >= 3, and strided m = n_(i-1) / (2 n_i)
+    with n >= 2m + 1.  So it stays below n p, and numpy int64 elements, which
+    :func:`_require_ints` keeps only while n p < 2^63, cannot overflow.
     """
     p = ctx.p
     offsets, sizes = plan.offsets, plan.sizes  # locals: a named tuple's fields read slowly
@@ -143,39 +147,51 @@ def _contribution_pass(ctx: FieldCtx, a: list[int], plan: Plan, i: int, undo: bo
     step = 2 * ni
     strided = run >= _STRIDED_MIN_PAIRS * step
     get = a.__getitem__
-    half = ctx.half
-    # source offsets, relative to the target slot, of the added and the
-    # subtracted chunk of a pair
+    # source offsets of a pair's added and subtracted chunk, from the target slot
     plus, minus = (ni, 0) if undo else (0, ni)
-    adds = 0
+    adds = tail = plan.tails[i] if fold else 0
     for j in (range(i - 1, 0, -1) if undo else range(1, i)):
-        if not undo:
-            for t in range(oi, oi + ni):
-                a[t] = 2 * a[t] % p
         mask = survival_mask(plan, j, i)
         free = (sizes[j - 1] - run) & ~mask
         first = offsets[j - 1] - oi
+        # the chunk of the image's first (last) statement, and its folding slots
+        edge = first + mask + (free + run - step if undo else 0)
+        cut = oi + tail if j == 1 else oi
         y = 0
         while True:
             start = first + (mask | y)
             if strided:
                 for t in range(oi, oi + ni):
                     s = t + start
-                    a[t] = (a[t] + sum(map(get, range(s + plus, s + run, step)))
-                            - sum(map(get, range(s + minus, s + run, step)))) % p
+                    v = (sum(map(get, range(s + plus, s + run, step)))
+                         - sum(map(get, range(s + minus, s + run, step))))
+                    if not start <= edge < start + run:
+                        a[t] = (a[t] + v) % p
+                    elif undo:
+                        v = (a[t] + v) % p
+                        v = (v + p) >> 1 if v & 1 else v >> 1
+                        a[t] = (v + a[t + ni]) % p if t < cut else v
+                    else:
+                        a[t] = (2 * (a[t] - a[t + ni] if t < cut else a[t]) + v) % p
             else:
                 for c in range(start, start + run, step):
-                    cp = c + plus
-                    cm = c + minus
-                    for t in range(oi, oi + ni):
-                        a[t] = (a[t] + a[t + cp] - a[t + cm]) % p
+                    cp, cm = c + plus, c + minus
+                    if c != edge:
+                        for t in range(oi, oi + ni):
+                            a[t] = (a[t] + a[t + cp] - a[t + cm]) % p
+                    elif undo:
+                        for t in range(oi, oi + ni):
+                            v = (a[t] + a[t + cp] - a[t + cm]) % p
+                            v = (v + p) >> 1 if v & 1 else v >> 1
+                            a[t] = (v + a[t + ni]) % p if t < cut else v
+                    else:
+                        for t in range(oi, oi + ni):
+                            a[t] = (2 * (a[t] - a[t + ni] if t < cut else a[t])
+                                    + a[t + cp] - a[t + cm]) % p
             adds += run
             y = (y - free) & free
             if not y:
                 break
-        if undo:
-            for t in range(oi, oi + ni):
-                a[t] = a[t] * half % p
     ctx.ops.add += adds
     ctx.ops.pow2 += (i - 1) * ni
 
@@ -187,20 +203,20 @@ def add_contribution(ctx: FieldCtx, a: list[int], plan: Plan, i: int) -> None:
     if not 2 <= i <= plan.s:
         raise ValueError(f"need 2 <= i <= {plan.s}, got i={i}")
     _require_length(a, plan.n)
-    _contribution_pass(ctx, a, plan, i, undo=False)
+    _contribution_pass(ctx, a, plan, i, undo=False, fold=False)
 
 
 def break_in_place(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
     """Rewrite coefficients into the images f_i = f mod Phi_i, in place.
 
-    Folds the remainders, then builds f_2..f_s in order, each from the images
-    before it.  At most 3n additions, sum (i-1)*n_i < n doublings, zero
-    general multiplications, O(1) scratch.
+    Block by block: folds block i's remainder and builds f_i from the images
+    before it, in one pass.  At most 3n additions, sum (i-1)*n_i < n
+    doublings, zero general multiplications, O(1) scratch.
     """
     _require_ints(ctx, a, plan.n)
-    reduce_to_remainders(ctx, a, plan)
+    _fold(ctx, a, plan, 1, False)
     for i in range(2, plan.s + 1):
-        add_contribution(ctx, a, plan, i)
+        _contribution_pass(ctx, a, plan, i, undo=False, fold=True)
 
 
 def break_counts(plan: Plan) -> tuple[int, int]:
@@ -226,17 +242,11 @@ def break_counts(plan: Plan) -> tuple[int, int]:
 
 
 def unbreak_in_place(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
-    """Exact inverse of :func:`break_in_place`, step by step in reverse."""
+    """Exact inverse of :func:`break_in_place`, block by block in reverse."""
     _require_ints(ctx, a, plan.n)
-    p = ctx.p
     for i in range(plan.s, 1, -1):
-        _contribution_pass(ctx, a, plan, i, undo=True)
-    for i in range(plan.s - 1, 0, -1):
-        o = plan.offset(i)
-        ni = plan.size(i)
-        for t in range(o, o + plan.tail(i)):
-            a[t] = (a[t] + a[t + ni]) % p
-    ctx.ops.add += sum(plan.tails[1:plan.s])
+        _contribution_pass(ctx, a, plan, i, undo=True, fold=True)
+    _fold(ctx, a, plan, 1, True)
 
 
 def mateer_break(ctx: FieldCtx, a: list[int], plan: Plan) -> None:
@@ -283,7 +293,9 @@ def _add_rebuilt(ctx: FieldCtx, a: list[int], plan: Plan, i: int, k: int,
     strided per target, or for shorter runs chunk by chunk, one statement per
     target and run slot.  For a run of 16 slots the strided order took 0.51x
     to 0.65x the time of the chunk order at 8 to 512 targets (0.29x at one),
-    and at 8 slots 0.85x to 1.03x (shared 2-core Xeon VM, Python 3.11).
+    and at 8 slots 0.85x to 1.03x (shared 2-core Xeon VM, Python 3.11).  A
+    step with one target (every step at 2^k + 1) takes it from 4 slots on:
+    1.4 -> 1.0 us at 4 slots, 2.7 -> 1.2 us at 8, but 0.8 -> 0.9 us at 2.
     With more images each coefficient is built by Horner's rule over j, its
     accumulator doubled and reduced between images.  No int64 bound needs
     those reductions, which only keep Python ints short: image j gives
@@ -301,7 +313,7 @@ def _add_rebuilt(ctx: FieldCtx, a: list[int], plan: Plan, i: int, k: int,
     strided = ni >= _STRIDED_MIN_PAIRS * k
     get = a.__getitem__
     if i == 1:
-        if strided:
+        if strided or hi - lo == 1 and ni >= 4 * k:
             for t in range(lo, hi):
                 s = t + kh - ni
                 a[t] = (a[t] + sign * sum(map(get, range(s, s + ni, k)))) % p

@@ -380,6 +380,43 @@ def test_break_of_short_chunk_runs(ctx, n):
     assert (inv.mul, inv.pow2, inv.add) == want
 
 
+# the images-roundtrip benchmark's lengths up to 2^12 + 1: 2^k - 1,
+# 0b1010...1 (several runs per image) and 2^k + 1 (a strided run)
+ROUNDTRIP_SIZES = [n for k in (8, 10, 12) for n in (2**k - 1, (2**k - 1) // 3, 2**k + 1)]
+
+
+@pytest.mark.parametrize("sizes", [range(1, 601), EDGE_SIZES, ROUNDTRIP_SIZES])
+def test_fused_break_equals_its_phases(ctx, sizes):
+    # break_in_place folds each block and builds its image in one pass over
+    # it; the public phases do the same work apart, with the same counts.
+    # The unbreak inverts the images of every engine.
+    p = ctx.p
+    for n in sizes:
+        plan = plan_new(n, ctx)
+        rng = random.Random(n)
+        f = [rng.randrange(p) for _ in range(n)]
+        a, b = list(f), list(f)
+        with ctx.count_session() as fused:
+            break_in_place(ctx, a, plan)
+        with ctx.count_session() as phases:
+            reduce_to_remainders(ctx, b, plan)
+            for i in range(2, plan.s + 1):
+                add_contribution(ctx, b, plan, i)
+        assert a == b, n
+        assert (fused.mul, fused.pow2, fused.add) == (phases.mul, phases.pow2, phases.add), n
+        for engine in ENGINES:
+            if engine == "mateer":
+                buf = f + [0] * (plan.N - n)
+                mateer_break(ctx, buf, plan)
+                c = [x for ni in plan.sizes for x in buf[ni:2 * ni]] if plan.s > 1 else buf
+            else:
+                c = list(f)
+                (break_in_place if engine == "new" else sergeev_break)(ctx, c, plan)
+            assert c == a, (n, engine)
+            unbreak_in_place(ctx, c, plan)
+            assert c == f, (n, engine)
+
+
 def traced_scratch(ctx, n, run):
     """Traced peak of run(a), above the larger of the buffer before and after it.
 

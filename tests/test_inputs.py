@@ -143,6 +143,32 @@ def test_numpy_int64_sergeev_unconverted(n):
             _assert_field_ints(from_numpy, p, "ctft_forward[sergeev]")
 
 
+@pytest.mark.parametrize("p, n", [(P52, 3), (P52, 1023), (P52, 1365), (P52, 2046),
+                                  (P62, 2), (P62, 3)])
+def test_numpy_int64_unbreak_unconverted(p, n):
+    # n * p < 2^63, so the unbreak keeps numpy int64 elements as they are: a
+    # halving by a product a * ctx.half would pass 2^63 once p > 2^31.5
+    ctx = FieldCtx(p)
+    assert n * p < 2**63
+    plan = plan_new(n, ctx)
+    rng = random.Random(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an int64 overflow warning fails the test
+        for plain in ([rng.randrange(p) for _ in range(n)], [p - 1] * n):
+            for engine in ENGINES:
+                a = list(np.array(plain, dtype=np.int64))
+                if engine == "mateer":
+                    if plan.s > 1:  # one block is its own image
+                        buf = a + [np.int64(0)] * (plan.N - n)
+                        mateer_break(ctx, buf, plan)
+                        a = [np.int64(x) for ni in plan.sizes for x in buf[ni:2 * ni]]
+                else:
+                    (break_in_place if engine == "new" else sergeev_break)(ctx, a, plan)
+                assert any(type(x) is not int for x in a)  # the unbreak keeps them
+                unbreak_in_place(ctx, a, plan)
+                assert [int(x) for x in a] == plain, engine
+
+
 # 2^62 < P63 < 2^63 (2-adicity 20): a residue fits in an int64, a sum of two
 # may not
 P63 = 9223372036836950017
