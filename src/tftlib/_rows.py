@@ -11,8 +11,17 @@ The two operands are the rows of a (2, n) buffer, so a product's forward
 transforms are one set of operations.  The block transform takes one set
 per butterfly stage over every block at once, for half-lengths u >= 64:
 blocks are contiguous and aligned, so at half-length u the blocks with n_i
->= 2u are a prefix of each row that reshapes to (rows, 2, u), and each row
-takes one twiddle, a power of omega_N, N the padded length.
+>= 2u are a prefix of the stage blocks that reshapes to (rows, 2, u), and
+each row takes one twiddle, a power of omega_N, N the padded length.
+
+A block of n_i = 64R slots at twist t with 8 <= R and (t + 1) R <= 64,
+512 to 4096 slots, runs no stage: its stages u >= 64 are one R-point DFT
+across its 64-slot chunks (Bailey's four-step FFT), the matrix columns [tR,
+(t + 1) R) that the base case below already holds, one float64 matrix
+product per row, a level.  The levels are a prefix of the blocks, and the
+stages run on the stage blocks after it.  A product that holds a block too
+large for the matrix (4096 slots at twist 1, or 8192 and up) keeps every
+stage of every block (:func:`_twiddles`).
 
 The six stages below u = 64 are the base case: on each row of the buffer,
 one float64 matrix product over every 64-slot chunk, and one for each
@@ -26,12 +35,13 @@ no twist.  The inverse applies the unnormalised inverse matrix,
 zeta**(-i rev(j)) (a small block: rows [t n_i, (t + 1) n_i), left n_i
 columns), then lambda_c**(-i) to the chunks, then the stages u >= 64 and
 the 1/n_i pass.  The matrices are float64 in 16-bit limbs, so that numpy
-hands the products to BLAS (FFLAS-FFPACK's way to exact finite-field
-products): a residue in [0, p) times a low limb, summed over 64 slots, is
-at most 64 (p - 1)(2^16 - 1) < 2^6 2^31 2^16 = 2^53 for every p < 2^31,
-and a high limb is below 2^15, so every sum and every partial sum is an
-integer that float64 holds exactly, whatever order BLAS adds in.  The two
-limbs' sums then recombine in int64, lo + 2^16 (hi mod p) < 2^53 + 2^47.
+hands the products, the levels' too, to BLAS (FFLAS-FFPACK's way to exact
+finite-field products): a residue in [0, p) times a low limb, summed over
+64 slots (a level sums R <= 64 chunks), is at most 64 (p - 1)(2^16 - 1) <
+2^6 2^31 2^16 = 2^53 for every p < 2^31, and a high limb is below 2^15, so
+every sum and every partial sum is an integer that float64 holds exactly,
+whatever order BLAS adds in.  The two limbs' sums then recombine in int64,
+lo + 2^16 (hi mod p) < 2^53 + 2^47.
 
 The per-N tables are ``ctx.row_tables[N]``, built by the first product of
 padded length N over a context: the powers of omega_N (the Omega_s
@@ -43,11 +53,12 @@ lambda_c**(-63).  The two matrices, 128 KiB, are field set-up like
 by doubling.  What a product of transform length m reads of them depends
 only on the field and m, so the first row product of length m builds it
 once, into its product plan (``bridge._ProductPlan``, :func:`_twiddles`):
-per block a view of the tables and 1/n_i as a scalar, and per stage u >=
-64 one row of twiddles.  A stage of one block reads a view of the base
-rows; the rows of a stage of several blocks are their views concatenated,
-w = m >> (st + 1) <= m/128 entries per direction, so a plan holds fewer
-than m/64 elements per direction.
+per block a view of the tables and 1/n_i as a scalar, per level two views
+of the matrices, and per stage u >= 64 one row of twiddles.  A stage of
+one block reads a view of the base rows; the rows of a stage of several
+blocks are their views concatenated, at most m/128 entries per direction
+at u = 64 and half as many at each next stage, so a plan holds fewer than
+m/64 elements per direction.
 
 The break and its inverse reach the list path's images without the
 engines' survivor runs.  The break halves z^N - 1, as the ``mateer`` engine
@@ -61,10 +72,11 @@ powers of omega_N); the padded product is its one-block case at twist 0.
 The rows' twiddles are balanced, in (-p/2, p/2], so a product of a twiddle
 and a value below 4p in magnitude stays below 2p^2 < 2^63 for every p <
 2^31.  That lets the butterflies reduce lazily (Harvey 2014): each product
-is reduced at once, but the forward transform reduces its sums and
-differences only after every fourth stage, and hands the base case values
-below 4p in magnitude, which the twist multiplies and reduces; the inverse
-reduces its sums after every third stage (proofs at :func:`_transform`).
+is reduced at once, but the forward transform reduces the stage blocks'
+sums and differences only after every fourth stage, and hands the twist
+values below 4p in magnitude (a level's in [0, p)), which it multiplies and
+reduces for the base case; the inverse reduces its sums after every third
+stage (proofs at :func:`_transform`).
 
 The rows count nothing.  Their element work is not the list path's (lazy
 reductions, twiddles read from tables, a halved break, a matrix product),
@@ -76,11 +88,11 @@ and of the product, and besides the field's matrices, is reported in
 ``ctx.scratch_allocated``, once: each table and each plan's concatenated
 stage rows by the product that builds them, and per product a work buffer
 of 2m elements (the stages' products and quotients, the carries, and the
-base case's float sums, one row at a time), and on the bit-reversed path
-the two power rows.  The 1/n_i and the unbreak's halvings are scalars, one
-per block.  A product of padded length N reports at most 4.1N elements on
-the padded and the cyclotomic path and 6.1N on the bit-reversed one,
-tables and plan included (``tests/test_rows.py``).
+levels' and the base case's float sums, one row at a time), and on the
+bit-reversed path the two power rows.  The 1/n_i and the unbreak's
+halvings are scalars, one per block.  A product of padded length N reports
+at most 4.1N elements on the padded and the cyclotomic path and 6.1N on
+the bit-reversed one, tables and plan included (``tests/test_rows.py``).
 """
 
 from __future__ import annotations
@@ -104,6 +116,13 @@ _SUM_WIDTH = 64
 _ONE = np.ones(1, np.int64)  # a row of ones of any length, as a view of stride 0
 _BASE = 64  # the base case: a chunk of this many slots is one row of a matrix product
 _LIMB = 16  # bits of the matrices' low limbs
+# blocks of this many 64-slot chunks or more are levels (:func:`_twiddles`).
+# At 4, public products (medians of 21 alternating in-process rounds, two
+# runs, shared 2-core VM) read 0.98-1.02x of 8 at n = 255, 257 and 1409,
+# 1.06-1.08x at 385, where a 128-slot block keeps its stage anyway, and
+# 0.90-0.94x at 769, 1281 and 2305, where no stage is left; at 257 and 385
+# the cyclotomic product takes 5 and 13 more numpy calls
+_LEVEL_MIN = 8
 
 
 def _counted(ctx: FieldCtx, a: np.ndarray) -> np.ndarray:
@@ -244,28 +263,57 @@ def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int) -> tuple:
     is its first twiddle (as in :func:`tftlib.transform.dwt`): entry q of
     the base row is omega_(2m)**rev(q) for q < m, and entry m + q is
     omega_(4m)**(2 rev(q) + 1).  The blocks of a stage have distinct m, one
-    set bit each of n >> (st + 1), which is the stage's row count: a stage
-    of one block reads its view of the base rows, and the views of a stage
-    of several blocks are concatenated here, once, and reported, w = n >>
-    (st + 1) <= n/128 entries per direction.
+    set bit each of n' >> (st + 1), n' the slots of the blocks that run
+    stages (below), which is the stage's row count: a stage of one block
+    reads its view of the base rows, and the views of a stage of several
+    blocks are concatenated here, once, and reported, w = n' >> (st + 1) <=
+    n/128 entries per direction.
+
+    The stages u >= 64 of a block of n_i = 64R slots at twist t take its
+    64-slot chunks f_0, ..., f_(R-1) to f mod (z^64 - lambda_c^64), c < R,
+    which is the sum over r of lambda_c^(64 r) f_r: an R-point DFT across
+    the chunks (Bailey's four-step FFT).  Its points lambda_c^64 =
+    omega_(2R)**(t + 2 rev(c)), rev over log2(R) bits, are zeta**rev(tR +
+    c), rev over six bits, so its matrix is columns [tR, (t + 1) R) of the
+    base case's forward matrix, top R rows, and the unnormalised inverse is
+    rows [tR, (t + 1) R) of the inverse one, left R columns; both are read
+    transposed, the part on the left of the chunks.  A block takes that
+    product, a level, when _LEVEL_MIN <= R and (t + 1) R <= 64.  The
+    blocks are decreasing, so the levels are a prefix of the row, and the
+    stages run on the blocks after it; a product that holds a block too
+    large for the matrix (t = 1 and n_i = 4096, or n_i >= 8192) keeps every
+    stage of every block.  Stage rows are built for the stage blocks alone.
 
     Returns the (forward, inverse) rows of the stages u = 64, 128, ..., each
     of shape (2, rows, 1); (offset, size, twist rows, their lambda**(-63))
     of every block of 64 slots or more; (offset, size, first matrix column)
     of every smaller block but those of one slot, whose transform is the
     identity; (offset, size, 1/n_i) of each of those blocks, 1/n_i balanced
-    as the rows are: -(p - 1)/n_i; and the slots of the chunks, and of every
-    block but one of one slot.
+    as the rows are: -(p - 1)/n_i; the slots of the chunks, and of every
+    block but one of one slot; (offset, size, forward part, inverse part)
+    of every level, each part of shape (2, R, R); and the slots of the
+    levels, where the stage blocks start.
     """
     _, base, twists, unwind = tables
+    mats = _matrices(ctx)
     n = sum(sizes)
 
     def share(s):
         return slice(twist * s, (twist + 1) * s)
 
+    levels, lead = [], 0
+    if sizes[0] << twist <= _BASE * _BASE:
+        for ni in sizes:
+            r = ni // _BASE
+            if r < _LEVEL_MIN:
+                break
+            levels.append((lead, ni, mats[0][:, :r, share(r)].transpose(0, 2, 1),
+                           mats[1][:, share(r), :r].transpose(0, 2, 1)))
+            lead += ni
     stages = []
-    for st in range(_BASE.bit_length() - 1, n.bit_length() - 1):
-        w = n >> (st + 1)
+    rest = n - lead
+    for st in range(_BASE.bit_length() - 1, rest.bit_length() - 1):
+        w = rest >> (st + 1)
         pieces = [base[:, share(1 << b)] for b in range(w.bit_length() - 1, -1, -1) if w >> b & 1]
         stages.append(pieces[0] if len(pieces) == 1
                       else _counted(ctx, np.concatenate(pieces, axis=1)))
@@ -280,22 +328,21 @@ def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int) -> tuple:
             scales.append((offset, ni, -((ctx.p - 1) // ni)))
         offset += ni
     top = sum(c[1] for c in chunks)
-    return stages, chunks, small, scales, top, top + sum(c[1] for c in small)
+    return (stages, chunks, small, scales, top, top + sum(c[1] for c in small), tuple(levels),
+            lead)
 
 
-def _base(ctx: FieldCtx, a: np.ndarray, chunks, small, top: int, span: int,
-          work: np.ndarray, inverse: bool) -> None:
-    """The base case of every block on every row of a, in [0, p): each chunk
-    of ``chunks`` (already twisted) times the forward or inverse matrix, and
-    each block of ``small`` times its columns of the one or its rows of the
-    other.
+def _exact(ctx: FieldCtx, a: np.ndarray, span: int, work: np.ndarray, products,
+           hi_mod) -> None:
+    """Every row of a, its first ``span`` slots in [0, p), times matrices
+    in 16-bit limbs, back into those slots in [0, p).
 
-    A row's first ``span`` slots turn into float64 where they lie.  The
-    low and the high limbs' sums go to the two halves of the work buffer as
-    float64, both limbs of a block by one matmul; turned into int64 where
-    they lie, they recombine into the row.
+    A row's slots turn into float64 where they lie, and ``products(fx,
+    fsums)`` writes the low and the high limbs' sums to the two halves of
+    the work buffer as float64, both limbs of a block by one matmul; turned
+    into int64 where they lie, they recombine into the row, the high sums
+    reduced by ``hi_mod(hi, x)`` (x the row's slots, free by then).
     """
-    mats = ctx.row_dft[1 if inverse else 0]
     sums = work[:2 * span]
     fsums = sums.view(np.float64).reshape(2, span)
     lo, hi = sums[:span], sums[span:]
@@ -303,17 +350,48 @@ def _base(ctx: FieldCtx, a: np.ndarray, chunks, small, top: int, span: int,
         x = row[:span]
         fx = x.view(np.float64)
         np.copyto(fx, x, casting="unsafe")
+        products(fx, fsums)
+        np.copyto(sums, fsums.reshape(-1), casting="unsafe")
+        hi_mod(hi, x)
+        np.left_shift(hi, _LIMB, out=hi)
+        np.add(lo, hi, out=lo)
+        _mod(ctx, lo, hi, out=x)
+
+
+def _base(ctx: FieldCtx, a: np.ndarray, chunks, small, top: int, span: int,
+          work: np.ndarray, inverse: bool) -> None:
+    """The base case of every block on every row of a, in [0, p): each chunk
+    of ``chunks`` (already twisted) times the forward or inverse matrix, and
+    each block of ``small`` times its columns of the one or its rows of the
+    other (:func:`_exact`).
+    """
+    mats = ctx.row_dft[1 if inverse else 0]
+
+    def products(fx, fsums):
         if top:
             np.matmul(fx[:top].reshape(-1, _BASE), mats,
                       out=fsums[:, :top].reshape(2, -1, _BASE))
         for off, ni, c in small:
             part = mats[:, c:c + ni, :ni] if inverse else mats[:, :ni, c:c + ni]
             np.matmul(fx[off:off + ni], part, out=fsums[:, off:off + ni])
-        np.copyto(sums, fsums.reshape(-1), casting="unsafe")
-        _mod(ctx, hi, x)
-        np.left_shift(hi, _LIMB, out=hi)
-        np.add(lo, hi, out=lo)
-        _mod(ctx, lo, hi, out=x)
+
+    _exact(ctx, a, span, work, products, lambda hi, x: _mod(ctx, hi, x))
+
+
+def _levels(ctx: FieldCtx, a: np.ndarray, levels, lead: int, work: np.ndarray,
+            inverse: bool) -> None:
+    """The stages u >= 64 of every block of ``levels`` on every row of a,
+    the first ``lead`` slots, in [0, p) (:func:`_exact`): a block of R
+    chunks of 64 slots is its forward or inverse R-point part times the
+    chunks as the rows of an (R, 64) matrix (:func:`_twiddles`).  Its high
+    sums take one np.remainder, a call where :func:`_mod` takes three.
+    """
+    def products(fx, fsums):
+        for off, ni, forward, backward in levels:
+            np.matmul(backward if inverse else forward, fx[off:off + ni].reshape(-1, _BASE),
+                      out=fsums[:, off:off + ni].reshape(2, -1, _BASE))
+
+    _exact(ctx, a, lead, work, products, lambda hi, x: np.remainder(hi, ctx.p, out=hi))
 
 
 def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
@@ -323,17 +401,20 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
     The blocks are those of :func:`_twiddles`, at its twist: decreasing
     powers of two whose sum is the row length, block i starting at n_1 +
     ... + n_(i-1).  The input is in [0, p), and so is every output.  The
-    stages u >= 64 run on the prefix of blocks of 2u slots or more; the
-    base case (:func:`_base`) ends the forward transform and starts the
-    inverse.
+    levels (:func:`_levels`) take the stages u >= 64 of the first blocks,
+    slots [0, lead); the stages u >= 64 run on the blocks after them, on
+    the prefix of those of 2u slots or more; the base case (:func:`_base`)
+    ends the forward transform and starts the inverse.
 
     Reduction is lazy (Harvey 2014), on balanced twiddles.  p is odd, so a
     twiddle, a twist or 1/n_i in (-p/2, p/2] has magnitude at most (p -
     1)/2, and for |v| < 4p a product has |v w| < 2p (p - 1) < 2p^2 < 2^63,
     as p < 2^31 gives p^2 < 2^62.  Every product of a stage is reduced into
     [0, p) at once; the sums and differences wait, and never leave [-4p,
-    8p).  The two bounds below, over the stages u >= 64 alone, show that no
-    multiplied value reaches 4p in magnitude.
+    8p).  The two bounds below, over the stages u >= 64 of the stage
+    blocks alone, show that no multiplied value reaches 4p in magnitude.  A
+    level takes [0, p) and hands [0, p), both ways, so its blocks hold [0,
+    p) wherever the bounds below speak of a block that runs no stage.
 
     Forward, u falls and the prefix grows.  Before the d-th stage every
     value of its prefix lies in [-jp, (j + 1) p), j = (d - 1) mod 4.  This
@@ -343,28 +424,30 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
     [-jp, (j + 2) p), so the bound holds with j + 1.  After every fourth
     stage (j = 3: values in [-4p, 5p)) the prefix is reduced into [0, p),
     so j restarts at 0.  After the last stage, then, every value lies in
-    [-3p, 4p) or in [0, p): the twist multiplies values below 4p in
-    magnitude, and its reduction hands the base case [0, p).
+    [-3p, 4p) or in [0, p), and a level's in [0, p): the twist multiplies
+    values below 4p in magnitude, and its reduction hands the base case [0,
+    p).
 
     Inverse, u grows and the prefix shrinks.  The base case and the twist
-    leave every value in [0, p).  Before the d-th stage every value of its
-    prefix lies in [0, cp), c = 2^((d - 1) mod 3).  This holds at d = 1.  A
-    stage multiplies x - y, |x - y| < cp <= 4p, into y in [0, p), and x + y
-    lies in [0, 2cp), so the next prefix, a part of this one, lies in [0,
-    2cp).  After every third stage (c = 4: sums in [0, 8p)) the sums are
-    reduced into [0, p), so c restarts at 1.  A block that has left the
-    prefix keeps what its last stage left, in [0, 4p) (c <= 2) or in [0, p)
-    (c = 4, reduced), and a block of no stage holds [0, p); so the 1/n_i
-    pass multiplies values below 4p, and reduces them.
+    leave every value in [0, p), the levels' input.  Before the d-th stage
+    every value of its prefix lies in [0, cp), c = 2^((d - 1) mod 3).  This
+    holds at d = 1.  A stage multiplies x - y, |x - y| < cp <= 4p, into y
+    in [0, p), and x + y lies in [0, 2cp), so the next prefix, a part of
+    this one, lies in [0, 2cp).  After every third stage (c = 4: sums in
+    [0, 8p)) the sums are reduced into [0, p), so c restarts at 1.  A block
+    that has left the prefix keeps what its last stage left, in [0, 4p) (c
+    <= 2) or in [0, p) (c = 4, reduced), and a block of no stage, a level
+    included, holds [0, p); so the 1/n_i pass multiplies values below 4p,
+    and reduces them.
     """
     k = a.shape[0]
-    stage_rows, chunks, small, scales, top, span = twiddles
+    stage_rows, chunks, small, scales, top, span, levels, lead = twiddles
     low = _BASE.bit_length() - 1  # stage st has half-length u = 2^st
 
     def stage(st):
         rows = stage_rows[st - low].shape[1]
         u = 1 << st
-        view = a[:, :2 * u * rows].reshape(k, rows, 2, u)
+        view = a[:, lead:lead + 2 * u * rows].reshape(k, rows, 2, u)
         return view[:, :, 0], view[:, :, 1], work[:k * rows * u].reshape(k, rows, u)
 
     def rotate(factor):  # every chunk times its row of factor(rows, unwind), reduced
@@ -377,6 +460,8 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
     stages = range(low, low + len(stage_rows))
     quot = work[k * top // 2:]
     if not inverse:
+        if levels:
+            _levels(ctx, a, levels, lead, work, False)
         for done, st in enumerate(reversed(stages), 1):
             x, y, t = stage(st)
             np.multiply(y, stage_rows[st - low][0], out=t)
@@ -384,7 +469,7 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
             np.subtract(x, t, out=y)
             np.add(x, t, out=x)
             if done % 4 == 0:
-                _mod(ctx, a[:, :x.shape[1] * 2 << st], work)
+                _mod(ctx, a[:, lead:lead + (x.shape[1] * 2 << st)], work)
         rotate(lambda rows, unwind: rows)  # lambda**i
         _base(ctx, a, chunks, small, top, span, work, False)
         return
@@ -399,6 +484,8 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
         _mod(ctx, t, quot, out=y)
         if done % 3 == 0:
             _mod(ctx, x, quot)
+    if levels:
+        _levels(ctx, a, levels, lead, work, True)
     for off, ni, inv_n in scales:
         blk = a[:, off:off + ni]
         np.multiply(blk, inv_n, out=blk)
@@ -472,12 +559,20 @@ def _unbreak(ctx: FieldCtx, a: np.ndarray, plan: Plan, work: np.ndarray) -> None
     into block i lies in [0, M_i p), 2 n_i M_i = n_1 + ... + n_(i-1) (f_1
     folds n_1 / 2 n_2 chunks, f_i + 2 C_hi then n_i / 2 n_(i+1)), so
     2^(i-1) r_i lies in (-M_i p, (M_i + 1) p), within n p < p^2 < 2^62.
-    It is reduced once, before the halvings multiply it.
+    As n_(i+1) <= n_i / 2, M_(i+1) >= 2 M_i + 1, so M_s is the largest.
+    The halvings 2^(-i) are balanced, in (-p/2, p/2]; while M_s <= 3 every
+    value they multiply lies below 4p in magnitude, and its product below
+    4p (p - 1)/2 < 2p^2 < 2^63, so it needs no reduction before them (n =
+    3 2^j, 5 2^j and 7 2^j, M_s = 1, 2 and 3).  A larger M_s takes one.
+
+    With two blocks and n_1 = 2 n_2 the fold of block 1 is a no-op, and the
+    carry that the last block only reads is block 1, read where it lies.
     """
-    k = a.shape[0]
     sizes, offsets, tails = plan.sizes, plan.offsets, plan.tails
     s = plan.s
-    c = _fold(a[:, :sizes[0]], 2 * sizes[1], work[:sizes[0] * k].reshape(k, -1))
+    first = a[:, :sizes[0]]
+    in_place = s == 2 and sizes[0] == 2 * sizes[1]
+    c = _fold(first, 2 * sizes[1], first if in_place else work[:first.size].reshape(first.shape))
     for i in range(2, s + 1):
         ni = sizes[i - 1]
         c = _fold(c, 2 * ni, c)
@@ -489,12 +584,14 @@ def _unbreak(ctx: FieldCtx, a: np.ndarray, plan: Plan, work: np.ndarray) -> None
         np.subtract(blk, lo, out=blk)
         c = hi
     rest = a[:, sizes[0]:]
-    _mod(ctx, rest, work)
+    if offsets[-1] > 6 * sizes[-1]:  # M_s > 3
+        _mod(ctx, rest, work)
+    p = ctx.p
     halving = 1
     for i in range(1, s):  # block i + 1 times 2^(-i)
-        halving = halving * ctx.half % ctx.p
+        halving = halving * ctx.half % p
         blk = a[:, offsets[i]:offsets[i] + sizes[i]]
-        np.multiply(blk, halving, out=blk)
+        np.multiply(blk, halving - p if halving > p // 2 else halving, out=blk)
     _mod(ctx, rest, work)
     for i in range(s - 1, 0, -1):
         blk = a[:, offsets[i - 1]:offsets[i - 1] + tails[i]]
@@ -517,7 +614,6 @@ def multiply(ctx: FieldCtx, a: np.ndarray, n: int, product, e: int) -> list[int]
     _mod(ctx, a, work)
     tables = _tables(ctx, plan.N if plan else m, work)
     if product.rows is None:
-        _matrices(ctx)
         product.rows = _twiddles(ctx, plan.sizes if plan else (m,), tables, 1 if plan else 0)
     if e:
         exps = work[:m]  # k e, then -k e, in the free work buffer

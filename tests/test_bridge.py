@@ -261,18 +261,20 @@ def test_a_repeated_product_reads_its_plan(n):
 
 
 # bytes that the product plans of every transform length in [_ROWS_MIN,
-# 4096] hold, 286 plans: measured at 723 KB, 1.9 KB a plan below 512 and
-# 3.0 KB from 512 (Python 3.11, numpy 2.4); one row of m int64 in each
-# would add 2.2 MB
-PLANS_BYTES = 750_000
+# 4096] hold, 286 plans: measured at 675 KB, 1.9 KB a plan below 512 and
+# 2.7 KB from 512, where a level's two matrix views replace the stage rows
+# of its block (Python 3.11, numpy 2.4); one row of m int64 in each would
+# add 2.2 MB
+PLANS_BYTES = 700_000
 
 
 def test_product_plans_hold_no_elements():
     # After products at every transform length in [_ROWS_MIN, 4096] on both
     # TFT paths, the plans they leave hold no array of m elements: only
     # splits, counts, scalars, views into the tables of N, which a padded
-    # product of each N builds first, and the twiddle rows of each stage of
-    # several blocks, fewer than m/64 elements per direction in all.
+    # product of each N builds first, and into the field's matrices, and
+    # the twiddle rows of each stage of several blocks, fewer than m/64
+    # elements per direction in all.
     # tracemalloc traces numpy's buffers, so a plan holding a row of m
     # elements would show.
     ctx = FieldCtx()

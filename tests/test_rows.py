@@ -19,6 +19,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -45,9 +46,17 @@ LENGTHS = sorted({_ROWS_MIN - 1, _ROWS_MIN, _ROWS_MIN + 1, 28, 29, 30, 31, 32, 6
                  | {2**k + d for k in range(6, 13) for d in (-1, 0, 1)}
                  | SHAPES | set(random.Random(10).sample(range(63, 6001), 10)))
 # 2^k - 1 (k blocks, no fold), 2^k + 1 (block 1 folds to two rows) and a
-# second block whose carry folds to two rows, up to the lengths above
+# second block whose carry folds to two rows, up to the lengths above; 384,
+# 320 and 448 (M_s = 1, 2, 3 in tftlib._rows._unbreak) halve their carries
+# unreduced, and 288 (M_s = 4) reduces them first
 HEADROOM = sorted({2**k + d for k in range(5, 13) for d in (-1, 1)}
-                  | {2**k + 2**(k - 4) + 1 for k in range(5, 13)})
+                  | {2**k + 2**(k - 4) + 1 for k in range(5, 13)} | {288, 320, 384, 448})
+# the levels of tftlib._rows._twiddles: about 512 slots (R = 8), 2048 slots
+# at twist 1 (R = 32) and 4096 at twist 0 (R = 64); 4097 and 4609 = 4096 +
+# 512 + 1 hold a block too large, so every block keeps its stages; 1282 =
+# 1024 + 256 + 2 runs a level, a stage block and a small block, and 1537 =
+# 1024 + 512 + 1 two levels
+LEVELS = [511, 512, 513, 1282, 1537, 2049, 4095, 4096, 4097, 4609]
 # bound stated in the tftlib._rows docstring, in elements per padded slot;
 # a first product at every n in [_ROWS_MIN, 4200] reports at most 4.031,
 # 4.058 and 6.058 (the tables of N, about 2.03N, the 2m work buffer, the
@@ -141,17 +150,63 @@ def test_largest_residues_stay_within_int64(field, n, path):
     # The rows reduce the break's and the unbreak's sums only at the end.
     # Operands of p - 1 make every sum the break takes its largest; the
     # product of [1] and the polynomial whose images are all p - 1 does
-    # the same for every carry of the unbreak.
+    # the same for every carry of the unbreak.  Those images cancel in the
+    # last block's C_hi - C_lo, so a second polynomial has images p - 1 in
+    # the upper half of every 2 n_s slots and in the last block, 0 in the
+    # rest: with two blocks that drives 2 r_2 to its largest, (M_2 + 1)(p -
+    # 1), which the halving multiplies.
     p = field.p
+    plan = plan_new(n, field)
+    last = plan.sizes[-1]
     top = [p - 1] * n
-    unbreak_in_place(field, top, plan_new(n, field))
-    assert top[-1] != 0  # the product has length n
-    for f, g in (([p - 1] * (n // 2 + 1), [p - 1] * (n - n // 2)), ([1], top)):
+    high = [p - 1 if j >= n - last or j % (2 * last) >= last else 0 for j in range(n)]
+    for images in (top, high):
+        unbreak_in_place(field, images, plan)
+        assert images[-1] != 0  # the product has length n
+    for f, g in (([p - 1] * (n // 2 + 1), [p - 1] * (n - n // 2)), ([1], top), ([1], high)):
+        want, counts = _reference(field, f, g, path)
+        with field.count_session() as sess, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = _product(field, f, g, path)
+        assert h == want
+        assert (sess.mul, sess.pow2, sess.add) == counts
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("n", LEVELS)
+def test_levels_equal_the_list_composition(field, n, path):
+    # Random operands over every field, and over the largest prime operands
+    # of p - 1, which make the levels' limb sums large.
+    p = field.p
+    cases = [_operands(p, n, n)]
+    if p == max(PRIMES):
+        cases.append(([p - 1] * (n // 2 + 1), [p - 1] * (n - n // 2)))
+    for f, g in cases:
         want, counts = _reference(field, f, g, path)
         with field.count_session() as sess:
             h = _product(field, f, g, path)
         assert h == want
         assert (sess.mul, sess.pow2, sess.add) == counts
+
+
+@pytest.mark.parametrize("sizes, twist, levels", [
+    ((512,), 0, [512]), ((256,), 0, []), ((4096,), 0, [4096]), ((8192,), 0, []),
+    ((256, 1), 1, []), ((512, 1), 1, [512]), ((2048, 1), 1, [2048]), ((4096, 2), 1, []),
+    ((1024, 256, 2), 1, [1024]), ((1024, 512, 1), 1, [1024, 512]),
+    ((4096, 512, 1), 1, [])])
+def test_levels_are_the_blocks_the_matrix_holds(sizes, twist, levels):
+    # A block of 64R slots at twist t is a level when 8 <= R and (t + 1) R
+    # <= 64, unless a block of the product is too large for the matrix; the
+    # stage rows cover the blocks after the levels alone.
+    ctx = FieldCtx()
+    N = 1 << sum(sizes).bit_length() if twist else sizes[0]
+    work = np.empty(2 * N, np.int64)
+    rows = _rows._twiddles(ctx, sizes, _rows._tables(ctx, N, work), twist)
+    stages, *_, got, lead = rows
+    assert [ni for _, ni, _, _ in got] == levels
+    assert lead == sum(levels)
+    rest = sum(sizes) - lead
+    assert [st.shape[1] for st in stages] == [rest >> st for st in range(7, 15) if rest >> st]
 
 
 @pytest.mark.parametrize("path, n", [("padded", 256), ("padded", 1024), ("cyclotomic", 255),
@@ -393,8 +448,9 @@ def test_bitreversed_rows_add_only_the_two_power_rows(n):
 # bit-reversed paths, at transform length n (the padded path at N): upper
 # bounds, pinned at the measured counts.  The rows' in-place arithmetic is
 # spelled np.add(..., out=...), not +=, which would bypass the proxy below.
-CALL_BUDGET = {257: (65, 68, 77), 385: (65, 84, 95), 1026: (126, 124, 137),
-               1282: (126, 142, 155), 1537: (126, 146, 159), 4098: (153, 161, 174)}
+CALL_BUDGET = {257: (61, 68, 77), 385: (61, 84, 95), 1026: (87, 107, 120),
+               1282: (87, 137, 150), 1537: (87, 124, 137), 2049: (87, 103, 116),
+               4098: (153, 161, 174)}
 
 
 class _CountingNumpy:
