@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Count the lines of one checkout's ``src/tftlib`` by kind, per module.
+"""Count the lines of a checkout's ``src/tftlib`` by kind, per module.
 
-Usage, with CHECKOUT holding ``src/tftlib``:
+Usage, with each checkout holding ``src/tftlib``:
 
     python3 scripts/src_lines.py CHECKOUT
+    python3 scripts/src_lines.py PARENT CHANGE
 
 Each physical line of a module falls in one kind:
 
@@ -13,6 +14,8 @@ Each physical line of a module falls in one kind:
 - ``code``: every other line, a code line with a trailing comment included.
 
 One row per module, then the total; ``total`` is what ``wc -l`` counts.
+Given a second checkout, each cell reads ``parent -> change (difference)``,
+and a module that only one of them has counts 0 lines in the other.
 """
 
 import argparse
@@ -59,16 +62,37 @@ def split(source: str) -> dict[str, int]:
     return counts
 
 
+def table(checkout: Path) -> dict[str, dict[str, int]]:
+    """The counts of each module of the checkout, and their ``total``."""
+    rows = {path.name: split(path.read_text())
+            for path in sorted((checkout / "src" / "tftlib").glob("*.py"))}
+    rows["total"] = {k: sum(r[k] for r in rows.values()) for k in KINDS}
+    for r in rows.values():
+        r["total"] = sum(r[k] for k in KINDS)
+    return rows
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("checkout", type=Path, help="checkout whose src/tftlib is counted")
+    ap.add_argument("change", type=Path, nargs="?",
+                    help="a second checkout, compared with the first module by module")
     args = ap.parse_args(argv)
-    rows = {path.name: split(path.read_text())
-            for path in sorted((args.checkout / "src" / "tftlib").glob("*.py"))}
-    rows["total"] = {k: sum(r[k] for r in rows.values()) for k in KINDS}
-    print(f"{'module':<14}" + "".join(f"{k:>10}" for k in KINDS + ("total",)))
-    for name, r in rows.items():
-        print(f"{name:<14}" + "".join(f"{r[k]:>10}" for k in KINDS) + f"{sum(r.values()):>10}")
+    columns = KINDS + ("total",)
+    parent = table(args.checkout)
+    if args.change is None:
+        print(f"{'module':<14}" + "".join(f"{k:>10}" for k in columns))
+        for name, r in parent.items():
+            print(f"{name:<14}" + "".join(f"{r[k]:>10}" for k in columns))
+        return 0
+    change = table(args.change)
+    zero = dict.fromkeys(columns, 0)
+    names = sorted((parent.keys() | change.keys()) - {"total"}) + ["total"]
+    print(f"{'module':<14}" + "".join(f"{k:>22}" for k in columns))
+    for name in names:
+        old, new = parent.get(name, zero), change.get(name, zero)
+        print(f"{name:<14}" + "".join(f"{f'{old[k]} -> {new[k]} ({new[k] - old[k]:+d})':>22}"
+                                      for k in columns))
     return 0
 
 

@@ -53,12 +53,12 @@ lambda_c**(-63).  The two matrices, 128 KiB, are field set-up like
 by doubling.  What a product of transform length m reads of them depends
 only on the field and m, so the first row product of length m builds it
 once, into its product plan (``bridge._ProductPlan``, :func:`_twiddles`):
-per block a view of the tables and 1/n_i as a scalar, per level two views
-of the matrices, and per stage u >= 64 one row of twiddles.  A stage of
-one block reads a view of the base rows; the rows of a stage of several
-blocks are their views concatenated, at most m/128 entries per direction
-at u = 64 and half as many at each next stage, so a plan holds fewer than
-m/64 elements per direction.
+per block a view of the tables, per level two views of the matrices, and
+per stage u >= 64 one row of twiddles.  A stage of one block reads a view
+of the base rows; the rows of a stage of several blocks are their views
+concatenated, at most m/128 entries per direction at u = 64 and half as
+many at each next stage, so a plan holds fewer than m/64 elements per
+direction.
 
 The break and its inverse reach the list path's images without the
 engines' survivor runs.  The break halves z^N - 1, as the ``mateer`` engine
@@ -135,7 +135,8 @@ def _mod(ctx: FieldCtx, x: np.ndarray, work: np.ndarray | None,
     """out <- x mod p, in [0, p) (out defaults to x).  numpy divides by a
     scalar several times faster than it takes a remainder, so large arrays
     take x - (x // p) * p, the quotient in ``work`` (flat, apart from x;
-    None for the set-up, which takes the remainder)."""
+    None for the set-up and the levels' high sums, which take the
+    remainder)."""
     if out is None:
         out = x
     if x.size < _DIVIDE_MIN or work is None:
@@ -288,11 +289,10 @@ def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int) -> tuple:
     of shape (2, rows, 1); (offset, size, twist rows, their lambda**(-63))
     of every block of 64 slots or more; (offset, size, first matrix column)
     of every smaller block but those of one slot, whose transform is the
-    identity; (offset, size, 1/n_i) of each of those blocks, 1/n_i balanced
-    as the rows are: -(p - 1)/n_i; the slots of the chunks, and of every
-    block but one of one slot; (offset, size, forward part, inverse part)
-    of every level, each part of shape (2, R, R); and the slots of the
-    levels, where the stage blocks start.
+    identity; the slots of the chunks, and of every block but one of one
+    slot; (offset, size, forward part, inverse part) of every level, each
+    part of shape (2, R, R); and the slots of the levels, where the stage
+    blocks start.
     """
     _, base, twists, unwind = tables
     mats = _matrices(ctx)
@@ -317,32 +317,39 @@ def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int) -> tuple:
         pieces = [base[:, share(1 << b)] for b in range(w.bit_length() - 1, -1, -1) if w >> b & 1]
         stages.append(pieces[0] if len(pieces) == 1
                       else _counted(ctx, np.concatenate(pieces, axis=1)))
-    chunks, small, scales, offset = [], [], [], 0
+    chunks, small, offset = [], [], 0
     for ni in sizes:
         if ni >= _BASE:
             rows = share(ni // _BASE)
             chunks.append((offset, ni, twists[rows], unwind[rows]))
         elif ni > 1:
             small.append((offset, ni, twist * ni))
-        if ni > 1:
-            scales.append((offset, ni, -((ctx.p - 1) // ni)))
         offset += ni
     top = sum(c[1] for c in chunks)
-    return (stages, chunks, small, scales, top, top + sum(c[1] for c in small), tuple(levels),
-            lead)
+    return stages, chunks, small, top, top + sum(c[1] for c in small), tuple(levels), lead
 
 
-def _exact(ctx: FieldCtx, a: np.ndarray, span: int, work: np.ndarray, products,
-           hi_mod) -> None:
-    """Every row of a, its first ``span`` slots in [0, p), times matrices
-    in 16-bit limbs, back into those slots in [0, p).
+def _exact(ctx: FieldCtx, a: np.ndarray, work: np.ndarray, inverse: bool, span: int,
+           top: int = 0, small=(), levels=()) -> None:
+    """Every row of a, its first ``span`` slots in [0, p), times the base
+    case's forward or inverse matrix in 16-bit limbs, back into those slots
+    in [0, p): the base case of every block, or the levels.
 
-    A row's slots turn into float64 where they lie, and ``products(fx,
-    fsums)`` writes the low and the high limbs' sums to the two halves of
-    the work buffer as float64, both limbs of a block by one matmul; turned
-    into int64 where they lie, they recombine into the row, the high sums
-    reduced by ``hi_mod(hi, x)`` (x the row's slots, free by then).
+    The base case multiplies the matrix by each 64-slot chunk of the first
+    ``top`` slots (already twisted), and each block of ``small`` by its
+    columns of the forward matrix or its rows of the inverse one.  The
+    levels take the stages u >= 64 of every block of ``levels``: its forward
+    or inverse R-point part times its R chunks as the rows of an (R, 64)
+    matrix (:func:`_twiddles`).
+
+    A row's slots turn into float64 where they lie, and each matmul writes
+    the low and the high limbs' sums of its blocks to the two halves of the
+    work buffer as float64; turned into int64 where they lie, they recombine
+    into the row.  The base case reduces the high sums by :func:`_mod`, its
+    quotients in the row's slots, free by then; the levels by one
+    np.remainder, a call where :func:`_mod` takes three.
     """
+    mats = ctx.row_dft[1 if inverse else 0]
     sums = work[:2 * span]
     fsums = sums.view(np.float64).reshape(2, span)
     lo, hi = sums[:span], sums[span:]
@@ -350,48 +357,20 @@ def _exact(ctx: FieldCtx, a: np.ndarray, span: int, work: np.ndarray, products,
         x = row[:span]
         fx = x.view(np.float64)
         np.copyto(fx, x, casting="unsafe")
-        products(fx, fsums)
-        np.copyto(sums, fsums.reshape(-1), casting="unsafe")
-        hi_mod(hi, x)
-        np.left_shift(hi, _LIMB, out=hi)
-        np.add(lo, hi, out=lo)
-        _mod(ctx, lo, hi, out=x)
-
-
-def _base(ctx: FieldCtx, a: np.ndarray, chunks, small, top: int, span: int,
-          work: np.ndarray, inverse: bool) -> None:
-    """The base case of every block on every row of a, in [0, p): each chunk
-    of ``chunks`` (already twisted) times the forward or inverse matrix, and
-    each block of ``small`` times its columns of the one or its rows of the
-    other (:func:`_exact`).
-    """
-    mats = ctx.row_dft[1 if inverse else 0]
-
-    def products(fx, fsums):
         if top:
             np.matmul(fx[:top].reshape(-1, _BASE), mats,
                       out=fsums[:, :top].reshape(2, -1, _BASE))
         for off, ni, c in small:
             part = mats[:, c:c + ni, :ni] if inverse else mats[:, :ni, c:c + ni]
             np.matmul(fx[off:off + ni], part, out=fsums[:, off:off + ni])
-
-    _exact(ctx, a, span, work, products, lambda hi, x: _mod(ctx, hi, x))
-
-
-def _levels(ctx: FieldCtx, a: np.ndarray, levels, lead: int, work: np.ndarray,
-            inverse: bool) -> None:
-    """The stages u >= 64 of every block of ``levels`` on every row of a,
-    the first ``lead`` slots, in [0, p) (:func:`_exact`): a block of R
-    chunks of 64 slots is its forward or inverse R-point part times the
-    chunks as the rows of an (R, 64) matrix (:func:`_twiddles`).  Its high
-    sums take one np.remainder, a call where :func:`_mod` takes three.
-    """
-    def products(fx, fsums):
         for off, ni, forward, backward in levels:
             np.matmul(backward if inverse else forward, fx[off:off + ni].reshape(-1, _BASE),
                       out=fsums[:, off:off + ni].reshape(2, -1, _BASE))
-
-    _exact(ctx, a, lead, work, products, lambda hi, x: np.remainder(hi, ctx.p, out=hi))
+        np.copyto(sums, fsums.reshape(-1), casting="unsafe")
+        _mod(ctx, hi, None if levels else x)
+        np.left_shift(hi, _LIMB, out=hi)
+        np.add(lo, hi, out=lo)
+        _mod(ctx, lo, hi, out=x)
 
 
 def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
@@ -401,10 +380,12 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
     The blocks are those of :func:`_twiddles`, at its twist: decreasing
     powers of two whose sum is the row length, block i starting at n_1 +
     ... + n_(i-1).  The input is in [0, p), and so is every output.  The
-    levels (:func:`_levels`) take the stages u >= 64 of the first blocks,
-    slots [0, lead); the stages u >= 64 run on the blocks after them, on
-    the prefix of those of 2u slots or more; the base case (:func:`_base`)
-    ends the forward transform and starts the inverse.
+    levels take the stages u >= 64 of the first blocks, slots [0, lead);
+    the stages u >= 64 run on the blocks after them, on the prefix of those
+    of 2u slots or more; the base case ends the forward transform and
+    starts the inverse.  The levels and the base case are matrix products
+    (:func:`_exact`).  The 1/n_i pass ends the inverse; 1/n_i, balanced, is
+    -(p - 1)/n_i, from the block's size.
 
     Reduction is lazy (Harvey 2014), on balanced twiddles.  p is odd, so a
     twiddle, a twist or 1/n_i in (-p/2, p/2] has magnitude at most (p -
@@ -441,7 +422,7 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
     and reduces them.
     """
     k = a.shape[0]
-    stage_rows, chunks, small, scales, top, span, levels, lead = twiddles
+    stage_rows, chunks, small, top, span, levels, lead = twiddles
     low = _BASE.bit_length() - 1  # stage st has half-length u = 2^st
 
     def stage(st):
@@ -461,7 +442,7 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
     quot = work[k * top // 2:]
     if not inverse:
         if levels:
-            _levels(ctx, a, levels, lead, work, False)
+            _exact(ctx, a, work, False, lead, levels=levels)
         for done, st in enumerate(reversed(stages), 1):
             x, y, t = stage(st)
             np.multiply(y, stage_rows[st - low][0], out=t)
@@ -471,9 +452,9 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
             if done % 4 == 0:
                 _mod(ctx, a[:, lead:lead + (x.shape[1] * 2 << st)], work)
         rotate(lambda rows, unwind: rows)  # lambda**i
-        _base(ctx, a, chunks, small, top, span, work, False)
+        _exact(ctx, a, work, False, span, top, small)
         return
-    _base(ctx, a, chunks, small, top, span, work, True)
+    _exact(ctx, a, work, True, span, top, small)
     rotate(lambda rows, unwind: rows[:, ::-1])  # lambda**(63 - i)
     rotate(lambda rows, unwind: unwind)  # lambda**(-63)
     for done, st in enumerate(stages, 1):
@@ -485,10 +466,10 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
         if done % 3 == 0:
             _mod(ctx, x, quot)
     if levels:
-        _levels(ctx, a, levels, lead, work, True)
-    for off, ni, inv_n in scales:
+        _exact(ctx, a, work, True, lead, levels=levels)
+    for off, ni, *_ in chunks + small:  # times 1/n_i, balanced: -(p - 1)/n_i
         blk = a[:, off:off + ni]
-        np.multiply(blk, inv_n, out=blk)
+        np.multiply(blk, -((ctx.p - 1) // ni), out=blk)
     _mod(ctx, a[:, :span], work)
 
 
@@ -567,6 +548,11 @@ def _unbreak(ctx: FieldCtx, a: np.ndarray, plan: Plan, work: np.ndarray) -> None
 
     With two blocks and n_1 = 2 n_2 the fold of block 1 is a no-op, and the
     carry that the last block only reads is block 1, read where it lies.
+
+    Both branches are common where products are short: of the 1752 operand
+    pairs of perfbench's ``mul-small-many`` (seeds 1..10) whose TFT products
+    take the rows, 738 (42.1%) have M_s <= 3 and skip the reduction, and
+    293 (16.7%), n = 3 2^j, read the carry in place.
     """
     sizes, offsets, tails = plan.sizes, plan.offsets, plan.tails
     s = plan.s

@@ -55,9 +55,9 @@ product has run, what the rows read besides the tables of N.  Every later
 product of length m, on any path and either backend, only reads it.  The key
 is m, not n: the entries are at most the lengths of at most three set bits,
 about k^3/6 below 2^k, and each holds a few Python objects per block and
-per stage: views into the tables of N and into the field's base-case
-matrices, scalars, and the twiddle rows of each stage of several blocks,
-fewer than m/64 elements per direction in all.  The work buffer and the
+per stage: offsets and sizes, views into the tables of N and into the
+field's base-case matrices, and the twiddle rows of each stage of several
+blocks, fewer than m/64 elements per direction in all.  The work buffer and the
 Omega_s power rows stay per product.
 
 Each operand element, a zero product's too, loads through

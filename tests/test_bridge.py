@@ -261,17 +261,17 @@ def test_a_repeated_product_reads_its_plan(n):
 
 
 # bytes that the product plans of every transform length in [_ROWS_MIN,
-# 4096] hold, 286 plans: measured at 675 KB, 1.9 KB a plan below 512 and
-# 2.7 KB from 512, where a level's two matrix views replace the stage rows
+# 4096] hold, 286 plans: measured at 596 KB, 1.6 KB a plan below 512 and
+# 2.4 KB from 512, where a level's two matrix views replace the stage rows
 # of its block (Python 3.11, numpy 2.4); one row of m int64 in each would
 # add 2.2 MB
-PLANS_BYTES = 700_000
+PLANS_BYTES = 618_000
 
 
 def test_product_plans_hold_no_elements():
     # After products at every transform length in [_ROWS_MIN, 4096] on both
     # TFT paths, the plans they leave hold no array of m elements: only
-    # splits, counts, scalars, views into the tables of N, which a padded
+    # splits, counts, offsets, views into the tables of N, which a padded
     # product of each N builds first, and into the field's matrices, and
     # the twiddle rows of each stage of several blocks, fewer than m/64
     # elements per direction in all.
@@ -382,9 +382,13 @@ def test_multiply_path_validation(ctx):
 
 
 @pytest.mark.parametrize("p, n", [(5, 4), (17, 16), (257, 256), (7681, 512),
-                                  (12289, 4096)])
+                                  (12289, 4096), (7681, 257), (7681, 384),
+                                  (12289, 2049), (12289, 3073)])
 def test_multiply_at_two_adicity_limit(p, n):
-    # product length n = 2^a with no root of order 2n in the field
+    # product length n whose padded length N = 2^a is the field's 2-adicity
+    # limit, no root of order 2N in the field: n = N itself, and TFT lengths
+    # with a small block (257) or a stage block (384) beside the chunks, or
+    # levels at twist 1 that read the last rungs of the ladder (2049, 3073)
     ctx_p = FieldCtx(p)
     rng = random.Random(p)
     df = n // 2

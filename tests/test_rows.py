@@ -58,10 +58,10 @@ HEADROOM = sorted({2**k + d for k in range(5, 13) for d in (-1, 1)}
 # 1024 + 512 + 1 two levels
 LEVELS = [511, 512, 513, 1282, 1537, 2049, 4095, 4096, 4097, 4609]
 # bound stated in the tftlib._rows docstring, in elements per padded slot;
-# a first product at every n in [_ROWS_MIN, 4200] reports at most 4.031,
-# 4.058 and 6.058 (the tables of N, about 2.03N, the 2m work buffer, the
-# plan's stage rows, below 2m/64, and on the bit-reversed path the 2m power
-# rows)
+# a first product at every exact n in [_ROWS_MIN, 4200] reports at most
+# 4.031 (n = 65), 4.039 (n = 511) and 6.035 (n = 511): the tables of N,
+# about 2.03N, the 2m work buffer, the plan's stage rows, below 2m/64, and
+# on the bit-reversed path the 2m power rows
 ALLOC_PER_SLOT = {"padded": 4.1, "cyclotomic": 4.1, "bitreversed": 6.1}
 
 pytestmark = pytest.mark.usefixtures("exact_length")
@@ -448,9 +448,11 @@ def test_bitreversed_rows_add_only_the_two_power_rows(n):
 # bit-reversed paths, at transform length n (the padded path at N): upper
 # bounds, pinned at the measured counts.  The rows' in-place arithmetic is
 # spelled np.add(..., out=...), not +=, which would bypass the proxy below.
-CALL_BUDGET = {257: (61, 68, 77), 385: (61, 84, 95), 1026: (87, 107, 120),
-               1282: (87, 137, 150), 1537: (87, 124, 137), 2049: (87, 103, 116),
-               4098: (153, 161, 174)}
+# 96 = 64 + 32 and 200 = 128 + 64 + 8 run small blocks beside chunk blocks,
+# the lengths of mul-small-many.
+CALL_BUDGET = {96: (44, 52, 61), 200: (52, 76, 85), 257: (61, 68, 77), 385: (61, 84, 95),
+               1026: (87, 107, 120), 1282: (87, 137, 150), 1537: (87, 124, 137),
+               2049: (87, 103, 116), 4098: (153, 161, 174)}
 
 
 class _CountingNumpy:
