@@ -8,8 +8,11 @@ list path, the reference these rows are tested against, keeps the rest: the
 public transforms, p >= 2^31 and shorter products.
 
 The two operands are the rows of a (2, n) buffer, so a product's forward
-transforms are one set of operations.  The block transform takes one set
-per butterfly stage over every block at once, for half-lengths u >= 64:
+transforms are one set of operations.  Each loads into its row by one
+``struct.pack_into`` call (:func:`load`), the buffer is reduced only when
+an element lies outside [0, p), and the pointwise product overwrites the
+second row.  The block transform takes one set per butterfly stage over
+every block at once, for half-lengths u >= 64:
 blocks are contiguous and aligned, so at half-length u the blocks with n_i
 >= 2u are a prefix of the stage blocks that reshapes to (rows, 2, u), and
 each row takes one twiddle, a power of omega_N, N the padded length.
@@ -25,36 +28,40 @@ stage of every block (:func:`_twiddles`).
 
 The six stages below u = 64 are the base case: on each row of the buffer,
 one float64 matrix product over every 64-slot chunk, and one for each
-smaller block.  Each 64-slot chunk c of a block of 64 slots or more holds its polynomial modulo
-z^64 - lambda_c^64, lambda_c = omega_N**rev(c); it is multiplied by its
-twist row lambda_c**i, and then by the 64-point DFT matrix in bit-reversed
-order, zeta**(i rev(j)), zeta = omega_64.  A block of n_i < 64 slots at
-twist t evaluates at the points of columns [t n_i, (t + 1) n_i) of that
-matrix, so it is its own row times those columns' top n_i rows, and needs
-no twist.  The inverse applies the unnormalised inverse matrix,
-zeta**(-i rev(j)) (a small block: rows [t n_i, (t + 1) n_i), left n_i
-columns), then lambda_c**(-i) to the chunks, then the stages u >= 64 and
-the 1/n_i pass.  The matrices are float64 in 16-bit limbs, so that numpy
-hands the products, the levels' too, to BLAS (FFLAS-FFPACK's way to exact
-finite-field products): a residue in [0, p) times a low limb, summed over
-64 slots (a level sums R <= 64 chunks), is at most 64 (p - 1)(2^16 - 1) <
-2^6 2^31 2^16 = 2^53 for every p < 2^31, and a high limb is below 2^15, so
-every sum and every partial sum is an integer that float64 holds exactly,
-whatever order BLAS adds in.  The two limbs' sums then recombine in int64,
-lo + 2^16 (hi mod p) < 2^53 + 2^47.
+smaller block.  Each 64-slot chunk c of a block of 64 slots or more
+holds its polynomial modulo z^64 - lambda_c^64, lambda_c =
+omega_N**rev(c); it is multiplied by its twist row lambda_c**(i - 21),
+and then by the 64-point DFT matrix in bit-reversed order, zeta**(i
+rev(j)), zeta = omega_64, so its values are the block's times
+lambda_c**(-21), a shift that no caller sees: the pointwise product
+carries lambda_c**(-42), and the inverse's twist row, the forward one read
+backwards, lambda_c**(42 - i), cancels it as it untwists.  A block of n_i
+< 64 slots at twist t evaluates at the points of columns [t n_i, (t + 1)
+n_i) of that matrix, so it is its own row times those columns' top n_i
+rows, and needs no twist.  The inverse applies the unnormalised inverse
+matrix, zeta**(-i rev(j)) (a small block: rows [t n_i, (t + 1) n_i), left
+n_i columns), then lambda_c**(42 - i) to the chunks, then the stages u >=
+64 and the 1/n_i pass.  The matrices are float64 in 16-bit limbs, so that
+numpy hands the products, the levels' too, to BLAS (FFLAS-FFPACK's way to
+exact finite-field products): a residue in [0, p) times a low limb, summed
+over 64 slots (a level sums R <= 64 chunks), is at most 64 (p - 1)(2^16 -
+1) < 2^6 2^31 2^16 = 2^53 for every p < 2^31, and a high limb is below
+2^15, so every sum and every partial sum is an integer that float64 holds
+exactly, whatever order BLAS adds in.  The two limbs' sums then recombine
+in int64, lo + 2^16 (hi mod p) < 2^53 + 2^47.
 
 The per-N tables are ``ctx.row_tables[N]``, built by the first product of
 padded length N over a context: the powers of omega_N (the Omega_s
 scalings), the bit-reversed base rows (only the entries below N/128, which
-the stages u >= 64 read), and the twist rows, N/64 rows of 64, with their
-lambda_c**(-63).  The two matrices, 128 KiB, are field set-up like
-``ctx.roots``: built once per field by its first row product
-(``ctx.row_dft``), not counted as scratch.  All grow from the root ladder
-by doubling.  What a product of transform length m reads of them depends
-only on the field and m, so the first row product of length m builds it
-once, into its product plan (``bridge._ProductPlan``, :func:`_twiddles`):
-per block a view of the tables, per level two views of the matrices, and
-per stage u >= 64 one row of twiddles.  A stage of one block reads a view
+the stages u >= 64 read), and the twist rows, N/64 rows of 64.  The two
+matrices, 128 KiB, are field set-up like ``ctx.roots``: built once per
+field by its first row product (``ctx.row_dft``), not counted as
+scratch.  All grow from the root ladder by doubling.  What a product of
+transform length m reads of them depends only on the field and m, so the
+first row product of length m builds it once, into its product plan
+(``bridge._ProductPlan``, :func:`_twiddles`): per block a view of the
+tables, per level two views of the matrices, and per stage u >= 64 one
+row of twiddles.  A stage of one block reads a view
 of the base rows; the rows of a stage of several blocks are their views
 concatenated, at most m/128 entries per direction at u = 64 and half as
 many at each next stage, so a plan holds fewer than m/64 elements per
@@ -83,8 +90,8 @@ reductions, twiddles read from tables, a halved break, a matrix product),
 so the bridge adds the list product's (mul, pow2, add) after a row
 product, from the closed forms beside the list code that counts them.
 
-Every array this module takes besides the int64 copies of the operands
-and of the product, and besides the field's matrices, is reported in
+Every array this module takes besides the int64 buffer of the operands,
+which takes the product, and besides the field's matrices, is reported in
 ``ctx.scratch_allocated``, once: each table and each plan's concatenated
 stage rows by the product that builds them, and per product a work buffer
 of 2m elements (the stages' products and quotients, the carries, and the
@@ -97,8 +104,8 @@ the bit-reversed one, tables and plan included (``tests/test_rows.py``).
 
 from __future__ import annotations
 
-from array import array
 from operator import index
+from struct import error as struct_error, pack_into
 
 import numpy as np
 
@@ -152,16 +159,17 @@ def load(ctx: FieldCtx, f, g, n: int) -> np.ndarray:
     yet reduced.
 
     Each element loads through its ``__index__``, as on the list path:
-    ``array('q')`` raises TypeError on a float, a Fraction or a numpy float,
-    and OverflowError on an integer outside int64, which then loads through
-    ``operator.index`` and is reduced.
+    ``struct.pack_into`` writes an operand straight into its row, and an
+    operand it cannot pack (struct.error) loads through ``operator.index``,
+    which raises TypeError on a float, a Fraction or a numpy float and
+    takes an integer outside int64, reduced.
     """
     a = np.zeros((2, n), np.int64)
-    for row, c in zip(a, (f, g)):
+    for r, c in enumerate((f, g)):  # into a itself: a row view costs about 0.5 us more
         try:
-            row[:len(c)] = np.frombuffer(array('q', c), np.int64)
-        except OverflowError:
-            row[:len(c)] = [index(x) % ctx.p for x in c]
+            pack_into(f"{len(c)}q", a, 8 * n * r, *c)
+        except struct_error:
+            a[r, :len(c)] = [index(x) % ctx.p for x in c]
     return a
 
 
@@ -192,21 +200,23 @@ def _tables(ctx: FieldCtx, N: int, work: np.ndarray) -> tuple:
     forward and inverse base rows omega_N**(+-rev(r)) for r < N/128, rev
     over log2(N/2) bits, the entries the stages u >= 64 read (see
     :func:`_twiddles`), with a last axis of length 1, so that a slice
-    multiplies the rows of a stage.  ``twists``
-    holds lambda_c**i in row c < N/64 and column i < 64, lambda_c =
-    omega_N**rev(c), rev over log2(N/64) bits, and ``unwind`` holds
-    lambda_c**(-63), with which the inverse reads lambda**(-i) =
-    lambda**(63 - i) lambda**(-63), row c of ``twists`` reversed.  base,
-    twists and unwind are balanced into (-p/2, p/2].
+    multiplies the rows of a stage.  ``twists`` holds lambda_c**(i - 21)
+    in row c < N/64 and column i < 64, lambda_c = omega_N**rev(c), rev
+    over log2(N/64) bits: the forward reads row c as it is, and the
+    inverse reads it reversed, lambda_c**(42 - i), which is
+    lambda_c**(-i) times the lambda_c**(-42) that a pointwise product of
+    two forward chunks carries.  base and twists are balanced into (-p/2,
+    p/2].
 
     The tables grow from the root ladder by doubling (:func:`_grow`):
     ``powers`` by omega_N**m = roots[log2(N/m)]; as rev(m + r) = rev(m) +
     rev(r) for r < m, entries [m, 2m) of a base row are its first m
     entries times omega_N**(+-rev(m)) = omega_(4m)**(+-1), roots[log2(4m)]
     or inv_roots[log2(4m)]; the lambda_c by omega_(128m) =
-    roots[log2(128m)], and the columns of ``twists`` by :func:`_powers`;
-    ``unwind`` is lambda_c**(-64), grown by omega_(2m)**(-1) =
-    inv_roots[log2(2m)], times lambda_c.
+    roots[log2(128m)], and the columns of ``twists`` by :func:`_powers`,
+    lambda_c**i.  Column 0 then takes lambda_c**(-64), grown by
+    omega_(2m)**(-1) = inv_roots[log2(2m)], times column 43, which gives
+    lambda_c**(-21), and every other column is multiplied by it.
     """
     tables = ctx.row_tables.get(N)
     if tables is None:
@@ -219,12 +229,13 @@ def _tables(ctx: FieldCtx, N: int, work: np.ndarray) -> tuple:
         twists = _counted(ctx, np.empty((rows, _BASE), np.int64))
         _grow(ctx, twists[:, 1], ctx.roots[7:rows.bit_length() + 6], work)
         _powers(ctx, twists, work)
-        unwind = _counted(ctx, np.empty((rows, 1), np.int64))
-        _grow(ctx, unwind[:, 0], ctx.inv_roots[1:rows.bit_length()], work)
-        _mod(ctx, np.multiply(unwind, twists[:, 1:2], out=unwind), work)
-        for table in (base, twists, unwind):
+        shift = twists[:, :1]  # lambda**(-64), then lambda**(-21)
+        _grow(ctx, shift[:, 0], ctx.inv_roots[1:rows.bit_length()], work)
+        _mod(ctx, np.multiply(shift, twists[:, 43:44], out=shift), work)
+        _mod(ctx, np.multiply(twists[:, 1:], shift, out=twists[:, 1:]), work)
+        for table in (base, twists):
             np.subtract(table, ctx.p, out=table, where=table > ctx.p // 2)
-        tables = ctx.row_tables[N] = (powers, base[:, :, None], twists, unwind)
+        tables = ctx.row_tables[N] = (powers, base[:, :, None], twists)
     return tables
 
 
@@ -286,15 +297,15 @@ def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int) -> tuple:
     stage of every block.  Stage rows are built for the stage blocks alone.
 
     Returns the (forward, inverse) rows of the stages u = 64, 128, ..., each
-    of shape (2, rows, 1); (offset, size, twist rows, their lambda**(-63))
-    of every block of 64 slots or more; (offset, size, first matrix column)
+    of shape (2, rows, 1); (offset, size, twist rows) of every block of 64
+    slots or more; (offset, size, first matrix column)
     of every smaller block but those of one slot, whose transform is the
     identity; the slots of the chunks, and of every block but one of one
     slot; (offset, size, forward part, inverse part) of every level, each
     part of shape (2, R, R); and the slots of the levels, where the stage
     blocks start.
     """
-    _, base, twists, unwind = tables
+    _, base, twists = tables
     mats = _matrices(ctx)
     n = sum(sizes)
 
@@ -321,7 +332,7 @@ def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int) -> tuple:
     for ni in sizes:
         if ni >= _BASE:
             rows = share(ni // _BASE)
-            chunks.append((offset, ni, twists[rows], unwind[rows]))
+            chunks.append((offset, ni, twists[rows]))
         elif ni > 1:
             small.append((offset, ni, twist * ni))
         offset += ni
@@ -375,15 +386,20 @@ def _exact(ctx: FieldCtx, a: np.ndarray, work: np.ndarray, inverse: bool, span: 
 
 def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
                inverse: bool) -> None:
-    """dwt (or idwt) of every block, on every row of a at once.
+    """dwt (or idwt) of every block, on every row of a at once, up to a
+    shift per 64-slot chunk that a product cancels.
 
     The blocks are those of :func:`_twiddles`, at its twist: decreasing
     powers of two whose sum is the row length, block i starting at n_1 +
     ... + n_(i-1).  The input is in [0, p), and so is every output.  The
-    levels take the stages u >= 64 of the first blocks, slots [0, lead);
-    the stages u >= 64 run on the blocks after them, on the prefix of those
-    of 2u slots or more; the base case ends the forward transform and
-    starts the inverse.  The levels and the base case are matrix products
+    forward leaves each 64-slot chunk c of a block of 64 slots or more at
+    dwt's values times lambda_c**(-21), the twist row's shift
+    (:func:`_tables`), and the inverse is idwt of its input with each such
+    chunk times lambda_c**42, so a pointwise product of two forwards
+    inverts to the idwt of the product of the dwts.  The levels take the
+    stages u >= 64 of the first blocks, slots [0, lead); the stages u >= 64
+    run on the blocks after them, on the prefix of those of 2u slots or
+    more; the base case ends the forward transform and starts the inverse.  The levels and the base case are matrix products
     (:func:`_exact`).  The 1/n_i pass ends the inverse; 1/n_i, balanced, is
     -(p - 1)/n_i, from the block's size.
 
@@ -431,10 +447,10 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
         view = a[:, lead:lead + 2 * u * rows].reshape(k, rows, 2, u)
         return view[:, :, 0], view[:, :, 1], work[:k * rows * u].reshape(k, rows, u)
 
-    def rotate(factor):  # every chunk times its row of factor(rows, unwind), reduced
-        for off, ni, rows, unwind in chunks:
+    def rotate():  # every chunk times its twist row, reversed by the inverse, reduced
+        for off, ni, rows in chunks:
             x = a[:, off:off + ni].reshape(k, -1, _BASE)
-            np.multiply(x, factor(rows, unwind), out=x)
+            np.multiply(x, rows[:, ::-1] if inverse else rows, out=x)
         if chunks:
             _mod(ctx, a[:, :top], work)
 
@@ -451,12 +467,11 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
             np.add(x, t, out=x)
             if done % 4 == 0:
                 _mod(ctx, a[:, lead:lead + (x.shape[1] * 2 << st)], work)
-        rotate(lambda rows, unwind: rows)  # lambda**i
+        rotate()  # lambda**(i - 21)
         _exact(ctx, a, work, False, span, top, small)
         return
     _exact(ctx, a, work, True, span, top, small)
-    rotate(lambda rows, unwind: rows[:, ::-1])  # lambda**(63 - i)
-    rotate(lambda rows, unwind: unwind)  # lambda**(-63)
+    rotate()  # lambda**(42 - i): lambda**(-i), and cancels the product's lambda**(-42)
     for done, st in enumerate(stages, 1):
         x, y, t = stage(st)
         np.subtract(x, y, out=t)
@@ -593,11 +608,15 @@ def multiply(ctx: FieldCtx, a: np.ndarray, n: int, product, e: int) -> list[int]
     plan (two blocks or more) the break, twist 1 and the unbreak, and
     unless ``e`` is 0 the two Omega_s scalings, Omega_s = omega_N**e.  The
     first row product of length m over a field fills the plan's ``rows``
-    (:func:`_twiddles`)."""
+    (:func:`_twiddles`).  The rows are reduced only when an element lies
+    outside [0, p) (one unsigned maximum tells), and the pointwise product
+    overwrites row 1, where the inverse, the unbreak and the last scaling
+    run."""
     m = a.shape[1]
     plan = product.plan
     work = _counted(ctx, np.empty(2 * m, np.int64))
-    _mod(ctx, a, work)
+    if a.view(np.uint64).max() >= ctx.p:  # an element outside [0, p)
+        _mod(ctx, a, work)
     tables = _tables(ctx, plan.N if plan else m, work)
     if product.rows is None:
         product.rows = _twiddles(ctx, plan.sizes if plan else (m,), tables, 1 if plan else 0)
@@ -614,7 +633,8 @@ def multiply(ctx: FieldCtx, a: np.ndarray, n: int, product, e: int) -> list[int]
     if plan:
         _break(ctx, a, plan, work)
     _transform(ctx, a, product.rows, work, False)
-    h = _mod(ctx, np.multiply(a[:1], a[1:]), work)  # the pointwise product
+    h = a[1:]  # the pointwise product, into row 1
+    _mod(ctx, np.multiply(a[:1], h, out=h), work)
     _transform(ctx, h, product.rows, work, True)
     if plan:
         _unbreak(ctx, h, plan, work)

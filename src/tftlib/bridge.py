@@ -60,8 +60,9 @@ field's base-case matrices, and the twiddle rows of each stage of several
 blocks, fewer than m/64 elements per direction in all.  The work buffer and the
 Omega_s power rows stay per product.
 
-Each operand element, a zero product's too, loads through
-``operator.index``, so a non-integral one raises TypeError, and a length
+Each operand element, a zero product's too, loads through its
+``__index__`` (``operator.index`` here, one ``struct.pack_into`` per
+operand on the rows), so a non-integral one raises TypeError, and a length
 past the field's two-adicity UnsupportedOrderError, before any work and
 before anything is built.  The rows report their numpy scratch, the tables
 of the padded length N included, in ``ctx.scratch_allocated``: at most

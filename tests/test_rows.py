@@ -59,8 +59,8 @@ HEADROOM = sorted({2**k + d for k in range(5, 13) for d in (-1, 1)}
 LEVELS = [511, 512, 513, 1282, 1537, 2049, 4095, 4096, 4097, 4609]
 # bound stated in the tftlib._rows docstring, in elements per padded slot;
 # a first product at every exact n in [_ROWS_MIN, 4200] reports at most
-# 4.031 (n = 65), 4.039 (n = 511) and 6.035 (n = 511): the tables of N,
-# about 2.03N, the 2m work buffer, the plan's stage rows, below 2m/64, and
+# 4.016 (n = 65), 4.023 (n = 511) and 6.020 (n = 511): the tables of N,
+# about 2.02N, the 2m work buffer, the plan's stage rows, below 2m/64, and
 # on the bit-reversed path the 2m power rows
 ALLOC_PER_SLOT = {"padded": 4.1, "cyclotomic": 4.1, "bitreversed": 6.1}
 
@@ -142,6 +142,34 @@ def test_rows_equal_the_list_composition(field, n, path):
     assert h == want
     assert all(type(x) is int for x in h)
     assert (sess.mul, sess.pow2, sess.add) == counts
+
+
+# elements struct cannot pack as int64, and the bools, which it packs as 1 and 0
+WIDE = [2**70, -2**70, 2**63, np.uint64(2**64 - 1), True, False]
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("n", [_ROWS_MIN, 255, 257, 1025])
+def test_rows_load_elements_outside_int64(field, n, path):
+    # tftlib._rows.load packs each operand into its row; an element outside
+    # int64 sends that operand alone through operator.index, reduced, while
+    # the other one still packs.  At the first, middle and last slot of
+    # either operand, and in both operands at once, the product must be
+    # that of the reduced operands.  (A False in the last slot only lowers
+    # the degree.)
+    p = field.p
+    f, g = _operands(p, n, n)
+    for x in WIDE:
+        cases = []
+        for which, op in enumerate((f, g)):
+            for pos in (0, len(op) // 2, len(op) - 1):
+                pair = [list(f), list(g)]
+                pair[which][pos] = x
+                cases.append(pair)
+        cases.append([f[:-1] + [x], [x] + g[1:]])
+        for pair in cases:
+            reduced = [[int(y) % p for y in op] for op in pair]
+            assert _product(field, *pair, path) == _product(field, *reduced, path), (x, n)
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -240,7 +268,9 @@ def _drive_forward_sums(field, N: int, start: int, twist: int) -> None:
     # left and reaches (g + 1)(p - 1), and slot M/2 + ... + M/2^g loses it
     # g times.  Slot M/32 then meets the twiddle of its row at the next
     # stage or, past the last, the twist of its base-case chunk, in the
-    # chunk r where that is largest.  The rows must equal the list dwt.
+    # chunk r where that is largest.  The rows must equal the list dwt with
+    # each 64-slot chunk c times lambda_c**(-21), which the rows' forward
+    # leaves there (tftlib._rows._tables).
     p = field.p
     M = N >> start
     work = np.empty(2 * N, np.int64)
@@ -265,6 +295,11 @@ def _drive_forward_sums(field, N: int, start: int, twist: int) -> None:
     a = np.array([f], np.int64)
     _rows._transform(field, a, twiddles, work, False)
     dwt(field, f, N, twist)
+    k = (N << twist).bit_length() - 1
+    for c in range(N >> 6):
+        lam = pow(field.roots[k], bit_reverse((twist * N >> 6) + c, k - 6), p)
+        shift = pow(lam, -21, p)
+        f[64 * c:64 * c + 64] = [x * shift % p for x in f[64 * c:64 * c + 64]]
     assert a[0].tolist() == f
 
 
@@ -327,9 +362,8 @@ def test_base_case_takes_its_largest_sums(n, path):
 def test_row_tables_match_their_definition(p):
     # the tables of N: powers[j] = omega_N**j in [0, p); base[0, r] and
     # base[1, r] are omega_N**(+-rev(r)) for r < N/128, rev over log2(N/2)
-    # bits, balanced into (-p/2, p/2]; twists[c, i] = lambda_c**i and
-    # unwind[c] = lambda_c**(-63), lambda_c = omega_N**rev(c), rev over
-    # log2(N/64) bits, balanced
+    # bits, balanced into (-p/2, p/2]; twists[c, i] = lambda_c**(i - 21),
+    # lambda_c = omega_N**rev(c), rev over log2(N/64) bits, balanced
     ctx = FieldCtx(p)
 
     def balanced(values):
@@ -337,17 +371,17 @@ def test_row_tables_match_their_definition(p):
 
     for k in range(2, 15):
         N, half = 1 << k, 1 << k >> 7
-        powers, base, twists, unwind = _rows._tables(ctx, N, np.empty(2 * N, np.int64))
+        powers, base, twists = _rows._tables(ctx, N, np.empty(2 * N, np.int64))
         w = ctx.roots[k]
         assert powers.tolist() == [pow(w, j, p) for j in range(N)]
         for sign, row in zip((1, -1), base[:, :, 0]):
             want = [pow(w, sign * bit_reverse(r, k - 1), p) for r in range(half)]
             assert row.tolist() == balanced(want), (N, sign)
-        assert twists.shape == (N >> 6, 64) and unwind.shape == (N >> 6, 1)
+        assert twists.shape == (N >> 6, 64)
         for c in range(N >> 6):
             lam = pow(w, bit_reverse(c, k - 6), p)
-            assert twists[c].tolist() == balanced([pow(lam, i, p) for i in range(64)]), (N, c)
-            assert unwind[c].tolist() == balanced([pow(lam, -63, p)]), (N, c)
+            want = balanced([pow(lam, i - 21, p) for i in range(64)])
+            assert twists[c].tolist() == want, (N, c)
     # the base case's forward matrix holds zeta**(i rev(j)) in row i and
     # column j, the inverse one zeta**(-i rev(j)) in row j and column i,
     # zeta = omega_64 and rev over six bits, each residue as its low 16 bits
@@ -450,9 +484,9 @@ def test_bitreversed_rows_add_only_the_two_power_rows(n):
 # spelled np.add(..., out=...), not +=, which would bypass the proxy below.
 # 96 = 64 + 32 and 200 = 128 + 64 + 8 run small blocks beside chunk blocks,
 # the lengths of mul-small-many.
-CALL_BUDGET = {96: (44, 52, 61), 200: (52, 76, 85), 257: (61, 68, 77), 385: (61, 84, 95),
-               1026: (87, 107, 120), 1282: (87, 137, 150), 1537: (87, 124, 137),
-               2049: (87, 103, 116), 4098: (153, 161, 174)}
+CALL_BUDGET = {96: (39, 47, 56), 200: (47, 70, 79), 257: (54, 63, 72), 385: (54, 76, 87),
+               1026: (78, 98, 111), 1282: (78, 127, 140), 1537: (78, 114, 127),
+               2049: (78, 94, 107), 4098: (144, 152, 165)}
 
 
 class _CountingNumpy:
