@@ -25,12 +25,20 @@ the change's median is worse than the parent's by more than the bound, and
 every run of the change beats every run of the parent.  The exit status
 is 1 when any metric of any workload is flagged ``worse`` or any output of
 either side is wrong, else 0.
+
+For ``mul-pow2-edges`` a per-length table follows, from the ``n=...:``
+smoothness lines that ``run.py`` prints before its JSON: for every length
+and product path, both medians of the nominal seconds per call, the
+change's gain (the parent's median over the change's, less 1) and the
+pairs the change won, so a change shows at which lengths its gain lands.
+This table is not gated.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -38,6 +46,21 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from record import spread  # noqa: E402  (the quartiles the baseline records use)
+
+
+SMOOTHNESS = re.compile(r"\s*n=(\d+):(.*)")
+CELL = re.compile(r"(\w+)=([0-9.eE+-]+)s ops=")
+
+
+def per_length(lines: list[str]) -> dict:
+    """Nominal seconds per call by (n, path), from the smoothness lines."""
+    seconds = {}
+    for line in lines:
+        match = SMOOTHNESS.fullmatch(line)
+        if match:
+            for path, value in CELL.findall(match.group(2)):
+                seconds[int(match.group(1)), path] = float(value)
+    return seconds
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -48,7 +71,28 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                            f"{proc.stderr}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["per_length"] = per_length(lines[:-1])
+    return result
+
+
+def length_table(parent: list[dict], change: list[dict]) -> list[str]:
+    """Per (n, path): both medians in nominal us per call, the gain and the pairs won."""
+    keys = [key for key in parent[0] if all(key in r for r in parent + change)]
+    if not keys:
+        return []
+    lines = ["per length: parent -> change median, nominal us per call; gain = parent / "
+             "change - 1; pairs won"]
+    for n in dict.fromkeys(n for n, _ in keys):
+        cells = []
+        for key in (k for k in keys if k[0] == n):
+            before, after = [r[key] for r in parent], [r[key] for r in change]
+            p_med, c_med = statistics.median(before), statistics.median(after)
+            won = sum(c < p for p, c in zip(before, after))
+            cells.append(f"{key[1]} {p_med * 1e6:9.2f} -> {c_med * 1e6:9.2f} "
+                         f"{p_med / c_med - 1:+7.2%} {won}/{len(before)}")
+        lines.append(f"  n={n:<6d} " + "  ".join(cells))
+    return lines
 
 
 def summary(name: str, better: str, bound: float, parent: list[float],
@@ -96,7 +140,10 @@ def compare(sides: dict, spec: dict, workload: str, count: int, first: int,
         print(line)
         worse = worse or "worse" in flags
     failed = {side: sum(r["failed"] for r in results) for side, results in runs.items()}
-    print(f"failed outputs: parent {failed['parent']}, change {failed['change']}", flush=True)
+    print(f"failed outputs: parent {failed['parent']}, change {failed['change']}")
+    for line in length_table(*([r["per_length"] for r in runs[side]] for side in sides)):
+        print(line)
+    sys.stdout.flush()
     return not worse and not any(failed.values())
 
 

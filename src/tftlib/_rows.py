@@ -11,20 +11,25 @@ The two operands are the rows of a (2, n) buffer, so a product's forward
 transforms are one set of operations.  Each loads into its row by one
 ``struct.pack_into`` call (:func:`load`), the buffer is reduced only when
 an element lies outside [0, p), and the pointwise product overwrites the
-second row.  The block transform takes one set per butterfly stage over
-every block at once, for half-lengths u >= 64:
-blocks are contiguous and aligned, so at half-length u the blocks with n_i
->= 2u are a prefix of the stage blocks that reshapes to (rows, 2, u), and
-each row takes one twiddle, a power of omega_N, N the padded length.
+second row.
 
-A block of n_i = 64R slots at twist t with 8 <= R and (t + 1) R <= 64,
-512 to 4096 slots, runs no stage: its stages u >= 64 are one R-point DFT
-across its 64-slot chunks (Bailey's four-step FFT), the matrix columns [tR,
-(t + 1) R) that the base case below already holds, one float64 matrix
-product per row, a level.  The levels are a prefix of the blocks, and the
-stages run on the stage blocks after it.  A product that holds a block too
-large for the matrix (4096 slots at twist 1, or 8192 and up) keeps every
-stage of every block (:func:`_twiddles`).
+A block of n_i = 64R slots with 2 <= R <= 64, 128 to 4096 slots, at either
+twist, runs no radix-2 stage: its stages u >= 64 are one R-point DFT across
+its 64-slot chunks (Bailey's four-step FFT), a level, whose matrix is R
+columns of the base case's matrix below, or for 4096 slots at twist 1 the
+odd twist's matrix, at the 64 odd powers of omega_128 (:func:`_twiddles`).
+When the product's first block has at most 8 chunks (every level of a
+product of at most 1023 slots), the levels are int64 matrix products, one
+per level over both rows and one np.remainder: their entries are balanced,
+so with inputs in [0, p) a sum of R <= 4 terms is at most 2 (p - 1)^2 <
+2^63, and a level of 8 chunks balances its inputs first, which bounds its
+sums alike (:func:`_levels`).  Otherwise every level is a float64 matrix
+product per row in the base case's limbs.  Only the blocks of 8192 slots or
+more, a prefix of the row, run stages, one set of operations per stage over
+every such block at once: blocks are contiguous and aligned, so at
+half-length u the blocks with n_i >= 2u are a prefix that reshapes to
+(rows, 2, u), and each row takes one twiddle, a power of omega_N, N the
+padded length.
 
 The six stages below u = 64 are the base case: on each row of the buffer,
 one float64 matrix product over every 64-slot chunk, and one for each
@@ -40,32 +45,34 @@ backwards, lambda_c**(42 - i), cancels it as it untwists.  A block of n_i
 n_i) of that matrix, so it is its own row times those columns' top n_i
 rows, and needs no twist.  The inverse applies the unnormalised inverse
 matrix, zeta**(-i rev(j)) (a small block: rows [t n_i, (t + 1) n_i), left
-n_i columns), then lambda_c**(42 - i) to the chunks, then the stages u >=
-64 and the 1/n_i pass.  The matrices are float64 in 16-bit limbs, so that
-numpy hands the products, the levels' too, to BLAS (FFLAS-FFPACK's way to
-exact finite-field products): a residue in [0, p) times a low limb, summed
-over 64 slots (a level sums R <= 64 chunks), is at most 64 (p - 1)(2^16 -
-1) < 2^6 2^31 2^16 = 2^53 for every p < 2^31, and a high limb is below
-2^15, so every sum and every partial sum is an integer that float64 holds
-exactly, whatever order BLAS adds in.  The two limbs' sums then recombine
-in int64, lo + 2^16 (hi mod p) < 2^53 + 2^47.
+n_i columns), then lambda_c**(42 - i) to the chunks, then the levels and
+the stages u >= 64, and the 1/n_i pass.  The float64 matrices are kept in
+16-bit limbs, so that numpy hands the products, the float levels' too, to
+BLAS (FFLAS-FFPACK's way to exact finite-field products): a residue in [0,
+p) times a low limb, summed over 64 slots (a level sums R <= 64 chunks), is
+at most 64 (p - 1)(2^16 - 1) < 2^6 2^31 2^16 = 2^53 for every p < 2^31,
+and a high limb is below 2^15, so every sum and every partial sum is an
+integer that float64 holds exactly, whatever order BLAS adds in.  The two
+limbs' sums then recombine in int64, lo + 2^16 (hi mod p) < 2^53 + 2^47.
 
 The per-N tables are ``ctx.row_tables[N]``, built by the first product of
 padded length N over a context: the powers of omega_N (the Omega_s
 scalings), the bit-reversed base rows (only the entries below N/128, which
-the stages u >= 64 read), and the twist rows, N/64 rows of 64.  The two
-matrices, 128 KiB, are field set-up like ``ctx.roots``: built once per
-field by its first row product (``ctx.row_dft``), not counted as
-scratch.  All grow from the root ladder by doubling.  What a product of
-transform length m reads of them depends only on the field and m, so the
-first row product of length m builds it once, into its product plan
+the stages u >= 64 read), and the twist rows, N/64 rows of 64.  The
+base case's matrices and the int64 levels' parts, 132 KiB, are field
+set-up like ``ctx.roots``, built once per field by its first row product
+(``ctx.row_dft``, ``ctx.row_ints``, :func:`_matrices`), and so are the
+odd twist's matrices, 128 KiB, by its first product that holds a
+4096-slot block at twist 1 (``ctx.row_odd``, :func:`_odd`); none is
+counted as scratch.  All grow from the root ladder by doubling.  What a
+product of transform length m reads of them depends only on the field and
+m, so the first row product of length m builds it once, into its product plan
 (``bridge._ProductPlan``, :func:`_twiddles`): per block a view of the
 tables, per level two views of the matrices, and per stage u >= 64 one
-row of twiddles.  A stage of one block reads a view
-of the base rows; the rows of a stage of several blocks are their views
-concatenated, at most m/128 entries per direction at u = 64 and half as
-many at each next stage, so a plan holds fewer than m/64 elements per
-direction.
+row of twiddles.  A stage of one block reads a view of the base rows; the
+rows of a stage of several blocks are their views concatenated, at most
+m/128 entries per direction at u = 64 and half as many at each next stage,
+so a plan holds fewer than m/64 elements per direction.
 
 The break and its inverse reach the list path's images without the
 engines' survivor runs.  The break halves z^N - 1, as the ``mateer`` engine
@@ -94,12 +101,13 @@ Every array this module takes besides the int64 buffer of the operands,
 which takes the product, and besides the field's matrices, is reported in
 ``ctx.scratch_allocated``, once: each table and each plan's concatenated
 stage rows by the product that builds them, and per product a work buffer
-of 2m elements (the stages' products and quotients, the carries, and the
-levels' and the base case's float sums, one row at a time), and on the
-bit-reversed path the two power rows.  The 1/n_i and the unbreak's
-halvings are scalars, one per block.  A product of padded length N reports
-at most 4.1N elements on the padded and the cyclotomic path and 6.1N on
-the bit-reversed one, tables and plan included (``tests/test_rows.py``).
+of 2m elements (the stages' products and quotients, the carries, the
+float levels' and the base case's float sums, one row at a time, and the
+int64 levels' sums), and on the bit-reversed path the two power rows.  The
+1/n_i and the unbreak's halvings are scalars, one per block.  A product of
+padded length N reports at most 4.1N elements on the padded and the
+cyclotomic path and 6.1N on the bit-reversed one, tables and plan included
+(``tests/test_rows.py``).
 """
 
 from __future__ import annotations
@@ -123,13 +131,14 @@ _SUM_WIDTH = 64
 _ONE = np.ones(1, np.int64)  # a row of ones of any length, as a view of stride 0
 _BASE = 64  # the base case: a chunk of this many slots is one row of a matrix product
 _LIMB = 16  # bits of the matrices' low limbs
-# blocks of this many 64-slot chunks or more are levels (:func:`_twiddles`).
-# At 4, public products (medians of 21 alternating in-process rounds, two
-# runs, shared 2-core VM) read 0.98-1.02x of 8 at n = 255, 257 and 1409,
-# 1.06-1.08x at 385, where a 128-slot block keeps its stage anyway, and
-# 0.90-0.94x at 769, 1281 and 2305, where no stage is left; at 257 and 385
-# the cyclotomic product takes 5 and 13 more numpy calls
-_LEVEL_MIN = 8
+# levels of at most this many 64-slot chunks take one int64 matrix product
+# over both rows, when no block of the product is larger (:func:`_levels`).
+# Public products, medians of 31 alternating in-process rounds on a shared
+# 2-core VM: int64 levels of 8 chunks read 0.93-0.98x of float ones where
+# they run (n = 449 on every path, 513 and 769 on the TFT paths), and int64
+# levels of 2 and 4 chunks beside float ones 1.01-1.03x of float ones on
+# the TFT paths at 1152, 1282, 1408 and 2304, 1.00-1.01x at 4352
+_INTS = 8
 
 
 def _counted(ctx: FieldCtx, a: np.ndarray) -> np.ndarray:
@@ -239,17 +248,38 @@ def _tables(ctx: FieldCtx, N: int, work: np.ndarray) -> tuple:
     return tables
 
 
-def _matrices(ctx: FieldCtx) -> np.ndarray:
-    """The base case's matrices over ctx, built once per field: the forward
-    one, zeta**(i rev(j)) in row i and column j, and the unnormalised
-    inverse, zeta**(-i rev(j)) in row j and column i, zeta = omega_64 and
-    rev over six bits, as float64 of shape (2, 2, 64, 64): [d, 0] holds the
-    low 16 bits of direction d's residues in [0, p), and [d, 1] the rest,
-    shifted down.  Their points zeta**(+-rev(j)) grow from the ladder by
-    doubling (entries [m, 2m) times omega_(2m)**(+-1)), and their powers by
-    :func:`_powers`.  A field of two-adicity k <= 5 has no zeta: its points
-    stop at j < 2^k, the others are 0, and no product reads them, since its
-    padded lengths are at most 2^k.
+def _limbs(ints: np.ndarray) -> np.ndarray:
+    """A pair of (64, 64) matrices of residues in [0, p), shape (2, 64, 64),
+    as float64 of shape (2, 2, 64, 64): [d, 0] holds the low 16 bits of
+    matrix d, and [d, 1] the rest, shifted down."""
+    mats = np.empty((2, 2, _BASE, _BASE))
+    mats[:, 0] = ints & ((1 << _LIMB) - 1)
+    mats[:, 1] = ints >> _LIMB
+    return mats
+
+
+def _matrices(ctx: FieldCtx) -> tuple:
+    """The base case's matrices over ctx and the int64 levels' parts, built
+    once per field.
+
+    The matrices (``ctx.row_dft``) are the forward one, zeta**(i rev(j)) in
+    row i and column j, and the unnormalised inverse, zeta**(-i rev(j)) in
+    row j and column i, zeta = omega_64 and rev over six bits, in 16-bit
+    limbs (:func:`_limbs`), so that their float64 products are exact: a
+    residue in [0, p) times a low limb, summed over 64 terms, is at most 64
+    (p - 1)(2^16 - 1) < 2^53, and a high limb is below 2^15.  Their points
+    zeta**(+-rev(j)) grow from the ladder by doubling (entries [m, 2m)
+    times omega_(2m)**(+-1)), and their powers by :func:`_powers`.  A field
+    of two-adicity k <= 5 has no zeta: its points stop at j < 2^k, the
+    others are 0, and no product reads them, since its padded lengths are
+    at most 2^k.
+
+    The parts (``ctx.row_ints``) are the top 16 rows and columns of both
+    matrices' residues, as int64 balanced into (-p/2, p/2], which every
+    level of at most 8 chunks reads: a sum of R <= 4 of their products
+    with inputs in [0, p), or of 8 with balanced inputs, lies within 2 (p -
+    1)^2 < 2^63 (:func:`_levels`).  Both, 132 KiB, are field set-up like
+    ``ctx.roots``, not scratch.
     """
     if ctx.row_dft is None:
         ints = np.zeros((2, _BASE, _BASE), np.int64)  # the points' powers in row j
@@ -257,10 +287,36 @@ def _matrices(ctx: FieldCtx) -> np.ndarray:
             _grow(ctx, table[:, 1], ladder[1:7], None)
             _powers(ctx, table, None)
         ints[0] = ints[0].T.copy()
-        mats = ctx.row_dft = np.empty((2, 2, _BASE, _BASE))
-        mats[:, 0] = ints & ((1 << _LIMB) - 1)
-        mats[:, 1] = ints >> _LIMB
-    return ctx.row_dft
+        ctx.row_dft = _limbs(ints)
+        small = ctx.row_ints = ints[:, :2 * _INTS, :2 * _INTS].copy()
+        np.subtract(small, ctx.p, out=small, where=small > ctx.p // 2)
+    return ctx.row_dft, ctx.row_ints
+
+
+def _odd(ctx: FieldCtx) -> np.ndarray:
+    """The odd twist's matrices over ctx, built once per field by its first
+    product that holds a 4096-slot block at twist 1, the level that reads
+    them (:func:`_twiddles`).
+
+    The forward one holds omega_128**(i (1 + 2 rev(j))) in row i and column
+    j, and the unnormalised inverse omega_128**(-i (1 + 2 rev(j))) in row j
+    and column i: the base case's pair (:func:`_matrices`) with row (or
+    column) i times omega_128**(+-i), whose points are the 64 odd powers of
+    omega_128.  They are kept in 16-bit limbs, 128 KiB of field set-up,
+    and their float64 products are exact as the base case's are: a residue
+    times a low limb, summed over 64 terms, is at most 64 (p - 1)(2^16 - 1)
+    < 2^53, and a high limb is below 2^15.
+    """
+    if ctx.row_odd is None:
+        mats = _matrices(ctx)[0]
+        ints = mats[:, 0].astype(np.int64) + (mats[:, 1].astype(np.int64) << _LIMB)
+        scale = np.empty((2, _BASE), np.int64)  # omega_128**(+-i)
+        for row, ladder in zip(scale, (ctx.roots, ctx.inv_roots)):
+            _grow(ctx, row, ladder[7:1:-1], None)
+        np.multiply(ints[0], scale[0, :, None], out=ints[0])
+        np.multiply(ints[1], scale[1], out=ints[1])
+        ctx.row_odd = _limbs(np.remainder(ints, ctx.p, out=ints))
+    return ctx.row_odd
 
 
 def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int) -> tuple:
@@ -269,82 +325,82 @@ def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int) -> tuple:
 
     Every block reads entries [t s, (t + 1) s) of a table, s its share
     (``share``): of the base rows, its m = n_i / 2u rows at half-length u;
-    of the twist rows, one per 64-slot chunk; of the matrix's columns, its
-    n_i points, when n_i < 64.  Row q of block i at half-length u (n_i =
-    2^(k-1) u) takes c * omega_(2^(k-1))**rev(q), where c = omega_(2^k)**t
-    is its first twiddle (as in :func:`tftlib.transform.dwt`): entry q of
-    the base row is omega_(2m)**rev(q) for q < m, and entry m + q is
-    omega_(4m)**(2 rev(q) + 1).  The blocks of a stage have distinct m, one
-    set bit each of n' >> (st + 1), n' the slots of the blocks that run
-    stages (below), which is the stage's row count: a stage of one block
-    reads its view of the base rows, and the views of a stage of several
-    blocks are concatenated here, once, and reported, w = n' >> (st + 1) <=
-    n/128 entries per direction.
+    of the twist rows, one per 64-slot chunk; of the matrices' columns, its
+    n_i points when n_i < 64, and its R chunks when it is a level.
 
-    The stages u >= 64 of a block of n_i = 64R slots at twist t take its
-    64-slot chunks f_0, ..., f_(R-1) to f mod (z^64 - lambda_c^64), c < R,
-    which is the sum over r of lambda_c^(64 r) f_r: an R-point DFT across
-    the chunks (Bailey's four-step FFT).  Its points lambda_c^64 =
-    omega_(2R)**(t + 2 rev(c)), rev over log2(R) bits, are zeta**rev(tR +
-    c), rev over six bits, so its matrix is columns [tR, (t + 1) R) of the
-    base case's forward matrix, top R rows, and the unnormalised inverse is
-    rows [tR, (t + 1) R) of the inverse one, left R columns; both are read
-    transposed, the part on the left of the chunks.  A block takes that
-    product, a level, when _LEVEL_MIN <= R and (t + 1) R <= 64.  The
-    blocks are decreasing, so the levels are a prefix of the row, and the
-    stages run on the blocks after it; a product that holds a block too
-    large for the matrix (t = 1 and n_i = 4096, or n_i >= 8192) keeps every
-    stage of every block.  Stage rows are built for the stage blocks alone.
+    A block of n_i = 64R slots with 2 <= R <= 64, 128 to 4096 slots, is a
+    level: its stages u >= 64 take its chunks f_0, ..., f_(R-1) to f mod
+    (z^64 - lambda_c^64), c < R, which is the sum over r of lambda_c^(64 r)
+    f_r: an R-point DFT across the chunks (Bailey's four-step FFT).  Its
+    points lambda_c^64 = omega_(2R)**(t + 2 rev(c)), rev over log2(R) bits,
+    are omega_128**rev(tR + c), rev over seven bits.  For tR + c < 64 that
+    is zeta**rev(tR + c), rev over six bits, so its matrix is columns [tR,
+    (t + 1) R) of the base case's forward matrix (:func:`_matrices`), top R
+    rows, and its unnormalised inverse the same part of the inverse one;
+    the forward part is read transposed, on the left of the chunks.  A
+    4096-slot block at twist 1 has the points omega_128**(1 + 2 rev(c)),
+    and reads the odd twist's matrices whole (:func:`_odd`).  The parts are
+    int64 when the product's first block has at most 8 chunks, else
+    float64 limbs (:func:`_levels`).
+
+    The blocks of more than 4096 slots are the stage blocks, a prefix of
+    the row as the blocks are decreasing, and they alone run stages u >=
+    64.  Row q of block i at half-length u (n_i = 2^(k-1) u) takes c *
+    omega_(2^(k-1))**rev(q), where c = omega_(2^k)**t is its first twiddle
+    (as in :func:`tftlib.transform.dwt`): entry q of the base row is
+    omega_(2m)**rev(q) for q < m, and entry m + q is omega_(4m)**(2 rev(q)
+    + 1).  The blocks of a stage have distinct m, one set bit each of n' >>
+    (st + 1), n' the slots of the stage blocks, which is the stage's row
+    count: a stage of one block reads its view of the base rows, and the
+    views of a stage of several blocks are concatenated here, once, and
+    reported, w = n' >> (st + 1) <= n/128 entries per direction.
 
     Returns the (forward, inverse) rows of the stages u = 64, 128, ..., each
     of shape (2, rows, 1); (offset, size, twist rows) of every block of 64
-    slots or more; (offset, size, first matrix column)
-    of every smaller block but those of one slot, whose transform is the
-    identity; the slots of the chunks, and of every block but one of one
-    slot; (offset, size, forward part, inverse part) of every level, each
-    part of shape (2, R, R); and the slots of the levels, where the stage
-    blocks start.
+    slots or more; (offset, size, first matrix column) of every smaller
+    block but those of one slot, whose transform is the identity; the slots
+    of the chunks, and of every block but one of one slot; (offset from the
+    first level, size, forward part, inverse part) of every level; and the
+    slice of the slots the levels hold.
     """
     _, base, twists = tables
-    mats = _matrices(ctx)
-    n = sum(sizes)
+    mats, ints = _matrices(ctx)
 
     def share(s):
         return slice(twist * s, (twist + 1) * s)
 
-    levels, lead = [], 0
-    if sizes[0] << twist <= _BASE * _BASE:
-        for ni in sizes:
-            r = ni // _BASE
-            if r < _LEVEL_MIN:
-                break
-            levels.append((lead, ni, mats[0][:, :r, share(r)].transpose(0, 2, 1),
-                           mats[1][:, share(r), :r].transpose(0, 2, 1)))
-            lead += ni
+    lead = sum(ni for ni in sizes if ni > _BASE * _BASE)  # the stage blocks' slots
     stages = []
-    rest = n - lead
-    for st in range(_BASE.bit_length() - 1, rest.bit_length() - 1):
-        w = rest >> (st + 1)
+    for st in range(_BASE.bit_length() - 1, lead.bit_length() - 1):
+        w = lead >> (st + 1)
         pieces = [base[:, share(1 << b)] for b in range(w.bit_length() - 1, -1, -1) if w >> b & 1]
         stages.append(pieces[0] if len(pieces) == 1
                       else _counted(ctx, np.concatenate(pieces, axis=1)))
-    chunks, small, offset = [], [], 0
+    whole = sizes[0] <= _INTS * _BASE  # every level takes the int64 product
+    chunks, small, levels, offset = [], [], [], 0
     for ni in sizes:
+        r = ni // _BASE
         if ni >= _BASE:
-            rows = share(ni // _BASE)
-            chunks.append((offset, ni, twists[rows]))
+            chunks.append((offset, ni, twists[share(r)]))
         elif ni > 1:
             small.append((offset, ni, twist * ni))
+        if 2 <= r <= _BASE:
+            parts, cols = ints if whole else mats, share(r)
+            if twist and r == _BASE:  # the odd twist's points
+                parts, cols = _odd(ctx), slice(0, r)
+            levels.append((offset - lead, ni, parts[0][..., :r, cols].swapaxes(-1, -2),
+                           parts[1][..., cols, :r].swapaxes(-1, -2)))
         offset += ni
     top = sum(c[1] for c in chunks)
-    return stages, chunks, small, top, top + sum(c[1] for c in small), tuple(levels), lead
+    return (stages, chunks, small, top, top + sum(c[1] for c in small), tuple(levels),
+            slice(lead, lead + sum(level[1] for level in levels)))
 
 
 def _exact(ctx: FieldCtx, a: np.ndarray, work: np.ndarray, inverse: bool, span: int,
            top: int = 0, small=(), levels=()) -> None:
     """Every row of a, its first ``span`` slots in [0, p), times the base
     case's forward or inverse matrix in 16-bit limbs, back into those slots
-    in [0, p): the base case of every block, or the levels.
+    in [0, p): the base case of every block, or the float levels.
 
     The base case multiplies the matrix by each 64-slot chunk of the first
     ``top`` slots (already twisted), and each block of ``small`` by its
@@ -384,6 +440,36 @@ def _exact(ctx: FieldCtx, a: np.ndarray, work: np.ndarray, inverse: bool, span: 
         _mod(ctx, lo, hi, out=x)
 
 
+def _levels(ctx: FieldCtx, a: np.ndarray, levels, region: slice, work: np.ndarray,
+            inverse: bool) -> None:
+    """The stages u >= 64 of every level (:func:`_twiddles`), on the slots
+    ``region`` of every row of a, from [0, p) into [0, p).
+
+    Float64 parts run in :func:`_exact`, a row at a time.  Int64 parts,
+    balanced into (-p/2, p/2], take one matmul per level over every row at
+    once, its sums in the work buffer, and one np.remainder back into the
+    rows.  No sum leaves int64: p is odd, so a part's entries have
+    magnitude at most (p - 1)/2, and with inputs in [0, p) a sum of R <= 4
+    products lies within 4 (p - 1)(p - 1)/2 = 2 (p - 1)^2 < 2^63, as p <
+    2^31 gives (p - 1)^2 < 2^62.  A level of 8 chunks balances its inputs
+    first, so its sums lie within 8 ((p - 1)/2)^2 = 2 (p - 1)^2 as well.
+    """
+    if not levels:
+        return
+    x = a[:, region]
+    if levels[0][2].dtype == np.float64:
+        _exact(ctx, x, work, inverse, x.shape[1], levels=levels)
+        return
+    if levels[0][1] == _INTS * _BASE:
+        np.subtract(x, ctx.p, out=x, where=np.greater(x, ctx.p // 2))
+    k = x.shape[0]
+    sums = work[:x.size].reshape(x.shape)
+    for off, ni, forward, backward in levels:
+        np.matmul(backward if inverse else forward, x[:, off:off + ni].reshape(k, -1, _BASE),
+                  out=sums[:, off:off + ni].reshape(k, -1, _BASE))
+    np.remainder(sums, ctx.p, out=x)
+
+
 def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
                inverse: bool) -> None:
     """dwt (or idwt) of every block, on every row of a at once, up to a
@@ -397,11 +483,12 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
     (:func:`_tables`), and the inverse is idwt of its input with each such
     chunk times lambda_c**42, so a pointwise product of two forwards
     inverts to the idwt of the product of the dwts.  The levels take the
-    stages u >= 64 of the first blocks, slots [0, lead); the stages u >= 64
-    run on the blocks after them, on the prefix of those of 2u slots or
-    more; the base case ends the forward transform and starts the inverse.  The levels and the base case are matrix products
-    (:func:`_exact`).  The 1/n_i pass ends the inverse; 1/n_i, balanced, is
-    -(p - 1)/n_i, from the block's size.
+    stages u >= 64 of every block of 128 to 4096 slots (:func:`_levels`),
+    and the stages u >= 64 run on the larger blocks, a prefix of the row,
+    on the prefix of those of 2u slots or more; the base case ends the
+    forward transform and starts the inverse (:func:`_exact`).  The 1/n_i
+    pass ends the inverse; 1/n_i, balanced, is -(p - 1)/n_i, from the
+    block's size.
 
     Reduction is lazy (Harvey 2014), on balanced twiddles.  p is odd, so a
     twiddle, a twist or 1/n_i in (-p/2, p/2] has magnitude at most (p -
@@ -438,13 +525,13 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
     and reduces them.
     """
     k = a.shape[0]
-    stage_rows, chunks, small, top, span, levels, lead = twiddles
+    stage_rows, chunks, small, top, span, levels, region = twiddles
     low = _BASE.bit_length() - 1  # stage st has half-length u = 2^st
 
     def stage(st):
         rows = stage_rows[st - low].shape[1]
         u = 1 << st
-        view = a[:, lead:lead + 2 * u * rows].reshape(k, rows, 2, u)
+        view = a[:, :2 * u * rows].reshape(k, rows, 2, u)
         return view[:, :, 0], view[:, :, 1], work[:k * rows * u].reshape(k, rows, u)
 
     def rotate():  # every chunk times its twist row, reversed by the inverse, reduced
@@ -457,8 +544,7 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
     stages = range(low, low + len(stage_rows))
     quot = work[k * top // 2:]
     if not inverse:
-        if levels:
-            _exact(ctx, a, work, False, lead, levels=levels)
+        _levels(ctx, a, levels, region, work, False)
         for done, st in enumerate(reversed(stages), 1):
             x, y, t = stage(st)
             np.multiply(y, stage_rows[st - low][0], out=t)
@@ -466,7 +552,7 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
             np.subtract(x, t, out=y)
             np.add(x, t, out=x)
             if done % 4 == 0:
-                _mod(ctx, a[:, lead:lead + (x.shape[1] * 2 << st)], work)
+                _mod(ctx, a[:, :x.shape[1] * 2 << st], work)
         rotate()  # lambda**(i - 21)
         _exact(ctx, a, work, False, span, top, small)
         return
@@ -480,8 +566,7 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
         _mod(ctx, t, quot, out=y)
         if done % 3 == 0:
             _mod(ctx, x, quot)
-    if levels:
-        _exact(ctx, a, work, True, lead, levels=levels)
+    _levels(ctx, a, levels, region, work, True)
     for off, ni, *_ in chunks + small:  # times 1/n_i, balanced: -(p - 1)/n_i
         blk = a[:, off:off + ni]
         np.multiply(blk, -((ctx.p - 1) // ni), out=blk)
@@ -615,7 +700,11 @@ def multiply(ctx: FieldCtx, a: np.ndarray, n: int, product, e: int) -> list[int]
     m = a.shape[1]
     plan = product.plan
     work = _counted(ctx, np.empty(2 * m, np.int64))
-    if a.view(np.uint64).max() >= ctx.p:  # an element outside [0, p)
+    # an element outside [0, p); the ufunc's reduce skips ndarray.max's Python
+    # layer: best of 41 alternating rounds of 2000 calls, 1.82 us against 1.87
+    # at 2 x 16 elements, 1.81 against 1.94 at 2 x 128, 2.41 against 2.49 at
+    # 2 x 2048
+    if np.maximum.reduce(a.view(np.uint64), axis=None) >= ctx.p:
         _mod(ctx, a, work)
     tables = _tables(ctx, plan.N if plan else m, work)
     if product.rows is None:

@@ -82,12 +82,12 @@ from .ring import FieldCtx, find_root_of_unity
 from .transform import dwt, fft_in_place, idwt, ifft_in_place, kernel_counts, scale_by_powers
 
 # From this product length on, over p < 2^31, products compute in int64 rows
-# (tftlib._rows).  Measured at every n in 8..40 on a shared 2-core VM, the
-# threshold set at run time: the least n from which each length's t_rows /
-# t_list (median over 41 or 81 interleaved rounds of 20 products, then over
-# three to six runs) is at most 1.00 on every path: 0.97 at 14, at most 0.90
-# from 15 and 0.65 from 27.  13 read 1.06 (cyclotomic), 12 1.14 and 8 1.67.
-_ROWS_MIN = 14
+# (tftlib._rows): the least n from which each length's t_rows / t_list is at
+# most 1.00 on every path, the threshold set at run time.  Medians over 81
+# interleaved rounds of 20 products, three runs, shared 2-core VM: the
+# cyclotomic path read 1.00-1.17 at 14, 1.08-1.23 at 13 and 1.11-1.27 at 12;
+# every path read at most 0.86 at 15 and 16 and 0.92 at 17
+_ROWS_MIN = 15
 # A TFT product runs at the least length m >= n with at most this many set
 # bits, so at most this many blocks (see multiply_tft).  Read at call time.
 _MAX_BLOCKS = 3

@@ -175,10 +175,11 @@ class FieldCtx:
     Immutable after construction except for the counters and what products
     build once and then only read: the product plans, one per transform
     length (``product_plans``, by :mod:`tftlib.bridge`), the row tables, one
-    per padded length (``row_tables``), and the rows' base-case matrices,
-    one per field (``row_dft``).  None of these is an API.  A context may be
-    shared across threads only if each thread runs its own count session and
-    transforms its own buffers; the library itself is single-threaded.
+    per padded length (``row_tables``), and the rows' base-case and level
+    matrices, one set per field (``row_dft``, ``row_ints``, ``row_odd``).
+    None of these is an API.  A context may be shared across threads only
+    if each thread runs its own count session and transforms its own
+    buffers; the library itself is single-threaded.
     """
 
     def __init__(self, p: int = DEFAULT_MODULUS):
@@ -197,6 +198,8 @@ class FieldCtx:
         self.product_plans = {}  # by transform length, built by tftlib.bridge
         self.row_tables = {}  # by padded length, built by tftlib._rows
         self.row_dft = None  # the rows' base-case matrices, built by tftlib._rows
+        self.row_ints = None  # the rows' int64 level matrices, likewise
+        self.row_odd = None  # the rows' odd-twist matrices, likewise
 
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p})"

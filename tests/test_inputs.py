@@ -334,10 +334,11 @@ def test_transforms_reject_non_integral_elements(ctx, n, bad):
 
 
 @pytest.mark.parametrize("bad", NON_INTEGRAL, ids=repr)
-@pytest.mark.parametrize("n", [_ROWS_MIN - 1, 28, 255, 256, 257])
+@pytest.mark.parametrize("n", [13, _ROWS_MIN, 28, 255, 256, 257])
 def test_products_reject_non_integral_elements_before_any_work(n, bad):
     # on both sides of the rows' crossover, over a new field so that no
     # table of the padded length exists yet
+    assert 13 < _ROWS_MIN <= 28
     ctx = FieldCtx()
     products = [("multiply_full_fft", lambda f, g: multiply_full_fft(ctx, f, g))]
     products += [(f"multiply_tft[{path}]", lambda f, g, pa=path: multiply_tft(ctx, f, g, pa))

@@ -1,6 +1,6 @@
 """Products in int64 rows, checked against the list transforms.
 
-Over p < 2^31, every product of length n >= ``bridge._ROWS_MIN`` (14, the
+Over p < 2^31, every product of length n >= ``bridge._ROWS_MIN`` (15, the
 measured crossover) computes in int64 rows, on every path.  Each product
 here is compared with a reference composed from the list functions: the
 forward transforms of both operands, a pointwise product and the inverse
@@ -39,10 +39,12 @@ PATHS = ("padded", "cyclotomic", "bitreversed")
 # long runs of 0 bits (folds of many chunks) next to adjacent 1 bits (folds of one)
 SHAPES = {2**12 + 2**5 + 1, 2**11 + 2**10 + 2**3 + 1, 0b1001001001, 0b110000000011,
           0b101010101011}
-# 28 to 32: the lengths about the rows' earlier thresholds, 29 and 31, and
-# 2^5; 448 and 1537: a first stage of adjacent blocks
-LENGTHS = sorted({_ROWS_MIN - 1, _ROWS_MIN, _ROWS_MIN + 1, 28, 29, 30, 31, 32, 62, 448, 1365,
-                  1537, 5461}
+# _ROWS_MIN - 2 to _ROWS_MIN + 1: the crossover, its earlier place 14 and
+# the lengths about them; 28 to 32: the lengths about the rows' earlier
+# thresholds, 29 and 31, and 2^5; 448 and 1537: a first stage of adjacent
+# blocks
+LENGTHS = sorted({_ROWS_MIN - 2, _ROWS_MIN - 1, _ROWS_MIN, _ROWS_MIN + 1, 28, 29, 30, 31, 32, 62,
+                  448, 1365, 1537, 5461}
                  | {2**k + d for k in range(6, 13) for d in (-1, 0, 1)}
                  | SHAPES | set(random.Random(10).sample(range(63, 6001), 10)))
 # 2^k - 1 (k blocks, no fold), 2^k + 1 (block 1 folds to two rows) and a
@@ -51,12 +53,15 @@ LENGTHS = sorted({_ROWS_MIN - 1, _ROWS_MIN, _ROWS_MIN + 1, 28, 29, 30, 31, 32, 6
 # unreduced, and 288 (M_s = 4) reduces them first
 HEADROOM = sorted({2**k + d for k in range(5, 13) for d in (-1, 1)}
                   | {2**k + 2**(k - 4) + 1 for k in range(5, 13)} | {288, 320, 384, 448})
-# the levels of tftlib._rows._twiddles: about 512 slots (R = 8), 2048 slots
-# at twist 1 (R = 32) and 4096 at twist 0 (R = 64); 4097 and 4609 = 4096 +
-# 512 + 1 hold a block too large, so every block keeps its stages; 1282 =
-# 1024 + 256 + 2 runs a level, a stage block and a small block, and 1537 =
-# 1024 + 512 + 1 two levels
-LEVELS = [511, 512, 513, 1282, 1537, 2049, 4095, 4096, 4097, 4609]
+# the levels of tftlib._rows._twiddles, every block of 128 to 4096 slots:
+# int64 alone at 127 to 129 (R = 2), 255 to 257 (R = 4), 385 = 256 + 128 +
+# 1, 511 to 513 (R = 8, balanced) and 897 = 512 + 256 + 128 + 1; float64
+# at 1282 = 1024 + 256 + 2 and 1537 = 1024 + 512 + 1 (R = 4 and 8 after a
+# float level), 2049, 4095 and 4096 (R = 64); the odd twist at 4097 and
+# 4609 = 4096 + 512 + 1; stage blocks with no level at 8193, and before a
+# level at 8321 = 8192 + 128 + 1 and 12289 = 8192 + 4096 + 1
+LEVELS = [127, 128, 129, 255, 256, 257, 385, 511, 512, 513, 897, 1282, 1537, 2049, 4095, 4096,
+          4097, 4609, 8193, 8321, 12289]
 # bound stated in the tftlib._rows docstring, in elements per padded slot;
 # a first product at every exact n in [_ROWS_MIN, 4200] reports at most
 # 4.016 (n = 65), 4.023 (n = 511) and 6.020 (n = 511): the tables of N,
@@ -149,14 +154,15 @@ WIDE = [2**70, -2**70, 2**63, np.uint64(2**64 - 1), True, False]
 
 
 @pytest.mark.parametrize("path", PATHS)
-@pytest.mark.parametrize("n", [_ROWS_MIN, 255, 257, 1025])
+@pytest.mark.parametrize("n", [_ROWS_MIN - 1, _ROWS_MIN, 255, 257, 1025])
 def test_rows_load_elements_outside_int64(field, n, path):
     # tftlib._rows.load packs each operand into its row; an element outside
     # int64 sends that operand alone through operator.index, reduced, while
-    # the other one still packs.  At the first, middle and last slot of
-    # either operand, and in both operands at once, the product must be
-    # that of the reduced operands.  (A False in the last slot only lowers
-    # the degree.)
+    # the other one still packs.  The list path, below the crossover, loads
+    # every element through operator.index.  At the first, middle and last
+    # slot of either operand, and in both operands at once, the product must
+    # be that of the reduced operands.  (A False in the last slot only
+    # lowers the degree.)
     p = field.p
     f, g = _operands(p, n, n)
     for x in WIDE:
@@ -218,23 +224,159 @@ def test_levels_equal_the_list_composition(field, n, path):
 
 
 @pytest.mark.parametrize("sizes, twist, levels", [
-    ((512,), 0, [512]), ((256,), 0, []), ((4096,), 0, [4096]), ((8192,), 0, []),
-    ((256, 1), 1, []), ((512, 1), 1, [512]), ((2048, 1), 1, [2048]), ((4096, 2), 1, []),
-    ((1024, 256, 2), 1, [1024]), ((1024, 512, 1), 1, [1024, 512]),
-    ((4096, 512, 1), 1, [])])
+    ((512,), 0, [512]), ((256,), 0, [256]), ((4096,), 0, [4096]), ((8192,), 0, []),
+    ((256, 1), 1, [256]), ((512, 1), 1, [512]), ((2048, 1), 1, [2048]), ((4096, 2), 1, [4096]),
+    ((1024, 256, 2), 1, [1024, 256]), ((1024, 512, 1), 1, [1024, 512]),
+    ((4096, 512, 1), 1, [4096, 512]), ((128,), 0, [128]), ((128, 1), 1, [128]),
+    ((512, 256, 128, 1), 1, [512, 256, 128]), ((64, 32), 1, []),
+    ((8192, 4096, 1), 1, [4096]), ((8192, 128, 1), 1, [128]),
+    ((16384, 8192, 2048, 1), 1, [2048])])
 def test_levels_are_the_blocks_the_matrix_holds(sizes, twist, levels):
-    # A block of 64R slots at twist t is a level when 8 <= R and (t + 1) R
-    # <= 64, unless a block of the product is too large for the matrix; the
-    # stage rows cover the blocks after the levels alone.
+    # Every block of 64R slots with 2 <= R <= 64 is a level, at either
+    # twist; the larger blocks, a prefix, run the stages, whose rows cover
+    # them alone, and the levels start where they end.  A level's forward
+    # part takes chunk r to chunk c by omega_(2R)**(r (t + 2 rev(c))), rev
+    # over log2(R) bits, and its inverse part takes chunk c back to chunk r
+    # by the inverse power.  The parts are int64, balanced, when the first
+    # block has at most 8 chunks, so that no float level runs beside them,
+    # and float64 limbs otherwise; a 4096-slot block at twist 1 reads the
+    # odd twist's matrices.
     ctx = FieldCtx()
+    p = ctx.p
     N = 1 << sum(sizes).bit_length() if twist else sizes[0]
     work = np.empty(2 * N, np.int64)
     rows = _rows._twiddles(ctx, sizes, _rows._tables(ctx, N, work), twist)
-    stages, *_, got, lead = rows
+    stages, *_, got, region = rows
     assert [ni for _, ni, _, _ in got] == levels
-    assert lead == sum(levels)
-    rest = sum(sizes) - lead
-    assert [st.shape[1] for st in stages] == [rest >> st for st in range(7, 15) if rest >> st]
+    lead = sum(ni for ni in sizes if ni > 4096)
+    assert region == slice(lead, lead + sum(levels))
+    assert [st.shape[1] for st in stages] == [lead >> st for st in range(7, 20) if lead >> st]
+    offset = 0
+    for off, ni, forward, inverse in got:
+        assert off == offset
+        offset += ni
+        R = ni // 64
+        w = ctx.roots[R.bit_length()]  # omega_(2R)
+        for part, sign in ((forward, 1), (inverse, -1)):
+            if sizes[0] <= 512:
+                assert part.dtype == np.int64 and np.abs(part).max() <= p // 2
+                values = (part % p).tolist()
+            else:
+                assert part.dtype == np.float64
+                values = (part[0].astype(np.int64) + (part[1].astype(np.int64) << 16)).tolist()
+            for c in range(R):
+                for r in range(R):
+                    want = pow(w, sign * r * (twist + 2 * bit_reverse(c, R.bit_length() - 1)), p)
+                    assert (values[c][r] if sign == 1 else values[r][c]) == want, (ni, c, r)
+
+
+def _levels_of(ctx, sizes, twist):
+    """The levels of blocks ``sizes`` at ``twist``, the slots they hold and
+    a work buffer for them."""
+    N = 1 << sum(sizes).bit_length() if twist else sizes[0]
+    work = np.empty(2 * N, np.int64)
+    rows = _rows._twiddles(ctx, sizes, _rows._tables(ctx, N, work), twist)
+    return rows[5], rows[6], work
+
+
+def _level_sums(ctx, levels, region, work, inputs):
+    """``levels`` (as :func:`_levels_of` gives them) run by the rows both
+    ways, on both rows, from ``inputs`` (one (R, 64) list of Python ints per
+    level and direction, in [0, p)); each part's sums in Python ints, over
+    the inputs as the rows' matmul takes them (balanced when an int64 level
+    has 8 chunks), and whether the rows' outputs equal them mod p."""
+    p = ctx.p
+    shift = levels[0][1] == 512 and levels[0][2].dtype == np.int64
+    sums, equal = [], True
+    for d in (0, 1):
+        a = np.zeros((2, region.stop), np.int64)
+        want = []
+        for (off, ni, *parts), x in zip(levels, inputs[d]):
+            part = parts[d]
+            if part.dtype == np.float64:
+                part = part[0].astype(np.int64) + (part[1].astype(np.int64) << 16)
+            part = part.tolist()
+            a[:, region.start + off:region.start + off + ni] = np.array(x).reshape(-1)
+            if shift:
+                x = [[v - p if v > p // 2 else v for v in chunk] for chunk in x]
+            block = [[sum(e * x[r][q] for r, e in enumerate(row)) for q in range(64)]
+                     for row in part]
+            sums.append(block)
+            want.extend(v % p for row in block for v in row)
+        _rows._levels(ctx, a, levels, region, work, bool(d))
+        equal = equal and all(a[j, region].tolist() == want for j in (0, 1))
+    return sums, equal
+
+
+@pytest.mark.parametrize("sizes, twist", [((128,), 0), ((256,), 0), ((512,), 0), ((128, 1), 1),
+                                          ((256, 1), 1), ((512, 1), 1),
+                                          ((512, 256, 128, 1), 1)])
+def test_int_levels_take_their_largest_sums(sizes, twist):
+    # An int64 level sums R products of a balanced entry, of magnitude at
+    # most (p - 1)/2, and an input: in [0, p) for R <= 4, balanced by the
+    # rows when the first level has R = 8 (tftlib._rows._levels).  Over the
+    # largest prime here, column 2c of the chunks holds p - 1 where row c of
+    # the part is positive and 0 elsewhere (balanced: (p - 1)/2 and -(p -
+    # 1)/2), and column 2c + 1 the reverse, so output c's sums there are its
+    # largest and its most negative.  In Python ints every sum stays within
+    # 2 (p - 1)^2 < 2^63, and the rows' outputs equal the sums mod p.
+    ctx = FieldCtx(max(PRIMES))
+    p = ctx.p
+    levels, region, work = _levels_of(ctx, sizes, twist)
+    hi, lo = ((p - 1) // 2, (p + 1) // 2) if levels[0][1] == 512 else (p - 1, 0)
+    inputs = [[], []]
+    for level in levels:
+        for d, part in enumerate(m.tolist() for m in level[2:]):  # chunk r to c at [c][r]
+            R = len(part)
+            x = [[0] * 64 for _ in range(R)]
+            for c in range(R):
+                for r in range(R):
+                    x[r][2 * c], x[r][2 * c + 1] = (hi, lo) if part[c][r] > 0 else (lo, hi)
+            inputs[d].append(x)
+    sums, equal = _level_sums(ctx, levels, region, work, inputs)
+    assert equal
+    largest = max(abs(v) for block in sums for row in block for v in row)
+    assert largest <= 2 * (p - 1) ** 2 < 2**63
+    # The bound itself, reached: parts of the same shapes whose every entry
+    # is (p - 1)/2, the largest balanced one, against inputs p - 1, (p - 1)/2
+    # and (p + 1)/2 in every chunk.  Unbalanced, R = 4 sums 2 (p - 1)^2 from
+    # p - 1; balanced, R = 8 sums 2 (p - 1)^2 from (p - 1)/2 and -2 (p - 1)^2
+    # from (p + 1)/2, and p - 1 only if the rows balance it to -1 first.
+    worst = tuple((off, ni, full, full) for off, ni, *_ in levels
+                  for full in [np.full((ni // 64,) * 2, (p - 1) // 2)])
+    inputs = [[[[p - 1, (p - 1) // 2, (p + 1) // 2] + [0] * 61] * (ni // 64)
+               for _, ni, *_ in worst]] * 2
+    sums, equal = _level_sums(ctx, worst, region, work, inputs)
+    assert equal
+    largest = max(abs(v) for block in sums for row in block for v in row)
+    assert largest == max(ni // 64 for _, ni, *_ in levels) * ((p - 1) // 2) * hi
+    assert largest <= 2 * (p - 1) ** 2 < 2**63
+
+
+@pytest.mark.parametrize("sizes", [(4096, 1), (4096, 512, 1)])
+def test_odd_twist_level_takes_its_largest_sums(sizes):
+    # The odd twist's matrices hold residues in [0, p) as 16-bit limbs
+    # (tftlib._rows._odd), so a level's limb sums are largest when
+    # every input is p - 1, over the largest prime here: each stays below
+    # 64 (p - 1)(2^16 - 1) < 2^53, which float64 holds exactly.  A 4096-slot
+    # block at twist 1 takes them both ways, and the rows' outputs must
+    # equal the Python ints' sums mod p; products of operands of p - 1 at
+    # lengths that hold such a block must equal the list composition.
+    ctx = FieldCtx(max(PRIMES))
+    p = ctx.p
+    top = [[[p - 1] * 64 for _ in range(ni // 64)] for ni in sizes if ni >= 128]
+    sums, equal = _level_sums(ctx, *_levels_of(ctx, sizes, 1), [top, top])
+    assert equal
+    mats = ctx.row_odd
+    for limb in mats[:, 0], mats[:, 1]:
+        assert 64 * (p - 1) * int(limb.max()) < 2**53
+    n = sum(sizes)
+    f, g = [p - 1] * (n // 2 + 1), [p - 1] * (n - n // 2)
+    for path in PATHS:
+        want, counts = _reference(ctx, f, g, path)
+        with ctx.count_session() as sess:
+            assert _product(ctx, f, g, path) == want
+        assert (sess.mul, sess.pow2, sess.add) == counts
 
 
 @pytest.mark.parametrize("path, n", [("padded", 256), ("padded", 1024), ("cyclotomic", 255),
@@ -384,22 +526,32 @@ def test_row_tables_match_their_definition(p):
             assert twists[c].tolist() == want, (N, c)
     # the base case's forward matrix holds zeta**(i rev(j)) in row i and
     # column j, the inverse one zeta**(-i rev(j)) in row j and column i,
-    # zeta = omega_64 and rev over six bits, each residue as its low 16 bits
-    # in limb 0 and the rest in limb 1; forward times inverse is 64 I mod p
-    mats = _rows._matrices(ctx)
-    assert mats.dtype == np.float64 and mats.shape == (2, 2, 64, 64)
-    assert mats[:, 0].max() < 2**16 and mats[:, 1].max() < 2**15
-    forward, inverse = (lo.astype(np.int64) + (hi.astype(np.int64) << 16) for lo, hi in mats)
-    forward, inverse = forward.tolist(), inverse.tolist()
-    zeta = ctx.roots[6]
-    for i in range(64):
-        for j in range(64):
-            assert forward[i][j] == pow(zeta, i * bit_reverse(j, 6), p), (i, j)
-            assert inverse[j][i] == pow(zeta, -i * bit_reverse(j, 6), p), (i, j)
-    for i in range(64):
-        for j in range(64):
-            dot = sum(forward[i][m] * inverse[m][j] for m in range(64)) % p
-            assert dot == (64 if i == j else 0), (i, j)
+    # zeta = omega_64 and rev over six bits, and the odd twist's pair
+    # omega_128**(+-i (1 + 2 rev(j))) alike, each residue as its low 16 bits
+    # in limb 0 and the rest in limb 1; forward times inverse is 64 I mod p.
+    # The int64 parts are the base case's top 16 rows and columns, balanced.
+    mats, ints = _rows._matrices(ctx)
+    odd = _rows._odd(ctx)
+    assert mats is ctx.row_dft and ints is ctx.row_ints and odd is ctx.row_odd
+    w = ctx.roots[7]
+    for pair, points in ((mats, [pow(w, 2 * bit_reverse(j, 6), p) for j in range(64)]),
+                         (odd, [pow(w, 1 + 2 * bit_reverse(j, 6), p) for j in range(64)])):
+        assert pair.dtype == np.float64 and pair.shape == (2, 2, 64, 64)
+        assert pair[:, 0].max() < 2**16 and pair[:, 1].max() < 2**15
+        forward, inverse = (lo.astype(np.int64) + (hi.astype(np.int64) << 16) for lo, hi in pair)
+        forward, inverse = forward.tolist(), inverse.tolist()
+        for i in range(64):
+            for j in range(64):
+                assert forward[i][j] == pow(points[j], i, p), (i, j)
+                assert inverse[j][i] == pow(points[j], -i, p), (i, j)
+        for i in range(64):
+            for j in range(64):
+                dot = sum(forward[i][m] * inverse[m][j] for m in range(64)) % p
+                assert dot == (64 if i == j else 0), (i, j)
+        if pair is mats:
+            assert ints.dtype == np.int64 and ints.shape == (2, 16, 16)
+            assert [balanced(row[:16]) for row in forward[:16]] == ints[0].tolist()
+            assert [balanced(row[:16]) for row in inverse[:16]] == ints[1].tolist()
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -415,22 +567,31 @@ def test_a_field_with_no_64th_root_takes_the_rows(path):
 
 
 def test_a_field_builds_its_base_case_matrices_once():
-    # field set-up, as ctx.roots: 128 KiB that the first row product builds
-    # and does not report as scratch, and that every later product reads
+    # field set-up, as ctx.roots, that products build and do not report as
+    # scratch, and that every later product reads: the base case's float64
+    # pair, 128 KiB, and 4 KiB of int64 parts by the first row product; the
+    # odd twist's float64 pair, 128 KiB, by the first one that holds a
+    # 4096-slot block at twist 1
     ctx = FieldCtx()
-    assert ctx.row_dft is None
+    assert ctx.row_dft is ctx.row_ints is ctx.row_odd is None
     f, g = _operands(ctx.p, 128, 1)
     with ctx.count_session() as sess:
         _product(ctx, f, g, "padded")
-    mats = ctx.row_dft
-    assert mats.nbytes == 128 * 1024
+    mats, ints = ctx.row_dft, ctx.row_ints
+    assert mats.nbytes == 128 * 1024 and ints.nbytes == 4 * 1024
     # the scratch is the tables of padded length 128 and the work buffer
     assert sess.alloc == sum(table.size for table in ctx.row_tables[128]) + 2 * 128
-    for n in (29, 65, 257, 1025):
+    odd = None
+    for n in (29, 65, 257, 1025, 4096, 4097, 8193):
         for path in PATHS:
             f, g = _operands(ctx.p, n, n)
             _product(ctx, f, g, path)
-            assert ctx.row_dft is mats, (n, path)
+            if odd is None and ctx.row_odd is not None:  # 4097 = 4096 + 1, at twist 1
+                assert (n, path) == (4097, "cyclotomic") and ctx.row_odd.nbytes == 128 * 1024
+                odd = ctx.row_odd
+            assert ctx.row_dft is mats and ctx.row_ints is ints, (n, path)
+            assert ctx.row_odd is odd, (n, path)
+    assert odd is not None
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -481,16 +642,19 @@ def test_bitreversed_rows_add_only_the_two_power_rows(n):
 # numpy calls of a repeated product on the padded, cyclotomic and
 # bit-reversed paths, at transform length n (the padded path at N): upper
 # bounds, pinned at the measured counts.  The rows' in-place arithmetic is
-# spelled np.add(..., out=...), not +=, which would bypass the proxy below.
+# spelled np.add(..., out=...), not +=, which would bypass the proxy below,
+# and the range check of the operands is a ufunc's reduce, which it counts.
 # 96 = 64 + 32 and 200 = 128 + 64 + 8 run small blocks beside chunk blocks,
-# the lengths of mul-small-many.
-CALL_BUDGET = {96: (39, 47, 56), 200: (47, 70, 79), 257: (54, 63, 72), 385: (54, 76, 87),
-               1026: (78, 98, 111), 1282: (78, 127, 140), 1537: (78, 114, 127),
-               2049: (78, 94, 107), 4098: (144, 152, 165)}
+# the lengths of mul-small-many; 8193 = 8192 + 1 holds a block of more than
+# 4096 slots, the only kind that still runs stages.
+CALL_BUDGET = {96: (36, 48, 57), 200: (36, 67, 76), 257: (42, 52, 61), 385: (42, 67, 78),
+               1026: (79, 99, 112), 1282: (79, 115, 128), 1537: (79, 115, 128),
+               2049: (79, 95, 108), 4098: (145, 99, 112), 8193: (160, 161, 174)}
 
 
 class _CountingNumpy:
-    """numpy, counting the calls of its functions and ufuncs, not of its types."""
+    """numpy, counting the calls of its functions and ufuncs, and of the
+    ufuncs' methods (np.maximum.reduce), not of its types."""
 
     def __init__(self):
         self.calls = 0
@@ -499,11 +663,22 @@ class _CountingNumpy:
         attr = getattr(np, name)
         if not callable(attr) or isinstance(attr, type):
             return attr
+        return _Counted(self, attr)
 
-        def call(*args, **kwargs):
-            self.calls += 1
-            return attr(*args, **kwargs)
-        return call
+
+class _Counted:
+    """A numpy function or ufunc whose calls, and whose methods' calls, count."""
+
+    def __init__(self, owner: _CountingNumpy, fn):
+        self.owner, self.fn = owner, fn
+
+    def __call__(self, *args, **kwargs):
+        self.owner.calls += 1
+        return self.fn(*args, **kwargs)
+
+    def __getattr__(self, name):
+        attr = getattr(self.fn, name)
+        return _Counted(self.owner, attr) if callable(attr) else attr
 
 
 @pytest.mark.parametrize("n", sorted(CALL_BUDGET))
