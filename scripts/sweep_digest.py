@@ -19,8 +19,10 @@ diffed too.  After each prime's calls, one line per
 padded length in ``ctx.row_tables``: ``row_tables``, p, N and a short hash
 of the bytes of each of its arrays, so a change to how the tables are built
 shows even in entries no product reads; then, where a row product built
-them, ``row_dft``, p and a short hash of the field's base-case matrices
-(``ctx.row_dft``).
+them, one line for each of the field's matrices, its name, p and a short
+hash: the base-case matrices (``ctx.row_dft``), the int64 level parts
+(``ctx.row_ints``) and the odd twist's matrices (``ctx.row_odd``), so a
+change to the layout of any of them shows.
 
 Entry points: ``multiply_full_fft``; ``multiply_tft`` on both paths;
 ``ctft_forward`` with each engine; ``ctft_inverse``;
@@ -92,8 +94,9 @@ def main(argv=None) -> int:
                 run(f"again:{name}", n, fn, *args)
         for N, tables in sorted(ctx.row_tables.items()):
             print(f"row_tables {p} {N} {' '.join(array_digest(table) for table in tables)}")
-        if getattr(ctx, "row_dft", None) is not None:
-            print(f"row_dft {p} {array_digest(ctx.row_dft)}")
+        for name in ("row_dft", "row_ints", "row_odd"):
+            if getattr(ctx, name, None) is not None:
+                print(f"{name} {p} {array_digest(getattr(ctx, name))}")
     return 0
 
 

@@ -22,10 +22,11 @@ When the product's first block has at most 8 chunks (every level of a
 product of at most 1023 slots), the levels are int64 matrix products, one
 per level over both rows and one np.remainder: their entries are balanced,
 so with inputs in [0, p) a sum of R <= 4 terms is at most 2 (p - 1)^2 <
-2^63, and a level of 8 chunks balances its inputs first, which bounds its
-sums alike (:func:`_levels`).  Otherwise every level is a float64 matrix
-product per row in the base case's limbs.  Only the blocks of 8192 slots or
-more, a prefix of the row, run stages, one set of operations per stage over
+2^63, and a level of 8 chunks whose sums could leave int64 over its field
+balances its inputs first, which bounds its sums alike (:func:`_levels`).
+Otherwise every level is a float64 matrix product per row on split inputs,
+as the base case's are.  Only the blocks of 8192 slots or more, a prefix
+of the row, run stages, one set of operations per stage over
 every such block at once: blocks are contiguous and aligned, so at
 half-length u the blocks with n_i >= 2u are a prefix that reshapes to
 (rows, 2, u), and each row takes one twiddle, a power of omega_N, N the
@@ -46,14 +47,17 @@ n_i) of that matrix, so it is its own row times those columns' top n_i
 rows, and needs no twist.  The inverse applies the unnormalised inverse
 matrix, zeta**(-i rev(j)) (a small block: rows [t n_i, (t + 1) n_i), left
 n_i columns), then lambda_c**(42 - i) to the chunks, then the levels and
-the stages u >= 64, and the 1/n_i pass.  The float64 matrices are kept in
-16-bit limbs, so that numpy hands the products, the float levels' too, to
-BLAS (FFLAS-FFPACK's way to exact finite-field products): a residue in [0,
-p) times a low limb, summed over 64 slots (a level sums R <= 64 chunks), is
-at most 64 (p - 1)(2^16 - 1) < 2^6 2^31 2^16 = 2^53 for every p < 2^31,
-and a high limb is below 2^15, so every sum and every partial sum is an
-integer that float64 holds exactly, whatever order BLAS adds in.  The two
-limbs' sums then recombine in int64, lo + 2^16 (hi mod p) < 2^53 + 2^47.
+the stages u >= 64, and the 1/n_i pass.  numpy hands the float64
+products, the float levels' too, to BLAS (FFLAS-FFPACK's way to exact
+finite-field products), one matmul per group of chunks straight into the
+row's slots and one reduction per row: each input in [0, p) splits into
+its low 16 bits and the rest, below 2^15, and each float64 matrix is
+stacked over its input axis, the entry for input i in row 2i and 2^16
+times it mod p in row 2i + 1, both balanced into (-p/2, p/2]
+(:func:`_stack`).  So 64 terms (a level sums R <= 64 chunks) sum to at
+most 64 (p - 1)/2 ((2^16 - 1) + (2^15 - 1)) < 3 2^51 < 2^53 for every p <
+2^31, and every sum and every partial sum is an integer that float64
+holds exactly, whatever order BLAS adds in (:func:`_exact`).
 
 The per-N tables are ``ctx.row_tables[N]``, built by the first product of
 padded length N over a context: the powers of omega_N (the Omega_s
@@ -102,9 +106,9 @@ which takes the product, and besides the field's matrices, is reported in
 ``ctx.scratch_allocated``, once: each table and each plan's concatenated
 stage rows by the product that builds them, and per product a work buffer
 of 2m elements (the stages' products and quotients, the carries, the
-float levels' and the base case's float sums, one row at a time, and the
-int64 levels' sums), and on the bit-reversed path the two power rows.  The
-1/n_i and the unbreak's halvings are scalars, one per block.  A product of
+float levels' and the base case's split inputs, one row at a time, and
+the int64 levels' sums), and on the bit-reversed path the two power rows.
+The 1/n_i and the unbreak's halvings are scalars, one per block.  A product of
 padded length N reports at most 4.1N elements on the padded and the
 cyclotomic path and 6.1N on the bit-reversed one, tables and plan included
 (``tests/test_rows.py``).
@@ -112,6 +116,7 @@ cyclotomic path and 6.1N on the bit-reversed one, tables and plan included
 
 from __future__ import annotations
 
+import sys
 from operator import index
 from struct import error as struct_error, pack_into
 
@@ -130,13 +135,16 @@ _DIVIDE_MIN = 640
 _SUM_WIDTH = 64
 _ONE = np.ones(1, np.int64)  # a row of ones of any length, as a view of stride 0
 _BASE = 64  # the base case: a chunk of this many slots is one row of a matrix product
-_LIMB = 16  # bits of the matrices' low limbs
+_LIMB = 16  # bits of an input's low part, against a stacked matrix (:func:`_stack`)
+# the uint16 words of an int64 that hold its bits 0-15 and 16-31: its two parts in [0, 2^32)
+_WORDS = slice(0, 2) if sys.byteorder == "little" else slice(3, 1, -1)
 # levels of at most this many 64-slot chunks take one int64 matrix product
 # over both rows, when no block of the product is larger (:func:`_levels`).
-# Public products, medians of 31 alternating in-process rounds on a shared
-# 2-core VM: int64 levels of 8 chunks read 0.93-0.98x of float ones where
-# they run (n = 449 on every path, 513 and 769 on the TFT paths), and int64
-# levels of 2 and 4 chunks beside float ones 1.01-1.03x of float ones on
+# Public products, medians of 61 alternating in-process rounds on a shared
+# 2-core VM, three runs: int64 levels of 8 chunks read 0.85-0.88x of the
+# stacked float ones where they run at n = 449 (every path), 0.88-0.92x at
+# 513 and 0.92-0.96x at 769 (the TFT paths); int64 levels of 2 and 4 chunks
+# beside float ones read 1.01-1.03x of the earlier limb-pair float ones on
 # the TFT paths at 1152, 1282, 1408 and 2304, 1.00-1.01x at 4352
 _INTS = 8
 
@@ -248,14 +256,17 @@ def _tables(ctx: FieldCtx, N: int, work: np.ndarray) -> tuple:
     return tables
 
 
-def _limbs(ints: np.ndarray) -> np.ndarray:
+def _stack(ctx: FieldCtx, ints: np.ndarray) -> np.ndarray:
     """A pair of (64, 64) matrices of residues in [0, p), shape (2, 64, 64),
-    as float64 of shape (2, 2, 64, 64): [d, 0] holds the low 16 bits of
-    matrix d, and [d, 1] the rest, shifted down."""
-    mats = np.empty((2, 2, _BASE, _BASE))
-    mats[:, 0] = ints & ((1 << _LIMB) - 1)
-    mats[:, 1] = ints >> _LIMB
-    return mats
+    each stacked over its input axis (axis 1) as float64 of shape (2, 128,
+    64): row 2i holds row i, and row 2i + 1 holds 2^16 times row i mod p,
+    both balanced into (-p/2, p/2]."""
+    p = ctx.p
+    stacked = np.empty((2, _BASE, 2, _BASE), np.int64)
+    stacked[:, :, 0] = ints
+    np.remainder(np.left_shift(ints, _LIMB), p, out=stacked[:, :, 1])
+    np.subtract(stacked, p, out=stacked, where=stacked > p // 2)
+    return stacked.reshape(2, 2 * _BASE, _BASE).astype(np.float64)
 
 
 def _matrices(ctx: FieldCtx) -> tuple:
@@ -264,22 +275,19 @@ def _matrices(ctx: FieldCtx) -> tuple:
 
     The matrices (``ctx.row_dft``) are the forward one, zeta**(i rev(j)) in
     row i and column j, and the unnormalised inverse, zeta**(-i rev(j)) in
-    row j and column i, zeta = omega_64 and rev over six bits, in 16-bit
-    limbs (:func:`_limbs`), so that their float64 products are exact: a
-    residue in [0, p) times a low limb, summed over 64 terms, is at most 64
-    (p - 1)(2^16 - 1) < 2^53, and a high limb is below 2^15.  Their points
-    zeta**(+-rev(j)) grow from the ladder by doubling (entries [m, 2m)
-    times omega_(2m)**(+-1)), and their powers by :func:`_powers`.  A field
-    of two-adicity k <= 5 has no zeta: its points stop at j < 2^k, the
-    others are 0, and no product reads them, since its padded lengths are
-    at most 2^k.
+    row j and column i, zeta = omega_64 and rev over six bits, each stacked
+    over its input axis (:func:`_stack`): an input split into its low 16
+    bits and the rest, interleaved, times the stacked matrix is the input
+    times the matrix, mod p.  Their points zeta**(+-rev(j)) grow from the
+    ladder by doubling (entries [m, 2m) times omega_(2m)**(+-1)), and their
+    powers by :func:`_powers`.  A field of two-adicity k <= 5 has no zeta:
+    its points stop at j < 2^k, the others are 0, and no product reads
+    them, since its padded lengths are at most 2^k.
 
     The parts (``ctx.row_ints``) are the top 16 rows and columns of both
     matrices' residues, as int64 balanced into (-p/2, p/2], which every
-    level of at most 8 chunks reads: a sum of R <= 4 of their products
-    with inputs in [0, p), or of 8 with balanced inputs, lies within 2 (p -
-    1)^2 < 2^63 (:func:`_levels`).  Both, 132 KiB, are field set-up like
-    ``ctx.roots``, not scratch.
+    level of at most 8 chunks reads (:func:`_levels`).  Both, 132 KiB, are
+    field set-up like ``ctx.roots``, not scratch.
     """
     if ctx.row_dft is None:
         ints = np.zeros((2, _BASE, _BASE), np.int64)  # the points' powers in row j
@@ -287,9 +295,8 @@ def _matrices(ctx: FieldCtx) -> tuple:
             _grow(ctx, table[:, 1], ladder[1:7], None)
             _powers(ctx, table, None)
         ints[0] = ints[0].T.copy()
-        ctx.row_dft = _limbs(ints)
-        small = ctx.row_ints = ints[:, :2 * _INTS, :2 * _INTS].copy()
-        np.subtract(small, ctx.p, out=small, where=small > ctx.p // 2)
+        ctx.row_dft = _stack(ctx, ints)
+        ctx.row_ints = ctx.row_dft[:, :4 * _INTS:2, :2 * _INTS].astype(np.int64)
     return ctx.row_dft, ctx.row_ints
 
 
@@ -302,21 +309,28 @@ def _odd(ctx: FieldCtx) -> np.ndarray:
     j, and the unnormalised inverse omega_128**(-i (1 + 2 rev(j))) in row j
     and column i: the base case's pair (:func:`_matrices`) with row (or
     column) i times omega_128**(+-i), whose points are the 64 odd powers of
-    omega_128.  They are kept in 16-bit limbs, 128 KiB of field set-up,
-    and their float64 products are exact as the base case's are: a residue
-    times a low limb, summed over 64 terms, is at most 64 (p - 1)(2^16 - 1)
-    < 2^53, and a high limb is below 2^15.
+    omega_128.  They are stacked as the base case's are (:func:`_stack`),
+    128 KiB of field set-up.
     """
     if ctx.row_odd is None:
-        mats = _matrices(ctx)[0]
-        ints = mats[:, 0].astype(np.int64) + (mats[:, 1].astype(np.int64) << _LIMB)
+        ints = _matrices(ctx)[0][:, ::2].astype(np.int64)  # the residues, balanced
         scale = np.empty((2, _BASE), np.int64)  # omega_128**(+-i)
         for row, ladder in zip(scale, (ctx.roots, ctx.inv_roots)):
             _grow(ctx, row, ladder[7:1:-1], None)
         np.multiply(ints[0], scale[0, :, None], out=ints[0])
         np.multiply(ints[1], scale[1], out=ints[1])
-        ctx.row_odd = _limbs(np.remainder(ints, ctx.p, out=ints))
+        ctx.row_odd = _stack(ctx, np.remainder(ints, ctx.p, out=ints))
     return ctx.row_odd
+
+
+def _wide(p: int, parts) -> bool:
+    """Whether a row of some int64 part, its entries balanced, can sum
+    outside int64 with inputs in [0, p): the larger of the sum of its
+    positive entries and that of its negative ones' magnitudes, times p -
+    1, reaches 2^63.  Every partial sum lies between those two extremes,
+    whatever order the matmul adds in."""
+    return any(max(sum(e for e in row if e > 0), -sum(e for e in row if e < 0)) * (p - 1)
+               >= 1 << 63 for part in parts for row in part.tolist())
 
 
 def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int) -> tuple:
@@ -341,7 +355,9 @@ def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int) -> tuple:
     4096-slot block at twist 1 has the points omega_128**(1 + 2 rev(c)),
     and reads the odd twist's matrices whole (:func:`_odd`).  The parts are
     int64 when the product's first block has at most 8 chunks, else
-    float64 limbs (:func:`_levels`).
+    float64 and stacked, two columns per chunk (:func:`_levels`); whether
+    the int64 levels balance their inputs is decided here from the parts
+    (:func:`_wide`).
 
     The blocks of more than 4096 slots are the stage blocks, a prefix of
     the row as the blocks are decreasing, and they alone run stages u >=
@@ -360,8 +376,9 @@ def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int) -> tuple:
     slots or more; (offset, size, first matrix column) of every smaller
     block but those of one slot, whose transform is the identity; the slots
     of the chunks, and of every block but one of one slot; (offset from the
-    first level, size, forward part, inverse part) of every level; and the
-    slice of the slots the levels hold.
+    first level, size, forward part, inverse part) of every level; the
+    slice of the slots the levels hold; and whether the int64 levels
+    balance their inputs.
     """
     _, base, twists = tables
     mats, ints = _matrices(ctx)
@@ -377,6 +394,7 @@ def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int) -> tuple:
         stages.append(pieces[0] if len(pieces) == 1
                       else _counted(ctx, np.concatenate(pieces, axis=1)))
     whole = sizes[0] <= _INTS * _BASE  # every level takes the int64 product
+    step = 1 if whole else 2  # matrix rows per input: one, or a stacked pair
     chunks, small, levels, offset = [], [], [], 0
     for ni in sizes:
         r = ni // _BASE
@@ -388,19 +406,20 @@ def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int) -> tuple:
             parts, cols = ints if whole else mats, share(r)
             if twist and r == _BASE:  # the odd twist's points
                 parts, cols = _odd(ctx), slice(0, r)
-            levels.append((offset - lead, ni, parts[0][..., :r, cols].swapaxes(-1, -2),
-                           parts[1][..., cols, :r].swapaxes(-1, -2)))
+            levels.append((offset - lead, ni, parts[0][:step * r, cols].T,
+                           parts[1][step * cols.start:step * cols.stop, :r].T))
         offset += ni
     top = sum(c[1] for c in chunks)
+    wide = whole and _wide(ctx.p, [part for level in levels for part in level[2:]])
     return (stages, chunks, small, top, top + sum(c[1] for c in small), tuple(levels),
-            slice(lead, lead + sum(level[1] for level in levels)))
+            slice(lead, lead + sum(level[1] for level in levels)), wide)
 
 
 def _exact(ctx: FieldCtx, a: np.ndarray, work: np.ndarray, inverse: bool, span: int,
            top: int = 0, small=(), levels=()) -> None:
     """Every row of a, its first ``span`` slots in [0, p), times the base
-    case's forward or inverse matrix in 16-bit limbs, back into those slots
-    in [0, p): the base case of every block, or the float levels.
+    case's forward or inverse stacked matrix, back into those slots in [0,
+    p): the base case of every block, or the float levels.
 
     The base case multiplies the matrix by each 64-slot chunk of the first
     ``top`` slots (already twisted), and each block of ``small`` by its
@@ -409,39 +428,55 @@ def _exact(ctx: FieldCtx, a: np.ndarray, work: np.ndarray, inverse: bool, span: 
     or inverse R-point part times its R chunks as the rows of an (R, 64)
     matrix (:func:`_twiddles`).
 
-    A row's slots turn into float64 where they lie, and each matmul writes
-    the low and the high limbs' sums of its blocks to the two halves of the
-    work buffer as float64; turned into int64 where they lie, they recombine
-    into the row.  The base case reduces the high sums by :func:`_mod`, its
-    quotients in the row's slots, free by then; the levels by one
-    np.remainder, a call where :func:`_mod` takes three.
+    A row's slots split into their low 16 bits and the rest, as float64 in
+    the work buffer, so that each input's pair meets its pair of stacked
+    rows (:func:`_stack`): interleaved per slot for the base case, by an
+    int64 mask and shift and one conversion, and per 64-slot chunk for the
+    levels, by one conversion of each slot's two low uint16 words.  (Per
+    row, best of 7 runs of 3000 calls on a shared 2-core VM: the per-slot
+    split takes 1.9 us at 64 slots and 10.2 at 4096, against 2.6 and 8.9
+    for a mask and shift that convert as they write, and 0.8 and 18.4 for
+    the words, whose copy runs pairs; per chunk the words take 0.5 and 4.8,
+    against 3.0 and 9.0.  Public products read 1-6% faster than with the
+    converting mask and shift for both.)  Each matmul writes its sums
+    straight into the row's slots, viewed as float64; turned into int64
+    where they lie, they are reduced by one :func:`_mod`, its quotients in
+    the work buffer, free by then.  Every sum and every partial sum is an integer
+    that float64 holds exactly, whatever order BLAS adds in: a stacked entry
+    has magnitude at most (p - 1)/2, a low part is below 2^16 and a high one
+    below 2^15 (p < 2^31), so 64 inputs (a level sums R <= 64 chunks) sum
+    to at most 64 (p - 1)/2 ((2^16 - 1) + (2^15 - 1)) < 3 2^51 < 2^53.
     """
     mats = ctx.row_dft[1 if inverse else 0]
-    sums = work[:2 * span]
-    fsums = sums.view(np.float64).reshape(2, span)
-    lo, hi = sums[:span], sums[span:]
+    split = work[:2 * span]
+    fsplit = split.view(np.float64)
+    halves = fsplit.reshape(-1, 2, _BASE) if levels else None
     for row in a:
         x = row[:span]
         fx = x.view(np.float64)
-        np.copyto(fx, x, casting="unsafe")
+        if levels:  # each slot's two low uint16 words are its parts
+            words = x.view(np.uint16).reshape(-1, _BASE, 4)[:, :, _WORDS]
+            np.copyto(halves, words.swapaxes(1, 2), casting="unsafe")
+        else:
+            np.bitwise_and(x, (1 << _LIMB) - 1, out=split[0::2])
+            np.right_shift(x, _LIMB, out=split[1::2])
+            np.copyto(fsplit, split, casting="unsafe")
         if top:
-            np.matmul(fx[:top].reshape(-1, _BASE), mats,
-                      out=fsums[:, :top].reshape(2, -1, _BASE))
+            np.matmul(fsplit[:2 * top].reshape(-1, 2 * _BASE), mats,
+                      out=fx[:top].reshape(-1, _BASE))
         for off, ni, c in small:
-            part = mats[:, c:c + ni, :ni] if inverse else mats[:, :ni, c:c + ni]
-            np.matmul(fx[off:off + ni], part, out=fsums[:, off:off + ni])
+            part = mats[2 * c:2 * (c + ni), :ni] if inverse else mats[:2 * ni, c:c + ni]
+            np.matmul(fsplit[2 * off:2 * (off + ni)], part, out=fx[off:off + ni])
         for off, ni, forward, backward in levels:
-            np.matmul(backward if inverse else forward, fx[off:off + ni].reshape(-1, _BASE),
-                      out=fsums[:, off:off + ni].reshape(2, -1, _BASE))
-        np.copyto(sums, fsums.reshape(-1), casting="unsafe")
-        _mod(ctx, hi, None if levels else x)
-        np.left_shift(hi, _LIMB, out=hi)
-        np.add(lo, hi, out=lo)
-        _mod(ctx, lo, hi, out=x)
+            np.matmul(backward if inverse else forward,
+                      fsplit[2 * off:2 * (off + ni)].reshape(-1, _BASE),
+                      out=fx[off:off + ni].reshape(-1, _BASE))
+        np.copyto(x, fx, casting="unsafe")
+        _mod(ctx, x, split)
 
 
 def _levels(ctx: FieldCtx, a: np.ndarray, levels, region: slice, work: np.ndarray,
-            inverse: bool) -> None:
+            inverse: bool, wide: bool) -> None:
     """The stages u >= 64 of every level (:func:`_twiddles`), on the slots
     ``region`` of every row of a, from [0, p) into [0, p).
 
@@ -451,8 +486,10 @@ def _levels(ctx: FieldCtx, a: np.ndarray, levels, region: slice, work: np.ndarra
     rows.  No sum leaves int64: p is odd, so a part's entries have
     magnitude at most (p - 1)/2, and with inputs in [0, p) a sum of R <= 4
     products lies within 4 (p - 1)(p - 1)/2 = 2 (p - 1)^2 < 2^63, as p <
-    2^31 gives (p - 1)^2 < 2^62.  A level of 8 chunks balances its inputs
-    first, so its sums lie within 8 ((p - 1)/2)^2 = 2 (p - 1)^2 as well.
+    2^31 gives (p - 1)^2 < 2^62.  A level of 8 chunks lies within it too
+    unless ``wide`` (:func:`_wide`, decided once by the product plan from
+    its parts); then the rows balance their inputs first, so its sums lie
+    within 8 ((p - 1)/2)^2 = 2 (p - 1)^2 as well.
     """
     if not levels:
         return
@@ -460,7 +497,7 @@ def _levels(ctx: FieldCtx, a: np.ndarray, levels, region: slice, work: np.ndarra
     if levels[0][2].dtype == np.float64:
         _exact(ctx, x, work, inverse, x.shape[1], levels=levels)
         return
-    if levels[0][1] == _INTS * _BASE:
+    if wide:
         np.subtract(x, ctx.p, out=x, where=np.greater(x, ctx.p // 2))
     k = x.shape[0]
     sums = work[:x.size].reshape(x.shape)
@@ -525,7 +562,7 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
     and reduces them.
     """
     k = a.shape[0]
-    stage_rows, chunks, small, top, span, levels, region = twiddles
+    stage_rows, chunks, small, top, span, levels, region, wide = twiddles
     low = _BASE.bit_length() - 1  # stage st has half-length u = 2^st
 
     def stage(st):
@@ -544,7 +581,7 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
     stages = range(low, low + len(stage_rows))
     quot = work[k * top // 2:]
     if not inverse:
-        _levels(ctx, a, levels, region, work, False)
+        _levels(ctx, a, levels, region, work, False, wide)
         for done, st in enumerate(reversed(stages), 1):
             x, y, t = stage(st)
             np.multiply(y, stage_rows[st - low][0], out=t)
@@ -566,7 +603,7 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
         _mod(ctx, t, quot, out=y)
         if done % 3 == 0:
             _mod(ctx, x, quot)
-    _levels(ctx, a, levels, region, work, True)
+    _levels(ctx, a, levels, region, work, True, wide)
     for off, ni, *_ in chunks + small:  # times 1/n_i, balanced: -(p - 1)/n_i
         blk = a[:, off:off + ni]
         np.multiply(blk, -((ctx.p - 1) // ni), out=blk)

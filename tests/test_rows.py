@@ -55,7 +55,7 @@ HEADROOM = sorted({2**k + d for k in range(5, 13) for d in (-1, 1)}
                   | {2**k + 2**(k - 4) + 1 for k in range(5, 13)} | {288, 320, 384, 448})
 # the levels of tftlib._rows._twiddles, every block of 128 to 4096 slots:
 # int64 alone at 127 to 129 (R = 2), 255 to 257 (R = 4), 385 = 256 + 128 +
-# 1, 511 to 513 (R = 8, balanced) and 897 = 512 + 256 + 128 + 1; float64
+# 1, 511 to 513 (R = 8) and 897 = 512 + 256 + 128 + 1; float64
 # at 1282 = 1024 + 256 + 2 and 1537 = 1024 + 512 + 1 (R = 4 and 8 after a
 # float level), 2049, 4095 and 4096 (R = 64); the odd twist at 4097 and
 # 4609 = 4096 + 512 + 1; stage blocks with no level at 8193, and before a
@@ -210,7 +210,7 @@ def test_largest_residues_stay_within_int64(field, n, path):
 @pytest.mark.parametrize("n", LEVELS)
 def test_levels_equal_the_list_composition(field, n, path):
     # Random operands over every field, and over the largest prime operands
-    # of p - 1, which make the levels' limb sums large.
+    # of p - 1, which make the levels' inputs large.
     p = field.p
     cases = [_operands(p, n, n)]
     if p == max(PRIMES):
@@ -239,15 +239,18 @@ def test_levels_are_the_blocks_the_matrix_holds(sizes, twist, levels):
     # over log2(R) bits, and its inverse part takes chunk c back to chunk r
     # by the inverse power.  The parts are int64, balanced, when the first
     # block has at most 8 chunks, so that no float level runs beside them,
-    # and float64 limbs otherwise; a 4096-slot block at twist 1 reads the
-    # odd twist's matrices.
+    # and float64 otherwise, stacked: the entry for input r in column 2r
+    # and 2^16 times it mod p in column 2r + 1, both balanced; a 4096-slot
+    # block at twist 1 reads the odd twist's matrices.  The default field's
+    # int64 parts need no balancing of the inputs.
     ctx = FieldCtx()
     p = ctx.p
     N = 1 << sum(sizes).bit_length() if twist else sizes[0]
     work = np.empty(2 * N, np.int64)
     rows = _rows._twiddles(ctx, sizes, _rows._tables(ctx, N, work), twist)
-    stages, *_, got, region = rows
+    stages, *_, got, region, wide = rows
     assert [ni for _, ni, _, _ in got] == levels
+    assert wide is False
     lead = sum(ni for ni in sizes if ni > 4096)
     assert region == slice(lead, lead + sum(levels))
     assert [st.shape[1] for st in stages] == [lead >> st for st in range(7, 20) if lead >> st]
@@ -258,12 +261,15 @@ def test_levels_are_the_blocks_the_matrix_holds(sizes, twist, levels):
         R = ni // 64
         w = ctx.roots[R.bit_length()]  # omega_(2R)
         for part, sign in ((forward, 1), (inverse, -1)):
+            assert np.abs(part).max() <= p // 2
             if sizes[0] <= 512:
-                assert part.dtype == np.int64 and np.abs(part).max() <= p // 2
+                assert part.dtype == np.int64 and part.shape == (R, R)
                 values = (part % p).tolist()
             else:
-                assert part.dtype == np.float64
-                values = (part[0].astype(np.int64) + (part[1].astype(np.int64) << 16)).tolist()
+                assert part.dtype == np.float64 and part.shape == (R, 2 * R)
+                ints = part.astype(np.int64)
+                assert not ((ints[:, 1::2] - (ints[:, ::2] << 16)) % p).any()
+                values = (ints[:, ::2] % p).tolist()
             for c in range(R):
                 for r in range(R):
                     want = pow(w, sign * r * (twist + 2 * bit_reverse(c, R.bit_length() - 1)), p)
@@ -271,59 +277,48 @@ def test_levels_are_the_blocks_the_matrix_holds(sizes, twist, levels):
 
 
 def _levels_of(ctx, sizes, twist):
-    """The levels of blocks ``sizes`` at ``twist``, the slots they hold and
-    a work buffer for them."""
+    """The levels of blocks ``sizes`` at ``twist``, the slots they hold,
+    whether the int64 levels balance their inputs, and a work buffer for
+    them."""
     N = 1 << sum(sizes).bit_length() if twist else sizes[0]
     work = np.empty(2 * N, np.int64)
     rows = _rows._twiddles(ctx, sizes, _rows._tables(ctx, N, work), twist)
-    return rows[5], rows[6], work
+    return rows[5], rows[6], rows[7], work
 
 
-def _level_sums(ctx, levels, region, work, inputs):
-    """``levels`` (as :func:`_levels_of` gives them) run by the rows both
-    ways, on both rows, from ``inputs`` (one (R, 64) list of Python ints per
-    level and direction, in [0, p)); each part's sums in Python ints, over
-    the inputs as the rows' matmul takes them (balanced when an int64 level
-    has 8 chunks), and whether the rows' outputs equal them mod p."""
+def _level_sums(ctx, levels, region, wide, work, inputs):
+    """Int64 ``levels`` (as :func:`_levels_of` gives them) run by the rows
+    both ways, on both rows, from ``inputs`` (one (R, 64) list of Python
+    ints per level and direction, in [0, p)); each part's sums in Python
+    ints, over the inputs as the rows' matmul takes them (balanced when
+    ``wide``), and whether the rows' outputs equal them mod p."""
     p = ctx.p
-    shift = levels[0][1] == 512 and levels[0][2].dtype == np.int64
     sums, equal = [], True
     for d in (0, 1):
         a = np.zeros((2, region.stop), np.int64)
         want = []
         for (off, ni, *parts), x in zip(levels, inputs[d]):
-            part = parts[d]
-            if part.dtype == np.float64:
-                part = part[0].astype(np.int64) + (part[1].astype(np.int64) << 16)
-            part = part.tolist()
+            part = parts[d].tolist()
             a[:, region.start + off:region.start + off + ni] = np.array(x).reshape(-1)
-            if shift:
+            if wide:
                 x = [[v - p if v > p // 2 else v for v in chunk] for chunk in x]
             block = [[sum(e * x[r][q] for r, e in enumerate(row)) for q in range(64)]
                      for row in part]
             sums.append(block)
             want.extend(v % p for row in block for v in row)
-        _rows._levels(ctx, a, levels, region, work, bool(d))
+        _rows._levels(ctx, a, levels, region, work, bool(d), wide)
         equal = equal and all(a[j, region].tolist() == want for j in (0, 1))
     return sums, equal
 
 
-@pytest.mark.parametrize("sizes, twist", [((128,), 0), ((256,), 0), ((512,), 0), ((128, 1), 1),
-                                          ((256, 1), 1), ((512, 1), 1),
-                                          ((512, 256, 128, 1), 1)])
-def test_int_levels_take_their_largest_sums(sizes, twist):
-    # An int64 level sums R products of a balanced entry, of magnitude at
-    # most (p - 1)/2, and an input: in [0, p) for R <= 4, balanced by the
-    # rows when the first level has R = 8 (tftlib._rows._levels).  Over the
-    # largest prime here, column 2c of the chunks holds p - 1 where row c of
-    # the part is positive and 0 elsewhere (balanced: (p - 1)/2 and -(p -
-    # 1)/2), and column 2c + 1 the reverse, so output c's sums there are its
-    # largest and its most negative.  In Python ints every sum stays within
-    # 2 (p - 1)^2 < 2^63, and the rows' outputs equal the sums mod p.
-    ctx = FieldCtx(max(PRIMES))
+def _check_int_level_sums(ctx, sizes, twist) -> bool:
+    """The int64 levels of blocks ``sizes`` at ``twist`` over ctx, at their
+    largest sums and at those of the largest balanced parts
+    (test_int_levels_take_their_largest_sums); whether they balanced their
+    inputs."""
     p = ctx.p
-    levels, region, work = _levels_of(ctx, sizes, twist)
-    hi, lo = ((p - 1) // 2, (p + 1) // 2) if levels[0][1] == 512 else (p - 1, 0)
+    levels, region, wide, work = _levels_of(ctx, sizes, twist)
+    hi, lo = ((p - 1) // 2, (p + 1) // 2) if wide else (p - 1, 0)
     inputs = [[], []]
     for level in levels:
         for d, part in enumerate(m.tolist() for m in level[2:]):  # chunk r to c at [c][r]
@@ -333,7 +328,7 @@ def test_int_levels_take_their_largest_sums(sizes, twist):
                 for r in range(R):
                     x[r][2 * c], x[r][2 * c + 1] = (hi, lo) if part[c][r] > 0 else (lo, hi)
             inputs[d].append(x)
-    sums, equal = _level_sums(ctx, levels, region, work, inputs)
+    sums, equal = _level_sums(ctx, levels, region, wide, work, inputs)
     assert equal
     largest = max(abs(v) for block in sums for row in block for v in row)
     assert largest <= 2 * (p - 1) ** 2 < 2**63
@@ -344,32 +339,174 @@ def test_int_levels_take_their_largest_sums(sizes, twist):
     # from (p + 1)/2, and p - 1 only if the rows balance it to -1 first.
     worst = tuple((off, ni, full, full) for off, ni, *_ in levels
                   for full in [np.full((ni // 64,) * 2, (p - 1) // 2)])
+    balance = _rows._wide(p, [level[2] for level in worst])
+    assert balance == (levels[0][1] == 512)
     inputs = [[[[p - 1, (p - 1) // 2, (p + 1) // 2] + [0] * 61] * (ni // 64)
                for _, ni, *_ in worst]] * 2
-    sums, equal = _level_sums(ctx, worst, region, work, inputs)
+    sums, equal = _level_sums(ctx, worst, region, balance, work, inputs)
     assert equal
     largest = max(abs(v) for block in sums for row in block for v in row)
-    assert largest == max(ni // 64 for _, ni, *_ in levels) * ((p - 1) // 2) * hi
+    top = (p - 1) // 2 if balance else p - 1
+    assert largest == max(ni // 64 for _, ni, *_ in levels) * ((p - 1) // 2) * top
     assert largest <= 2 * (p - 1) ** 2 < 2**63
+    return wide
+
+
+@pytest.mark.parametrize("sizes, twist", [((128,), 0), ((256,), 0), ((512,), 0), ((128, 1), 1),
+                                          ((256, 1), 1), ((512, 1), 1),
+                                          ((512, 256, 128, 1), 1)])
+def test_int_levels_take_their_largest_sums(sizes, twist):
+    # An int64 level sums R products of a balanced entry, of magnitude at
+    # most (p - 1)/2, and an input: in [0, p), or balanced by the rows when
+    # a row of some part, with inputs in [0, p), could sum outside int64,
+    # which only the levels of 8 chunks can (tftlib._rows._wide).  Over the
+    # largest prime here no real part needs it.  Column 2c of the chunks
+    # holds the largest input where row c of the part is positive and the
+    # smallest elsewhere, and column 2c + 1 the reverse, so output c's sums
+    # there are its largest and its most negative.  In Python ints every
+    # sum stays within 2 (p - 1)^2 < 2^63, and the rows' outputs equal the
+    # sums mod p.
+    assert _check_int_level_sums(FieldCtx(max(PRIMES)), sizes, twist) is False
+
+
+# An NTT prime whose real 8-chunk parts at twist 1 need the inputs balanced:
+# the largest one-signed row sum of a part times p - 1 is 1.373 times 2^63,
+# the most of the 387 such among the 205210 primes p < 2^31 with p - 1
+# divisible by 2^10.  Twist 0 never does below 2^31: its rows hold powers
+# of omega_8, of which at most three large ones share a sign.
+WIDE_PRIME = 2131347457
+
+
+@pytest.mark.parametrize("sizes, twist, wide", [((512,), 0, False), ((512, 1), 1, True),
+                                                ((512, 256, 1), 1, True)])
+def test_a_field_whose_int_levels_balance(sizes, twist, wide):
+    # Both branches of tftlib._rows._levels on a real field: the largest
+    # sums of test_int_levels_take_their_largest_sums, and at twist 1
+    # products at 513 and 769 (levels of 8 and 4 chunks) on every path,
+    # from random operands and from operands of p - 1.
+    ctx = FieldCtx(WIDE_PRIME)
+    p = ctx.p
+    assert _check_int_level_sums(ctx, sizes, twist) is wide
+    n = sum(sizes)
+    if twist:
+        for path in PATHS:
+            for f, g in (_operands(p, n, n), ([p - 1] * (n // 2 + 1), [p - 1] * (n - n // 2))):
+                want, counts = _reference(ctx, f, g, path)
+                with ctx.count_session() as sess:
+                    assert _product(ctx, f, g, path) == want
+                assert (sess.mul, sess.pow2, sess.add) == counts
+
+
+def _extreme(p: int, low: int, high: int, sign: int) -> int:
+    """The input x in [0, p) with the largest limbs, x mod 2^16 and x >>
+    16, whose limbs times a stacked pair (low, high) of entries sum to the
+    most (sign 1) or the least (sign -1): a corner of what the limbs of
+    inputs in [0, p) reach."""
+    top = (p - 1) >> 16
+    corners = (0, 0xFFFF, (top << 16) - 1, top << 16, p - 1)
+    return max(corners, key=lambda x: sign * (low * (x & 0xFFFF) + high * (x >> 16)))
+
+
+def _stacked_sums(p: int, a: np.ndarray, groups) -> list:
+    """Drive the float64 products of ``groups`` to their largest sums.
+
+    Each group is (slots, matrix): slots an (inputs, L) array of slot
+    indices into each row of a, and matrix the stacked (L, 2L) float64
+    matrix the rows multiply them by, the entry for input i in column 2i
+    and the one for its high limb in column 2i + 1.  Input v of row 0 (row
+    1) takes the inputs that drive output v mod L up (down), by the sign of
+    each of its stacked entries (:func:`_extreme`).  Returns, per group,
+    the sums in int64, exact (every term is below 2^47 in magnitude), of
+    shape (2, inputs, L): output k of input v belongs in slots[v][k].  The
+    float64 product of the same limbs must equal them, and they must lie
+    below 3 2^51 < 2^53 in magnitude.
+    """
+    sums = []
+    for slots, matrix in groups:
+        ints = matrix.astype(np.int64)
+        entries = ints.tolist()
+        for row, sign in ((0, 1), (1, -1)):
+            for v, at in enumerate(slots):
+                out = entries[v % len(entries)]
+                a[row, at] = [_extreme(p, out[2 * i], out[2 * i + 1], sign)
+                              for i in range(len(at))]
+        x = a[:, slots]
+        limbs = np.stack([x & 0xFFFF, x >> 16], axis=-1).reshape(2, len(slots), -1)
+        exact = limbs @ ints.T
+        assert (limbs.astype(np.float64) @ matrix.T).tolist() == exact.tolist()
+        assert np.abs(exact).max() < 3 * 2**51 < 2**53
+        sums.append(exact)
+    return sums
+
+
+def _level_groups(levels, region):
+    """The (slots, matrix) groups of :func:`_stacked_sums` for float64
+    ``levels`` in direction d: slot q of every chunk of a level is one
+    input."""
+    return [[(np.arange(ni).reshape(-1, 64).T + region.start + off, parts[d])
+             for off, ni, *parts in levels] for d in (0, 1)]
+
+
+@pytest.mark.parametrize("case", ["base", "level", "odd"])
+def test_stacked_matrices_take_their_largest_sums(case):
+    # The float64 matrices are stacked, balanced into (-p/2, p/2], and an
+    # input in [0, p) splits into limbs below 2^16 and 2^15
+    # (tftlib._rows._stack), so 64 terms sum to less than 3 2^51 < 2^53,
+    # which float64 holds exactly.  Over the largest prime here, inputs with
+    # the largest limbs, placed by the sign of each stacked entry, drive
+    # each output of both directions of the base case (64 chunks of 64
+    # slots), of a float level of 64 chunks and of the odd twist's level
+    # beside a float one of 8 to its largest and its most negative sums
+    # (_stacked_sums); the rows' outputs must equal them mod p.  The base
+    # case also stacks matrices of one residue each, p - 1 among them,
+    # whose stacked pair in [0, p) would sum to about 3 2^52.
+    ctx = FieldCtx(max(PRIMES))
+    p = ctx.p
+    if case == "base":
+        stacked = _rows._matrices(ctx)[0]
+        slots = np.arange(4096).reshape(64, 64)
+        region, groups = slice(0, 4096), [[(slots, m.T)] for m in stacked]
+        work = np.empty(2 * 4096, np.int64)
+        for v in (1, (p - 1) // 2, (p + 1) // 2, p - 1):
+            probe = _rows._stack(ctx, np.full((2, 64, 64), v, np.int64))
+            _stacked_sums(p, np.zeros((2, 4096), np.int64), [(slots, probe[0].T)])
+    else:
+        sizes, twist = ((4096,), 0) if case == "level" else ((4096, 512, 1), 1)
+        levels, region, wide, work = _levels_of(ctx, sizes, twist)
+        assert all(level[2].dtype == np.float64 for level in levels)
+        groups = _level_groups(levels, region)
+    for d in (0, 1):
+        a = np.zeros((2, region.stop), np.int64)
+        sums = _stacked_sums(p, a, groups[d])
+        if case == "base":
+            _rows._exact(ctx, a, work, bool(d), 4096, 4096)
+        else:
+            _rows._levels(ctx, a, levels, region, work, bool(d), wide)
+        for (slots, _), exact in zip(groups[d], sums):
+            assert (a[:, slots] == exact % p).all(), d
 
 
 @pytest.mark.parametrize("sizes", [(4096, 1), (4096, 512, 1)])
 def test_odd_twist_level_takes_its_largest_sums(sizes):
-    # The odd twist's matrices hold residues in [0, p) as 16-bit limbs
-    # (tftlib._rows._odd), so a level's limb sums are largest when
-    # every input is p - 1, over the largest prime here: each stays below
-    # 64 (p - 1)(2^16 - 1) < 2^53, which float64 holds exactly.  A 4096-slot
-    # block at twist 1 takes them both ways, and the rows' outputs must
-    # equal the Python ints' sums mod p; products of operands of p - 1 at
-    # lengths that hold such a block must equal the list composition.
+    # The odd twist's matrices are stacked as the base case's are
+    # (tftlib._rows._odd), so a level's sums are largest, below 3 2^51 <
+    # 2^53, when the inputs with the largest limbs are placed by the sign of
+    # each stacked entry, over the largest prime here (_stacked_sums).  A
+    # 4096-slot block at twist 1 takes them both ways, and the rows' outputs
+    # must equal the sums mod p; products of operands of p - 1 at lengths
+    # that hold such a block must equal the list composition.
     ctx = FieldCtx(max(PRIMES))
     p = ctx.p
-    top = [[[p - 1] * 64 for _ in range(ni // 64)] for ni in sizes if ni >= 128]
-    sums, equal = _level_sums(ctx, *_levels_of(ctx, sizes, 1), [top, top])
-    assert equal
-    mats = ctx.row_odd
-    for limb in mats[:, 0], mats[:, 1]:
-        assert 64 * (p - 1) * int(limb.max()) < 2**53
+    levels, region, wide, work = _levels_of(ctx, sizes, 1)
+    assert levels[0][1] == 4096 and levels[0][2].base is ctx.row_odd
+    groups = _level_groups(levels, region)
+    for d in (0, 1):
+        a = np.zeros((2, region.stop), np.int64)
+        sums = _stacked_sums(p, a, groups[d])
+        _rows._levels(ctx, a, levels, region, work, bool(d), wide)
+        for (slots, _), exact in zip(groups[d], sums):
+            assert (a[:, slots] == exact % p).all(), d
+    assert np.abs(ctx.row_odd).max() <= p // 2
     n = sum(sizes)
     f, g = [p - 1] * (n // 2 + 1), [p - 1] * (n - n // 2)
     for path in PATHS:
@@ -471,15 +608,16 @@ def test_base_case_twist_takes_its_largest_inputs(field, twist):
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("n", [64, 65, 127, 128, 2**12 + 2**5 + 2**4, 2**12 + 96])
 def test_base_case_takes_its_largest_sums(n, path):
-    # The base case's float sums are exact while a residue times a 16-bit
-    # limb, summed over 64 slots, stays below 2^53; they are largest over
-    # the largest prime here when every input is p - 1.  Operands of p - 1
-    # feed the forward base case those, and on the padded and cyclotomic
-    # paths the product of [1] and the list inverse of p - 1 in every slot
-    # but the last (as in test_inverse_rows_take_their_largest_sums) starts
-    # the inverse base case from them.  The lengths run blocks below 64
-    # slots in the base case beside chunks of larger ones: 65 = 64 + 1, 127
-    # = 64 + 32 + ... + 1, 2^12 + 96 = 2^12 + 64 + 32.
+    # The base case's float sums are exact while 64 inputs' limbs times
+    # their stacked entries stay below 2^53 (test_stacked_matrices_take_their
+    # _largest_sums drives them there).  Operands of p - 1, over the largest
+    # prime here, feed the forward base case its largest inputs, and on the
+    # padded and cyclotomic paths the product of [1] and the list inverse
+    # of p - 1 in every slot but the last (as in
+    # test_inverse_rows_take_their_largest_sums) starts the inverse base
+    # case from them.  The lengths run blocks below 64 slots in the base
+    # case beside chunks of larger ones: 65 = 64 + 1, 127 = 64 + 32 + ... +
+    # 1, 2^12 + 96 = 2^12 + 64 + 32.
     field = FieldCtx(2130706433)
     p = field.p
     cases = [([p - 1] * (n // 2 + 1), [p - 1] * (n - n // 2))]
@@ -527,19 +665,24 @@ def test_row_tables_match_their_definition(p):
     # the base case's forward matrix holds zeta**(i rev(j)) in row i and
     # column j, the inverse one zeta**(-i rev(j)) in row j and column i,
     # zeta = omega_64 and rev over six bits, and the odd twist's pair
-    # omega_128**(+-i (1 + 2 rev(j))) alike, each residue as its low 16 bits
-    # in limb 0 and the rest in limb 1; forward times inverse is 64 I mod p.
-    # The int64 parts are the base case's top 16 rows and columns, balanced.
+    # omega_128**(+-i (1 + 2 rev(j))) alike, each stacked over its input
+    # axis: row 2i holds input i's row and row 2i + 1 that row times 2^16,
+    # both balanced; forward times inverse is 64 I mod p.  The int64 parts
+    # are the base case's top 16 rows and columns, balanced.
     mats, ints = _rows._matrices(ctx)
     odd = _rows._odd(ctx)
     assert mats is ctx.row_dft and ints is ctx.row_ints and odd is ctx.row_odd
     w = ctx.roots[7]
     for pair, points in ((mats, [pow(w, 2 * bit_reverse(j, 6), p) for j in range(64)]),
                          (odd, [pow(w, 1 + 2 * bit_reverse(j, 6), p) for j in range(64)])):
-        assert pair.dtype == np.float64 and pair.shape == (2, 2, 64, 64)
-        assert pair[:, 0].max() < 2**16 and pair[:, 1].max() < 2**15
-        forward, inverse = (lo.astype(np.int64) + (hi.astype(np.int64) << 16) for lo, hi in pair)
-        forward, inverse = forward.tolist(), inverse.tolist()
+        assert pair.dtype == np.float64 and pair.shape == (2, 128, 64)
+        stacked = pair.astype(np.int64)
+        forward, inverse = (stacked[:, ::2] % p).tolist()
+        for d, matrix in enumerate((forward, inverse)):
+            for i, row in enumerate(matrix):
+                assert stacked[d, 2 * i].tolist() == balanced(row), (d, i)
+                high = [x * 2**16 % p for x in row]
+                assert stacked[d, 2 * i + 1].tolist() == balanced(high), (d, i)
         for i in range(64):
             for j in range(64):
                 assert forward[i][j] == pow(points[j], i, p), (i, j)
@@ -568,10 +711,10 @@ def test_a_field_with_no_64th_root_takes_the_rows(path):
 
 def test_a_field_builds_its_base_case_matrices_once():
     # field set-up, as ctx.roots, that products build and do not report as
-    # scratch, and that every later product reads: the base case's float64
-    # pair, 128 KiB, and 4 KiB of int64 parts by the first row product; the
-    # odd twist's float64 pair, 128 KiB, by the first one that holds a
-    # 4096-slot block at twist 1
+    # scratch, and that every later product reads: the base case's stacked
+    # float64 pair, 128 KiB, and 4 KiB of int64 parts by the first row
+    # product; the odd twist's stacked pair, 128 KiB, by the first one that
+    # holds a 4096-slot block at twist 1
     ctx = FieldCtx()
     assert ctx.row_dft is ctx.row_ints is ctx.row_odd is None
     f, g = _operands(ctx.p, 128, 1)
@@ -647,9 +790,9 @@ def test_bitreversed_rows_add_only_the_two_power_rows(n):
 # 96 = 64 + 32 and 200 = 128 + 64 + 8 run small blocks beside chunk blocks,
 # the lengths of mul-small-many; 8193 = 8192 + 1 holds a block of more than
 # 4096 slots, the only kind that still runs stages.
-CALL_BUDGET = {96: (36, 48, 57), 200: (36, 67, 76), 257: (42, 52, 61), 385: (42, 67, 78),
-               1026: (79, 99, 112), 1282: (79, 115, 128), 1537: (79, 115, 128),
-               2049: (79, 95, 108), 4098: (145, 99, 112), 8193: (160, 161, 174)}
+CALL_BUDGET = {96: (33, 45, 54), 200: (33, 64, 73), 257: (35, 49, 58), 385: (35, 64, 75),
+               1026: (61, 81, 94), 1282: (61, 97, 110), 1537: (61, 97, 110),
+               2049: (61, 77, 90), 4098: (136, 81, 94), 8193: (151, 152, 165)}
 
 
 class _CountingNumpy:
