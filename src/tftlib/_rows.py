@@ -2,7 +2,7 @@
 
 :mod:`tftlib.bridge` hands a product here when p < 2^31 and its length n is
 at least ``bridge._ROWS_MIN``, on every path.  Below 2^31 a product of two
-residues fits an int64, so every butterfly, fold and scaling is a numpy
+residues fits an int64, so every pass, fold and scaling is a numpy
 operation, and the outputs are the list path's Python ints in [0, p).  The
 list path, the reference these rows are tested against, keeps the rest: the
 public transforms, p >= 2^31 and shorter products.
@@ -13,70 +13,68 @@ transforms are one set of operations.  Each loads into its row by one
 an element lies outside [0, p), and the pointwise product overwrites the
 second row.
 
-A block of n_i = 64R slots with 2 <= R <= 64, 128 to 4096 slots, at either
-twist, runs no radix-2 stage: its stages u >= 64 are one R-point DFT across
-its 64-slot chunks (Bailey's four-step FFT), a level, whose matrix is R
-columns of the base case's matrix below, or for 4096 slots at twist 1 the
-odd twist's matrix, at the 64 odd powers of omega_128 (:func:`_twiddles`).
-When the product's first block has at most 8 chunks (every level of a
-product of at most 1023 slots), the levels are int64 matrix products, one
-per level over both rows and one np.remainder: their entries are balanced,
-so with inputs in [0, p) a sum of R <= 4 terms is at most 2 (p - 1)^2 <
-2^63, and a level of 8 chunks whose sums could leave int64 over its field
-balances its inputs first, which bounds its sums alike (:func:`_levels`).
-Otherwise every level is a float64 matrix product per row on split inputs,
-as the base case's are.  Only the blocks of 8192 slots or more, a prefix
-of the row, run stages, one set of operations per stage over
-every such block at once: blocks are contiguous and aligned, so at
-half-length u the blocks with n_i >= 2u are a prefix that reshapes to
-(rows, 2, u), and each row takes one twiddle, a power of omega_N, N the
-padded length.
+A block of n_i = 64R slots with R >= 2, at either twist, runs no radix-2
+stage: its stages u >= 64 are a chain of matrix passes across its
+elements (Bailey's four-step FFT, and his six-step from 8192 slots).
+Write R = R1 64^(L-1), 2 <= R1 <= 64.  The first pass is an R1-point DFT
+across the block's R1 elements of 64^L slots, whose matrix is R1 columns
+of the base case's matrix below, or for R1 = 64 at twist 1 the odd
+twist's matrix, at the 64 odd powers of omega_128; each later pass is the
+whole 64-point matrix at twist 0 across the 64 elements of every group,
+after a turn: each element times a power of its group's twist row, the
+same rows the base case's chunks read (:func:`_twiddles`).  The passes of
+all blocks run in steps, one per element width, coarse to fine, and
+every pass and turn takes [0, p) and hands back [0, p).  When the
+product's first block has at most 8 chunks (every level of a product of
+at most 1023 slots), the levels are int64 matrix products, one per level
+over both rows and one np.remainder: their entries are balanced, so with
+inputs in [0, p) a sum of R <= 4 terms is at most 2 (p - 1)^2 < 2^63,
+and a product plan whose levels of 8 chunks could sum past that over its
+field takes float64 levels instead (:func:`_levels`).  Otherwise every
+level is a float64 matrix product per row on split inputs, as the base
+case's are.
 
 The six stages below u = 64 are the base case: on each row of the buffer,
 one float64 matrix product over every 64-slot chunk, and one for each
 smaller block.  Each 64-slot chunk c of a block of 64 slots or more
 holds its polynomial modulo z^64 - lambda_c^64, lambda_c =
-omega_N**rev(c); it is multiplied by its twist row lambda_c**(i - 21),
-and then by the 64-point DFT matrix in bit-reversed order, zeta**(i
-rev(j)), zeta = omega_64, so its values are the block's times
-lambda_c**(-21), a shift that no caller sees: the pointwise product
-carries lambda_c**(-42), and the inverse's twist row, the forward one read
-backwards, lambda_c**(42 - i), cancels it as it untwists.  A block of n_i
-< 64 slots at twist t evaluates at the points of columns [t n_i, (t + 1)
-n_i) of that matrix, so it is its own row times those columns' top n_i
-rows, and needs no twist.  The inverse applies the unnormalised inverse
-matrix, zeta**(-i rev(j)) (a small block: rows [t n_i, (t + 1) n_i), left
-n_i columns), then lambda_c**(42 - i) to the chunks, then the levels and
-the stages u >= 64, and the 1/n_i pass.  numpy hands the float64
-products, the float levels' too, to BLAS (FFLAS-FFPACK's way to exact
-finite-field products), one matmul per group of chunks straight into the
-row's slots and one reduction per row: each input in [0, p) splits into
-its low 16 bits and the rest, below 2^15, and each float64 matrix is
-stacked over its input axis, the entry for input i in row 2i and 2^16
-times it mod p in row 2i + 1, both balanced into (-p/2, p/2]
-(:func:`_stack`).  So 64 terms (a level sums R <= 64 chunks) sum to at
-most 64 (p - 1)/2 ((2^16 - 1) + (2^15 - 1)) < 3 2^51 < 2^53 for every p <
-2^31, and every sum and every partial sum is an integer that float64
-holds exactly, whatever order BLAS adds in (:func:`_exact`).
+omega_N**rev(c); its turn multiplies it by its twist row lambda_c**(i -
+21), and then the 64-point DFT matrix in bit-reversed order, zeta**(i
+rev(j)), zeta = omega_64, takes it to its values times lambda_c**(-21), a
+shift that no caller sees: the pointwise product carries lambda_c**(-42),
+and the inverse's twist row, the forward one read backwards, lambda_c**(42
+- i), cancels it as it untwists.  The turns of the coarser steps leave
+shifts of the same kind, cancelled alike.  A block of n_i < 64 slots at
+twist t evaluates at the points of columns [t n_i, (t + 1) n_i) of that
+matrix, so it is its own row times those columns' top n_i rows, and needs
+no twist.  The inverse applies the unnormalised inverse matrix, zeta**(-i
+rev(j)) (a small block: rows [t n_i, (t + 1) n_i), left n_i columns),
+then lambda_c**(42 - i) to the chunks, then the steps fine to coarse,
+each its levels and then its turns, and the 1/n_i pass.  numpy hands the
+float64 products, the float levels' too, to BLAS (FFLAS-FFPACK's way to
+exact finite-field products), one matmul per level or group of chunks
+straight into the row's slots and one reduction per row: each input in
+[0, p) splits into its low 16 bits and the rest, below 2^15, and each
+float64 matrix is stacked over its input axis, the entry for input i in
+row 2i and 2^16 times it mod p in row 2i + 1, both balanced into (-p/2,
+p/2] (:func:`_stack`).  So 64 terms (a level sums R1 <= 64 elements) sum
+to at most 64 (p - 1)/2 ((2^16 - 1) + (2^15 - 1)) < 3 2^51 < 2^53 for
+every p < 2^31, and every sum and every partial sum is an integer that
+float64 holds exactly, whatever order BLAS adds in (:func:`_exact`).
 
 The per-N tables are ``ctx.row_tables[N]``, built by the first product of
 padded length N over a context: the powers of omega_N (the Omega_s
-scalings), the bit-reversed base rows (only the entries below N/128, which
-the stages u >= 64 read), and the twist rows, N/64 rows of 64.  The
-base case's matrices and the int64 levels' parts, 132 KiB, are field
-set-up like ``ctx.roots``, built once per field by its first row product
-(``ctx.row_dft``, ``ctx.row_ints``, :func:`_matrices`), and so are the
-odd twist's matrices, 128 KiB, by its first product that holds a
-4096-slot block at twist 1 (``ctx.row_odd``, :func:`_odd`); none is
-counted as scratch.  All grow from the root ladder by doubling.  What a
-product of transform length m reads of them depends only on the field and
-m, so the first row product of length m builds it once, into its product plan
-(``bridge._ProductPlan``, :func:`_twiddles`): per block a view of the
-tables, per level two views of the matrices, and per stage u >= 64 one
-row of twiddles.  A stage of one block reads a view of the base rows; the
-rows of a stage of several blocks are their views concatenated, at most
-m/128 entries per direction at u = 64 and half as many at each next stage,
-so a plan holds fewer than m/64 elements per direction.
+scalings) and the twist rows, N/64 rows of 64.  The base case's matrices
+and the int64 levels' parts, 132 KiB, are field set-up like
+``ctx.roots``, built once per field by its first row product
+(``ctx.row_dft``, ``ctx.row_ints``, :func:`_matrices`), and so are the odd
+twist's matrices, 128 KiB, by its first product that holds a block at
+twist 1 whose first pass has 64 points (``ctx.row_odd``, :func:`_odd`);
+none is counted as scratch.  All grow from the root ladder by doubling.
+What a product of transform length m reads of them depends only on the
+field and m, so the first row product of length m builds it once, into
+its product plan (``bridge._ProductPlan``, :func:`_twiddles`): per turn a
+view of the twist rows, and per level two views of the matrices.
 
 The break and its inverse reach the list path's images without the
 engines' survivor runs.  The break halves z^N - 1, as the ``mateer`` engine
@@ -87,31 +85,21 @@ its end, which the int64 headroom allows (``_break``, ``_unbreak``).
 the unbreak, on the bit-reversed path between two Omega_s scalings (rows of
 powers of omega_N); the padded product is its one-block case at twist 0.
 
-The rows' twiddles are balanced, in (-p/2, p/2], so a product of a twiddle
-and a value below 4p in magnitude stays below 2p^2 < 2^63 for every p <
-2^31.  That lets the butterflies reduce lazily (Harvey 2014): each product
-is reduced at once, but the forward transform reduces the stage blocks'
-sums and differences only after every fourth stage, and hands the twist
-values below 4p in magnitude (a level's in [0, p)), which it multiplies and
-reduces for the base case; the inverse reduces its sums after every third
-stage (proofs at :func:`_transform`).
-
-The rows count nothing.  Their element work is not the list path's (lazy
-reductions, twiddles read from tables, a halved break, a matrix product),
-so the bridge adds the list product's (mul, pow2, add) after a row
-product, from the closed forms beside the list code that counts them.
+The rows count nothing.  Their element work is not the list path's
+(twiddles read from tables, a halved break, matrix products), so the
+bridge adds the list product's (mul, pow2, add) after a row product, from
+the closed forms beside the list code that counts them.
 
 Every array this module takes besides the int64 buffer of the operands,
 which takes the product, and besides the field's matrices, is reported in
-``ctx.scratch_allocated``, once: each table and each plan's concatenated
-stage rows by the product that builds them, and per product a work buffer
-of 2m elements (the stages' products and quotients, the carries, the
-float levels' and the base case's split inputs, one row at a time, and
-the int64 levels' sums), and on the bit-reversed path the two power rows.
-The 1/n_i and the unbreak's halvings are scalars, one per block.  A product of
-padded length N reports at most 4.1N elements on the padded and the
-cyclotomic path and 6.1N on the bit-reversed one, tables and plan included
-(``tests/test_rows.py``).
+``ctx.scratch_allocated``, once: each table by the product that builds
+it, and per product a work buffer of 2m elements (the carries, the
+reductions' quotients, the float levels' and the base case's split
+inputs, one row at a time, and the int64 levels' sums), and on the
+bit-reversed path the two power rows.  The 1/n_i and the unbreak's
+halvings are scalars, one per block.  A product of padded length N
+reports at most 4N elements on the padded and the cyclotomic path and 6N
+on the bit-reversed one, tables included (``tests/test_rows.py``).
 """
 
 from __future__ import annotations
@@ -213,36 +201,26 @@ def _powers(ctx: FieldCtx, table: np.ndarray, work: np.ndarray | None) -> None:
 def _tables(ctx: FieldCtx, N: int, work: np.ndarray) -> tuple:
     """The tables of padded length N over ctx, built and reported once.
 
-    ``powers`` holds omega_N**j for j < N, in [0, p).  ``base`` holds the
-    forward and inverse base rows omega_N**(+-rev(r)) for r < N/128, rev
-    over log2(N/2) bits, the entries the stages u >= 64 read (see
-    :func:`_twiddles`), with a last axis of length 1, so that a slice
-    multiplies the rows of a stage.  ``twists`` holds lambda_c**(i - 21)
-    in row c < N/64 and column i < 64, lambda_c = omega_N**rev(c), rev
-    over log2(N/64) bits: the forward reads row c as it is, and the
-    inverse reads it reversed, lambda_c**(42 - i), which is
-    lambda_c**(-i) times the lambda_c**(-42) that a pointwise product of
-    two forward chunks carries.  base and twists are balanced into (-p/2,
-    p/2].
+    ``powers`` holds omega_N**j for j < N, in [0, p).  ``twists`` holds
+    lambda_c**(i - 21) in row c < N/64 and column i < 64, lambda_c =
+    omega_N**rev(c), rev over log2(N/64) bits, in [0, p): a turn
+    (:func:`_turn`) reads row c as it is, and the inverse reads it reversed,
+    lambda_c**(42 - i), which is lambda_c**(-i) times the lambda_c**(-42)
+    that a pointwise product of two forward values carries.
 
     The tables grow from the root ladder by doubling (:func:`_grow`):
-    ``powers`` by omega_N**m = roots[log2(N/m)]; as rev(m + r) = rev(m) +
-    rev(r) for r < m, entries [m, 2m) of a base row are its first m
-    entries times omega_N**(+-rev(m)) = omega_(4m)**(+-1), roots[log2(4m)]
-    or inv_roots[log2(4m)]; the lambda_c by omega_(128m) =
-    roots[log2(128m)], and the columns of ``twists`` by :func:`_powers`,
-    lambda_c**i.  Column 0 then takes lambda_c**(-64), grown by
-    omega_(2m)**(-1) = inv_roots[log2(2m)], times column 43, which gives
-    lambda_c**(-21), and every other column is multiplied by it.
+    ``powers`` by omega_N**m = roots[log2(N/m)], the lambda_c by
+    omega_(128m) = roots[log2(128m)], as rev(m + r) = rev(m) + rev(r) for
+    r < m, and the columns of ``twists`` by :func:`_powers`, lambda_c**i.
+    Column 0 then takes lambda_c**(-64), grown by omega_(2m)**(-1) =
+    inv_roots[log2(2m)], times column 43, which gives lambda_c**(-21), and
+    every other column is multiplied by it.
     """
     tables = ctx.row_tables.get(N)
     if tables is None:
         k = N.bit_length() - 1
-        half, rows = N >> 7, N >> 6  # b rungs grow a row of 2^b entries, none an empty one
+        rows = N >> 6  # b rungs grow a row of 2^b entries, none an empty one
         powers = _grow(ctx, _counted(ctx, np.empty(N, np.int64)), ctx.roots[k:0:-1], work)
-        base = _counted(ctx, np.empty((2, half), np.int64))
-        for row, ladder in zip(base, (ctx.roots, ctx.inv_roots)):
-            _grow(ctx, row, ladder[2:half.bit_length() + 1], work)
         twists = _counted(ctx, np.empty((rows, _BASE), np.int64))
         _grow(ctx, twists[:, 1], ctx.roots[7:rows.bit_length() + 6], work)
         _powers(ctx, twists, work)
@@ -250,9 +228,7 @@ def _tables(ctx: FieldCtx, N: int, work: np.ndarray) -> tuple:
         _grow(ctx, shift[:, 0], ctx.inv_roots[1:rows.bit_length()], work)
         _mod(ctx, np.multiply(shift, twists[:, 43:44], out=shift), work)
         _mod(ctx, np.multiply(twists[:, 1:], shift, out=twists[:, 1:]), work)
-        for table in (base, twists):
-            np.subtract(table, ctx.p, out=table, where=table > ctx.p // 2)
-        tables = ctx.row_tables[N] = (powers, base[:, :, None], twists)
+        tables = ctx.row_tables[N] = (powers, twists)
     return tables
 
 
@@ -285,8 +261,8 @@ def _matrices(ctx: FieldCtx) -> tuple:
     them, since its padded lengths are at most 2^k.
 
     The parts (``ctx.row_ints``) are the top 16 rows and columns of both
-    matrices' residues, as int64 balanced into (-p/2, p/2], which every
-    level of at most 8 chunks reads (:func:`_levels`).  Both, 132 KiB, are
+    matrices' residues, as int64 balanced into (-p/2, p/2], which the
+    int64 levels read (:func:`_levels`).  Both, 132 KiB, are
     field set-up like ``ctx.roots``, not scratch.
     """
     if ctx.row_dft is None:
@@ -302,8 +278,8 @@ def _matrices(ctx: FieldCtx) -> tuple:
 
 def _odd(ctx: FieldCtx) -> np.ndarray:
     """The odd twist's matrices over ctx, built once per field by its first
-    product that holds a 4096-slot block at twist 1, the level that reads
-    them (:func:`_twiddles`).
+    product that holds a block at twist 1 whose first pass has 64 points
+    (4096 slots, 2^18, ...), the level that reads them (:func:`_twiddles`).
 
     The forward one holds omega_128**(i (1 + 2 rev(j))) in row i and column
     j, and the unnormalised inverse omega_128**(-i (1 + 2 rev(j))) in row j
@@ -333,129 +309,145 @@ def _wide(p: int, parts) -> bool:
                >= 1 << 63 for part in parts for row in part.tolist())
 
 
-def _twiddles(ctx: FieldCtx, sizes, tables: tuple, twist: int) -> tuple:
+def _twiddles(ctx: FieldCtx, sizes, twists: np.ndarray, twist: int) -> tuple:
     """What every product of blocks ``sizes`` at ``twist`` t (0 or 1) reads
     besides the tables of N, built once into its product plan.
 
     Every block reads entries [t s, (t + 1) s) of a table, s its share
-    (``share``): of the base rows, its m = n_i / 2u rows at half-length u;
-    of the twist rows, one per 64-slot chunk; of the matrices' columns, its
-    n_i points when n_i < 64, and its R chunks when it is a level.
+    (``share``): of the twist rows, one per group of a turn; of the
+    matrices' columns, its n_i points when n_i < 64, and its R1 elements
+    when it is a first pass.
 
-    A block of n_i = 64R slots with 2 <= R <= 64, 128 to 4096 slots, is a
-    level: its stages u >= 64 take its chunks f_0, ..., f_(R-1) to f mod
-    (z^64 - lambda_c^64), c < R, which is the sum over r of lambda_c^(64 r)
-    f_r: an R-point DFT across the chunks (Bailey's four-step FFT).  Its
-    points lambda_c^64 = omega_(2R)**(t + 2 rev(c)), rev over log2(R) bits,
-    are omega_128**rev(tR + c), rev over seven bits.  For tR + c < 64 that
-    is zeta**rev(tR + c), rev over six bits, so its matrix is columns [tR,
-    (t + 1) R) of the base case's forward matrix (:func:`_matrices`), top R
-    rows, and its unnormalised inverse the same part of the inverse one;
-    the forward part is read transposed, on the left of the chunks.  A
-    4096-slot block at twist 1 has the points omega_128**(1 + 2 rev(c)),
-    and reads the odd twist's matrices whole (:func:`_odd`).  The parts are
-    int64 when the product's first block has at most 8 chunks, else
-    float64 and stacked, two columns per chunk (:func:`_levels`); whether
-    the int64 levels balance their inputs is decided here from the parts
-    (:func:`_wide`).
+    A block of n_i = 64R slots, R = R1 64^(L-1) with 2 <= R1 <= 64, is a
+    chain of L passes (Bailey's four-step FFT, and six-step from L = 2).
+    The first takes its R1 elements of w = 64^L slots, f_0, ..., f_(R1-1),
+    to f mod (z^w - mu_c), c < R1, which is the sum over r of mu_c^r f_r:
+    an R1-point DFT across the elements, at the points mu_c = omega_(2
+    R1)**(t + 2 rev(c)), rev over log2(R1) bits, which are
+    omega_128**rev(t R1 + c), rev over seven bits.  For t R1 + c < 64 that
+    is zeta**rev(t R1 + c), rev over six bits, so its matrix is columns [t
+    R1, (t + 1) R1) of the base case's forward matrix (:func:`_matrices`),
+    top R1 rows, and its unnormalised inverse the same part of the inverse
+    one; the forward part is read transposed, on the left of the elements.
+    R1 = 64 at twist 1 has the points omega_128**(1 + 2 rev(c)), and reads
+    the odd twist's matrices whole (:func:`_odd`).
 
-    The blocks of more than 4096 slots are the stage blocks, a prefix of
-    the row as the blocks are decreasing, and they alone run stages u >=
-    64.  Row q of block i at half-length u (n_i = 2^(k-1) u) takes c *
-    omega_(2^(k-1))**rev(q), where c = omega_(2^k)**t is its first twiddle
-    (as in :func:`tftlib.transform.dwt`): entry q of the base row is
-    omega_(2m)**rev(q) for q < m, and entry m + q is omega_(4m)**(2 rev(q)
-    + 1).  The blocks of a stage have distinct m, one set bit each of n' >>
-    (st + 1), n' the slots of the stage blocks, which is the stage's row
-    count: a stage of one block reads its view of the base rows, and the
-    views of a stage of several blocks are concatenated here, once, and
-    reported, w = n' >> (st + 1) <= n/128 entries per direction.
+    Each later pass splits every group of 64 elements, holding f mod (z^W -
+    mu_g) with G = n_i / W groups, into 64 elements of W/64 slots: a turn
+    (:func:`_turn`) multiplies element r of group g by nu_g**(r - 21), nu_g
+    = omega_(128G)**(t + 2 rev(g)) the 64th root of mu_g, and the whole
+    64-point matrix at twist 0 takes the elements of each group to f mod
+    (z^(W/64) - nu_g zeta**rev(c)), the points of group 64g + c of the
+    next width.  nu_g is row tG + g of the twist rows, lambda =
+    omega_N**rev(tG + g), rev over b = log2(N/64) bits, as that rev is
+    2^(b - 1 - log2 G) (t + 2 rev(g)), and so a turn needs no table of its
+    own; the one before the base case, at element width 1 (G = R), takes
+    each 64-slot chunk c to lambda_c**(i - 21).  The nu_g**(-21) a group
+    gains is a shift that no caller sees, as lambda_c**(-21) is.
 
-    Returns the (forward, inverse) rows of the stages u = 64, 128, ..., each
-    of shape (2, rows, 1); (offset, size, twist rows) of every block of 64
-    slots or more; (offset, size, first matrix column) of every smaller
-    block but those of one slot, whose transform is the identity; the slots
-    of the chunks, and of every block but one of one slot; (offset from the
-    first level, size, forward part, inverse part) of every level; the
-    slice of the slots the levels hold; and whether the int64 levels
-    balance their inputs.
+    The passes run in steps, one per element width, coarse to fine: a step
+    of width w holds the blocks of at least 2w slots, a prefix of the row
+    as the blocks are decreasing, so its span starts at slot 0.  Its turns
+    are those of the blocks of more than 64w slots, a prefix too, whose
+    passes are one 64-point level over every group of them; the first
+    passes of the others follow.  The levels are int64 when the product's
+    first block has at most 8 chunks and the int64 parts cannot sum
+    outside int64 (:func:`_wide`), else float64 and stacked, two columns
+    per element (:func:`_levels`).
+
+    Returns the steps, each (width, turns, levels, span); the turns of
+    every block of 64 slots or more at element width 1; (offset, size,
+    first matrix column) of every smaller block but those of one slot,
+    whose transform is the identity; the slots of the chunks, and of every
+    block but one of one slot.  A turn is (offset, size, twist rows, shaped
+    (G, 64, 1)), and a level (offset, size, forward part, inverse part).
     """
-    _, base, twists = tables
     mats, ints = _matrices(ctx)
 
     def share(s):
         return slice(twist * s, (twist + 1) * s)
 
-    lead = sum(ni for ni in sizes if ni > _BASE * _BASE)  # the stage blocks' slots
-    stages = []
-    for st in range(_BASE.bit_length() - 1, lead.bit_length() - 1):
-        w = lead >> (st + 1)
-        pieces = [base[:, share(1 << b)] for b in range(w.bit_length() - 1, -1, -1) if w >> b & 1]
-        stages.append(pieces[0] if len(pieces) == 1
-                      else _counted(ctx, np.concatenate(pieces, axis=1)))
-    whole = sizes[0] <= _INTS * _BASE  # every level takes the int64 product
-    step = 1 if whole else 2  # matrix rows per input: one, or a stacked pair
-    chunks, small, levels, offset = [], [], [], 0
+    def turn(offset, ni, width):  # a twist row per group of 64 elements
+        return offset, ni, twists[share(ni // (_BASE * width)), :, None]
+
+    def level(r, whole):  # the r-point first pass: its forward and inverse parts
+        (parts, step), cols = (ints, 1) if whole else (mats, 2), share(r)
+        if twist and r == _BASE:  # the odd twist's points
+            parts, cols = _odd(ctx), slice(0, r)
+        return parts[0][:step * r, cols].T, parts[1][step * cols.start:step * cols.stop, :r].T
+
+    whole = sizes[0] <= _INTS * _BASE and not _wide(
+        ctx.p, [part for ni in sizes if ni > _BASE for part in level(ni // _BASE, True)])
+    inner = (mats[0].T, mats[1].T)
+    steps, width = [], _BASE
+    while sizes[0] >= 2 * width:
+        turns, offset = [], 0
+        for ni in sizes:
+            if ni > _BASE * width:
+                turns.append(turn(offset, ni, width))
+                offset += ni
+        levels = [(0, offset) + inner] if turns else []
+        for ni in sizes[len(turns):]:
+            if ni < 2 * width:
+                break
+            levels.append((offset, ni) + level(ni // width, whole))
+            offset += ni
+        steps.append((width, tuple(turns), tuple(levels), offset))
+        width *= _BASE
+    chunks, small, offset = [], [], 0
     for ni in sizes:
-        r = ni // _BASE
         if ni >= _BASE:
-            chunks.append((offset, ni, twists[share(r)]))
+            chunks.append(turn(offset, ni, 1))
         elif ni > 1:
             small.append((offset, ni, twist * ni))
-        if 2 <= r <= _BASE:
-            parts, cols = ints if whole else mats, share(r)
-            if twist and r == _BASE:  # the odd twist's points
-                parts, cols = _odd(ctx), slice(0, r)
-            levels.append((offset - lead, ni, parts[0][:step * r, cols].T,
-                           parts[1][step * cols.start:step * cols.stop, :r].T))
         offset += ni
     top = sum(c[1] for c in chunks)
-    wide = whole and _wide(ctx.p, [part for level in levels for part in level[2:]])
-    return (stages, chunks, small, top, top + sum(c[1] for c in small), tuple(levels),
-            slice(lead, lead + sum(level[1] for level in levels)), wide)
+    return (tuple(reversed(steps)), tuple(chunks), tuple(small), top,
+            top + sum(c[1] for c in small))
 
 
 def _exact(ctx: FieldCtx, a: np.ndarray, work: np.ndarray, inverse: bool, span: int,
-           top: int = 0, small=(), levels=()) -> None:
+           top: int = 0, small=(), levels=(), width: int = _BASE) -> None:
     """Every row of a, its first ``span`` slots in [0, p), times the base
     case's forward or inverse stacked matrix, back into those slots in [0,
-    p): the base case of every block, or the float levels.
+    p): the base case of every block, or the float levels of one step.
 
     The base case multiplies the matrix by each 64-slot chunk of the first
-    ``top`` slots (already twisted), and each block of ``small`` by its
-    columns of the forward matrix or its rows of the inverse one.  The
-    levels take the stages u >= 64 of every block of ``levels``: its forward
-    or inverse R-point part times its R chunks as the rows of an (R, 64)
-    matrix (:func:`_twiddles`).
+    ``top`` slots (already turned), and each block of ``small`` by its
+    columns of the forward matrix or its rows of the inverse one.  A level
+    multiplies its forward or inverse part, E points, by the E elements of
+    ``width`` slots of each of its groups, as the rows of an (E, width)
+    matrix (:func:`_twiddles`), one matmul over every group.
 
     A row's slots split into their low 16 bits and the rest, as float64 in
     the work buffer, so that each input's pair meets its pair of stacked
     rows (:func:`_stack`): interleaved per slot for the base case, by an
-    int64 mask and shift and one conversion, and per 64-slot chunk for the
+    int64 mask and shift and one conversion, and per element for the
     levels, by one conversion of each slot's two low uint16 words.  (Per
     row, best of 7 runs of 3000 calls on a shared 2-core VM: the per-slot
     split takes 1.9 us at 64 slots and 10.2 at 4096, against 2.6 and 8.9
     for a mask and shift that convert as they write, and 0.8 and 18.4 for
-    the words, whose copy runs pairs; per chunk the words take 0.5 and 4.8,
-    against 3.0 and 9.0.  Public products read 1-6% faster than with the
-    converting mask and shift for both.)  Each matmul writes its sums
-    straight into the row's slots, viewed as float64; turned into int64
-    where they lie, they are reduced by one :func:`_mod`, its quotients in
-    the work buffer, free by then.  Every sum and every partial sum is an integer
-    that float64 holds exactly, whatever order BLAS adds in: a stacked entry
-    has magnitude at most (p - 1)/2, a low part is below 2^16 and a high one
-    below 2^15 (p < 2^31), so 64 inputs (a level sums R <= 64 chunks) sum
-    to at most 64 (p - 1)/2 ((2^16 - 1) + (2^15 - 1)) < 3 2^51 < 2^53.
+    the words, whose copy runs pairs; per 64-slot element the words take
+    0.5 and 4.8, against 3.0 and 9.0.  Public products read 1-6% faster
+    than with the converting mask and shift for both.)  Each matmul writes
+    its sums straight into the row's slots, viewed as float64; turned into
+    int64 where they lie, they are reduced by one :func:`_mod`, its
+    quotients in the work buffer, free by then.  Every sum and every
+    partial sum is an integer that float64 holds exactly, whatever order
+    BLAS adds in: a stacked entry has magnitude at most (p - 1)/2, a low
+    part is below 2^16 and a high one below 2^15 (p < 2^31), so 64 inputs
+    (a level sums E <= 64 elements) sum to at most 64 (p - 1)/2 ((2^16 -
+    1) + (2^15 - 1)) < 3 2^51 < 2^53.
     """
     mats = ctx.row_dft[1 if inverse else 0]
     split = work[:2 * span]
     fsplit = split.view(np.float64)
-    halves = fsplit.reshape(-1, 2, _BASE) if levels else None
+    halves = fsplit.reshape(-1, 2, width) if levels else None
     for row in a:
         x = row[:span]
         fx = x.view(np.float64)
         if levels:  # each slot's two low uint16 words are its parts
-            words = x.view(np.uint16).reshape(-1, _BASE, 4)[:, :, _WORDS]
+            words = x.view(np.uint16).reshape(-1, width, 4)[:, :, _WORDS]
             np.copyto(halves, words.swapaxes(1, 2), casting="unsafe")
         else:
             np.bitwise_and(x, (1 << _LIMB) - 1, out=split[0::2])
@@ -468,43 +460,59 @@ def _exact(ctx: FieldCtx, a: np.ndarray, work: np.ndarray, inverse: bool, span: 
             part = mats[2 * c:2 * (c + ni), :ni] if inverse else mats[:2 * ni, c:c + ni]
             np.matmul(fsplit[2 * off:2 * (off + ni)], part, out=fx[off:off + ni])
         for off, ni, forward, backward in levels:
-            np.matmul(backward if inverse else forward,
-                      fsplit[2 * off:2 * (off + ni)].reshape(-1, _BASE),
-                      out=fx[off:off + ni].reshape(-1, _BASE))
+            part = backward if inverse else forward
+            np.matmul(part, fsplit[2 * off:2 * (off + ni)].reshape(-1, 2 * len(part), width),
+                      out=fx[off:off + ni].reshape(-1, len(part), width))
         np.copyto(x, fx, casting="unsafe")
         _mod(ctx, x, split)
 
 
-def _levels(ctx: FieldCtx, a: np.ndarray, levels, region: slice, work: np.ndarray,
-            inverse: bool, wide: bool) -> None:
-    """The stages u >= 64 of every level (:func:`_twiddles`), on the slots
-    ``region`` of every row of a, from [0, p) into [0, p).
+def _turn(ctx: FieldCtx, a: np.ndarray, turns, work: np.ndarray, inverse: bool) -> None:
+    """Element r of group g of every block of ``turns`` (:func:`_twiddles`)
+    times entry r of the block's twist row g, read reversed by the
+    inverse, on every row of a, from [0, p) into [0, p): an entry lies in
+    [0, p), so a product lies in [0, (p - 1)^2], below 2^62 as p < 2^31,
+    and one :func:`_mod` over the turned slots, a prefix, reduces them."""
+    if not turns:
+        return
+    k = a.shape[0]
+    for off, ni, rows in turns:
+        x = a[:, off:off + ni].reshape(k, len(rows), _BASE, -1)
+        np.multiply(x, rows[:, ::-1] if inverse else rows, out=x)
+    _mod(ctx, a[:, :off + ni], work)
 
-    Float64 parts run in :func:`_exact`, a row at a time.  Int64 parts,
+
+def _levels(ctx: FieldCtx, a: np.ndarray, steps, work: np.ndarray, inverse: bool) -> None:
+    """Every step of :func:`_twiddles` on every row of a: forward, coarse to
+    fine, each step's turns and then its levels; inverse, fine to coarse,
+    the levels and then the turns.  Every pass and turn takes [0, p) and
+    hands back [0, p).
+
+    Float64 levels run in :func:`_exact`, a row at a time.  Int64 parts,
     balanced into (-p/2, p/2], take one matmul per level over every row at
     once, its sums in the work buffer, and one np.remainder back into the
     rows.  No sum leaves int64: p is odd, so a part's entries have
     magnitude at most (p - 1)/2, and with inputs in [0, p) a sum of R <= 4
     products lies within 4 (p - 1)(p - 1)/2 = 2 (p - 1)^2 < 2^63, as p <
-    2^31 gives (p - 1)^2 < 2^62.  A level of 8 chunks lies within it too
-    unless ``wide`` (:func:`_wide`, decided once by the product plan from
-    its parts); then the rows balance their inputs first, so its sums lie
-    within 8 ((p - 1)/2)^2 = 2 (p - 1)^2 as well.
+    2^31 gives (p - 1)^2 < 2^62; a product plan whose levels of 8 chunks
+    could leave it takes float64 levels instead (:func:`_wide`).
     """
-    if not levels:
-        return
-    x = a[:, region]
-    if levels[0][2].dtype == np.float64:
-        _exact(ctx, x, work, inverse, x.shape[1], levels=levels)
-        return
-    if wide:
-        np.subtract(x, ctx.p, out=x, where=np.greater(x, ctx.p // 2))
-    k = x.shape[0]
-    sums = work[:x.size].reshape(x.shape)
-    for off, ni, forward, backward in levels:
-        np.matmul(backward if inverse else forward, x[:, off:off + ni].reshape(k, -1, _BASE),
-                  out=sums[:, off:off + ni].reshape(k, -1, _BASE))
-    np.remainder(sums, ctx.p, out=x)
+    for width, turns, levels, span in reversed(steps) if inverse else steps:
+        if not inverse:
+            _turn(ctx, a, turns, work, False)
+        if levels[0][2].dtype == np.float64:
+            _exact(ctx, a, work, inverse, span, levels=levels, width=width)
+        else:
+            x = a[:, :span]
+            k = x.shape[0]
+            sums = work[:x.size].reshape(x.shape)
+            for off, ni, forward, backward in levels:
+                np.matmul(backward if inverse else forward,
+                          x[:, off:off + ni].reshape(k, -1, _BASE),
+                          out=sums[:, off:off + ni].reshape(k, -1, _BASE))
+            np.remainder(sums, ctx.p, out=x)
+        if inverse:
+            _turn(ctx, a, turns, work, True)
 
 
 def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
@@ -515,95 +523,27 @@ def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
     The blocks are those of :func:`_twiddles`, at its twist: decreasing
     powers of two whose sum is the row length, block i starting at n_1 +
     ... + n_(i-1).  The input is in [0, p), and so is every output.  The
-    forward leaves each 64-slot chunk c of a block of 64 slots or more at
-    dwt's values times lambda_c**(-21), the twist row's shift
-    (:func:`_tables`), and the inverse is idwt of its input with each such
-    chunk times lambda_c**42, so a pointwise product of two forwards
-    inverts to the idwt of the product of the dwts.  The levels take the
-    stages u >= 64 of every block of 128 to 4096 slots (:func:`_levels`),
-    and the stages u >= 64 run on the larger blocks, a prefix of the row,
-    on the prefix of those of 2u slots or more; the base case ends the
-    forward transform and starts the inverse (:func:`_exact`).  The 1/n_i
-    pass ends the inverse; 1/n_i, balanced, is -(p - 1)/n_i, from the
-    block's size.
-
-    Reduction is lazy (Harvey 2014), on balanced twiddles.  p is odd, so a
-    twiddle, a twist or 1/n_i in (-p/2, p/2] has magnitude at most (p -
-    1)/2, and for |v| < 4p a product has |v w| < 2p (p - 1) < 2p^2 < 2^63,
-    as p < 2^31 gives p^2 < 2^62.  Every product of a stage is reduced into
-    [0, p) at once; the sums and differences wait, and never leave [-4p,
-    8p).  The two bounds below, over the stages u >= 64 of the stage
-    blocks alone, show that no multiplied value reaches 4p in magnitude.  A
-    level takes [0, p) and hands [0, p), both ways, so its blocks hold [0,
-    p) wherever the bounds below speak of a block that runs no stage.
-
-    Forward, u falls and the prefix grows.  Before the d-th stage every
-    value of its prefix lies in [-jp, (j + 1) p), j = (d - 1) mod 4.  This
-    holds at d = 1 and for the blocks that join the prefix later, which
-    hold their input.  A stage multiplies y, |y| < (j + 1) p <= 4p, into
-    t in [0, p); then x - t lies in [-(j + 1) p, (j + 1) p) and x + t in
-    [-jp, (j + 2) p), so the bound holds with j + 1.  After every fourth
-    stage (j = 3: values in [-4p, 5p)) the prefix is reduced into [0, p),
-    so j restarts at 0.  After the last stage, then, every value lies in
-    [-3p, 4p) or in [0, p), and a level's in [0, p): the twist multiplies
-    values below 4p in magnitude, and its reduction hands the base case [0,
-    p).
-
-    Inverse, u grows and the prefix shrinks.  The base case and the twist
-    leave every value in [0, p), the levels' input.  Before the d-th stage
-    every value of its prefix lies in [0, cp), c = 2^((d - 1) mod 3).  This
-    holds at d = 1.  A stage multiplies x - y, |x - y| < cp <= 4p, into y
-    in [0, p), and x + y lies in [0, 2cp), so the next prefix, a part of
-    this one, lies in [0, 2cp).  After every third stage (c = 4: sums in
-    [0, 8p)) the sums are reduced into [0, p), so c restarts at 1.  A block
-    that has left the prefix keeps what its last stage left, in [0, 4p) (c
-    <= 2) or in [0, p) (c = 4, reduced), and a block of no stage, a level
-    included, holds [0, p); so the 1/n_i pass multiplies values below 4p,
-    and reduces them.
+    forward runs the steps (:func:`_levels`), the turn of every 64-slot
+    chunk (:func:`_turn`) and the base case (:func:`_exact`), and leaves
+    each 64-slot chunk c of a block of 64 slots or more at dwt's values
+    times its shift s_c, the product of entry 0, lambda**(-21), of every
+    twist row the chunk meets, one per turn (:func:`_tables`); the inverse
+    runs them backwards, and is idwt of its input with each such chunk
+    times s_c**(-2), so a pointwise product of two forwards inverts to the
+    idwt of the product of the dwts.  The
+    1/n_i pass ends the inverse: 1/n_i, balanced, is -(p - 1)/n_i, from
+    the block's size, and a value in [0, p) times it lies within (p -
+    1)^2/2 < 2^63.
     """
-    k = a.shape[0]
-    stage_rows, chunks, small, top, span, levels, region, wide = twiddles
-    low = _BASE.bit_length() - 1  # stage st has half-length u = 2^st
-
-    def stage(st):
-        rows = stage_rows[st - low].shape[1]
-        u = 1 << st
-        view = a[:, :2 * u * rows].reshape(k, rows, 2, u)
-        return view[:, :, 0], view[:, :, 1], work[:k * rows * u].reshape(k, rows, u)
-
-    def rotate():  # every chunk times its twist row, reversed by the inverse, reduced
-        for off, ni, rows in chunks:
-            x = a[:, off:off + ni].reshape(k, -1, _BASE)
-            np.multiply(x, rows[:, ::-1] if inverse else rows, out=x)
-        if chunks:
-            _mod(ctx, a[:, :top], work)
-
-    stages = range(low, low + len(stage_rows))
-    quot = work[k * top // 2:]
+    steps, chunks, small, top, span = twiddles
     if not inverse:
-        _levels(ctx, a, levels, region, work, False, wide)
-        for done, st in enumerate(reversed(stages), 1):
-            x, y, t = stage(st)
-            np.multiply(y, stage_rows[st - low][0], out=t)
-            _mod(ctx, t, quot)
-            np.subtract(x, t, out=y)
-            np.add(x, t, out=x)
-            if done % 4 == 0:
-                _mod(ctx, a[:, :x.shape[1] * 2 << st], work)
-        rotate()  # lambda**(i - 21)
+        _levels(ctx, a, steps, work, False)
+        _turn(ctx, a, chunks, work, False)  # lambda**(i - 21)
         _exact(ctx, a, work, False, span, top, small)
         return
     _exact(ctx, a, work, True, span, top, small)
-    rotate()  # lambda**(42 - i): lambda**(-i), and cancels the product's lambda**(-42)
-    for done, st in enumerate(stages, 1):
-        x, y, t = stage(st)
-        np.subtract(x, y, out=t)
-        np.add(x, y, out=x)
-        np.multiply(t, stage_rows[st - low][1], out=t)
-        _mod(ctx, t, quot, out=y)
-        if done % 3 == 0:
-            _mod(ctx, x, quot)
-    _levels(ctx, a, levels, region, work, True, wide)
+    _turn(ctx, a, chunks, work, True)  # lambda**(42 - i): cancels the product's lambda**(-42)
+    _levels(ctx, a, steps, work, True)
     for off, ni, *_ in chunks + small:  # times 1/n_i, balanced: -(p - 1)/n_i
         blk = a[:, off:off + ni]
         np.multiply(blk, -((ctx.p - 1) // ni), out=blk)
@@ -745,7 +685,8 @@ def multiply(ctx: FieldCtx, a: np.ndarray, n: int, product, e: int) -> list[int]
         _mod(ctx, a, work)
     tables = _tables(ctx, plan.N if plan else m, work)
     if product.rows is None:
-        product.rows = _twiddles(ctx, plan.sizes if plan else (m,), tables, 1 if plan else 0)
+        product.rows = _twiddles(ctx, plan.sizes if plan else (m,), tables[1],
+                                  1 if plan else 0)
     if e:
         exps = work[:m]  # k e, then -k e, in the free work buffer
         exps[0], exps[1:] = 0, e

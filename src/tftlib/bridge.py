@@ -55,10 +55,9 @@ product has run, what the rows read besides the tables of N.  Every later
 product of length m, on any path and either backend, only reads it.  The key
 is m, not n: the entries are at most the lengths of at most three set bits,
 about k^3/6 below 2^k, and each holds a few Python objects per block and
-per stage: offsets and sizes, views into the tables of N and into the
-field's base-case matrices, and the twiddle rows of each stage of several
-blocks, fewer than m/64 elements per direction in all.  The work buffer and the
-Omega_s power rows stay per product.
+per step: offsets and sizes, and views into the tables of N and into the
+field's matrices.  The work buffer and the Omega_s power rows stay per
+product.
 
 Each operand element, a zero product's too, loads through its
 ``__index__`` (``operator.index`` here, one ``struct.pack_into`` per
@@ -124,9 +123,9 @@ class _ProductPlan:
     which counts what a break counts.  The bit-reversed path adds its three
     scalings by the powers of Omega_s, 2 (m - 1) mul each.  ``rows`` is what
     a row product reads besides the tables of N (``tftlib._rows._twiddles``),
-    filled by the first one; its stage rows, fewer than m/64 elements per
-    direction, are the only array a plan holds.  (A plain class: a
-    dataclass would cost about 0.5 ms of every ``import tftlib``.)
+    filled by the first one: views of the tables and the field's matrices,
+    so a plan holds no array of its own.  (A plain class: a dataclass would
+    cost about 0.5 ms of every ``import tftlib``.)
     """
 
     __slots__ = ("plan", "e1", "counts", "rows")

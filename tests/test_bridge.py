@@ -12,7 +12,7 @@ from tftlib import (FieldCtx, brtft_forward, brtft_inverse, ctft_forward, ctft_i
 from tftlib import oracle
 from tftlib.bridge import _ROWS_MIN, _transform_length, poly_degree
 
-from test_rows import LENGTHS, _operands, _reference
+from test_rows import LENGTHS, _at, _operands, _reference
 
 SWEEP_SIZES = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65,
                86, 100, 127, 128, 129, 171, 255, 256, 257, 300, 500, 512]
@@ -237,12 +237,10 @@ def test_public_bitreversed_product_adds_only_the_two_power_rows(n):
 @pytest.mark.parametrize("n", [29, 31, 40, 63, 100, 255, 257, 495, 1025, 1281, 1365, 4097])
 def test_a_repeated_product_reads_its_plan(n):
     # The first product of a transform length over a field builds its plan
-    # and its stage rows and, the first of a padded length, its row tables.
-    # A repeat on the same field returns and counts what a new field's first
-    # product does, and reports only its own scratch: the 2m work buffer and
-    # the 2m Omega_s power rows on the bit-reversed path at m < N (1281 =
-    # 1024 + 256 + 1 has two stages of several blocks, whose rows the plan
-    # holds).
+    # and, the first of a padded length, its row tables.  A repeat on the
+    # same field returns and counts what a new field's first product does,
+    # and reports only its own scratch: the 2m work buffer and the 2m
+    # Omega_s power rows on the bit-reversed path at m < N.
     shared = FieldCtx()
     f, g = _operands(shared.p, n, n)
     m, N = _transform_length(n), 1 << (n - 1).bit_length()
@@ -261,20 +259,17 @@ def test_a_repeated_product_reads_its_plan(n):
 
 
 # bytes that the product plans of every transform length in [_ROWS_MIN,
-# 4096] hold, 286 plans: measured at 596 KB, 1.6 KB a plan below 512 and
-# 2.4 KB from 512, where a level's two matrix views replace the stage rows
-# of its block (Python 3.11, numpy 2.4); one row of m int64 in each would
-# add 2.2 MB
-PLANS_BYTES = 618_000
+# 4096] hold, 286 plans: measured at 549 KB, 1.9 KB a plan on average, the
+# views of their turns and levels (Python 3.11, numpy 2.4); one row of m
+# int64 in each would add 2.2 MB
+PLANS_BYTES = 590_000
 
 
 def test_product_plans_hold_no_elements():
     # After products at every transform length in [_ROWS_MIN, 4096] on both
     # TFT paths, the plans they leave hold no array of m elements: only
-    # splits, counts, offsets, views into the tables of N, which a padded
-    # product of each N builds first, and into the field's matrices, and
-    # the twiddle rows of each stage of several blocks, fewer than m/64
-    # elements per direction in all.
+    # splits, counts, offsets, and views into the tables of N, which a
+    # padded product of each N builds first, and into the field's matrices.
     # tracemalloc traces numpy's buffers, so a plan holding a row of m
     # elements would show.
     ctx = FieldCtx()
@@ -383,20 +378,29 @@ def test_multiply_path_validation(ctx):
 
 @pytest.mark.parametrize("p, n", [(5, 4), (17, 16), (257, 256), (7681, 512),
                                   (12289, 4096), (7681, 257), (7681, 384),
-                                  (12289, 2049), (12289, 3073)])
+                                  (12289, 2049), (12289, 3073), (65537, 65536),
+                                  (65537, 49153), (5767169, 524288)])
 def test_multiply_at_two_adicity_limit(p, n):
     # product length n whose padded length N = 2^a is the field's 2-adicity
     # limit, no root of order 2N in the field: n = N itself, and TFT lengths
-    # with a small block (257) or a stage block (384) beside the chunks, or
-    # levels at twist 1 that read the last rungs of the ladder (2049, 3073)
+    # with a small block (257) or a block of 256 slots (384) beside the
+    # chunks, or levels at twist 1 that read the last rungs of the ladder
+    # (2049, 3073, 49153 = 32768 + 16384 + 1).  The limit blocks of 65537
+    # (2^16 slots) and 5767169 (2^19) run two and three steps; past 4096
+    # the paths must agree, and equal f(x) g(x) at random points x, in
+    # place of the schoolbook product.
     ctx_p = FieldCtx(p)
     rng = random.Random(p)
     df = n // 2
     f = [rng.randrange(p) for _ in range(df)] + [rng.randrange(1, p)]
     g = [rng.randrange(p) for _ in range(n - 1 - df)] + [rng.randrange(1, p)]
-    want = oracle.schoolbook_mul(f, g, p)
+    want = multiply_full_fft(ctx_p, f, g)
     assert len(want) == n
-    assert multiply_full_fft(ctx_p, f, g) == want
+    if n <= 4096:
+        assert want == oracle.schoolbook_mul(f, g, p)
+    else:
+        for x in [rng.randrange(p) for _ in range(3)]:
+            assert _at(want, x, p) == _at(f, x, p) * _at(g, x, p) % p, x
     for path in ("cyclotomic", "bitreversed"):
         assert multiply_tft(ctx_p, f, g, path) == want
 

@@ -32,7 +32,7 @@ from tftlib import (FieldCtx, brtft_forward, brtft_inverse, ctft_forward,
                     unbreak_in_place)
 from tftlib.bitops import bit_reverse
 from tftlib.bridge import _ROWS_MIN, _grid_scale
-from tftlib.transform import dwt, scale_by_powers
+from tftlib.transform import dwt, idwt, scale_by_powers
 
 PRIMES = (2013265921, 998244353, 2130706433)
 PATHS = ("padded", "cyclotomic", "bitreversed")
@@ -41,8 +41,7 @@ SHAPES = {2**12 + 2**5 + 1, 2**11 + 2**10 + 2**3 + 1, 0b1001001001, 0b1100000000
           0b101010101011}
 # _ROWS_MIN - 2 to _ROWS_MIN + 1: the crossover, its earlier place 14 and
 # the lengths about them; 28 to 32: the lengths about the rows' earlier
-# thresholds, 29 and 31, and 2^5; 448 and 1537: a first stage of adjacent
-# blocks
+# thresholds, 29 and 31, and 2^5; 448 and 1537: a step of adjacent blocks
 LENGTHS = sorted({_ROWS_MIN - 2, _ROWS_MIN - 1, _ROWS_MIN, _ROWS_MIN + 1, 28, 29, 30, 31, 32, 62,
                   448, 1365, 1537, 5461}
                  | {2**k + d for k in range(6, 13) for d in (-1, 0, 1)}
@@ -53,21 +52,21 @@ LENGTHS = sorted({_ROWS_MIN - 2, _ROWS_MIN - 1, _ROWS_MIN, _ROWS_MIN + 1, 28, 29
 # unreduced, and 288 (M_s = 4) reduces them first
 HEADROOM = sorted({2**k + d for k in range(5, 13) for d in (-1, 1)}
                   | {2**k + 2**(k - 4) + 1 for k in range(5, 13)} | {288, 320, 384, 448})
-# the levels of tftlib._rows._twiddles, every block of 128 to 4096 slots:
+# the levels of tftlib._rows._twiddles, every block of 128 slots or more:
 # int64 alone at 127 to 129 (R = 2), 255 to 257 (R = 4), 385 = 256 + 128 +
 # 1, 511 to 513 (R = 8) and 897 = 512 + 256 + 128 + 1; float64
 # at 1282 = 1024 + 256 + 2 and 1537 = 1024 + 512 + 1 (R = 4 and 8 after a
 # float level), 2049, 4095 and 4096 (R = 64); the odd twist at 4097 and
-# 4609 = 4096 + 512 + 1; stage blocks with no level at 8193, and before a
-# level at 8321 = 8192 + 128 + 1 and 12289 = 8192 + 4096 + 1
+# 4609 = 4096 + 512 + 1; two steps at 8193, and a first pass beside a
+# block's second at 8321 = 8192 + 128 + 1 and 12289 = 8192 + 4096 + 1
 LEVELS = [127, 128, 129, 255, 256, 257, 385, 511, 512, 513, 897, 1282, 1537, 2049, 4095, 4096,
           4097, 4609, 8193, 8321, 12289]
-# bound stated in the tftlib._rows docstring, in elements per padded slot;
-# a first product at every exact n in [_ROWS_MIN, 4200] reports at most
-# 4.016 (n = 65), 4.023 (n = 511) and 6.020 (n = 511): the tables of N,
-# about 2.02N, the 2m work buffer, the plan's stage rows, below 2m/64, and
-# on the bit-reversed path the 2m power rows
-ALLOC_PER_SLOT = {"padded": 4.1, "cyclotomic": 4.1, "bitreversed": 6.1}
+# bound stated in the tftlib._rows docstring, in elements per padded slot:
+# the tables of N, 2N (N from N = 64 up), the 2m work buffer, m <= N, and on
+# the bit-reversed path the 2m power rows; a first product at every exact n
+# in [_ROWS_MIN, 4200] reports at most 4.000 (n = 33), 4.000 (n = 64) and
+# 5.999 (n = 4095)
+ALLOC_PER_SLOT = {"padded": 4.0, "cyclotomic": 4.0, "bitreversed": 6.0}
 
 pytestmark = pytest.mark.usefixtures("exact_length")
 
@@ -223,102 +222,162 @@ def test_levels_equal_the_list_composition(field, n, path):
         assert (sess.mul, sess.pow2, sess.add) == counts
 
 
+def _at(coefficients, x: int, p: int) -> int:
+    value = 0
+    for c in reversed(coefficients):
+        value = (value * x + c) % p
+    return value
+
+
+@pytest.mark.parametrize("n", [8193, 12289, 2**18 + 1])
+def test_chained_passes_agree_at_random_points(field, n):
+    # Lengths past the list composition's reach in time: 8193 (a padded
+    # block of 2^14 slots, two steps, and 8192 + 1 at twist 1), 12289 =
+    # 8192 + 4096 + 1 (a block's second step beside a first pass) and 2^18
+    # + 1 (a padded block of 2^19 slots, three steps, and 2^18 + 1 at twist
+    # 1, the odd twist's first pass over elements of 4096 slots).  Every
+    # path must give the same product, of length n, equal to f(x) g(x) at
+    # random points x (Schwartz-Zippel: a wrong product, of degree below
+    # 2n, passes one point with probability below 2n / p).
+    p = field.p
+    f, g = _operands(p, n, n)
+    products = [_product(field, f, g, path) for path in PATHS]
+    assert len(products[0]) == n
+    assert products[1] == products[0] and products[2] == products[0]
+    rng = random.Random(n)
+    for x in [rng.randrange(p) for _ in range(3)]:
+        assert _at(products[0], x, p) == _at(f, x, p) * _at(g, x, p) % p, x
+
+
 @pytest.mark.parametrize("sizes, twist, levels", [
-    ((512,), 0, [512]), ((256,), 0, [256]), ((4096,), 0, [4096]), ((8192,), 0, []),
-    ((256, 1), 1, [256]), ((512, 1), 1, [512]), ((2048, 1), 1, [2048]), ((4096, 2), 1, [4096]),
-    ((1024, 256, 2), 1, [1024, 256]), ((1024, 512, 1), 1, [1024, 512]),
-    ((4096, 512, 1), 1, [4096, 512]), ((128,), 0, [128]), ((128, 1), 1, [128]),
-    ((512, 256, 128, 1), 1, [512, 256, 128]), ((64, 32), 1, []),
-    ((8192, 4096, 1), 1, [4096]), ((8192, 128, 1), 1, [128]),
-    ((16384, 8192, 2048, 1), 1, [2048])])
+    ((512,), 0, [(64, [], [512])]), ((256,), 0, [(64, [], [256])]),
+    ((4096,), 0, [(64, [], [4096])]), ((8192,), 0, [(4096, [], [8192]), (64, [8192], [])]),
+    ((256, 1), 1, [(64, [], [256])]), ((512, 1), 1, [(64, [], [512])]),
+    ((2048, 1), 1, [(64, [], [2048])]), ((4096, 2), 1, [(64, [], [4096])]),
+    ((1024, 256, 2), 1, [(64, [], [1024, 256])]), ((1024, 512, 1), 1, [(64, [], [1024, 512])]),
+    ((4096, 512, 1), 1, [(64, [], [4096, 512])]), ((128,), 0, [(64, [], [128])]),
+    ((128, 1), 1, [(64, [], [128])]), ((512, 256, 128, 1), 1, [(64, [], [512, 256, 128])]),
+    ((64, 32), 1, []),
+    ((8192, 4096, 1), 1, [(4096, [], [8192]), (64, [8192], [4096])]),
+    ((8192, 128, 1), 1, [(4096, [], [8192]), (64, [8192], [128])]),
+    ((16384, 8192, 2048, 1), 1, [(4096, [], [16384, 8192]), (64, [16384, 8192], [2048])]),
+    ((8192, 1), 1, [(4096, [], [8192]), (64, [8192], [])]),
+    ((2**18, 2**12, 1), 1, [(4096, [], [2**18]), (64, [2**18], [2**12])]),
+    ((2**19,), 0, [(2**18, [], [2**19]), (4096, [2**19], []), (64, [2**19], [])]),
+    ((2**19, 2**13, 1), 1, [(2**18, [], [2**19]), (4096, [2**19], [2**13]),
+                           (64, [2**19, 2**13], [])])])
 def test_levels_are_the_blocks_the_matrix_holds(sizes, twist, levels):
-    # Every block of 64R slots with 2 <= R <= 64 is a level, at either
-    # twist; the larger blocks, a prefix, run the stages, whose rows cover
-    # them alone, and the levels start where they end.  A level's forward
-    # part takes chunk r to chunk c by omega_(2R)**(r (t + 2 rev(c))), rev
-    # over log2(R) bits, and its inverse part takes chunk c back to chunk r
-    # by the inverse power.  The parts are int64, balanced, when the first
-    # block has at most 8 chunks, so that no float level runs beside them,
-    # and float64 otherwise, stacked: the entry for input r in column 2r
-    # and 2^16 times it mod p in column 2r + 1, both balanced; a 4096-slot
-    # block at twist 1 reads the odd twist's matrices.  The default field's
-    # int64 parts need no balancing of the inputs.
+    # A block of 64R slots, R = R1 64^(L-1) with 2 <= R1 <= 64, is a chain
+    # of L passes, run in steps by element width w, coarse to fine
+    # (``levels``: per step w, the blocks that turn and the blocks whose
+    # first pass it is).  A step holds the blocks of at least 2w slots, a
+    # prefix; those of more than 64w slots, a prefix too, turn and then
+    # take one 64-point level at twist 0 over all their groups, the base
+    # case's matrix.  A first pass takes element r to element c by
+    # omega_(2 R1)**(r (t + 2 rev(c))), rev over log2(R1) bits, and its
+    # inverse part takes c back to r by the inverse power.  A turn gives
+    # group g of G = n_i / 64w groups row tG + g of the twist rows, whose
+    # lambda, entry 22, is the 64th root of the group's point,
+    # omega_(128G)**(t + 2 rev(g)), and the turns before the base case
+    # give each 64-slot chunk its row.  The parts are int64, balanced, when
+    # the first block has at most 8 chunks (over the default field none of
+    # them could sum outside int64), and float64 otherwise, stacked: the
+    # entry for input r in column 2r and 2^16 times it mod p in column 2r +
+    # 1, both balanced; R1 = 64 at twist 1 reads the odd twist's matrices.
     ctx = FieldCtx()
     p = ctx.p
     N = 1 << sum(sizes).bit_length() if twist else sizes[0]
     work = np.empty(2 * N, np.int64)
-    rows = _rows._twiddles(ctx, sizes, _rows._tables(ctx, N, work), twist)
-    stages, *_, got, region, wide = rows
-    assert [ni for _, ni, _, _ in got] == levels
-    assert wide is False
-    lead = sum(ni for ni in sizes if ni > 4096)
-    assert region == slice(lead, lead + sum(levels))
-    assert [st.shape[1] for st in stages] == [lead >> st for st in range(7, 20) if lead >> st]
-    offset = 0
-    for off, ni, forward, inverse in got:
-        assert off == offset
-        offset += ni
-        R = ni // 64
-        w = ctx.roots[R.bit_length()]  # omega_(2R)
-        for part, sign in ((forward, 1), (inverse, -1)):
-            assert np.abs(part).max() <= p // 2
-            if sizes[0] <= 512:
-                assert part.dtype == np.int64 and part.shape == (R, R)
-                values = (part % p).tolist()
-            else:
-                assert part.dtype == np.float64 and part.shape == (R, 2 * R)
-                ints = part.astype(np.int64)
-                assert not ((ints[:, 1::2] - (ints[:, ::2] << 16)) % p).any()
-                values = (ints[:, ::2] % p).tolist()
-            for c in range(R):
-                for r in range(R):
-                    want = pow(w, sign * r * (twist + 2 * bit_reverse(c, R.bit_length() - 1)), p)
-                    assert (values[c][r] if sign == 1 else values[r][c]) == want, (ni, c, r)
+    twists = _rows._tables(ctx, N, work)[1]
+    steps, chunks, *_ = _rows._twiddles(ctx, sizes, twists, twist)
+    mats = ctx.row_dft
+    assert [(w, [ni for _, ni, _ in turns], [lv[1] for lv in got[1 if turns else 0:]])
+            for w, turns, got, _ in steps] == levels
+
+    def check_turns(turns, width):
+        offset = 0
+        for off, ni, rows in turns:
+            assert off == offset
+            offset += ni
+            G = ni // (64 * width)
+            assert rows.shape == (G, 64, 1) and rows.base is twists
+            assert rows[:, :, 0].tolist() == twists[twist * G:(twist + 1) * G].tolist()
+            w = ctx.roots[(128 * G).bit_length() - 1]  # omega_(128G)
+            for g in range(G):
+                want = pow(w, twist + 2 * bit_reverse(g, G.bit_length() - 1), p)
+                assert rows[g, 22, 0] % p == want, (ni, width, g)
+
+    check_turns(chunks, 1)
+    for width, turns, got, span in steps:
+        check_turns(turns, width)
+        assert span == sum(lv[1] for lv in got)
+        if turns:
+            assert got[0][:2] == (0, sum(ni for _, ni, _ in turns))
+            assert got[0][2].base is mats and got[0][3].base is mats
+            assert (got[0][2] == mats[0].T).all() and (got[0][3] == mats[1].T).all()
+        offset = got[0][1] if turns else 0
+        for off, ni, forward, inverse in got[1 if turns else 0:]:
+            assert off == offset
+            offset += ni
+            R = ni // width
+            w = ctx.roots[R.bit_length()]  # omega_(2R)
+            for part, sign in ((forward, 1), (inverse, -1)):
+                assert np.abs(part).max() <= p // 2
+                if sizes[0] <= 512:
+                    assert part.dtype == np.int64 and part.shape == (R, R)
+                    values = (part % p).tolist()
+                else:
+                    assert part.dtype == np.float64 and part.shape == (R, 2 * R)
+                    assert part.base is (ctx.row_odd if twist and R == 64 else mats)
+                    ints = part.astype(np.int64)
+                    assert not ((ints[:, 1::2] - (ints[:, ::2] << 16)) % p).any()
+                    values = (ints[:, ::2] % p).tolist()
+                for c in range(R):
+                    for r in range(R):
+                        e = sign * r * (twist + 2 * bit_reverse(c, R.bit_length() - 1))
+                        assert (values[c][r] if sign == 1 else values[r][c]) == pow(w, e, p)
 
 
 def _levels_of(ctx, sizes, twist):
-    """The levels of blocks ``sizes`` at ``twist``, the slots they hold,
-    whether the int64 levels balance their inputs, and a work buffer for
-    them."""
+    """The steps of blocks ``sizes`` at ``twist`` (tftlib._rows._twiddles)
+    and a work buffer for them."""
     N = 1 << sum(sizes).bit_length() if twist else sizes[0]
     work = np.empty(2 * N, np.int64)
-    rows = _rows._twiddles(ctx, sizes, _rows._tables(ctx, N, work), twist)
-    return rows[5], rows[6], rows[7], work
+    steps = _rows._twiddles(ctx, sizes, _rows._tables(ctx, N, work)[1], twist)[0]
+    return steps, work
 
 
-def _level_sums(ctx, levels, region, wide, work, inputs):
-    """Int64 ``levels`` (as :func:`_levels_of` gives them) run by the rows
-    both ways, on both rows, from ``inputs`` (one (R, 64) list of Python
-    ints per level and direction, in [0, p)); each part's sums in Python
-    ints, over the inputs as the rows' matmul takes them (balanced when
-    ``wide``), and whether the rows' outputs equal them mod p."""
+def _level_sums(ctx, step, work, inputs):
+    """The int64 levels of ``step`` run by the rows both ways, on both
+    rows, from ``inputs`` (one (R, 64) list of Python ints per level and
+    direction, in [0, p)); each part's sums in Python ints, and whether the
+    rows' outputs equal them mod p."""
     p = ctx.p
+    _, _, levels, span = step
     sums, equal = [], True
     for d in (0, 1):
-        a = np.zeros((2, region.stop), np.int64)
+        a = np.zeros((2, span), np.int64)
         want = []
         for (off, ni, *parts), x in zip(levels, inputs[d]):
-            part = parts[d].tolist()
-            a[:, region.start + off:region.start + off + ni] = np.array(x).reshape(-1)
-            if wide:
-                x = [[v - p if v > p // 2 else v for v in chunk] for chunk in x]
+            a[:, off:off + ni] = np.array(x).reshape(-1)
             block = [[sum(e * x[r][q] for r, e in enumerate(row)) for q in range(64)]
-                     for row in part]
+                     for row in parts[d].tolist()]
             sums.append(block)
-            want.extend(v % p for row in block for v in row)
-        _rows._levels(ctx, a, levels, region, work, bool(d), wide)
-        equal = equal and all(a[j, region].tolist() == want for j in (0, 1))
+            want.append([v % p for row in block for v in row])
+        _rows._levels(ctx, a, (step,), work, bool(d))
+        equal = equal and all(a[j, off:off + ni].tolist() == values
+                              for (off, ni, *_), values in zip(levels, want) for j in (0, 1))
     return sums, equal
 
 
-def _check_int_level_sums(ctx, sizes, twist) -> bool:
+def _check_int_level_sums(ctx, sizes, twist) -> None:
     """The int64 levels of blocks ``sizes`` at ``twist`` over ctx, at their
     largest sums and at those of the largest balanced parts
-    (test_int_levels_take_their_largest_sums); whether they balanced their
-    inputs."""
+    (test_int_levels_take_their_largest_sums)."""
     p = ctx.p
-    levels, region, wide, work = _levels_of(ctx, sizes, twist)
-    hi, lo = ((p - 1) // 2, (p + 1) // 2) if wide else (p - 1, 0)
+    (step,), work = _levels_of(ctx, sizes, twist)
+    levels = step[2]
+    assert all(level[2].dtype == np.int64 for level in levels)
     inputs = [[], []]
     for level in levels:
         for d, part in enumerate(m.tolist() for m in level[2:]):  # chunk r to c at [c][r]
@@ -326,30 +385,29 @@ def _check_int_level_sums(ctx, sizes, twist) -> bool:
             x = [[0] * 64 for _ in range(R)]
             for c in range(R):
                 for r in range(R):
-                    x[r][2 * c], x[r][2 * c + 1] = (hi, lo) if part[c][r] > 0 else (lo, hi)
+                    x[r][2 * c], x[r][2 * c + 1] = (p - 1, 0) if part[c][r] > 0 else (0, p - 1)
             inputs[d].append(x)
-    sums, equal = _level_sums(ctx, levels, region, wide, work, inputs)
+    sums, equal = _level_sums(ctx, step, work, inputs)
     assert equal
     largest = max(abs(v) for block in sums for row in block for v in row)
     assert largest <= 2 * (p - 1) ** 2 < 2**63
     # The bound itself, reached: parts of the same shapes whose every entry
-    # is (p - 1)/2, the largest balanced one, against inputs p - 1, (p - 1)/2
-    # and (p + 1)/2 in every chunk.  Unbalanced, R = 4 sums 2 (p - 1)^2 from
-    # p - 1; balanced, R = 8 sums 2 (p - 1)^2 from (p - 1)/2 and -2 (p - 1)^2
-    # from (p + 1)/2, and p - 1 only if the rows balance it to -1 first.
-    worst = tuple((off, ni, full, full) for off, ni, *_ in levels
-                  for full in [np.full((ni // 64,) * 2, (p - 1) // 2)])
-    balance = _rows._wide(p, [level[2] for level in worst])
-    assert balance == (levels[0][1] == 512)
-    inputs = [[[[p - 1, (p - 1) // 2, (p + 1) // 2] + [0] * 61] * (ni // 64)
-               for _, ni, *_ in worst]] * 2
-    sums, equal = _level_sums(ctx, worst, region, balance, work, inputs)
+    # is (p - 1)/2, the largest balanced one, against inputs p - 1, sum R
+    # (p - 1)^2 / 2, 2 (p - 1)^2 at R = 4.  At R = 8 that sum reaches 2^63,
+    # so tftlib._rows._wide flags such a part, and a plan whose real parts
+    # it flags takes float64 levels (test_a_field_whose_int_levels_balance).
+    worst = [(off, ni, full, full) for off, ni, *_ in levels
+             for full in [np.full((ni // 64,) * 2, (p - 1) // 2)]]
+    assert _rows._wide(p, [level[2] for level in worst]) == (levels[0][1] == 512)
+    worst = tuple(level for level in worst if level[1] <= 256)
+    if not worst:
+        return
+    inputs = [[[[p - 1] * 64] * (ni // 64) for _, ni, *_ in worst]] * 2
+    sums, equal = _level_sums(ctx, (64, (), worst, step[3]), work, inputs)
     assert equal
     largest = max(abs(v) for block in sums for row in block for v in row)
-    top = (p - 1) // 2 if balance else p - 1
-    assert largest == max(ni // 64 for _, ni, *_ in levels) * ((p - 1) // 2) * top
+    assert largest == max(ni // 64 for _, ni, *_ in worst) * ((p - 1) // 2) * (p - 1)
     assert largest <= 2 * (p - 1) ** 2 < 2**63
-    return wide
 
 
 @pytest.mark.parametrize("sizes, twist", [((128,), 0), ((256,), 0), ((512,), 0), ((128, 1), 1),
@@ -357,19 +415,16 @@ def _check_int_level_sums(ctx, sizes, twist) -> bool:
                                           ((512, 256, 128, 1), 1)])
 def test_int_levels_take_their_largest_sums(sizes, twist):
     # An int64 level sums R products of a balanced entry, of magnitude at
-    # most (p - 1)/2, and an input: in [0, p), or balanced by the rows when
-    # a row of some part, with inputs in [0, p), could sum outside int64,
-    # which only the levels of 8 chunks can (tftlib._rows._wide).  Over the
-    # largest prime here no real part needs it.  Column 2c of the chunks
-    # holds the largest input where row c of the part is positive and the
-    # smallest elsewhere, and column 2c + 1 the reverse, so output c's sums
-    # there are its largest and its most negative.  In Python ints every
-    # sum stays within 2 (p - 1)^2 < 2^63, and the rows' outputs equal the
-    # sums mod p.
-    assert _check_int_level_sums(FieldCtx(max(PRIMES)), sizes, twist) is False
+    # most (p - 1)/2, and an input in [0, p).  Column 2c of the chunks
+    # holds p - 1 where row c of the part is positive and 0 elsewhere, and
+    # column 2c + 1 the reverse, so output c's sums there are its largest
+    # and its most negative.  In Python ints every sum stays within 2 (p -
+    # 1)^2 < 2^63, and the rows' outputs equal the sums mod p.  Over the
+    # largest prime here every such plan keeps int64 levels.
+    _check_int_level_sums(FieldCtx(max(PRIMES)), sizes, twist)
 
 
-# An NTT prime whose real 8-chunk parts at twist 1 need the inputs balanced:
+# An NTT prime whose real 8-chunk parts at twist 1 could sum outside int64:
 # the largest one-signed row sum of a part times p - 1 is 1.373 times 2^63,
 # the most of the 387 such among the 205210 primes p < 2^31 with p - 1
 # divisible by 2^10.  Twist 0 never does below 2^31: its rows hold powers
@@ -380,21 +435,33 @@ WIDE_PRIME = 2131347457
 @pytest.mark.parametrize("sizes, twist, wide", [((512,), 0, False), ((512, 1), 1, True),
                                                 ((512, 256, 1), 1, True)])
 def test_a_field_whose_int_levels_balance(sizes, twist, wide):
-    # Both branches of tftlib._rows._levels on a real field: the largest
-    # sums of test_int_levels_take_their_largest_sums, and at twist 1
-    # products at 513 and 769 (levels of 8 and 4 chunks) on every path,
-    # from random operands and from operands of p - 1.
+    # A product plan whose int64 parts could sum outside int64 over its
+    # field (tftlib._rows._wide) takes float64 levels, which hold every
+    # sum exactly.  Over WIDE_PRIME the plan at twist 0 keeps int64 levels,
+    # at their largest sums (test_int_levels_take_their_largest_sums); at
+    # twist 1 its 8-chunk parts are flagged, so the float levels run, at
+    # their largest sums (_stacked_sums), and products at 513 and 769 on
+    # every path, from random operands and from operands of p - 1, equal
+    # the list composition.
     ctx = FieldCtx(WIDE_PRIME)
     p = ctx.p
-    assert _check_int_level_sums(ctx, sizes, twist) is wide
+    ints = _rows._matrices(ctx)[1]
+    shares = [(ni // 64, slice(twist * ni // 64, (twist + 1) * ni // 64)) for ni in sizes if ni > 64]
+    parts = [part for R, cols in shares for part in (ints[0][:R, cols].T, ints[1][cols, :R].T)]
+    assert _rows._wide(p, parts) is wide
+    if not wide:
+        _check_int_level_sums(ctx, sizes, twist)
+        return
+    (step,), work = _levels_of(ctx, sizes, twist)
+    assert all(level[2].dtype == np.float64 for level in step[2])
+    _check_level_sums(ctx, step, work)
     n = sum(sizes)
-    if twist:
-        for path in PATHS:
-            for f, g in (_operands(p, n, n), ([p - 1] * (n // 2 + 1), [p - 1] * (n - n // 2))):
-                want, counts = _reference(ctx, f, g, path)
-                with ctx.count_session() as sess:
-                    assert _product(ctx, f, g, path) == want
-                assert (sess.mul, sess.pow2, sess.add) == counts
+    for path in PATHS:
+        for f, g in (_operands(p, n, n), ([p - 1] * (n // 2 + 1), [p - 1] * (n - n // 2))):
+            want, counts = _reference(ctx, f, g, path)
+            with ctx.count_session() as sess:
+                assert _product(ctx, f, g, path) == want
+            assert (sess.mul, sess.pow2, sess.add) == counts
 
 
 def _extreme(p: int, low: int, high: int, sign: int) -> int:
@@ -408,46 +475,64 @@ def _extreme(p: int, low: int, high: int, sign: int) -> int:
 
 
 def _stacked_sums(p: int, a: np.ndarray, groups) -> list:
-    """Drive the float64 products of ``groups`` to their largest sums.
+    """Drive the matrix products of ``groups`` to their largest sums.
 
     Each group is (slots, matrix): slots an (inputs, L) array of slot
-    indices into each row of a, and matrix the stacked (L, 2L) float64
-    matrix the rows multiply them by, the entry for input i in column 2i
-    and the one for its high limb in column 2i + 1.  Input v of row 0 (row
-    1) takes the inputs that drive output v mod L up (down), by the sign of
-    each of its stacked entries (:func:`_extreme`).  Returns, per group,
-    the sums in int64, exact (every term is below 2^47 in magnitude), of
-    shape (2, inputs, L): output k of input v belongs in slots[v][k].  The
-    float64 product of the same limbs must equal them, and they must lie
-    below 3 2^51 < 2^53 in magnitude.
+    indices into each row of a, and matrix the one the rows multiply them
+    by: stacked, (L, 2L) float64, the entry for input i in column 2i and
+    the one for its high limb in column 2i + 1, or an (L, L) int64 part.
+    Input v of row 0 (row 1) takes the inputs that drive output v mod L up
+    (down), by the sign of each entry: for a stacked one the limbs of
+    :func:`_extreme`, for an int64 one p - 1 or 0.  Returns, per group,
+    the exact sums, of shape (2, inputs, L): output k of input v belongs
+    in slots[v][k].  A float64 product of the same limbs must equal them,
+    below 3 2^51 < 2^53 in magnitude, and an int64 one's lie within 2 (p -
+    1)^2 < 2^63.
     """
     sums = []
     for slots, matrix in groups:
         ints = matrix.astype(np.int64)
-        entries = ints.tolist()
+        stacked = matrix.dtype == np.float64
         for row, sign in ((0, 1), (1, -1)):
-            for v, at in enumerate(slots):
-                out = entries[v % len(entries)]
-                a[row, at] = [_extreme(p, out[2 * i], out[2 * i + 1], sign)
-                              for i in range(len(at))]
+            drive = [[_extreme(p, out[2 * i], out[2 * i + 1], sign) for i in range(len(out) // 2)]
+                     if stacked else [p - 1 if sign * e > 0 else 0 for e in out]
+                     for out in ints.tolist()]
+            a[row, slots] = np.array(drive)[np.arange(len(slots)) % len(drive)]
         x = a[:, slots]
-        limbs = np.stack([x & 0xFFFF, x >> 16], axis=-1).reshape(2, len(slots), -1)
-        exact = limbs @ ints.T
-        assert (limbs.astype(np.float64) @ matrix.T).tolist() == exact.tolist()
-        assert np.abs(exact).max() < 3 * 2**51 < 2**53
+        if stacked:
+            limbs = np.stack([x & 0xFFFF, x >> 16], axis=-1).reshape(2, len(slots), -1)
+            exact = limbs @ ints.T  # every term is below 2^47 in magnitude
+            assert np.array_equal(limbs.astype(np.float64) @ matrix.T, exact)
+            assert np.abs(exact).max() < 3 * 2**51 < 2**53
+        else:
+            exact = x.astype(object) @ ints.T.astype(object)
+            assert max(abs(v) for v in exact.flat) <= 2 * (p - 1) ** 2 < 2**63
         sums.append(exact)
     return sums
 
 
-def _level_groups(levels, region):
-    """The (slots, matrix) groups of :func:`_stacked_sums` for float64
-    ``levels`` in direction d: slot q of every chunk of a level is one
-    input."""
-    return [[(np.arange(ni).reshape(-1, 64).T + region.start + off, parts[d])
-             for off, ni, *parts in levels] for d in (0, 1)]
+def _level_groups(step, d):
+    """The (slots, matrix) groups of :func:`_stacked_sums` for the levels
+    of ``step`` in direction d: slot q of every element of a group, the
+    element width apart, is one input."""
+    width, _, levels, _ = step
+    return [(np.arange(off, off + ni).reshape(-1, len(parts[d]), width).transpose(0, 2, 1)
+             .reshape(-1, len(parts[d])), parts[d]) for off, ni, *parts in levels]
 
 
-@pytest.mark.parametrize("case", ["base", "level", "odd"])
+def _check_level_sums(ctx, step, work) -> None:
+    """The levels of ``step`` at their largest sums both ways
+    (:func:`_stacked_sums`): the rows' outputs must equal them mod p."""
+    for d in (0, 1):
+        groups = _level_groups(step, d)
+        a = np.zeros((2, step[3]), np.int64)
+        sums = _stacked_sums(ctx.p, a, groups)
+        _rows._levels(ctx, a, (step,), work, bool(d))
+        for (slots, _), exact in zip(groups, sums):
+            assert (a[:, slots] == exact % ctx.p).all(), d
+
+
+@pytest.mark.parametrize("case", ["base", "level", "odd", "elements4096"])
 def test_stacked_matrices_take_their_largest_sums(case):
     # The float64 matrices are stacked, balanced into (-p/2, p/2], and an
     # input in [0, p) splits into limbs below 2^16 and 2^15
@@ -455,35 +540,33 @@ def test_stacked_matrices_take_their_largest_sums(case):
     # which float64 holds exactly.  Over the largest prime here, inputs with
     # the largest limbs, placed by the sign of each stacked entry, drive
     # each output of both directions of the base case (64 chunks of 64
-    # slots), of a float level of 64 chunks and of the odd twist's level
-    # beside a float one of 8 to its largest and its most negative sums
-    # (_stacked_sums); the rows' outputs must equal them mod p.  The base
-    # case also stacks matrices of one residue each, p - 1 among them,
-    # whose stacked pair in [0, p) would sum to about 3 2^52.
+    # slots), of a float level of 64 chunks, of the odd twist's level
+    # beside a float one of 8, and of a 64-point pass over elements of 4096
+    # slots, the first of a block of 2^18, to its largest and its most
+    # negative sums (_stacked_sums); the rows' outputs must equal them mod
+    # p.  The base case also stacks matrices of one residue each, p - 1
+    # among them, whose stacked pair in [0, p) would sum to about 3 2^52.
     ctx = FieldCtx(max(PRIMES))
     p = ctx.p
-    if case == "base":
-        stacked = _rows._matrices(ctx)[0]
-        slots = np.arange(4096).reshape(64, 64)
-        region, groups = slice(0, 4096), [[(slots, m.T)] for m in stacked]
-        work = np.empty(2 * 4096, np.int64)
-        for v in (1, (p - 1) // 2, (p + 1) // 2, p - 1):
-            probe = _rows._stack(ctx, np.full((2, 64, 64), v, np.int64))
-            _stacked_sums(p, np.zeros((2, 4096), np.int64), [(slots, probe[0].T)])
-    else:
-        sizes, twist = ((4096,), 0) if case == "level" else ((4096, 512, 1), 1)
-        levels, region, wide, work = _levels_of(ctx, sizes, twist)
-        assert all(level[2].dtype == np.float64 for level in levels)
-        groups = _level_groups(levels, region)
+    if case != "base":
+        sizes, twist = {"level": ((4096,), 0), "odd": ((4096, 512, 1), 1),
+                        "elements4096": ((2**18,), 0)}[case]
+        steps, work = _levels_of(ctx, sizes, twist)
+        assert steps[0][0] == (4096 if case == "elements4096" else 64)
+        assert all(level[2].dtype == np.float64 for level in steps[0][2])
+        _check_level_sums(ctx, steps[0], work)
+        return
+    stacked = _rows._matrices(ctx)[0]
+    slots = np.arange(4096).reshape(64, 64)
+    work = np.empty(2 * 4096, np.int64)
+    for v in (1, (p - 1) // 2, (p + 1) // 2, p - 1):
+        probe = _rows._stack(ctx, np.full((2, 64, 64), v, np.int64))
+        _stacked_sums(p, np.zeros((2, 4096), np.int64), [(slots, probe[0].T)])
     for d in (0, 1):
-        a = np.zeros((2, region.stop), np.int64)
-        sums = _stacked_sums(p, a, groups[d])
-        if case == "base":
-            _rows._exact(ctx, a, work, bool(d), 4096, 4096)
-        else:
-            _rows._levels(ctx, a, levels, region, work, bool(d), wide)
-        for (slots, _), exact in zip(groups[d], sums):
-            assert (a[:, slots] == exact % p).all(), d
+        a = np.zeros((2, 4096), np.int64)
+        (exact,) = _stacked_sums(p, a, [(slots, stacked[d].T)])
+        _rows._exact(ctx, a, work, bool(d), 4096, 4096)
+        assert (a[:, slots] == exact % p).all(), d
 
 
 @pytest.mark.parametrize("sizes", [(4096, 1), (4096, 512, 1)])
@@ -497,15 +580,9 @@ def test_odd_twist_level_takes_its_largest_sums(sizes):
     # that hold such a block must equal the list composition.
     ctx = FieldCtx(max(PRIMES))
     p = ctx.p
-    levels, region, wide, work = _levels_of(ctx, sizes, 1)
-    assert levels[0][1] == 4096 and levels[0][2].base is ctx.row_odd
-    groups = _level_groups(levels, region)
-    for d in (0, 1):
-        a = np.zeros((2, region.stop), np.int64)
-        sums = _stacked_sums(p, a, groups[d])
-        _rows._levels(ctx, a, levels, region, work, bool(d), wide)
-        for (slots, _), exact in zip(groups[d], sums):
-            assert (a[:, slots] == exact % p).all(), d
+    (step,), work = _levels_of(ctx, sizes, 1)
+    assert step[2][0][1] == 4096 and step[2][0][2].base is ctx.row_odd
+    _check_level_sums(ctx, step, work)
     assert np.abs(ctx.row_odd).max() <= p // 2
     n = sum(sizes)
     f, g = [p - 1] * (n // 2 + 1), [p - 1] * (n - n // 2)
@@ -519,13 +596,12 @@ def test_odd_twist_level_takes_its_largest_sums(sizes):
 @pytest.mark.parametrize("path, n", [("padded", 256), ("padded", 1024), ("cyclotomic", 255),
                                      ("cyclotomic", 384), ("cyclotomic", 1025)])
 def test_inverse_rows_take_their_largest_sums(field, n, path):
-    # The inverse rows reduce their sums only every few stages.  The product
-    # of f and [1] hands the inverse the forward transform of f, so with f
-    # the list inverse of a pattern the inverse starts from that pattern:
-    # p - 1 in the first half of every 2^(b + 1) slots and 0 in the other
-    # drives the sums of its first b + 1 stages, and their differences, to
-    # the largest the bounds of tftlib._rows._transform allow.  The last
-    # slot, 1, keeps f from being sparse, so the product has length n.
+    # The product of f and [1] hands the inverse the forward transform of
+    # f, so with f the list inverse of a pattern the inverse starts from
+    # that pattern, up to each chunk's shift: p - 1 in the first half of
+    # every 2^(b + 1) slots and 0 in the other, which drives the inverse
+    # base case and levels to large sums.  The last slot, 1, keeps f from
+    # being sparse, so the product has length n.
     p = field.p
     for b in range(6):
         f = [0 if j >> b & 1 else p - 1 for j in range(n - 1)] + [1]
@@ -537,72 +613,89 @@ def test_inverse_rows_take_their_largest_sums(field, n, path):
         assert _product(field, f, [1], path) == f
 
 
-def _drive_forward_sums(field, N: int, start: int, twist: int) -> None:
-    # An input of degree below M = N / 2^start passes the first `start`
-    # stages unchanged into each of its 2^start chunks of M slots.  A stage
-    # pairs slot x with slot y, multiplies y by the twiddle w of their row
-    # and reduces it to t, then x takes x + t and y takes x - t; in chunk r,
-    # a y that is -1/w alone in its chain makes t = p - 1.  So slot M/32
-    # gains p - 1 in each of the g = min(4, stages - start) stages u >= 64
-    # left and reaches (g + 1)(p - 1), and slot M/2 + ... + M/2^g loses it
-    # g times.  Slot M/32 then meets the twiddle of its row at the next
-    # stage or, past the last, the twist of its base-case chunk, in the
-    # chunk r where that is largest.  The rows must equal the list dwt with
-    # each 64-slot chunk c times lambda_c**(-21), which the rows' forward
-    # leaves there (tftlib._rows._tables).
+def _drive_forward(field, N: int, twist: int, where: int, target: np.ndarray) -> None:
+    # The rows' forward of one block of N slots at `twist` is a list of
+    # operations: each step's turns and then its levels, then the chunks'
+    # turn and the base case.  Operation `where` must meet `target`, two
+    # rows of N values in [0, p).  The input that gets it there is found
+    # backwards: the operations from `where` on take the target to values
+    # V, and the list idwt of V, each 64-slot chunk c divided by its shift
+    # s_c (the product of entry 0 of every twist row the chunk meets, one
+    # per turn, tftlib._rows._transform), is an input whose dwt times the
+    # shifts is V.  The rows' forward from that input must reach the
+    # target at `where`, and the whole forward must be V.
     p = field.p
-    M = N >> start
     work = np.empty(2 * N, np.int64)
-    # twist 1 reads the tables of a padded length 2N, as a block of a product does
-    twiddles = _rows._twiddles(field, [N], _rows._tables(field, N << twist, work), twist)
-    _rows._matrices(field)
-    stages = len(twiddles[0])
-    gains = min(4, stages - start)
-
-    def w(e, r, last=False):  # what chunk r's first (or last) row meets at step start + e
-        if start + e > stages:  # the twist of slot M/32, in base-case chunk r M/64
-            return int(twiddles[1][0][2][r * M // 64, (M >> 5) % 64])
-        rows = 1 << (e - 1)
-        return int(twiddles[0][stages - start - e][0][r * rows + (rows - 1 if last else 0), 0])
-
-    r = max(range(1 << start), key=lambda r: abs(w(gains + 1, r)))
-    f = [0] * N
-    f[M >> 5] = p - 1
-    for e in range(1, gains + 1):
-        f[(M >> 5) + (M >> e)] = -pow(w(e, r), -1, p) % p
-        f[M >> e] = -pow(w(e, r, last=True), -1, p) % p
-    a = np.array([f], np.int64)
+    twists = _rows._tables(field, N << twist, work)[1]
+    twiddles = _rows._twiddles(field, (N,), twists, twist)
+    steps, chunks, small, top, span = twiddles
+    ops = []
+    for width, turns, levels, reach in steps:
+        ops.append(lambda a, turns=turns: _rows._turn(field, a, turns, work, False))
+        ops.append(lambda a, step=(width, (), levels, reach): _rows._levels(
+            field, a, (step,), work, False))
+    ops.append(lambda a: _rows._turn(field, a, chunks, work, False))
+    ops.append(lambda a: _rows._exact(field, a, work, False, span, top, small))
+    shifts = [1] * (N >> 6)
+    for _, _, rows in [turn for step in steps for turn in step[1]] + list(chunks):
+        for c in range(N >> 6):
+            shifts[c] = shifts[c] * int(rows[c * len(rows) // (N >> 6), 0, 0]) % p
+    values = target.copy()
+    for op in ops[where:]:
+        op(values)
+    f = []
+    for row in values.tolist():
+        f.append([v * pow(shifts[i >> 6], -1, p) % p for i, v in enumerate(row)])
+        idwt(field, f[-1], N, twist)
+    a = np.array(f, np.int64)
+    for op in ops[:where]:
+        op(a)
+    assert (a == target).all()
+    a = np.array(f, np.int64)
     _rows._transform(field, a, twiddles, work, False)
-    dwt(field, f, N, twist)
-    k = (N << twist).bit_length() - 1
-    for c in range(N >> 6):
-        lam = pow(field.roots[k], bit_reverse((twist * N >> 6) + c, k - 6), p)
-        shift = pow(lam, -21, p)
-        f[64 * c:64 * c + 64] = [x * shift % p for x in f[64 * c:64 * c + 64]]
-    assert a[0].tolist() == f
+    assert (a == values).all()
+    for x in f:
+        dwt(field, x, N, twist)
+    assert a.tolist() == [[v * shifts[i >> 6] % p for i, v in enumerate(x)] for x in f]
 
 
 @pytest.mark.parametrize("twist", (0, 1))
 @pytest.mark.parametrize("start", range(6))
 def test_forward_rows_take_their_largest_sums(field, start, twist):
-    # The forward rows reduce their prefix only after every fourth stage
-    # u >= 64; at N = 2^15 there are nine.  Four stages drive the prefix to
-    # its extremes before a reduction, 5 (p - 1) and -4 (p - 1), for start
-    # 0 and 4 (_drive_forward_sums).  For start 5 those four are stages 6 to
-    # 9, and the twist of the base case follows: a copy that reduces every
-    # fifth stage overflows int64 there over p = 2013265921 and 2130706433.
-    _drive_forward_sums(field, 2**15, start, twist)
+    # Every level of the forward rows of one block of 2^(8 + start) slots
+    # (256 to 8192: int64 levels, float64 ones, the odd twist's at 4096 and
+    # twist 1, and two steps at 8192) meets the inputs that drive each of
+    # its outputs to its largest and its most negative sums
+    # (_stacked_sums), from an input found backwards (_drive_forward); the
+    # forward must equal the list dwt times each chunk's shift.
+    N = 1 << (8 + start)
+    work = np.empty(4 * N, np.int64)
+    steps = _rows._twiddles(field, (N,), _rows._tables(field, N << twist, work)[1], twist)[0]
+    for j, step in enumerate(steps):
+        target = np.zeros((2, N), np.int64)
+        _stacked_sums(field.p, target, _level_groups(step, 0))
+        _drive_forward(field, N, twist, 2 * j + 1, target)
 
 
 @pytest.mark.parametrize("twist", (0, 1))
 def test_base_case_twist_takes_its_largest_inputs(field, twist):
-    # After the last reduction of the forward prefix, at most three stages
-    # run before the base case's twist, so it multiplies values in [-3p,
-    # 4p) by a balanced lambda**i: below 2p^2 < 2^63.  At N = 2^13 there are
-    # seven stages u >= 64, and stages 5 to 7 drive slot M/32 to 4 (p - 1)
-    # (_drive_forward_sums, start 4): a copy whose twists lie in [0, p)
-    # overflows int64 there over p = 2013265921 and 2130706433.
-    _drive_forward_sums(field, 2**13, 4, twist)
+    # A turn multiplies a value in [0, p) by a twist entry in [0, p), so
+    # its products lie in [0, (p - 1)^2], below 2^62, and one reduction
+    # hands back [0, p).  In a block of 2^13
+    # slots, 64 groups of 64 elements of 64 slots turn before its second
+    # step, and every 64-slot chunk turns before the base case; each turn
+    # meets p - 1 in every slot, the largest input, from an input found
+    # backwards (_drive_forward), and the forward must equal the list dwt
+    # times each chunk's shift.
+    p = field.p
+    N = 1 << 13
+    work = np.empty(4 * N, np.int64)
+    twists = _rows._tables(field, N << twist, work)[1]
+    steps = _rows._twiddles(field, (N,), twists, twist)[0]
+    assert [bool(step[1]) for step in steps] == [False, True]
+    assert 0 <= int(twists.min()) and (p - 1) * int(twists.max()) <= (p - 1) ** 2 < 2**62
+    for where in (2, 4):  # the second step's turns, and the chunks'
+        _drive_forward(field, N, twist, where, np.full((2, N), p - 1, np.int64))
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -640,27 +733,23 @@ def test_base_case_takes_its_largest_sums(n, path):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_row_tables_match_their_definition(p):
-    # the tables of N: powers[j] = omega_N**j in [0, p); base[0, r] and
-    # base[1, r] are omega_N**(+-rev(r)) for r < N/128, rev over log2(N/2)
-    # bits, balanced into (-p/2, p/2]; twists[c, i] = lambda_c**(i - 21),
-    # lambda_c = omega_N**rev(c), rev over log2(N/64) bits, balanced
+    # the tables of N: powers[j] = omega_N**j in [0, p); twists[c, i] =
+    # lambda_c**(i - 21), lambda_c = omega_N**rev(c), rev over log2(N/64)
+    # bits, in [0, p)
     ctx = FieldCtx(p)
 
     def balanced(values):
         return [x - p if x > p // 2 else x for x in values]
 
     for k in range(2, 15):
-        N, half = 1 << k, 1 << k >> 7
-        powers, base, twists = _rows._tables(ctx, N, np.empty(2 * N, np.int64))
+        N = 1 << k
+        powers, twists = _rows._tables(ctx, N, np.empty(2 * N, np.int64))
         w = ctx.roots[k]
         assert powers.tolist() == [pow(w, j, p) for j in range(N)]
-        for sign, row in zip((1, -1), base[:, :, 0]):
-            want = [pow(w, sign * bit_reverse(r, k - 1), p) for r in range(half)]
-            assert row.tolist() == balanced(want), (N, sign)
         assert twists.shape == (N >> 6, 64)
         for c in range(N >> 6):
             lam = pow(w, bit_reverse(c, k - 6), p)
-            want = balanced([pow(lam, i - 21, p) for i in range(64)])
+            want = [pow(lam, i - 21, p) for i in range(64)]
             assert twists[c].tolist() == want, (N, c)
     # the base case's forward matrix holds zeta**(i rev(j)) in row i and
     # column j, the inverse one zeta**(-i rev(j)) in row j and column i,
@@ -788,11 +877,13 @@ def test_bitreversed_rows_add_only_the_two_power_rows(n):
 # spelled np.add(..., out=...), not +=, which would bypass the proxy below,
 # and the range check of the operands is a ufunc's reduce, which it counts.
 # 96 = 64 + 32 and 200 = 128 + 64 + 8 run small blocks beside chunk blocks,
-# the lengths of mul-small-many; 8193 = 8192 + 1 holds a block of more than
-# 4096 slots, the only kind that still runs stages.
+# the lengths of mul-small-many; from 4098 (a padded block of 8192 slots)
+# up, a block of 8192 to 2^18 slots runs two steps, whatever its size, so
+# the budget stops growing with n.
 CALL_BUDGET = {96: (33, 45, 54), 200: (33, 64, 73), 257: (35, 49, 58), 385: (35, 64, 75),
                1026: (61, 81, 94), 1282: (61, 97, 110), 1537: (61, 97, 110),
-               2049: (61, 77, 90), 4098: (136, 81, 94), 8193: (151, 152, 165)}
+               2049: (61, 77, 90), 4098: (87, 81, 94), 8193: (87, 103, 116),
+               16385: (87, 103, 116), 65537: (87, 103, 116)}
 
 
 class _CountingNumpy:
