@@ -13,54 +13,52 @@ transforms are one set of operations.  Each loads into its row by one
 an element lies outside [0, p), and the pointwise product overwrites the
 second row.
 
-A block of n_i = 64R slots with R >= 2, at either twist, runs no radix-2
-stage: its stages u >= 64 are a chain of matrix passes across its
-elements (Bailey's four-step FFT, and his six-step from 8192 slots).
-Write R = R1 64^(L-1), 2 <= R1 <= 64.  The first pass is an R1-point DFT
-across the block's R1 elements of 64^L slots, whose matrix is R1 columns
-of the base case's matrix below, or for R1 = 64 at twist 1 the odd
+Every block of n_i >= 2 slots, at either twist, runs no radix-2 stage:
+it is a chain of matrix passes across its elements (Bailey's four-step
+FFT, and his six-step from 8192 slots), down to elements of one slot.
+Write n_i = 64^(L-1) R1, 2 <= R1 <= 64.  The first pass is an R1-point DFT
+across the block's R1 elements of 64^(L-1) slots, whose matrix is R1
+columns of the base case's matrix below, or for R1 = 64 at twist 1 the odd
 twist's matrix, at the 64 odd powers of omega_128; each later pass is the
 whole 64-point matrix at twist 0 across the 64 elements of every group,
-after a turn: each element times a power of its group's twist row, the
-same rows the base case's chunks read (:func:`_twiddles`).  The passes of
-all blocks run in steps, one per element width, coarse to fine, and
-every pass and turn takes [0, p) and hands back [0, p).  When the
-product's first block has at most 8 chunks (every level of a product of
-at most 1023 slots), the levels are int64 matrix products, one per level
-over both rows and one np.remainder: their entries are balanced, so with
-inputs in [0, p) a sum of R <= 4 terms is at most 2 (p - 1)^2 < 2^63,
-and a product plan whose levels of 8 chunks could sum past that over its
-field takes float64 levels instead (:func:`_levels`).  Otherwise every
-level is a float64 matrix product per row on split inputs, as the base
-case's are.
+after a turn: each element times a power of its group's twist row
+(:func:`_twiddles`).  The passes of all blocks run in steps, one per
+element width, coarse to fine; the finest, of width 1, whose elements are
+slots, is the base case.  Every pass and turn takes [0, p) and hands back
+[0, p).  When the product's first block has at most 8 chunks (every level
+of a product of at most 1023 slots), the levels of width 64 are int64
+matrix products, one per level over both rows and one np.remainder: their
+entries are balanced, so with inputs in [0, p) a sum of R <= 4 terms is
+at most 2 (p - 1)^2 < 2^63, and a product plan whose levels of 8 chunks
+could sum past that over its field takes float64 levels instead
+(:func:`_transform`).  Every other level, the base case's among them, is
+a float64 matrix product per row on split inputs.
 
-The six stages below u = 64 are the base case: on each row of the buffer,
-one float64 matrix product over every 64-slot chunk, and one for each
-smaller block.  Each 64-slot chunk c of a block of 64 slots or more
-holds its polynomial modulo z^64 - lambda_c^64, lambda_c =
-omega_N**rev(c); its turn multiplies it by its twist row lambda_c**(i -
-21), and then the 64-point DFT matrix in bit-reversed order, zeta**(i
-rev(j)), zeta = omega_64, takes it to its values times lambda_c**(-21), a
-shift that no caller sees: the pointwise product carries lambda_c**(-42),
-and the inverse's twist row, the forward one read backwards, lambda_c**(42
-- i), cancels it as it untwists.  The turns of the coarser steps leave
-shifts of the same kind, cancelled alike.  A block of n_i < 64 slots at
-twist t evaluates at the points of columns [t n_i, (t + 1) n_i) of that
-matrix, so it is its own row times those columns' top n_i rows, and needs
-no twist.  The inverse applies the unnormalised inverse matrix, zeta**(-i
-rev(j)) (a small block: rows [t n_i, (t + 1) n_i), left n_i columns),
-then lambda_c**(42 - i) to the chunks, then the steps fine to coarse,
-each its levels and then its turns, and the 1/n_i pass.  numpy hands the
-float64 products, the float levels' too, to BLAS (FFLAS-FFPACK's way to
-exact finite-field products), one matmul per level or group of chunks
-straight into the row's slots and one reduction per row: each input in
-[0, p) splits into its low 16 bits and the rest, below 2^15, and each
-float64 matrix is stacked over its input axis, the entry for input i in
-row 2i and 2^16 times it mod p in row 2i + 1, both balanced into (-p/2,
-p/2] (:func:`_stack`).  So 64 terms (a level sums R1 <= 64 elements) sum
-to at most 64 (p - 1)/2 ((2^16 - 1) + (2^15 - 1)) < 3 2^51 < 2^53 for
-every p < 2^31, and every sum and every partial sum is an integer that
-float64 holds exactly, whatever order BLAS adds in (:func:`_exact`).
+The base case's matrix is the 64-point DFT in bit-reversed order, zeta**(i
+rev(j)), zeta = omega_64.  At width 1 each 64-slot chunk c of a block of
+more than 64 slots (or of 64 slots behind such a block) holds its
+polynomial modulo z^64 - lambda_c^64, lambda_c = omega_N**rev(c); its
+turn multiplies it by its twist row lambda_c**(i - 21), and then the
+matrix takes it to its values times lambda_c**(-21), a shift that no
+caller sees: the pointwise product carries lambda_c**(-42), and the
+inverse's twist row, the forward one read backwards, lambda_c**(42 - i),
+cancels it as it untwists.  The turns of the coarser steps leave shifts of
+the same kind, cancelled alike.  Every other block of n_i <= 64 slots at
+twist t takes its first pass at width 1: it evaluates at the points of
+columns [t n_i, (t + 1) n_i) of that matrix, so it is its own row times
+those columns' top n_i rows, and needs no twist.  The inverse runs the
+steps fine to coarse, each the unnormalised inverse parts, zeta**(-i
+rev(j)), and then its turns read backwards, and then the 1/n_i pass.
+numpy hands the float64 products to BLAS (FFLAS-FFPACK's way to exact
+finite-field products), one matmul per level straight into the row's slots
+and one reduction per row and step: each input in [0, p) splits into its
+low 16 bits and the rest, below 2^15, and each float64 matrix is stacked
+over its input axis, the entry for input i in row 2i and 2^16 times it
+mod p in row 2i + 1, both balanced into (-p/2, p/2] (:func:`_stack`).  So
+64 terms (a level sums R1 <= 64 elements) sum to at most 64 (p - 1)/2
+((2^16 - 1) + (2^15 - 1)) < 3 2^51 < 2^53 for every p < 2^31, and every
+sum and every partial sum is an integer that float64 holds exactly,
+whatever order BLAS adds in (:func:`_exact`).
 
 The per-N tables are ``ctx.row_tables[N]``, built by the first product of
 padded length N over a context: the powers of omega_N (the Omega_s
@@ -69,12 +67,15 @@ and the int64 levels' parts, 132 KiB, are field set-up like
 ``ctx.roots``, built once per field by its first row product
 (``ctx.row_dft``, ``ctx.row_ints``, :func:`_matrices`), and so are the odd
 twist's matrices, 128 KiB, by its first product that holds a block at
-twist 1 whose first pass has 64 points (``ctx.row_odd``, :func:`_odd`);
-none is counted as scratch.  All grow from the root ladder by doubling.
-What a product of transform length m reads of them depends only on the
-field and m, so the first row product of length m builds it once, into
-its product plan (``bridge._ProductPlan``, :func:`_twiddles`): per turn a
-view of the twist rows, and per level two views of the matrices.
+twist 1 whose first pass has 64 points (64 slots with no larger block
+before it, 4096, 2^18, ...; ``ctx.row_odd``, :func:`_odd`), and the
+levels' parts, views of those matrices that every product plan shares
+(``ctx.row_parts``, :func:`_parts`); none is counted as scratch.  All grow
+from the root ladder by doubling.  What a product of transform length m
+reads of them depends only on the field and m, so the first row product
+of length m builds it once, into its product plan
+(``bridge._ProductPlan``, :func:`_twiddles`): per turn a view of the
+twist rows, and per level the field's two views.
 
 The break and its inverse reach the list path's images without the
 engines' survivor runs.  The break halves z^N - 1, as the ``mateer`` engine
@@ -94,8 +95,8 @@ Every array this module takes besides the int64 buffer of the operands,
 which takes the product, and besides the field's matrices, is reported in
 ``ctx.scratch_allocated``, once: each table by the product that builds
 it, and per product a work buffer of 2m elements (the carries, the
-reductions' quotients, the float levels' and the base case's split
-inputs, one row at a time, and the int64 levels' sums), and on the
+reductions' quotients, the float levels' split inputs, one row at a
+time, and the int64 levels' sums), and on the
 bit-reversed path the two power rows.  The 1/n_i and the unbreak's
 halvings are scalars, one per block.  A product of padded length N
 reports at most 4N elements on the padded and the cyclotomic path and 6N
@@ -127,7 +128,7 @@ _LIMB = 16  # bits of an input's low part, against a stacked matrix (:func:`_sta
 # the uint16 words of an int64 that hold its bits 0-15 and 16-31: its two parts in [0, 2^32)
 _WORDS = slice(0, 2) if sys.byteorder == "little" else slice(3, 1, -1)
 # levels of at most this many 64-slot chunks take one int64 matrix product
-# over both rows, when no block of the product is larger (:func:`_levels`).
+# over both rows, when no block of the product is larger (:func:`_transform`).
 # Public products, medians of 61 alternating in-process rounds on a shared
 # 2-core VM, three runs: int64 levels of 8 chunks read 0.85-0.88x of the
 # stacked float ones where they run at n = 449 (every path), 0.88-0.92x at
@@ -147,8 +148,8 @@ def _mod(ctx: FieldCtx, x: np.ndarray, work: np.ndarray | None,
     """out <- x mod p, in [0, p) (out defaults to x).  numpy divides by a
     scalar several times faster than it takes a remainder, so large arrays
     take x - (x // p) * p, the quotient in ``work`` (flat, apart from x;
-    None for the set-up and the levels' high sums, which take the
-    remainder)."""
+    None for the field's matrices, :func:`_matrices` and :func:`_odd`,
+    which take the remainder)."""
     if out is None:
         out = x
     if x.size < _DIVIDE_MIN or work is None:
@@ -262,8 +263,8 @@ def _matrices(ctx: FieldCtx) -> tuple:
 
     The parts (``ctx.row_ints``) are the top 16 rows and columns of both
     matrices' residues, as int64 balanced into (-p/2, p/2], which the
-    int64 levels read (:func:`_levels`).  Both, 132 KiB, are
-    field set-up like ``ctx.roots``, not scratch.
+    int64 levels read (:func:`_parts`).  Both, 132 KiB, are field set-up
+    like ``ctx.roots``, not scratch.
     """
     if ctx.row_dft is None:
         ints = np.zeros((2, _BASE, _BASE), np.int64)  # the points' powers in row j
@@ -279,7 +280,8 @@ def _matrices(ctx: FieldCtx) -> tuple:
 def _odd(ctx: FieldCtx) -> np.ndarray:
     """The odd twist's matrices over ctx, built once per field by its first
     product that holds a block at twist 1 whose first pass has 64 points
-    (4096 slots, 2^18, ...), the level that reads them (:func:`_twiddles`).
+    (64 slots with no larger block before it, 4096, 2^18, ...), the level
+    that reads them (:func:`_twiddles`).
 
     The forward one holds omega_128**(i (1 + 2 rev(j))) in row i and column
     j, and the unnormalised inverse omega_128**(-i (1 + 2 rev(j))) in row j
@@ -309,28 +311,52 @@ def _wide(p: int, parts) -> bool:
                >= 1 << 63 for part in parts for row in part.tolist())
 
 
+def _parts(ctx: FieldCtx, points: int, twist: int, ints: bool, right: bool) -> tuple:
+    """The forward and inverse parts of a ``points``-point first pass at
+    ``twist`` t (:func:`_twiddles`), int64 if ``ints`` else float64 and
+    stacked: views of the field's matrices, built once per field into
+    ``ctx.row_parts`` and shared by every product plan that reads them.
+
+    The forward part is columns [t E, (t + 1) E) of the base case's forward
+    matrix (:func:`_matrices`), top E rows (2E rows stacked), E =
+    ``points``, and the inverse part the same rows and columns of the
+    inverse one; E = 64 at twist 1 is the odd twist's pair whole
+    (:func:`_odd`).  Each is read on the ``right`` of the elements, as the
+    (2E, E) matrix it is, or else transposed, on their left (:func:`_exact`).
+    """
+    key = points, twist, ints, right
+    pair = ctx.row_parts.get(key)
+    if pair is None:
+        mats, whole = _matrices(ctx)
+        parts, step = (whole, 1) if ints else (mats, 2)
+        cols = slice(twist * points, (twist + 1) * points)
+        if twist and points == _BASE:  # the odd twist's points
+            parts, cols = _odd(ctx), slice(0, points)
+        pair = (parts[0][:step * points, cols],
+                parts[1][step * cols.start:step * cols.stop, :points])
+        pair = ctx.row_parts[key] = pair if right else (pair[0].T, pair[1].T)
+    return pair
+
+
 def _twiddles(ctx: FieldCtx, sizes, twists: np.ndarray, twist: int) -> tuple:
     """What every product of blocks ``sizes`` at ``twist`` t (0 or 1) reads
     besides the tables of N, built once into its product plan.
 
-    Every block reads entries [t s, (t + 1) s) of a table, s its share
-    (``share``): of the twist rows, one per group of a turn; of the
-    matrices' columns, its n_i points when n_i < 64, and its R1 elements
-    when it is a first pass.
+    Every block reads entries [t s, (t + 1) s) of a table, s its share: of
+    the twist rows, one per group of a turn; of the matrices' columns, its
+    E points when it is a first pass (:func:`_parts`).
 
-    A block of n_i = 64R slots, R = R1 64^(L-1) with 2 <= R1 <= 64, is a
-    chain of L passes (Bailey's four-step FFT, and six-step from L = 2).
-    The first takes its R1 elements of w = 64^L slots, f_0, ..., f_(R1-1),
-    to f mod (z^w - mu_c), c < R1, which is the sum over r of mu_c^r f_r:
-    an R1-point DFT across the elements, at the points mu_c = omega_(2
-    R1)**(t + 2 rev(c)), rev over log2(R1) bits, which are
-    omega_128**rev(t R1 + c), rev over seven bits.  For t R1 + c < 64 that
-    is zeta**rev(t R1 + c), rev over six bits, so its matrix is columns [t
-    R1, (t + 1) R1) of the base case's forward matrix (:func:`_matrices`),
-    top R1 rows, and its unnormalised inverse the same part of the inverse
-    one; the forward part is read transposed, on the left of the elements.
-    R1 = 64 at twist 1 has the points omega_128**(1 + 2 rev(c)), and reads
-    the odd twist's matrices whole (:func:`_odd`).
+    A block of n_i = 64^(L-1) R1 slots, 2 <= R1 <= 64, is a chain of L
+    passes (Bailey's four-step FFT, and six-step from L = 3); a block of
+    one slot is its own transform.  The first takes its R1 elements of w =
+    64^(L-1) slots, f_0, ..., f_(R1-1), to f mod (z^w - mu_c), c < R1,
+    which is the sum over r of mu_c^r f_r: an R1-point DFT across the
+    elements, at the points mu_c = omega_(2 R1)**(t + 2 rev(c)), rev over
+    log2(R1) bits, which are omega_128**rev(t R1 + c), rev over seven bits.
+    For t R1 + c < 64 that is zeta**rev(t R1 + c), rev over six bits, so
+    its matrix is columns [t R1, (t + 1) R1) of the base case's forward
+    matrix; R1 = 64 at twist 1 has the points omega_128**(1 + 2 rev(c)),
+    the odd twist's.
 
     Each later pass splits every group of 64 elements, holding f mod (z^W -
     mu_g) with G = n_i / W groups, into 64 elements of W/64 slots: a turn
@@ -341,128 +367,108 @@ def _twiddles(ctx: FieldCtx, sizes, twists: np.ndarray, twist: int) -> tuple:
     next width.  nu_g is row tG + g of the twist rows, lambda =
     omega_N**rev(tG + g), rev over b = log2(N/64) bits, as that rev is
     2^(b - 1 - log2 G) (t + 2 rev(g)), and so a turn needs no table of its
-    own; the one before the base case, at element width 1 (G = R), takes
-    each 64-slot chunk c to lambda_c**(i - 21).  The nu_g**(-21) a group
-    gains is a shift that no caller sees, as lambda_c**(-21) is.
+    own; the finest, at element width 1 (G = n_i/64), takes each 64-slot
+    chunk c to lambda_c**(i - 21).  The nu_g**(-21) a group gains is a
+    shift that no caller sees, as lambda_c**(-21) is.
 
-    The passes run in steps, one per element width, coarse to fine: a step
-    of width w holds the blocks of at least 2w slots, a prefix of the row
-    as the blocks are decreasing, so its span starts at slot 0.  Its turns
-    are those of the blocks of more than 64w slots, a prefix too, whose
-    passes are one 64-point level over every group of them; the first
-    passes of the others follow.  The levels are int64 when the product's
-    first block has at most 8 chunks and the int64 parts cannot sum
-    outside int64 (:func:`_wide`), else float64 and stacked, two columns
-    per element (:func:`_levels`).
+    The passes run in steps, one per element width w = 64^j, coarse to
+    fine, down to the base case, the step of width 1: a step holds the
+    blocks of at least 2w slots, a prefix of the row as the blocks are
+    decreasing, so its span starts at slot 0.  Its turns are those of the
+    blocks of more than 64w slots, a prefix too, and of a block of 64w
+    slots behind them, whose first pass, at the points omega_128**(t + 2
+    rev(c)) = nu_0 zeta**rev(c), is such a turn of its one group and the
+    pass at twist 0; their passes are one 64-point level over every group
+    of them.  The first passes of the others follow, a block of 64w slots
+    among them only when no block turns.  The levels of widths from 64 up
+    are int64 when the product's first block has at most 8 chunks and the
+    int64 parts cannot sum outside int64 (:func:`_wide`), and every other
+    level is float64 and stacked, two columns per element (:func:`_exact`).
 
-    Returns the steps, each (width, turns, levels, span); the turns of
-    every block of 64 slots or more at element width 1; (offset, size,
-    first matrix column) of every smaller block but those of one slot,
-    whose transform is the identity; the slots of the chunks, and of every
-    block but one of one slot.  A turn is (offset, size, twist rows, shaped
-    (G, 64, 1)), and a level (offset, size, forward part, inverse part).
+    Returns the steps, each (width, turns, levels, span), and every block
+    of two slots or more, for the 1/n_i pass: the base case's turns and
+    first passes.  A turn is (offset, size, twist rows, shaped (G, 64,
+    1)), and a level (offset, size, forward part, inverse part), its parts
+    on the right of the elements at width 1 and on their left above it.
     """
-    mats, ints = _matrices(ctx)
-
-    def share(s):
-        return slice(twist * s, (twist + 1) * s)
-
-    def turn(offset, ni, width):  # a twist row per group of 64 elements
-        return offset, ni, twists[share(ni // (_BASE * width)), :, None]
-
-    def level(r, whole):  # the r-point first pass: its forward and inverse parts
-        (parts, step), cols = (ints, 1) if whole else (mats, 2), share(r)
-        if twist and r == _BASE:  # the odd twist's points
-            parts, cols = _odd(ctx), slice(0, r)
-        return parts[0][:step * r, cols].T, parts[1][step * cols.start:step * cols.stop, :r].T
-
-    whole = sizes[0] <= _INTS * _BASE and not _wide(
-        ctx.p, [part for ni in sizes if ni > _BASE for part in level(ni // _BASE, True)])
-    inner = (mats[0].T, mats[1].T)
-    steps, width = [], _BASE
+    whole = sizes[0] <= _INTS * _BASE and not any(
+        _wide(ctx.p, _parts(ctx, ni // _BASE, twist, True, False)) for ni in sizes if ni > _BASE)
+    steps, width = [], 1
     while sizes[0] >= 2 * width:
         turns, offset = [], 0
         for ni in sizes:
-            if ni > _BASE * width:
-                turns.append(turn(offset, ni, width))
+            if ni > _BASE * width or ni == _BASE * width and turns:
+                G = ni // (_BASE * width)  # a twist row per group of 64 elements
+                turns.append((offset, ni, twists[twist * G:(twist + 1) * G, :, None]))
                 offset += ni
-        levels = [(0, offset) + inner] if turns else []
+        levels = [(0, offset) + _parts(ctx, _BASE, 0, False, width == 1)] if turns else []
         for ni in sizes[len(turns):]:
             if ni < 2 * width:
                 break
-            levels.append((offset, ni) + level(ni // width, whole))
+            levels.append((offset, ni) + _parts(ctx, ni // width, twist, whole and width > 1,
+                                                width == 1))
             offset += ni
         steps.append((width, tuple(turns), tuple(levels), offset))
         width *= _BASE
-    chunks, small, offset = [], [], 0
-    for ni in sizes:
-        if ni >= _BASE:
-            chunks.append(turn(offset, ni, 1))
-        elif ni > 1:
-            small.append((offset, ni, twist * ni))
-        offset += ni
-    top = sum(c[1] for c in chunks)
-    return (tuple(reversed(steps)), tuple(chunks), tuple(small), top,
-            top + sum(c[1] for c in small))
+    _, turns, levels, _ = steps[0]  # every block of two slots or more, once
+    return tuple(reversed(steps)), turns + levels[1 if turns else 0:]
 
 
 def _exact(ctx: FieldCtx, a: np.ndarray, work: np.ndarray, inverse: bool, span: int,
-           top: int = 0, small=(), levels=(), width: int = _BASE) -> None:
-    """Every row of a, its first ``span`` slots in [0, p), times the base
-    case's forward or inverse stacked matrix, back into those slots in [0,
-    p): the base case of every block, or the float levels of one step.
-
-    The base case multiplies the matrix by each 64-slot chunk of the first
-    ``top`` slots (already turned), and each block of ``small`` by its
-    columns of the forward matrix or its rows of the inverse one.  A level
-    multiplies its forward or inverse part, E points, by the E elements of
-    ``width`` slots of each of its groups, as the rows of an (E, width)
-    matrix (:func:`_twiddles`), one matmul over every group.
+           levels, width: int) -> None:
+    """The float64 levels of one step of :func:`_twiddles`, forward or
+    inverse, on every row of a, its first ``span`` slots in [0, p), back
+    into those slots in [0, p).  A level multiplies its forward or inverse
+    part, E points, by the E elements of ``width`` slots of each of its
+    groups, one matmul over every group.
 
     A row's slots split into their low 16 bits and the rest, as float64 in
     the work buffer, so that each input's pair meets its pair of stacked
-    rows (:func:`_stack`): interleaved per slot for the base case, by an
-    int64 mask and shift and one conversion, and per element for the
-    levels, by one conversion of each slot's two low uint16 words.  (Per
-    row, best of 7 runs of 3000 calls on a shared 2-core VM: the per-slot
-    split takes 1.9 us at 64 slots and 10.2 at 4096, against 2.6 and 8.9
-    for a mask and shift that convert as they write, and 0.8 and 18.4 for
-    the words, whose copy runs pairs; per 64-slot element the words take
-    0.5 and 4.8, against 3.0 and 9.0.  Public products read 1-6% faster
-    than with the converting mask and shift for both.)  Each matmul writes
-    its sums straight into the row's slots, viewed as float64; turned into
-    int64 where they lie, they are reduced by one :func:`_mod`, its
-    quotients in the work buffer, free by then.  Every sum and every
-    partial sum is an integer that float64 holds exactly, whatever order
-    BLAS adds in: a stacked entry has magnitude at most (p - 1)/2, a low
-    part is below 2^16 and a high one below 2^15 (p < 2^31), so 64 inputs
-    (a level sums E <= 64 elements) sum to at most 64 (p - 1)/2 ((2^16 -
-    1) + (2^15 - 1)) < 3 2^51 < 2^53.
+    rows (:func:`_stack`).  At width 1 the pairs interleave per slot, by
+    an int64 mask and shift and one conversion, and the groups are the
+    rows of one (G, 2E) @ (2E, E) product, the part on their right (a lone
+    group is a vector, which needs no reshape); from width 64 they
+    interleave per element, by one conversion of each slot's two low
+    uint16 words, and the part, transposed, multiplies each group, a (2E,
+    width) matrix, from the left.  (Per row, best of 7 runs of 3000 calls
+    on a shared 2-core VM: the per-slot split takes 1.9 us at 64 slots and
+    10.2 at 4096, against 2.6 and 8.9 for a mask and shift that convert as
+    they write, and 0.8 and 18.4 for the words, whose copy runs pairs; per
+    64-slot element the words take 0.5 and 4.8, against 3.0 and 9.0.
+    Public products read 1-6% faster than with the converting mask and
+    shift for both.)  Each
+    matmul writes its sums straight into the row's slots, viewed as
+    float64; turned into int64 where they lie, they are reduced by one
+    :func:`_mod`, its quotients in the work buffer, free by then.  Every
+    sum and every partial sum is an integer that float64 holds exactly,
+    whatever order BLAS adds in: a stacked entry has magnitude at most (p -
+    1)/2, a low part is below 2^16 and a high one below 2^15 (p < 2^31),
+    so E <= 64 inputs sum to at most 64 (p - 1)/2 ((2^16 - 1) + (2^15 -
+    1)) < 3 2^51 < 2^53.
     """
-    mats = ctx.row_dft[1 if inverse else 0]
     split = work[:2 * span]
     fsplit = split.view(np.float64)
-    halves = fsplit.reshape(-1, 2, width) if levels else None
+    halves = fsplit.reshape(-1, 2, width) if width > 1 else None
     for row in a:
         x = row[:span]
         fx = x.view(np.float64)
-        if levels:  # each slot's two low uint16 words are its parts
-            words = x.view(np.uint16).reshape(-1, width, 4)[:, :, _WORDS]
-            np.copyto(halves, words.swapaxes(1, 2), casting="unsafe")
-        else:
+        if width == 1:  # each slot's low 16 bits, then the rest
             np.bitwise_and(x, (1 << _LIMB) - 1, out=split[0::2])
             np.right_shift(x, _LIMB, out=split[1::2])
             np.copyto(fsplit, split, casting="unsafe")
-        if top:
-            np.matmul(fsplit[:2 * top].reshape(-1, 2 * _BASE), mats,
-                      out=fx[:top].reshape(-1, _BASE))
-        for off, ni, c in small:
-            part = mats[2 * c:2 * (c + ni), :ni] if inverse else mats[:2 * ni, c:c + ni]
-            np.matmul(fsplit[2 * off:2 * (off + ni)], part, out=fx[off:off + ni])
+        else:  # each slot's two low uint16 words are its parts
+            words = x.view(np.uint16).reshape(-1, width, 4)[:, :, _WORDS]
+            np.copyto(halves, words.swapaxes(1, 2), casting="unsafe")
         for off, ni, forward, backward in levels:
             part = backward if inverse else forward
-            np.matmul(part, fsplit[2 * off:2 * (off + ni)].reshape(-1, 2 * len(part), width),
-                      out=fx[off:off + ni].reshape(-1, len(part), width))
+            y, out = fsplit[2 * off:2 * (off + ni)], fx[off:off + ni]
+            e = part.shape[1] if width == 1 else len(part)  # its points
+            if width > 1:
+                np.matmul(part, y.reshape(-1, 2 * e, width), out=out.reshape(-1, e, width))
+            elif ni > e:  # the groups as the rows of one (G, 2E) @ (2E, E) product
+                np.matmul(y.reshape(-1, 2 * e), part, out=out.reshape(-1, e))
+            else:  # one group, a vector
+                np.matmul(y, part, out=out)
         np.copyto(x, fx, casting="unsafe")
         _mod(ctx, x, split)
 
@@ -482,11 +488,23 @@ def _turn(ctx: FieldCtx, a: np.ndarray, turns, work: np.ndarray, inverse: bool) 
     _mod(ctx, a[:, :off + ni], work)
 
 
-def _levels(ctx: FieldCtx, a: np.ndarray, steps, work: np.ndarray, inverse: bool) -> None:
-    """Every step of :func:`_twiddles` on every row of a: forward, coarse to
-    fine, each step's turns and then its levels; inverse, fine to coarse,
-    the levels and then the turns.  Every pass and turn takes [0, p) and
-    hands back [0, p).
+def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
+               inverse: bool) -> None:
+    """dwt (or idwt) of every block, on every row of a at once, up to a
+    shift per 64-slot chunk that a product cancels.
+
+    The blocks are those of :func:`_twiddles`, at its twist: decreasing
+    powers of two whose sum is the row length, block i starting at n_1 +
+    ... + n_(i-1).  The input is in [0, p), and so is every output.  The
+    forward runs the steps coarse to fine, each its turns (:func:`_turn`)
+    and then its levels, down to the base case, the step of width 1, and
+    leaves each 64-slot chunk c of a block of 64 slots or more at dwt's
+    values times its shift s_c, the product of entry 0, lambda**(-21), of
+    every twist row the chunk meets, one per turn (:func:`_tables`); the
+    inverse runs the steps fine to coarse, each its levels and then its
+    turns, and is idwt of its input with each such chunk times s_c**(-2),
+    so a pointwise product of two forwards inverts to the idwt of the
+    product of the dwts.
 
     Float64 levels run in :func:`_exact`, a row at a time.  Int64 parts,
     balanced into (-p/2, p/2], take one matmul per level over every row at
@@ -496,58 +514,34 @@ def _levels(ctx: FieldCtx, a: np.ndarray, steps, work: np.ndarray, inverse: bool
     products lies within 4 (p - 1)(p - 1)/2 = 2 (p - 1)^2 < 2^63, as p <
     2^31 gives (p - 1)^2 < 2^62; a product plan whose levels of 8 chunks
     could leave it takes float64 levels instead (:func:`_wide`).
+
+    The 1/n_i pass ends the inverse: 1/n_i, balanced, is -(p - 1)/n_i, from
+    the block's size, and a value in [0, p) times it lies within (p -
+    1)^2/2 < 2^63; one :func:`_mod` over the finest step's span, every
+    block of two slots or more, reduces them.
     """
+    steps, scales = twiddles
     for width, turns, levels, span in reversed(steps) if inverse else steps:
         if not inverse:
-            _turn(ctx, a, turns, work, False)
+            _turn(ctx, a, turns, work, False)  # lambda**(i - 21)
         if levels[0][2].dtype == np.float64:
-            _exact(ctx, a, work, inverse, span, levels=levels, width=width)
+            _exact(ctx, a, work, inverse, span, levels, width)
         else:
             x = a[:, :span]
             k = x.shape[0]
             sums = work[:x.size].reshape(x.shape)
             for off, ni, forward, backward in levels:
                 np.matmul(backward if inverse else forward,
-                          x[:, off:off + ni].reshape(k, -1, _BASE),
-                          out=sums[:, off:off + ni].reshape(k, -1, _BASE))
+                          x[:, off:off + ni].reshape(k, -1, width),
+                          out=sums[:, off:off + ni].reshape(k, -1, width))
             np.remainder(sums, ctx.p, out=x)
-        if inverse:
+        if inverse:  # lambda**(42 - i): cancels the product's lambda**(-42)
             _turn(ctx, a, turns, work, True)
-
-
-def _transform(ctx: FieldCtx, a: np.ndarray, twiddles, work: np.ndarray,
-               inverse: bool) -> None:
-    """dwt (or idwt) of every block, on every row of a at once, up to a
-    shift per 64-slot chunk that a product cancels.
-
-    The blocks are those of :func:`_twiddles`, at its twist: decreasing
-    powers of two whose sum is the row length, block i starting at n_1 +
-    ... + n_(i-1).  The input is in [0, p), and so is every output.  The
-    forward runs the steps (:func:`_levels`), the turn of every 64-slot
-    chunk (:func:`_turn`) and the base case (:func:`_exact`), and leaves
-    each 64-slot chunk c of a block of 64 slots or more at dwt's values
-    times its shift s_c, the product of entry 0, lambda**(-21), of every
-    twist row the chunk meets, one per turn (:func:`_tables`); the inverse
-    runs them backwards, and is idwt of its input with each such chunk
-    times s_c**(-2), so a pointwise product of two forwards inverts to the
-    idwt of the product of the dwts.  The
-    1/n_i pass ends the inverse: 1/n_i, balanced, is -(p - 1)/n_i, from
-    the block's size, and a value in [0, p) times it lies within (p -
-    1)^2/2 < 2^63.
-    """
-    steps, chunks, small, top, span = twiddles
-    if not inverse:
-        _levels(ctx, a, steps, work, False)
-        _turn(ctx, a, chunks, work, False)  # lambda**(i - 21)
-        _exact(ctx, a, work, False, span, top, small)
-        return
-    _exact(ctx, a, work, True, span, top, small)
-    _turn(ctx, a, chunks, work, True)  # lambda**(42 - i): cancels the product's lambda**(-42)
-    _levels(ctx, a, steps, work, True)
-    for off, ni, *_ in chunks + small:  # times 1/n_i, balanced: -(p - 1)/n_i
-        blk = a[:, off:off + ni]
-        np.multiply(blk, -((ctx.p - 1) // ni), out=blk)
-    _mod(ctx, a[:, :span], work)
+    if inverse:
+        for off, ni, *_ in scales:  # times 1/n_i, balanced: -(p - 1)/n_i
+            blk = a[:, off:off + ni]
+            np.multiply(blk, -((ctx.p - 1) // ni), out=blk)
+        _mod(ctx, a[:, :steps[-1][3]], work)
 
 
 def _fold(d: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:

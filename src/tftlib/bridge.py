@@ -65,8 +65,8 @@ operand on the rows), so a non-integral one raises TypeError, and a length
 past the field's two-adicity UnsupportedOrderError, before any work and
 before anything is built.  The rows report their numpy scratch, the tables
 of the padded length N included, in ``ctx.scratch_allocated``: at most
-4.1N, 4.1N and 6.1N elements on the padded, cyclotomic and bit-reversed
-paths; the list path reports none.  numpy and the row module load with the
+4N, 4N and 6N elements on the padded, cyclotomic and bit-reversed paths;
+the list path reports none.  numpy and the row module load with the
 first product that takes them, not with ``import tftlib``.
 """
 

@@ -176,7 +176,8 @@ class FieldCtx:
     build once and then only read: the product plans, one per transform
     length (``product_plans``, by :mod:`tftlib.bridge`), the row tables, one
     per padded length (``row_tables``), and the rows' base-case and level
-    matrices, one set per field (``row_dft``, ``row_ints``, ``row_odd``).
+    matrices, one set per field (``row_dft``, ``row_ints``, ``row_odd``),
+    with the views of them that the product plans share (``row_parts``).
     None of these is an API.  A context may be shared across threads only
     if each thread runs its own count session and transforms its own
     buffers; the library itself is single-threaded.
@@ -200,6 +201,7 @@ class FieldCtx:
         self.row_dft = None  # the rows' base-case matrices, built by tftlib._rows
         self.row_ints = None  # the rows' int64 level matrices, likewise
         self.row_odd = None  # the rows' odd-twist matrices, likewise
+        self.row_parts = {}  # the rows' level parts, views of those matrices, likewise
 
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p})"

@@ -259,22 +259,26 @@ def test_a_repeated_product_reads_its_plan(n):
 
 
 # bytes that the product plans of every transform length in [_ROWS_MIN,
-# 4096] hold, 286 plans: measured at 549 KB, 1.9 KB a plan on average, the
-# views of their turns and levels (Python 3.11, numpy 2.4); one row of m
-# int64 in each would add 2.2 MB
-PLANS_BYTES = 590_000
+# 4096] hold, 286 plans: measured at 508 KB, 1.8 KB a plan on average, the
+# views of their turns and the tuples of their steps (Python 3.11, numpy
+# 2.4); one row of m int64 in each would add 2.2 MB
+PLANS_BYTES = 510_000
 
 
 def test_product_plans_hold_no_elements():
     # After products at every transform length in [_ROWS_MIN, 4096] on both
     # TFT paths, the plans they leave hold no array of m elements: only
     # splits, counts, offsets, and views into the tables of N, which a
-    # padded product of each N builds first, and into the field's matrices.
+    # padded product of each N builds first, and into the field's matrices,
+    # which those products and one at 4097 = 4096 + 1 (a block at twist 1
+    # that reads the odd twist's pair) build first, as field set-up.
     # tracemalloc traces numpy's buffers, so a plan holding a row of m
     # elements would show.
     ctx = FieldCtx()
     for k in range(5, 13):
         multiply_full_fft(ctx, [1] * (1 << k - 1), [1] * (1 << k - 1))
+    multiply_tft(ctx, *_operands(ctx.p, 4097, 4097))
+    assert ctx.row_odd is not None
     lengths = [m for m in range(_ROWS_MIN, 4097) if m.bit_count() <= 3]
     operands = {m: _operands(ctx.p, m, m) for m in lengths}
     tracemalloc.start()

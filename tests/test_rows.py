@@ -250,51 +250,70 @@ def test_chained_passes_agree_at_random_points(field, n):
 
 
 @pytest.mark.parametrize("sizes, twist, levels", [
-    ((512,), 0, [(64, [], [512])]), ((256,), 0, [(64, [], [256])]),
-    ((4096,), 0, [(64, [], [4096])]), ((8192,), 0, [(4096, [], [8192]), (64, [8192], [])]),
-    ((256, 1), 1, [(64, [], [256])]), ((512, 1), 1, [(64, [], [512])]),
-    ((2048, 1), 1, [(64, [], [2048])]), ((4096, 2), 1, [(64, [], [4096])]),
-    ((1024, 256, 2), 1, [(64, [], [1024, 256])]), ((1024, 512, 1), 1, [(64, [], [1024, 512])]),
-    ((4096, 512, 1), 1, [(64, [], [4096, 512])]), ((128,), 0, [(64, [], [128])]),
-    ((128, 1), 1, [(64, [], [128])]), ((512, 256, 128, 1), 1, [(64, [], [512, 256, 128])]),
-    ((64, 32), 1, []),
-    ((8192, 4096, 1), 1, [(4096, [], [8192]), (64, [8192], [4096])]),
-    ((8192, 128, 1), 1, [(4096, [], [8192]), (64, [8192], [128])]),
-    ((16384, 8192, 2048, 1), 1, [(4096, [], [16384, 8192]), (64, [16384, 8192], [2048])]),
-    ((8192, 1), 1, [(4096, [], [8192]), (64, [8192], [])]),
-    ((2**18, 2**12, 1), 1, [(4096, [], [2**18]), (64, [2**18], [2**12])]),
-    ((2**19,), 0, [(2**18, [], [2**19]), (4096, [2**19], []), (64, [2**19], [])]),
+    ((512,), 0, [(64, [], [512]), (1, [512], [])]), ((256,), 0, [(64, [], [256]), (1, [256], [])]),
+    ((4096,), 0, [(64, [], [4096]), (1, [4096], [])]),
+    ((8192,), 0, [(4096, [], [8192]), (64, [8192], []), (1, [8192], [])]),
+    ((256, 1), 1, [(64, [], [256]), (1, [256], [])]),
+    ((512, 1), 1, [(64, [], [512]), (1, [512], [])]),
+    ((2048, 1), 1, [(64, [], [2048]), (1, [2048], [])]),
+    ((4096, 2), 1, [(64, [], [4096]), (1, [4096], [2])]),
+    ((1024, 256, 2), 1, [(64, [], [1024, 256]), (1, [1024, 256], [2])]),
+    ((1024, 512, 1), 1, [(64, [], [1024, 512]), (1, [1024, 512], [])]),
+    ((4096, 512, 1), 1, [(64, [], [4096, 512]), (1, [4096, 512], [])]),
+    ((128,), 0, [(64, [], [128]), (1, [128], [])]),
+    ((128, 1), 1, [(64, [], [128]), (1, [128], [])]),
+    ((512, 256, 128, 1), 1, [(64, [], [512, 256, 128]), (1, [512, 256, 128], [])]),
+    ((64, 32), 1, [(1, [], [64, 32])]),
+    ((8192, 4096, 1), 1, [(4096, [], [8192]), (64, [8192, 4096], []), (1, [8192, 4096], [])]),
+    ((8192, 128, 1), 1, [(4096, [], [8192]), (64, [8192], [128]), (1, [8192, 128], [])]),
+    ((16384, 8192, 2048, 1), 1, [(4096, [], [16384, 8192]), (64, [16384, 8192], [2048]),
+                                 (1, [16384, 8192, 2048], [])]),
+    ((8192, 1), 1, [(4096, [], [8192]), (64, [8192], []), (1, [8192], [])]),
+    ((2**18, 2**12, 1), 1, [(4096, [], [2**18]), (64, [2**18, 2**12], []),
+                            (1, [2**18, 2**12], [])]),
+    ((2**19,), 0, [(2**18, [], [2**19]), (4096, [2**19], []), (64, [2**19], []),
+                   (1, [2**19], [])]),
     ((2**19, 2**13, 1), 1, [(2**18, [], [2**19]), (4096, [2**19], [2**13]),
-                           (64, [2**19, 2**13], [])])])
+                           (64, [2**19, 2**13], []), (1, [2**19, 2**13], [])]),
+    ((64,), 0, [(1, [], [64])]), ((64, 32, 4), 1, [(1, [], [64, 32, 4])]),
+    ((256, 64, 2), 1, [(64, [], [256]), (1, [256, 64], [2])]),
+    ((32, 16, 2, 1), 1, [(1, [], [32, 16, 2])])])
 def test_levels_are_the_blocks_the_matrix_holds(sizes, twist, levels):
-    # A block of 64R slots, R = R1 64^(L-1) with 2 <= R1 <= 64, is a chain
-    # of L passes, run in steps by element width w, coarse to fine
-    # (``levels``: per step w, the blocks that turn and the blocks whose
-    # first pass it is).  A step holds the blocks of at least 2w slots, a
-    # prefix; those of more than 64w slots, a prefix too, turn and then
-    # take one 64-point level at twist 0 over all their groups, the base
-    # case's matrix.  A first pass takes element r to element c by
-    # omega_(2 R1)**(r (t + 2 rev(c))), rev over log2(R1) bits, and its
-    # inverse part takes c back to r by the inverse power.  A turn gives
-    # group g of G = n_i / 64w groups row tG + g of the twist rows, whose
-    # lambda, entry 22, is the 64th root of the group's point,
-    # omega_(128G)**(t + 2 rev(g)), and the turns before the base case
-    # give each 64-slot chunk its row.  The parts are int64, balanced, when
-    # the first block has at most 8 chunks (over the default field none of
-    # them could sum outside int64), and float64 otherwise, stacked: the
+    # A block of 64^(L-1) R1 slots, 2 <= R1 <= 64, is a chain of L passes,
+    # run in steps by element width w, coarse to fine, down to the base
+    # case, the step of width 1 (``levels``: per step w, the blocks that
+    # turn and the blocks whose first pass it is).  A step holds the blocks
+    # of at least 2w slots, a prefix; those of more than 64w slots, a
+    # prefix too, and a block of 64w slots behind them turn and then take
+    # one 64-point level at twist 0 over all their groups, the base case's
+    # matrix.  A first pass takes element r to element c by omega_(2
+    # R1)**(r (t + 2 rev(c))), rev over log2(R1) bits, and its inverse part
+    # takes c back to r by the inverse power.  A turn gives group g of G =
+    # n_i / 64w groups row tG + g of the twist rows, whose lambda, entry 22,
+    # is the 64th root of the group's point, omega_(128G)**(t + 2 rev(g)).
+    # The parts of widths 64 and up are int64, balanced, when the first
+    # block has at most 8 chunks (over the default field none of them could
+    # sum outside int64), and every other part is float64, stacked: the
     # entry for input r in column 2r and 2^16 times it mod p in column 2r +
     # 1, both balanced; R1 = 64 at twist 1 reads the odd twist's matrices.
+    # Each part is a view that the field builds once and every plan shares
+    # (ctx.row_parts), and the 1/n_i pass takes every block of two slots or
+    # more, once: the base case's turns and first passes.  The base case
+    # reads its parts as (2E, E), on the right of its groups' rows.
     ctx = FieldCtx()
     p = ctx.p
     N = 1 << sum(sizes).bit_length() if twist else sizes[0]
     work = np.empty(2 * N, np.int64)
     twists = _rows._tables(ctx, N, work)[1]
-    steps, chunks, *_ = _rows._twiddles(ctx, sizes, twists, twist)
+    steps, scales = _rows._twiddles(ctx, sizes, twists, twist)
     mats = ctx.row_dft
     assert [(w, [ni for _, ni, _ in turns], [lv[1] for lv in got[1 if turns else 0:]])
             for w, turns, got, _ in steps] == levels
+    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+    assert [s[:2] for s in scales] == [(off, ni) for off, ni in zip(offsets, sizes) if ni > 1]
+    shared = {id(part) for pair in ctx.row_parts.values() for part in pair}
 
-    def check_turns(turns, width):
+    for width, turns, got, span in steps:
         offset = 0
         for off, ni, rows in turns:
             assert off == offset
@@ -306,24 +325,24 @@ def test_levels_are_the_blocks_the_matrix_holds(sizes, twist, levels):
             for g in range(G):
                 want = pow(w, twist + 2 * bit_reverse(g, G.bit_length() - 1), p)
                 assert rows[g, 22, 0] % p == want, (ni, width, g)
-
-    check_turns(chunks, 1)
-    for width, turns, got, span in steps:
-        check_turns(turns, width)
         assert span == sum(lv[1] for lv in got)
+        assert all(id(lv[2]) in shared and id(lv[3]) in shared for lv in got)
+        # the base case reads each part on the right of the elements, the
+        # coarser steps on their left, transposed
+        left = [lv[2:] if width > 1 else (lv[2].T, lv[3].T) for lv in got]
         if turns:
             assert got[0][:2] == (0, sum(ni for _, ni, _ in turns))
             assert got[0][2].base is mats and got[0][3].base is mats
-            assert (got[0][2] == mats[0].T).all() and (got[0][3] == mats[1].T).all()
+            assert (left[0][0] == mats[0].T).all() and (left[0][1] == mats[1].T).all()
         offset = got[0][1] if turns else 0
-        for off, ni, forward, inverse in got[1 if turns else 0:]:
+        for (off, ni, *_), (forward, inverse) in list(zip(got, left))[1 if turns else 0:]:
             assert off == offset
             offset += ni
             R = ni // width
             w = ctx.roots[R.bit_length()]  # omega_(2R)
             for part, sign in ((forward, 1), (inverse, -1)):
                 assert np.abs(part).max() <= p // 2
-                if sizes[0] <= 512:
+                if width > 1 and sizes[0] <= 512:
                     assert part.dtype == np.int64 and part.shape == (R, R)
                     values = (part % p).tolist()
                 else:
@@ -339,12 +358,19 @@ def test_levels_are_the_blocks_the_matrix_holds(sizes, twist, levels):
 
 
 def _levels_of(ctx, sizes, twist):
-    """The steps of blocks ``sizes`` at ``twist`` (tftlib._rows._twiddles)
-    and a work buffer for them."""
+    """The steps of blocks ``sizes`` at ``twist`` (tftlib._rows._twiddles),
+    coarse to fine, and a work buffer for them."""
     N = 1 << sum(sizes).bit_length() if twist else sizes[0]
     work = np.empty(2 * N, np.int64)
     steps = _rows._twiddles(ctx, sizes, _rows._tables(ctx, N, work)[1], twist)[0]
     return steps, work
+
+
+def _run_levels(ctx, a, step, work, inverse: bool) -> None:
+    """The levels of ``step`` alone, its turns left out, on every row of a,
+    as tftlib._rows._transform runs them."""
+    width, _, levels, span = step
+    _rows._transform(ctx, a, (((width, (), levels, span),), ()), work, inverse)
 
 
 def _level_sums(ctx, step, work, inputs):
@@ -364,7 +390,7 @@ def _level_sums(ctx, step, work, inputs):
                      for row in parts[d].tolist()]
             sums.append(block)
             want.append([v % p for row in block for v in row])
-        _rows._levels(ctx, a, (step,), work, bool(d))
+        _run_levels(ctx, a, step, work, bool(d))
         equal = equal and all(a[j, off:off + ni].tolist() == values
                               for (off, ni, *_), values in zip(levels, want) for j in (0, 1))
     return sums, equal
@@ -375,9 +401,10 @@ def _check_int_level_sums(ctx, sizes, twist) -> None:
     largest sums and at those of the largest balanced parts
     (test_int_levels_take_their_largest_sums)."""
     p = ctx.p
-    (step,), work = _levels_of(ctx, sizes, twist)
+    steps, work = _levels_of(ctx, sizes, twist)
+    step = steps[0]  # the first passes at width 64; the base case's are float64
     levels = step[2]
-    assert all(level[2].dtype == np.int64 for level in levels)
+    assert step[0] == 64 and all(level[2].dtype == np.int64 for level in levels)
     inputs = [[], []]
     for level in levels:
         for d, part in enumerate(m.tolist() for m in level[2:]):  # chunk r to c at [c][r]
@@ -452,8 +479,9 @@ def test_a_field_whose_int_levels_balance(sizes, twist, wide):
     if not wide:
         _check_int_level_sums(ctx, sizes, twist)
         return
-    (step,), work = _levels_of(ctx, sizes, twist)
-    assert all(level[2].dtype == np.float64 for level in step[2])
+    steps, work = _levels_of(ctx, sizes, twist)
+    step = steps[0]
+    assert step[0] == 64 and all(level[2].dtype == np.float64 for level in step[2])
     _check_level_sums(ctx, step, work)
     n = sum(sizes)
     for path in PATHS:
@@ -514,20 +542,24 @@ def _stacked_sums(p: int, a: np.ndarray, groups) -> list:
 def _level_groups(step, d):
     """The (slots, matrix) groups of :func:`_stacked_sums` for the levels
     of ``step`` in direction d: slot q of every element of a group, the
-    element width apart, is one input."""
+    element width apart, is one input.  The base case's parts, read on
+    the right, are transposed to the matrix its sums are."""
     width, _, levels, _ = step
-    return [(np.arange(off, off + ni).reshape(-1, len(parts[d]), width).transpose(0, 2, 1)
-             .reshape(-1, len(parts[d])), parts[d]) for off, ni, *parts in levels]
+    matrices = [(off, ni, parts[d] if width > 1 else parts[d].T) for off, ni, *parts in levels]
+    return [(np.arange(off, off + ni).reshape(-1, len(matrix), width).transpose(0, 2, 1)
+             .reshape(-1, len(matrix)), matrix) for off, ni, matrix in matrices]
 
 
 def _check_level_sums(ctx, step, work) -> None:
-    """The levels of ``step`` at their largest sums both ways
-    (:func:`_stacked_sums`): the rows' outputs must equal them mod p."""
+    """The float64 levels of ``step`` at their largest sums both ways
+    (:func:`_stacked_sums`), run by tftlib._rows._exact: the rows' outputs
+    must equal them mod p."""
+    width, _, levels, span = step
     for d in (0, 1):
         groups = _level_groups(step, d)
-        a = np.zeros((2, step[3]), np.int64)
+        a = np.zeros((2, span), np.int64)
         sums = _stacked_sums(ctx.p, a, groups)
-        _rows._levels(ctx, a, (step,), work, bool(d))
+        _rows._exact(ctx, a, work, bool(d), span, levels, width)
         for (slots, _), exact in zip(groups, sums):
             assert (a[:, slots] == exact % ctx.p).all(), d
 
@@ -539,49 +571,47 @@ def test_stacked_matrices_take_their_largest_sums(case):
     # (tftlib._rows._stack), so 64 terms sum to less than 3 2^51 < 2^53,
     # which float64 holds exactly.  Over the largest prime here, inputs with
     # the largest limbs, placed by the sign of each stacked entry, drive
-    # each output of both directions of the base case (64 chunks of 64
-    # slots), of a float level of 64 chunks, of the odd twist's level
-    # beside a float one of 8, and of a 64-point pass over elements of 4096
-    # slots, the first of a block of 2^18, to its largest and its most
-    # negative sums (_stacked_sums); the rows' outputs must equal them mod
-    # p.  The base case also stacks matrices of one residue each, p - 1
-    # among them, whose stacked pair in [0, p) would sum to about 3 2^52.
+    # each output of both directions of the base case, the step of width 1
+    # (64 chunks of 64 slots beside blocks of 32 and 2 slots at twist 1),
+    # of a float level of 64 chunks, of the odd twist's level beside a float
+    # one of 8, and of a 64-point pass over elements of 4096 slots, the
+    # first of a block of 2^18, to its largest and its most negative sums
+    # (_stacked_sums); the rows' outputs must equal them mod p.  The base
+    # case also stacks matrices of one residue each, p - 1 among them,
+    # whose stacked pair in [0, p) would sum to about 3 2^52.
     ctx = FieldCtx(max(PRIMES))
     p = ctx.p
-    if case != "base":
-        sizes, twist = {"level": ((4096,), 0), "odd": ((4096, 512, 1), 1),
-                        "elements4096": ((2**18,), 0)}[case]
-        steps, work = _levels_of(ctx, sizes, twist)
-        assert steps[0][0] == (4096 if case == "elements4096" else 64)
-        assert all(level[2].dtype == np.float64 for level in steps[0][2])
-        _check_level_sums(ctx, steps[0], work)
-        return
-    stacked = _rows._matrices(ctx)[0]
-    slots = np.arange(4096).reshape(64, 64)
-    work = np.empty(2 * 4096, np.int64)
-    for v in (1, (p - 1) // 2, (p + 1) // 2, p - 1):
-        probe = _rows._stack(ctx, np.full((2, 64, 64), v, np.int64))
-        _stacked_sums(p, np.zeros((2, 4096), np.int64), [(slots, probe[0].T)])
-    for d in (0, 1):
-        a = np.zeros((2, 4096), np.int64)
-        (exact,) = _stacked_sums(p, a, [(slots, stacked[d].T)])
-        _rows._exact(ctx, a, work, bool(d), 4096, 4096)
-        assert (a[:, slots] == exact % p).all(), d
+    sizes, twist = {"base": ((4096, 32, 2), 1), "level": ((4096,), 0),
+                    "odd": ((4096, 512, 1), 1), "elements4096": ((2**18,), 0)}[case]
+    steps, work = _levels_of(ctx, sizes, twist)
+    step = steps[-1 if case == "base" else 0]
+    assert step[0] == {"base": 1, "elements4096": 4096}.get(case, 64)
+    assert all(level[2].dtype == np.float64 for level in step[2])
+    _check_level_sums(ctx, step, work)
+    if case == "base":
+        assert [level[1] for level in step[2]] == [4096, 32, 2]
+        slots = np.arange(4096).reshape(64, 64)
+        for v in (1, (p - 1) // 2, (p + 1) // 2, p - 1):
+            probe = _rows._stack(ctx, np.full((2, 64, 64), v, np.int64))
+            _stacked_sums(p, np.zeros((2, 4096), np.int64), [(slots, probe[0].T)])
 
 
-@pytest.mark.parametrize("sizes", [(4096, 1), (4096, 512, 1)])
+@pytest.mark.parametrize("sizes", [(4096, 1), (4096, 512, 1), (64, 32, 4)])
 def test_odd_twist_level_takes_its_largest_sums(sizes):
     # The odd twist's matrices are stacked as the base case's are
     # (tftlib._rows._odd), so a level's sums are largest, below 3 2^51 <
     # 2^53, when the inputs with the largest limbs are placed by the sign of
     # each stacked entry, over the largest prime here (_stacked_sums).  A
-    # 4096-slot block at twist 1 takes them both ways, and the rows' outputs
-    # must equal the sums mod p; products of operands of p - 1 at lengths
-    # that hold such a block must equal the list composition.
+    # 4096-slot block at twist 1, and a 64-slot one that no larger block
+    # precedes, in the base case beside smaller first passes, take them
+    # both ways, and the rows' outputs must equal the sums mod p; products
+    # of operands of p - 1 at lengths that hold such a block must equal the
+    # list composition.
     ctx = FieldCtx(max(PRIMES))
     p = ctx.p
-    (step,), work = _levels_of(ctx, sizes, 1)
-    assert step[2][0][1] == 4096 and step[2][0][2].base is ctx.row_odd
+    steps, work = _levels_of(ctx, sizes, 1)
+    step = steps[0]  # the coarsest step holds the first block's first pass
+    assert step[2][0][1] == sizes[0] and step[2][0][2].base is ctx.row_odd
     _check_level_sums(ctx, step, work)
     assert np.abs(ctx.row_odd).max() <= p // 2
     n = sum(sizes)
@@ -615,29 +645,26 @@ def test_inverse_rows_take_their_largest_sums(field, n, path):
 
 def _drive_forward(field, N: int, twist: int, where: int, target: np.ndarray) -> None:
     # The rows' forward of one block of N slots at `twist` is a list of
-    # operations: each step's turns and then its levels, then the chunks'
-    # turn and the base case.  Operation `where` must meet `target`, two
-    # rows of N values in [0, p).  The input that gets it there is found
-    # backwards: the operations from `where` on take the target to values
-    # V, and the list idwt of V, each 64-slot chunk c divided by its shift
-    # s_c (the product of entry 0 of every twist row the chunk meets, one
-    # per turn, tftlib._rows._transform), is an input whose dwt times the
-    # shifts is V.  The rows' forward from that input must reach the
-    # target at `where`, and the whole forward must be V.
+    # operations: each step's turns and then its levels, coarse to fine,
+    # down to the base case, the step of width 1.  Operation `where` must
+    # meet `target`, two rows of N values in [0, p).  The input that gets
+    # it there is found backwards: the operations from `where` on take the
+    # target to values V, and the list idwt of V, each 64-slot chunk c
+    # divided by its shift s_c (the product of entry 0 of every twist row
+    # the chunk meets, one per turn, tftlib._rows._transform), is an input
+    # whose dwt times the shifts is V.  The rows' forward from that input
+    # must reach the target at `where`, and the whole forward must be V.
     p = field.p
     work = np.empty(2 * N, np.int64)
     twists = _rows._tables(field, N << twist, work)[1]
     twiddles = _rows._twiddles(field, (N,), twists, twist)
-    steps, chunks, small, top, span = twiddles
+    steps = twiddles[0]
     ops = []
-    for width, turns, levels, reach in steps:
-        ops.append(lambda a, turns=turns: _rows._turn(field, a, turns, work, False))
-        ops.append(lambda a, step=(width, (), levels, reach): _rows._levels(
-            field, a, (step,), work, False))
-    ops.append(lambda a: _rows._turn(field, a, chunks, work, False))
-    ops.append(lambda a: _rows._exact(field, a, work, False, span, top, small))
+    for step in steps:
+        ops.append(lambda a, turns=step[1]: _rows._turn(field, a, turns, work, False))
+        ops.append(lambda a, step=step: _run_levels(field, a, step, work, False))
     shifts = [1] * (N >> 6)
-    for _, _, rows in [turn for step in steps for turn in step[1]] + list(chunks):
+    for _, _, rows in [turn for step in steps for turn in step[1]]:
         for c in range(N >> 6):
             shifts[c] = shifts[c] * int(rows[c * len(rows) // (N >> 6), 0, 0]) % p
     values = target.copy()
@@ -664,13 +691,15 @@ def _drive_forward(field, N: int, twist: int, where: int, target: np.ndarray) ->
 def test_forward_rows_take_their_largest_sums(field, start, twist):
     # Every level of the forward rows of one block of 2^(8 + start) slots
     # (256 to 8192: int64 levels, float64 ones, the odd twist's at 4096 and
-    # twist 1, and two steps at 8192) meets the inputs that drive each of
-    # its outputs to its largest and its most negative sums
-    # (_stacked_sums), from an input found backwards (_drive_forward); the
-    # forward must equal the list dwt times each chunk's shift.
+    # twist 1, two steps at 8192, and the base case, the step of width 1,
+    # after each) meets the inputs that drive each of its outputs to its
+    # largest and its most negative sums (_stacked_sums), from an input
+    # found backwards (_drive_forward); the forward must equal the list dwt
+    # times each chunk's shift.
     N = 1 << (8 + start)
     work = np.empty(4 * N, np.int64)
     steps = _rows._twiddles(field, (N,), _rows._tables(field, N << twist, work)[1], twist)[0]
+    assert steps[-1][0] == 1
     for j, step in enumerate(steps):
         target = np.zeros((2, N), np.int64)
         _stacked_sums(field.p, target, _level_groups(step, 0))
@@ -681,9 +710,9 @@ def test_forward_rows_take_their_largest_sums(field, start, twist):
 def test_base_case_twist_takes_its_largest_inputs(field, twist):
     # A turn multiplies a value in [0, p) by a twist entry in [0, p), so
     # its products lie in [0, (p - 1)^2], below 2^62, and one reduction
-    # hands back [0, p).  In a block of 2^13
-    # slots, 64 groups of 64 elements of 64 slots turn before its second
-    # step, and every 64-slot chunk turns before the base case; each turn
+    # hands back [0, p).  In a block of 2^13 slots, 64 groups of 64
+    # elements of 64 slots turn before its second step, and every 64-slot
+    # chunk turns before the base case, the step of width 1; each turn
     # meets p - 1 in every slot, the largest input, from an input found
     # backwards (_drive_forward), and the forward must equal the list dwt
     # times each chunk's shift.
@@ -692,9 +721,9 @@ def test_base_case_twist_takes_its_largest_inputs(field, twist):
     work = np.empty(4 * N, np.int64)
     twists = _rows._tables(field, N << twist, work)[1]
     steps = _rows._twiddles(field, (N,), twists, twist)[0]
-    assert [bool(step[1]) for step in steps] == [False, True]
+    assert [(step[0], bool(step[1])) for step in steps] == [(4096, False), (64, True), (1, True)]
     assert 0 <= int(twists.min()) and (p - 1) * int(twists.max()) <= (p - 1) ** 2 < 2**62
-    for where in (2, 4):  # the second step's turns, and the chunks'
+    for where in (2, 4):  # the second step's turns, and the base case's
         _drive_forward(field, N, twist, where, np.full((2, N), p - 1, np.int64))
 
 
@@ -709,8 +738,9 @@ def test_base_case_takes_its_largest_sums(n, path):
     # of p - 1 in every slot but the last (as in
     # test_inverse_rows_take_their_largest_sums) starts the inverse base
     # case from them.  The lengths run blocks below 64 slots in the base
-    # case beside chunks of larger ones: 65 = 64 + 1, 127 = 64 + 32 + ... +
-    # 1, 2^12 + 96 = 2^12 + 64 + 32.
+    # case beside a lone 64-slot block, at twist 1 the odd twist's pass (65
+    # = 64 + 1, 127 = 64 + 32 + ... + 1), and beside chunks of larger ones
+    # (2^12 + 96 = 2^12 + 64 + 32, its 64-slot block turned with them).
     field = FieldCtx(2130706433)
     p = field.p
     cases = [([p - 1] * (n // 2 + 1), [p - 1] * (n - n // 2))]
@@ -803,9 +833,11 @@ def test_a_field_builds_its_base_case_matrices_once():
     # scratch, and that every later product reads: the base case's stacked
     # float64 pair, 128 KiB, and 4 KiB of int64 parts by the first row
     # product; the odd twist's stacked pair, 128 KiB, by the first one that
-    # holds a 4096-slot block at twist 1
+    # holds a 64-slot block at twist 1 that no larger block precedes (65 =
+    # 64 + 1, in the base case); and the level parts, views of those
+    # matrices that every product plan reading them shares (ctx.row_parts)
     ctx = FieldCtx()
-    assert ctx.row_dft is ctx.row_ints is ctx.row_odd is None
+    assert ctx.row_dft is ctx.row_ints is ctx.row_odd is None and ctx.row_parts == {}
     f, g = _operands(ctx.p, 128, 1)
     with ctx.count_session() as sess:
         _product(ctx, f, g, "padded")
@@ -818,12 +850,23 @@ def test_a_field_builds_its_base_case_matrices_once():
         for path in PATHS:
             f, g = _operands(ctx.p, n, n)
             _product(ctx, f, g, path)
-            if odd is None and ctx.row_odd is not None:  # 4097 = 4096 + 1, at twist 1
-                assert (n, path) == (4097, "cyclotomic") and ctx.row_odd.nbytes == 128 * 1024
+            if odd is None and ctx.row_odd is not None:  # 65 = 64 + 1, at twist 1
+                assert (n, path) == (65, "cyclotomic") and ctx.row_odd.nbytes == 128 * 1024
                 odd = ctx.row_odd
             assert ctx.row_dft is mats and ctx.row_ints is ints, (n, path)
             assert ctx.row_odd is odd, (n, path)
     assert odd is not None
+    for (points, twist, whole, _), pair in ctx.row_parts.items():
+        base = ints if whole else odd if twist and points == 64 else mats
+        assert all(part.base is base for part in pair), (points, twist, whole)
+    shared = {id(part) for pair in ctx.row_parts.values() for part in pair}
+    steps = [step for product in ctx.product_plans.values() for step in product.rows[0]]
+    assert all(id(level[2]) in shared and id(level[3]) in shared
+               for step in steps for level in step[2])
+    # every plan's base case over turned chunks reads the one inner pair
+    turned = [step[2][0] for step in steps if step[0] == 1 and step[1]]
+    inner = ctx.row_parts[64, 0, False, True]
+    assert len(turned) > 1 and all(level[2:] == inner for level in turned)
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -876,14 +919,18 @@ def test_bitreversed_rows_add_only_the_two_power_rows(n):
 # bounds, pinned at the measured counts.  The rows' in-place arithmetic is
 # spelled np.add(..., out=...), not +=, which would bypass the proxy below,
 # and the range check of the operands is a ufunc's reduce, which it counts.
-# 96 = 64 + 32 and 200 = 128 + 64 + 8 run small blocks beside chunk blocks,
-# the lengths of mul-small-many; from 4098 (a padded block of 8192 slots)
-# up, a block of 8192 to 2^18 slots runs two steps, whatever its size, so
-# the budget stops growing with n.
-CALL_BUDGET = {96: (33, 45, 54), 200: (33, 64, 73), 257: (35, 49, 58), 385: (35, 64, 75),
-               1026: (61, 81, 94), 1282: (61, 97, 110), 1537: (61, 97, 110),
-               2049: (61, 77, 90), 4098: (87, 81, 94), 8193: (87, 103, 116),
-               16385: (87, 103, 116), 65537: (87, 103, 116)}
+# 96 = 64 + 32, 100 = 64 + 32 + 4 and 200 = 128 + 64 + 8 run small blocks
+# in the base case beside a lone 64-slot block at twist 1 (the odd twist's
+# pass, no turn) or a block's chunks, the lengths of mul-small-many; 12289 =
+# 8192 + 4096 + 1 turns its 4096-slot block with the larger one at width
+# 64; from 4098 (a padded block of 8192 slots) up, a block of 8192 to 2^18
+# slots runs two steps above the base case, whatever its size, so the
+# budget stops growing with n.
+CALL_BUDGET = {96: (33, 41, 50), 100: (33, 57, 66), 200: (33, 64, 73), 257: (35, 49, 58),
+               385: (35, 64, 75), 1026: (61, 81, 94), 1282: (61, 97, 110),
+               1537: (61, 97, 110), 2049: (61, 77, 90), 4098: (87, 81, 94),
+               8193: (87, 103, 116), 12289: (87, 126, 139), 16385: (87, 103, 116),
+               65537: (87, 103, 116)}
 
 
 class _CountingNumpy:
